@@ -15,14 +15,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import MPoly, RatLike, UPoly, upoly_from_mpoly
+from .poly import (
+    _D,
+    _L,
+    _LM_MASK,
+    _M,
+    _X,
+    MPoly,
+    RatLike,
+    UPoly,
+    _make,
+    _unpack,
+    upoly_from_mpoly,
+)
 from .polymat import PolyMat, inverse_unimodular, is_unimodular, star
 
 RawMat = tuple[tuple[MPoly, ...], ...]
 RawVec = tuple[MPoly, ...]
-
-_D = MPoly.var("d")
-_X = MPoly.var("x")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +309,10 @@ class LambdaSeries:
 
 
 def _split_lm(p: MPoly) -> dict[tuple[int, int], MPoly]:
-    out: dict[tuple[int, int], dict] = {}
-    for exp, coef in p.terms.items():
-        key = (exp[2], exp[3])
-        out.setdefault(key, {})[(exp[0], exp[1], 0, 0)] = coef
-    return {k: MPoly(t) for k, t in out.items()}
+    out: dict[int, dict[int, int]] = {}
+    for key, c in p._num.items():
+        out.setdefault(key & _LM_MASK, {})[key & ~_LM_MASK] = c
+    return {_unpack(lm)[2:]: _make(t, p._den) for lm, t in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +588,6 @@ class AxiomReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-_L = MPoly.var("l")
-_M = MPoly.var("m")
 
 
 def verify_assoc_axioms(

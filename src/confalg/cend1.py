@@ -15,11 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cend import product_apply
-from .poly import MPoly, UPoly, bipoly_gcd, mpoly_div_by_upoly, upoly_from_mpoly, upoly_gcd
+from .poly import _D, _X, MPoly, UPoly, bipoly_gcd, mpoly_div_by_upoly, upoly_from_mpoly, upoly_gcd
 from .polymat import PidRowBasis
-
-_D = MPoly.var("d")
-_X = MPoly.var("x")
 
 CPARTIAL = "CPARTIAL"
 P_ONLY = "P_ONLY"

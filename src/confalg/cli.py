@@ -164,6 +164,13 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
     n = int(payload["n"])
     degree = int(payload.get("degree", 2))
     count = budgets.rounds if budgets.rounds is not None else 1
+    # each of these would make every sample set empty and "ok" vacuous
+    if n < 1:
+        raise AppError(E_PARSE, f"n must be at least 1, got {n}")
+    if degree < 0:
+        raise AppError(E_PARSE, f"degree must be at least 0, got {degree}")
+    if count < 1:
+        raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     rng = random.Random(budgets.seed)
     if kind == "assoc":
         report = verify_assoc_axioms(_axiom_samples(rng, n, degree, count))
@@ -175,9 +182,10 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
             if "p" in payload
             else PolyMat.identity(n)
         )
-        alphas = [
-            fraction_from_json(a, "alphas") for a in payload.get("alphas", ["0"])
-        ]
+        raw_alphas = payload.get("alphas", ["0"])
+        if not isinstance(raw_alphas, list) or not raw_alphas:
+            raise AppError(E_PARSE, "alphas: expected a non-empty array of rationals")
+        alphas = [fraction_from_json(a, "alphas") for a in raw_alphas]
         failures: list[str] = []
         checked = 0
         for alpha in alphas:

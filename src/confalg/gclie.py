@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 from .cend import (
     AntiInvSpec,
+    AxiomReport,
     CendElem,
     LambdaSeries,
     ModVec,
@@ -29,23 +30,8 @@ from .cend import (
     raw_vec_subst,
     standard_action,
 )
-from .poly import MPoly, UPoly, upoly_from_mpoly
+from .poly import _D, _L, _M, _X, MPoly, UPoly, upoly_from_mpoly
 from .polymat import PidRowBasis, PolyMat, det, is_unimodular, star
-
-_D = MPoly.var("d")
-_X = MPoly.var("x")
-_L = MPoly.var("l")
-_M = MPoly.var("m")
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    checked: int
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 # ---------------------------------------------------------------------------

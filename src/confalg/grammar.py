@@ -2,7 +2,7 @@
 
     expr := term (('+'|'-') term)*
     term := coef ('*' mono)* | mono ('*' mono)*
-    mono := var ('^' nat)?
+    mono := var ('^' nat)?          nat <= MAX_EXP (32767)
     var  ∈ {d, x, l, m}
     coef := integer | integer '/' positive-integer
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import VARS, Exponent, MPoly, UPoly, upoly_from_mpoly
+from .poly import MAX_EXP, VARS, Exponent, ExponentOverflowError, MPoly, UPoly, upoly_from_mpoly
 
 
 class ParseError(ValueError):
@@ -107,7 +107,13 @@ def _parse_term(sc: _Scanner) -> MPoly:
         raise ParseError(f"expected coefficient or variable, found {ch!r}", sc.pos)
     while sc.peek() == "*":
         sc.take()
-        term = term * _parse_mono(sc)
+        sc.skip_ws()
+        start = sc.pos
+        mono = _parse_mono(sc)
+        try:
+            term = term * mono
+        except ExponentOverflowError as exc:
+            raise ParseError(str(exc), start) from exc
     return term
 
 
@@ -122,7 +128,10 @@ def _parse_mono(sc: _Scanner) -> MPoly:
     if sc.peek() == "^":
         sc.take()
         sc.skip_ws()
+        start = sc.pos
         power = sc.integer()
+        if power > MAX_EXP:
+            raise ParseError(f"exponent {power} is above the limit {MAX_EXP}", start)
     exp = [0, 0, 0, 0]
     exp[VARS.index(ch)] = power
     return MPoly.monomial(tuple(exp))  # type: ignore[arg-type]

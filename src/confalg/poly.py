@@ -2,13 +2,15 @@
 
 The four variables are written ``d`` (the derivation symbol usually printed as
 a partial-derivative sign), ``x`` (the position symbol), and the two series
-parameters ``l`` and ``m``.  Everything is exact: coefficients are
-`fractions.Fraction`, equality is representation equality of canonical forms.
+parameters ``l`` and ``m``.  Everything is exact; equality is representation
+equality of canonical forms.
 
 Two layers live here:
 
 * :class:`MPoly` — sparse multivariate polynomials over all four variables,
-  the universal carrier for symbols and product results.
+  the universal carrier for symbols and product results.  Coefficients are
+  integer numerators over one shared denominator; exponents are packed into
+  one int per term.
 * :class:`UPoly` — dense univariate polynomials with a variable tag, used for
   matrix entries over Q[x], Q[d]-module coordinates and reported generators.
 """
@@ -16,6 +18,10 @@ Two layers live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 VARS: tuple[str, ...] = ("d", "x", "l", "m")
@@ -24,37 +30,106 @@ _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 Exponent = tuple[int, int, int, int]
 RatLike = int | Fraction
 
-_ZERO_EXP: Exponent = (0, 0, 0, 0)
+# Packed exponents: one 16-bit field per variable, d in the highest field, so
+# integer order of keys is lex order with d > x > l > m.  The top bit of each
+# field is a guard bit: stored exponents never exceed MAX_EXP, so the sum of
+# two keys cannot carry into the next field, and a set guard bit in a sum
+# marks an exponent that does not fit.
+_BITS = 16
+_SHIFTS = (48, 32, 16, 0)
+_FIELD = (1 << _BITS) - 1
+_ALL = (1 << (4 * _BITS)) - 1
+_LM_MASK = (1 << (2 * _BITS)) - 1  # the l and m fields
+_GUARD = sum(1 << (s + _BITS - 1) for s in _SHIFTS)
+MAX_EXP = (1 << (_BITS - 1)) - 1
+_ABOVE_63 = sum((_FIELD ^ 63) << s for s in _SHIFTS)
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent outside 0..MAX_EXP, which a packed key cannot hold."""
 
 
 def _rat(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
+def _pack(exp: Exponent) -> int:
+    key = 0
+    for e, s in zip(exp, _SHIFTS):
+        if not 0 <= e <= MAX_EXP:
+            raise ExponentOverflowError(f"exponent {e} is outside 0..{MAX_EXP}")
+        key |= e << s
+    return key
+
+
+def _unpack(key: int) -> Exponent:
+    return (key >> 48, (key >> 32) & _FIELD, (key >> 16) & _FIELD, key & _FIELD)
+
+
+def _grlex(key: int) -> tuple[int, int]:
     # Graded lexicographic with d > x > l > m.
-    return (sum(exp), exp)
+    return (sum(_unpack(key)), key)
+
+
+def _degrees(keys: Iterable[int]) -> list[int]:
+    """Largest exponent of each variable over the keys (0 for none)."""
+    out = [0, 0, 0, 0]
+    for key in keys:
+        for i, e in enumerate(_unpack(key)):
+            if e > out[i]:
+                out[i] = e
+    return out
+
+
+def _overflow(degrees: Sequence[int]) -> None:
+    for var, e in zip(VARS, degrees):
+        if e > MAX_EXP:
+            raise ExponentOverflowError(
+                f"exponent {e} of {var} is above the limit {MAX_EXP}"
+            )
+
+
+def _check_product(a: dict[int, int], b: dict[int, int]) -> None:
+    """Raise unless every exponent of a product of a and b fits its field."""
+    # The OR of a key set bounds each of its fields from above; only when
+    # that cheap bound fails are the exact degrees (which add) compared.
+    if (reduce(or_, a) + reduce(or_, b)) & _GUARD:
+        _overflow([i + j for i, j in zip(_degrees(a), _degrees(b))])
+
+
+def _dict_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two numerator dicts without the exponent guard; zero
+    terms are dropped.  Fastest with the shorter dict as ``a``."""
+    if len(a) == 1:
+        [(k1, c1)] = a.items()
+        return {k1 + k: c1 * c for k, c in b.items()}
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    if len(out) < len(a) * len(b):  # terms merged, some may cancel
+        out = {k: c for k, c in out.items() if c}
+    return out
 
 
 class MPoly:
-    """Sparse polynomial in {d, x, l, m} with Fraction coefficients.
+    """Sparse polynomial in {d, x, l, m} with rational coefficients.
 
-    Instances are immutable; the term map never stores zero coefficients, so
-    ``==`` on the canonical representation is mathematical equality.
+    The value is ``sum(num[key] * monomial(key)) / den``: integer numerators
+    keyed by packed exponents over one denominator.  The form is canonical —
+    den > 0, gcd(den, all numerators) = 1 and no zero numerators — so ``==``
+    and ``hash`` on it are mathematical equality.  Instances are never
+    modified after construction; ``terms`` is a read-only view.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for exp, coef in terms.items():
-                if coef:
-                    clean[exp] = coef
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("MPoly is immutable")
+    def __init__(self, terms: Mapping[Exponent, RatLike] | None = None):
+        p = _from_rationals({_pack(e): c for e, c in terms.items()} if terms else {})
+        self._num = p._num
+        self._den = p._den
 
     # -- constructors -----------------------------------------------------
 
@@ -64,10 +139,9 @@ class MPoly:
 
     @staticmethod
     def const(value: RatLike) -> MPoly:
-        c = _rat(value)
-        if not c:
+        if not value:
             return _MP_ZERO
-        return MPoly({_ZERO_EXP: c})
+        return _wrap({0: value.numerator}, value.denominator)
 
     @staticmethod
     def var(name: str) -> MPoly:
@@ -75,89 +149,102 @@ class MPoly:
 
     @staticmethod
     def monomial(exp: Exponent, coef: RatLike = 1) -> MPoly:
-        return MPoly({exp: _rat(coef)})
+        if not coef:
+            return _MP_ZERO
+        return _wrap({_pack(exp): coef.numerator}, coef.denominator)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only view {exponent tuple: coefficient}."""
+        den = self._den
+        return MappingProxyType(
+            {_unpack(k): Fraction(c, den) for k, c in self._num.items()}
+        )
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(e == _ZERO_EXP for e in self.terms)
+        return not any(self._num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[_ZERO_EXP]
+        return Fraction(self._num[0], self._den)
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        i = _VAR_INDEX[var]
-        if not self.terms:
+        s = _SHIFTS[_VAR_INDEX[var]]
+        if not self._num:
             return -1
-        return max(e[i] for e in self.terms)
+        return max((k >> s) & _FIELD for k in self._num)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(_unpack(k)) for k in self._num)
 
     def uses(self, var: str) -> bool:
-        i = _VAR_INDEX[var]
-        return any(e[i] for e in self.terms)
+        mask = _FIELD << _SHIFTS[_VAR_INDEX[var]]
+        return any(k & mask for k in self._num)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(VARS[i])
-        return out
+        bits = reduce(or_, self._num, 0)
+        return {v for v, s in zip(VARS, _SHIFTS) if bits >> s & _FIELD}
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Leading (exponent, coefficient) under graded lex d > x > l > m."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        key = max(self._num, key=_grlex)
+        return _unpack(key), Fraction(self._num[key], self._den)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        num, den = self._num, self._den
+        return [
+            (_unpack(k), Fraction(num[k], den))
+            for k in sorted(num, key=_grlex, reverse=True)
+        ]
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+        return Fraction(self._num.get(_pack(exp), 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: MPoly | RatLike) -> MPoly:
-        other = _as_mpoly(other)
-        if not self.terms:
+        if not isinstance(other, MPoly):
+            other = _as_mpoly(other)
+        a, b = self._num, other._num
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp)
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        if len(a) < len(b):
+            a, b, da, db = b, a, db, da
+        out = a.copy() if da == den else {k: c * (den // da) for k, c in a.items()}
+        items = b.items() if db == den else [(k, c * (den // db)) for k, c in b.items()]
+        for k, c in items:
+            s = out.get(k)
             if s is None:
-                out[exp] = coef
+                out[k] = c
             else:
-                s = s + coef
+                s += c
                 if s:
-                    out[exp] = s
+                    out[k] = s
                 else:
-                    del out[exp]
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", out)
-        return res
+                    del out[k]
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", {e: -c for e, c in self.terms.items()})
-        return res
+        return _wrap({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: MPoly | RatLike) -> MPoly:
         return self + (-_as_mpoly(other))
@@ -166,102 +253,127 @@ class MPoly:
         return _as_mpoly(other) + (-self)
 
     def __mul__(self, other: MPoly | RatLike) -> MPoly:
-        other = _as_mpoly(other)
-        if not self.terms or not other.terms:
+        if not isinstance(other, MPoly):
+            other = _as_mpoly(other)
+        a, b = self._num, other._num
+        if not a or not b:
             return _MP_ZERO
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = c1 * c2
-                s = out.get(exp)
-                if s is None:
-                    out[exp] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", out)
-        return res
+        _check_product(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        return _make(_dict_mul(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MPoly:
         if n < 0:
             raise ValueError("negative power")
-        result = MPoly.const(1)
+        result = _MP_ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: RatLike) -> MPoly:
-        c = _rat(c)
         if not c:
             return _MP_ZERO
-        res = MPoly.__new__(MPoly)
-        object.__setattr__(res, "terms", {e: c * v for e, v in self.terms.items()})
-        return res
+        p = c.numerator
+        return _make({k: v * p for k, v in self._num.items()}, self._den * c.denominator)
 
     # -- structural operations ----------------------------------------------
 
     def substitute(self, bindings: Mapping[str, MPoly | RatLike]) -> MPoly:
-        """Simultaneous substitution; unbound variables are unchanged."""
-        bound: dict[int, MPoly] = {}
+        """Simultaneous substitution; unbound variables are unchanged.
+
+        One pass over the terms: the powers of each bound value are cached
+        as numerator dicts and each term's product is added straight into a
+        single output dict over the common denominator.
+        """
+        shifts: list[int] = []
+        values: list[MPoly] = []
+        keep = _ALL  # fields of the variables left in place
         for name, val in bindings.items():
             if name not in _VAR_INDEX:
                 raise KeyError(f"unknown variable {name!r}")
-            bound[_VAR_INDEX[name]] = _as_mpoly(val)
-        if not bound:
+            s = _SHIFTS[_VAR_INDEX[name]]
+            shifts.append(s)
+            values.append(_as_mpoly(val))
+            keep &= ~(_FIELD << s)
+        terms = self._num
+        if not shifts or not terms:
             return self
-        powers: dict[int, list[MPoly]] = {i: [MPoly.const(1)] for i in bound}
-        result = _MP_ZERO
-        for exp, coef in self.terms.items():
-            piece = MPoly.const(coef)
-            residual = [0, 0, 0, 0]
-            for i, k in enumerate(exp):
-                if not k:
-                    continue
-                if i in bound:
-                    cache = powers[i]
-                    while len(cache) <= k:
-                        cache.append(cache[-1] * bound[i])
-                    piece = piece * cache[k]
-                else:
-                    residual[i] = k
-            if residual != [0, 0, 0, 0]:
-                piece = piece * MPoly.monomial(tuple(residual))  # type: ignore[arg-type]
-            result = result + piece
-        return result
+        tops = [max((k >> s) & _FIELD for k in terms) for s in shifts]
+        _check_substitution(terms, keep, shifts, values)
+
+        den = self._den
+        powers: list[list[dict[int, int]]] = []
+        den_powers: list[list[int] | None] = []
+        for val, top in zip(values, tops):
+            cache = [{0: 1}]
+            for _ in range(top):
+                cache.append(_dict_mul(val._num, cache[-1]))
+            powers.append(cache)
+            vd = val._den
+            if vd == 1:
+                den_powers.append(None)
+            else:
+                # a term with exponent k is brought to den * vd**top by vd**(top-k)
+                den *= vd**top
+                den_powers.append([vd ** (top - k) for k in range(top + 1)])
+        bound = list(zip(shifts, powers, den_powers))
+
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in terms.items():
+            base = key & keep
+            factors = []
+            for s, cache, dpw in bound:
+                k = (key >> s) & _FIELD
+                if dpw is not None:
+                    c *= dpw[k]
+                if k:
+                    f = cache[k]
+                    if len(f) == 1:  # a power of a monomial folds into the term
+                        [(fk, fc)] = f.items()
+                        base += fk
+                        c *= fc
+                    else:
+                        factors.append(f)
+            if not factors:
+                out[base] = get(base, 0) + c
+                continue
+            piece = {base: c}
+            for f in factors[:-1]:
+                piece = _dict_mul(piece, f)
+            for k1, c1 in piece.items():
+                for k2, c2 in factors[-1].items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return _make({k: c for k, c in out.items() if c}, den)
 
     def derivative(self, var: str) -> MPoly:
-        i = _VAR_INDEX[var]
-        out: dict[Exponent, Fraction] = {}
-        for exp, coef in self.terms.items():
-            k = exp[i]
-            if not k:
-                continue
-            new = list(exp)
-            new[i] = k - 1
-            out[tuple(new)] = coef * k  # type: ignore[index]
-        return MPoly(out)
+        s = _SHIFTS[_VAR_INDEX[var]]
+        one = 1 << s
+        out: dict[int, int] = {}
+        for key, c in self._num.items():
+            k = (key >> s) & _FIELD
+            if k:
+                out[key - one] = c * k
+        return _make(out, self._den)
 
     def coefficients_in(self, var: str) -> dict[int, MPoly]:
-        """Split as a polynomial in one variable; values are var-free."""
-        i = _VAR_INDEX[var]
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
-        for exp, coef in self.terms.items():
-            k = exp[i]
-            new = list(exp)
-            new[i] = 0
-            buckets.setdefault(k, {})[tuple(new)] = coef  # type: ignore[index]
-        return {k: MPoly(t) for k, t in buckets.items()}
+        """Split as a polynomial in one variable, ascending powers; values
+        are var-free."""
+        s = _SHIFTS[_VAR_INDEX[var]]
+        clear = _ALL & ~(_FIELD << s)
+        buckets: dict[int, dict[int, int]] = {}
+        for key, c in self._num.items():
+            buckets.setdefault((key >> s) & _FIELD, {})[key & clear] = c
+        return {k: _make(buckets[k], self._den) for k in sorted(buckets)}
 
     # -- comparisons & misc --------------------------------------------------
 
@@ -270,18 +382,64 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         from .grammar import format_poly
 
         return f"MPoly({format_poly(self)!r})"
+
+
+def _check_substitution(
+    terms: dict[int, int], keep: int, shifts: Sequence[int], values: Sequence[MPoly]
+) -> None:
+    """Raise unless every term's image has all exponents within MAX_EXP."""
+    bits = reduce(or_, terms)
+    for v in values:
+        bits = reduce(or_, v._num, bits)
+    if not bits & _ABOVE_63:
+        return  # each image exponent is at most 63 + 4 * 63 * 63 <= MAX_EXP
+    degs = [_degrees(v._num) for v in values]
+    for key in terms:
+        out = list(_unpack(key & keep))
+        for s, d in zip(shifts, degs):
+            k = (key >> s) & _FIELD
+            for i in range(4):
+                out[i] += k * d[i]
+        _overflow(out)
+
+
+def _wrap(num: dict[int, int], den: int) -> MPoly:
+    """MPoly around numerators already in canonical form."""
+    p = _new(MPoly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _make(num: dict[int, int], den: int) -> MPoly:
+    """MPoly from nonzero numerators over den > 0, reduced to canonical form."""
+    if not num:
+        return _MP_ZERO
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return _wrap(num, den)
+
+
+def _from_rationals(terms: Mapping[int, RatLike]) -> MPoly:
+    """MPoly from {packed key: rational}; zero values are dropped."""
+    terms = {k: c for k, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return _make({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
 
 def _as_mpoly(value: MPoly | RatLike) -> MPoly:
@@ -290,11 +448,11 @@ def _as_mpoly(value: MPoly | RatLike) -> MPoly:
     return MPoly.const(value)
 
 
-_MP_ZERO = MPoly({})
-_MP_VARS = {
-    v: MPoly({tuple(1 if j == i else 0 for j in range(4)): Fraction(1)})  # type: ignore[misc]
-    for i, v in enumerate(VARS)
-}
+_new = object.__new__
+_MP_ZERO = _wrap({}, 1)
+_MP_ONE = _wrap({0: 1}, 1)
+_MP_VARS = {v: _wrap({1 << s: 1}, 1) for v, s in zip(VARS, _SHIFTS)}
+_D, _X, _L, _M = (_MP_VARS[v] for v in VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +653,9 @@ class UPoly:
     # -- conversions ----------------------------------------------------------
 
     def to_mpoly(self, var: str | None = None) -> MPoly:
-        name = var or self.var
-        i = _VAR_INDEX[name]
-        terms: dict[Exponent, Fraction] = {}
-        for k, c in enumerate(self.coeffs):
-            if c:
-                exp = [0, 0, 0, 0]
-                exp[i] = k
-                terms[tuple(exp)] = c  # type: ignore[index]
-        return MPoly(terms)
+        s = _SHIFTS[_VAR_INDEX[var or self.var]]
+        _overflow([self.degree()])
+        return _from_rationals({k << s: c for k, c in enumerate(self.coeffs)})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -526,13 +678,14 @@ class UPoly:
 
 def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
     """Read an MPoly that only uses one variable as a UPoly."""
-    extra = p.variables() - {var}
-    if extra:
+    s = _SHIFTS[_VAR_INDEX[var]]
+    if any(k & ~(_FIELD << s) for k in p._num):
+        extra = p.variables() - {var}
         raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
-    i = _VAR_INDEX[var]
-    coeffs = [Fraction(0)] * (p.degree(var) + 1)
-    for exp, coef in p.terms.items():
-        coeffs[exp[i]] = coef
+    den = p._den
+    coeffs = [0] * (p.degree(var) + 1)
+    for k, c in p._num.items():
+        coeffs[k >> s] = Fraction(c, den)
     return UPoly(coeffs, out_var or var)
 
 
@@ -566,12 +719,6 @@ def upoly_xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     lead = r0.lead()
     inv = UPoly.const(Fraction(1, 1) / lead, a.var)
     return r0.monic(), u0 * inv, v0 * inv
-
-
-def upoly_lcm(a: UPoly, b: UPoly) -> UPoly:
-    if a.is_zero() or b.is_zero():
-        return UPoly.zero(a.var)
-    return (a * b).exact_div(upoly_gcd(a, b)).monic()
 
 
 def _dx_content_and_primitive(p: MPoly) -> tuple[UPoly, dict[int, UPoly]]:
@@ -678,30 +825,26 @@ def mpoly_div_by_upoly(p: MPoly, q: UPoly, var: str | None = None) -> MPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if q.is_constant():
         return p.scale(Fraction(1, 1) / q.constant_value())
-    i = _VAR_INDEX[v]
-    rem = dict(p.terms)
-    out: dict[Exponent, Fraction] = {}
+    s = _SHIFTS[_VAR_INDEX[v]]
+    den = p._den
+    rem = {k: Fraction(c, den) for k, c in p._num.items()}
+    out: dict[int, Fraction] = {}
     dq = q.degree()
     lead = q.lead()
     while rem:
-        exp = max(rem, key=_grlex_key)
-        coef = rem[exp]
-        if exp[i] < dq:
+        key = max(rem, key=_grlex)
+        if (key >> s) & _FIELD < dq:
             raise ValueError("division is not exact")
-        qexp = list(exp)
-        qexp[i] -= dq
-        qe: Exponent = tuple(qexp)  # type: ignore[assignment]
-        c = coef / lead
-        out[qe] = out.get(qe, Fraction(0)) + c
+        qk = key - (dq << s)
+        c = rem[key] / lead
+        out[qk] = out.get(qk, 0) + c
         for k, b in enumerate(q.coeffs):
             if not b:
                 continue
-            te = list(qe)
-            te[i] += k
-            t: Exponent = tuple(te)  # type: ignore[assignment]
-            s = rem.get(t, Fraction(0)) - c * b
-            if s:
-                rem[t] = s
+            t = qk + (k << s)
+            r = rem.get(t, 0) - c * b
+            if r:
+                rem[t] = r
             else:
                 rem.pop(t, None)
-    return MPoly(out)
+    return _from_rationals(out)

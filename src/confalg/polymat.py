@@ -547,16 +547,6 @@ def right_divide(mat_rows: PolyMat, p_mat: PolyMat) -> PolyMat:
     return num.map_entries(lambda e: e.exact_div(d))
 
 
-def left_divide(p_mat: PolyMat, mat_rows: PolyMat) -> PolyMat:
-    """Solve p_mat @ Q == mat_rows exactly; raises if not divisible."""
-    d = det(p_mat)
-    if d.is_zero():
-        raise ValueError("cannot divide by a singular matrix")
-    adj = adjugate(p_mat)
-    num = adj @ mat_rows
-    return num.map_entries(lambda e: e.exact_div(d))
-
-
 # ---------------------------------------------------------------------------
 # Star-congruence
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .cend import (
     raw_vec_subst,
     standard_action,
 )
-from .poly import MPoly, RatLike, UPoly, upoly_from_mpoly
+from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
 from .polymat import (
     PidRowBasis,
     PolyMat,
@@ -37,9 +37,6 @@ from .polymat import (
     smith_divisors,
     star,
 )
-
-_D = MPoly.var("d")
-_X = MPoly.var("x")
 
 
 class DegenerateError(ValueError):

@@ -1,0 +1,143 @@
+"""Write the golden CLI corpus: ``tests/golden/<verb>/<case>.json``.
+
+Each case file holds the verb, the payload, the command-line flags (budgets
+and seed included) and the exact envelope text and exit code that
+``confalg.cli.main`` produced for them.  ``tests/test_golden.py`` replays
+every case and demands the same bytes, so a refactor or kernel change that
+alters any report shows up as a failing case.
+
+Run from the repository root, only to add cases, never to paper over a
+difference a code change introduced:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from confalg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+
+R1 = ("--rounds", "1")
+
+
+def run_case(verb: str, payload, flags) -> tuple[int, str]:
+    """Run one CLI call in-process with the payload on stdin."""
+    out = io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out):
+            code = main([verb, *flags])
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue()
+
+
+# (verb, case name, payload, flags)
+CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
+    ("product", "scalar_x_one", {"a": [["x"]], "b": [["1"]]}, ()),
+    ("product", "rational_1x1",
+     {"a": [["1/2*x + 2/3*d"]], "b": [["3/4*x^2 - 1/5"]]}, ()),
+    ("product", "rational_2x2",
+     {"a": [["x", "1/3"], ["d - 2", "x^2"]], "b": [["1", "-1/2*x"], ["d*x", "7"]]}, ()),
+    ("product", "parse_error", {"a": [["x^"]], "b": [["1"]]}, ()),
+    ("bracket", "virasoro", {"a": [["x"]], "b": [["x"]]}, ()),
+    ("bracket", "rational_2x2",
+     {"a": [["1/2*x", "d"], ["0", "x - 1/3"]], "b": [["x^2", "1"], ["-2/5", "d + x"]]}, ()),
+    ("bracket", "size_mismatch", {"a": [["x"]], "b": [["1", "0"], ["0", "1"]]}, ()),
+    ("check-axioms", "lie", {"kind": "lie", "n": 2, "degree": 2}, R1),
+    ("check-axioms", "assoc", {"kind": "assoc", "n": 2, "degree": 2}, R1),
+    ("check-axioms", "module",
+     {"kind": "module", "n": 2, "degree": 2, "p": [["x - 1", "0"], ["0", "x + 2"]],
+      "alphas": ["1/2"]}, R1),
+    ("check-axioms", "lie_seeded", {"kind": "lie", "n": 1, "degree": 3},
+     ("--rounds", "2", "--seed", "7")),
+    ("check-axioms", "missing_rounds", {"kind": "lie", "n": 1, "degree": 1}, ()),
+    ("check-axioms", "unknown_kind", {"kind": "jordan", "n": 1}, R1),
+    ("smith", "identity", {"matrix": [["1", "0"], ["0", "1"]]}, ()),
+    ("smith", "poly_3x3",
+     {"matrix": [["x", "1", "0"], ["0", "x^2 - 1", "x"], ["1/2", "0", "x + 3"]]}, ()),
+    ("smith", "non_square", {"matrix": [["x", "1"]]}, ()),
+    ("iso", "shift", {"p": [["x"]], "q": [["x + 5"]]}, ()),
+    ("iso", "not_isomorphic", {"p": [["x"]], "q": [["x^2"]]}, ()),
+    ("iso", "degenerate", {"p": [["0"]], "q": [["x"]]}, ()),
+    ("anti-auto", "exists", {"p": [["x - 1"]]}, ()),
+    ("anti-auto", "absent", {"p": [["1", "0"], ["0", "x^3 - 4*x^2 + 3*x"]]}, ()),
+    ("anti-inv-search", "found", {"p": [["x"]]}, ("--degree-cap", "0")),
+    ("anti-inv-search", "undecided", {"p": [["x", "0"], ["0", "x^2 - x"]]},
+     ("--degree-cap", "0")),
+    ("ideal", "left", {"side": "left", "p": [["1"]], "gens": [[["x^2 - 1"]], [["x^2 + x"]]]}, ()),
+    ("ideal", "right", {"side": "right", "p": [["x"]], "gens": [[["d*x + x^2"]]]}, ()),
+    ("classify-cend1", "cpartial", {"generators": ["d + 1", "d^2 - 1"]}, ("--rounds", "12")),
+    ("classify-cend1", "p_only", {"generators": ["x^2"]}, ("--rounds", "12")),
+    ("classify-cend1", "q_only",
+     {"generators": ["d + x - 1", "d^2 + d*x - d"]}, ("--rounds", "12")),
+    ("classify-cend1", "pq", {"generators": ["d*x + x^2 + 2*x"]}, ("--rounds", "12")),
+    ("classify-cend1", "full", {"generators": ["x - 1", "d + 2"]}, ("--rounds", "12")),
+    ("classify-cend1", "budget", {"generators": ["x", "d"]}, ("--rounds", "0")),
+    ("classify-cend1", "pretty", ["x^2"], ("--pretty",)),
+    ("extension-build", "factorization",
+     {"p": [["x^2"]], "kind": "factorization", "r": [["x"]], "s": [["x"]], "alpha": "0"}, R1),
+    ("extension-build", "jordan", {"p": [["x - 2"]], "kind": "jordan", "gamma": "1/2"}, R1),
+    ("oc-gens", "orthogonal", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 1}, ()),
+    ("oc-gens", "symplectic",
+     {"n": 2, "p": [["0", "1"], ["-1", "0"]], "epsilon": -1, "max_n": 1}, ()),
+    ("invariance-check", "invariant", {"p": [["1"]], "epsilon": 1, "element": [["2*x + d"]]},
+     ("--degree-cap", "2")),
+    ("invariance-check", "not_invariant", {"p": [["1"]], "epsilon": 1, "element": [["x"]]},
+     ("--degree-cap", "2")),
+    ("irreducibility-probe", "irreducible",
+     {"p": [["x"]], "gens": [[["1"]], [["x"]], [["d"]]], "start": ["1"], "alpha": "0"},
+     ("--degree-cap", "4", "--rounds", "6")),
+    ("irreducibility-probe", "reducible",
+     {"p": [["x"]], "gens": [[["1"]]], "start": ["1"]}, ("--degree-cap", "4", "--rounds", "6")),
+    ("unital-probe", "cend_n",
+     {"gens": [[["1", "0"], ["0", "1"]], [["x", "0"], ["0", "0"]]]},
+     ("--degree-cap", "4", "--rounds", "4")),
+    ("unital-probe", "scalar", {"gens": [[["1"]], [["x"]]]}, ("--degree-cap", "4", "--rounds", "4")),
+]
+
+# (case name, verb and case name of the report to verify, edit applied to it)
+VERIFY_CASES = [
+    ("smith", ("smith", "poly_3x3"), None),
+    ("iso", ("iso", "shift"), None),
+    ("ideal_right", ("ideal", "right"), None),
+    ("classify_pq", ("classify-cend1", "pq"), None),
+    ("check_axioms_module", ("check-axioms", "module"), None),
+    ("product_rational", ("product", "rational_2x2"), None),
+    ("tampered_smith", ("smith", "poly_3x3"),
+     lambda r: r["result"].__setitem__("divisors", ["1", "1", "x^2 + 1"])),
+]
+
+
+def write_case(verb: str, name: str, payload, flags) -> str:
+    code, text = run_case(verb, payload, flags)
+    case = {"verb": verb, "flags": list(flags), "payload": payload,
+            "exit": code, "envelope": text}
+    path = GOLDEN / verb / f"{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(case, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{verb}/{name}: exit {code}")
+    return text
+
+
+def write_corpus() -> None:
+    envelopes = {}
+    for verb, name, payload, flags in CASES:
+        envelopes[(verb, name)] = write_case(verb, name, payload, flags)
+    for name, source, edit in VERIFY_CASES:
+        report = json.loads(envelopes[source])
+        if edit is not None:
+            edit(report)
+        write_case("verify", name, report, ())
+
+
+if __name__ == "__main__":
+    write_corpus()

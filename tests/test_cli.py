@@ -242,3 +242,40 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     verify_in.write_text(json.dumps(report), encoding="utf-8")
     code = main(["verify", "--in", str(verify_in), "--out", "-"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "entry,offset",
+    [("x^99999999", 2), ("d*x^20000 * x^20000", 12), ("x^32768", 2)],
+)
+def test_exponent_overflow_is_parse_error(tmp_path, entry, offset):
+    import time
+
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "product", {"a": [[entry]], "b": [["1"]]})
+    assert time.perf_counter() - start < 5
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "E_PARSE"
+    assert f"offset {offset}" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "payload,flags",
+    [
+        ({"kind": "lie", "n": 0, "degree": 2}, ("--rounds", "1")),
+        ({"kind": "assoc", "n": -1, "degree": 2}, ("--rounds", "1")),
+        ({"kind": "lie", "n": 1, "degree": -1}, ("--rounds", "1")),
+        ({"kind": "module", "n": 1, "degree": 1, "alphas": []}, ("--rounds", "1")),
+        ({"kind": "module", "n": 1, "degree": 1, "alphas": "0"}, ("--rounds", "1")),
+        ({"kind": "lie", "n": 1, "degree": 1}, ("--rounds", "0")),
+    ],
+)
+def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
+    code, out = run_cli(tmp_path, "check-axioms", payload, *flags)
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["result"] is None
+    assert report["error"]["code"] == "E_PARSE"

@@ -1,0 +1,33 @@
+"""Replay the golden CLI corpus: every envelope must come back byte for byte."""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+
+from make_golden import run_case  # noqa: E402
+
+CASES = sorted(GOLDEN.glob("*/*.json"))
+
+
+def test_corpus_covers_every_verb():
+    from confalg.cli import _HANDLERS
+
+    counts = {verb: 0 for verb in _HANDLERS}
+    for path in CASES:
+        counts[path.parent.name] += 1
+    assert all(n >= 2 for n in counts.values()), counts
+
+
+@pytest.mark.parametrize("path", CASES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_golden_case(path):
+    case = json.loads(path.read_text(encoding="utf-8"))
+    code, text = run_case(case["verb"], case["payload"], case["flags"])
+    assert text == case["envelope"]
+    assert code == case["exit"]

@@ -278,3 +278,215 @@ class TestUPolyFromMPoly:
         p = upoly_from_mpoly(X**2 + X * 2, "x", out_var="z")
         assert p.var == "z"
         assert p.coeffs == (Fraction(0), Fraction(2), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# MPoly against a Fraction/tuple reference model
+# ---------------------------------------------------------------------------
+
+Ref = dict[tuple[int, int, int, int], Fraction]
+
+
+def ref_clean(terms: Ref) -> Ref:
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a: Ref, b: Ref) -> Ref:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a: Ref, b: Ref) -> Ref:
+    out: Ref = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a: Ref, n: int) -> Ref:
+    out: Ref = {(0, 0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_subst(a: Ref, bindings: dict[str, Ref]) -> Ref:
+    from confalg.poly import VARS
+
+    out: Ref = {}
+    for exp, coef in a.items():
+        residual = tuple(0 if VARS[i] in bindings else k for i, k in enumerate(exp))
+        piece: Ref = {residual: coef}
+        for i, k in enumerate(exp):
+            if VARS[i] in bindings:
+                piece = ref_mul(piece, ref_pow(bindings[VARS[i]], k))
+        out = ref_add(out, piece)
+    return out
+
+
+def ref_derivative(a: Ref, i: int) -> Ref:
+    out: Ref = {}
+    for exp, coef in a.items():
+        if exp[i]:
+            e = list(exp)
+            e[i] -= 1
+            out[tuple(e)] = coef * exp[i]
+    return out
+
+
+def ref_coefficients_in(a: Ref, i: int) -> dict[int, Ref]:
+    out: dict[int, Ref] = {}
+    for exp, coef in a.items():
+        e = list(exp)
+        e[i] = 0
+        out.setdefault(exp[i], {})[tuple(e)] = coef
+    return out
+
+
+def assert_canonical(p: MPoly) -> None:
+    import math
+
+    assert p._den > 0
+    assert all(p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+ref_strategy = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    rationals,
+    max_size=5,
+).map(ref_clean)
+var_names = st.sampled_from(("d", "x", "l", "m"))
+
+
+class TestMPolyModel:
+    @settings(max_examples=80, deadline=None)
+    @given(ref_strategy, ref_strategy)
+    def test_add_sub_mul(self, a, b):
+        pa, pb = MPoly(a), MPoly(b)
+        assert dict(pa.terms) == a
+        neg_b = {e: -c for e, c in b.items()}
+        for got, want in (
+            (pa + pb, ref_add(a, b)),
+            (pa - pb, ref_add(a, neg_b)),
+            (-pb, neg_b),
+            (pa * pb, ref_mul(a, b)),
+        ):
+            assert dict(got.terms) == want
+            assert got == MPoly(want) and hash(got) == hash(MPoly(want))
+            assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_strategy, st.integers(0, 3), rationals)
+    def test_pow_and_scale(self, a, n, c):
+        p = MPoly(a)
+        assert dict((p**n).terms) == ref_pow(a, n)
+        assert dict(p.scale(c).terms) == ref_clean({e: v * c for e, v in a.items()})
+        assert dict((p * c).terms) == dict(p.scale(c).terms)
+        assert_canonical(p**n)
+        assert_canonical(p.scale(c))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ref_strategy, st.dictionaries(var_names, ref_strategy, max_size=3))
+    def test_substitute(self, a, bindings):
+        got = MPoly(a).substitute({v: MPoly(t) for v, t in bindings.items()})
+        assert dict(got.terms) == ref_subst(a, bindings)
+        assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ref_strategy, st.dictionaries(var_names, rationals, min_size=1, max_size=4))
+    def test_substitute_rational_constants(self, a, bindings):
+        got = MPoly(a).substitute(bindings)
+        want = ref_subst(a, {v: ref_clean({(0, 0, 0, 0): c}) for v, c in bindings.items()})
+        assert dict(got.terms) == want
+        assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_strategy, st.integers(0, 3))
+    def test_derivative_and_coefficients_in(self, a, i):
+        from confalg.poly import VARS
+
+        p = MPoly(a)
+        deriv = p.derivative(VARS[i])
+        assert dict(deriv.terms) == ref_derivative(a, i)
+        assert_canonical(deriv)
+        parts = p.coefficients_in(VARS[i])
+        assert list(parts) == sorted(parts)
+        assert {k: dict(q.terms) for k, q in parts.items()} == ref_coefficients_in(a, i)
+        for q in parts.values():
+            assert_canonical(q)
+
+
+class TestCanonicalForm:
+    def test_equal_fractions_build_equal_polys(self):
+        e = (1, 0, 2, 0)
+        a, b = MPoly({e: Fraction(2, 4)}), MPoly({e: Fraction(1, 2)})
+        assert a == b and hash(a) == hash(b)
+        assert a._den == 2 and a._num == b._num
+
+    def test_cancelling_denominators_return_to_one(self):
+        third = X.scale(Fraction(1, 3)) + D.scale(Fraction(1, 6))
+        total = third + X.scale(Fraction(2, 3)) - D.scale(Fraction(1, 6))
+        assert total == X
+        assert total._den == 1
+        half = MPoly.const(Fraction(1, 2))
+        assert (half + half)._den == 1
+        assert (X.scale(Fraction(3, 2)) * MPoly.const(Fraction(2, 3)))._den == 1
+
+    def test_zero_has_unit_denominator(self):
+        p = X.scale(Fraction(1, 3)) + L
+        for z in (MPoly.zero(), p - p, p * 0, p.scale(0), MPoly({(1, 0, 0, 0): Fraction(0)})):
+            assert z.is_zero()
+            assert z._den == 1 and not z._num
+            assert z == MPoly.zero() and hash(z) == hash(MPoly.zero())
+
+    def test_terms_view_is_read_only(self):
+        view = (X + 1).terms
+        with pytest.raises(TypeError):
+            view[(0, 0, 0, 0)] = Fraction(2)
+
+
+class TestExponentLimit:
+    def test_limit_reached_exactly(self):
+        from confalg.poly import MAX_EXP
+
+        top = MPoly.monomial((MAX_EXP, MAX_EXP, MAX_EXP, MAX_EXP))
+        assert top.degree("d") == MAX_EXP and top.degree("m") == MAX_EXP
+        assert (X ** (MAX_EXP - 1)) * X == X**MAX_EXP
+        assert (top * 2).sorted_terms() == [((MAX_EXP,) * 4, Fraction(2))]
+
+    def test_overflow_raises_named_value_error(self):
+        from confalg.poly import MAX_EXP, ExponentOverflowError
+
+        assert issubclass(ExponentOverflowError, ValueError)
+        big = X**MAX_EXP
+        with pytest.raises(ExponentOverflowError):
+            big * X
+        with pytest.raises(ExponentOverflowError):
+            big * (D + X)
+        with pytest.raises(ExponentOverflowError):
+            X ** (MAX_EXP + 1)
+        with pytest.raises(ExponentOverflowError):
+            MPoly({(0, MAX_EXP + 1, 0, 0): Fraction(1)})
+        with pytest.raises(ExponentOverflowError):
+            MPoly.monomial((0, 0, -1, 0))
+        with pytest.raises(ExponentOverflowError):
+            (X ** 20000).substitute({"x": X**2})
+        with pytest.raises(ExponentOverflowError):
+            (D ** 20000 * X).substitute({"x": D ** 20000})
+
+    def test_guard_does_not_misfire_across_fields(self):
+        from confalg.poly import MAX_EXP
+
+        # large exponents in different variables never interfere
+        p = D**MAX_EXP + X
+        q = X ** (MAX_EXP - 1) + L**MAX_EXP
+        assert dict((p * q).terms) == ref_mul(dict(p.terms), dict(q.terms))
+        # the exact per-term check accepts a substitution the coarse bound rejects
+        r = X**20000 + D**20000
+        assert r.substitute({"x": D, "d": D}) == (D**20000).scale(2)
