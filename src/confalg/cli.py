@@ -122,6 +122,13 @@ def _expect(payload: Any, *fields: str) -> None:
             raise AppError(E_PARSE, f"payload field {f!r} is required")
 
 
+def _int_field(payload: dict[str, Any], name: str, default: int | None = None) -> int:
+    value = payload.get(name, default)
+    if type(value) is not int:  # bool is an int subclass, and int() truncates 1.7
+        raise AppError(E_PARSE, f"{name}: expected an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
@@ -161,8 +168,8 @@ def _axiom_samples(rng: random.Random, n: int, degree: int, count: int):
 def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "kind", "n")
     kind = payload["kind"]
-    n = int(payload["n"])
-    degree = int(payload.get("degree", 2))
+    n = _int_field(payload, "n")
+    degree = _int_field(payload, "degree", 2)
     count = budgets.rounds if budgets.rounds is not None else 1
     # each of these would make every sample set empty and "ok" vacuous
     if n < 1:
@@ -359,6 +366,8 @@ def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
     module = build_extension(p, kind, r_mat=r_mat, s_mat=s_mat, alpha=alpha, gamma=gamma)
     rng = random.Random(budgets.seed)
     count = budgets.rounds if budgets.rounds is not None else 8
+    if count < 1:  # no samples would make axioms_ok vacuous
+        raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     n = p.n
     samples = [
         (
@@ -396,10 +405,10 @@ def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
 
 def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "n", "p", "epsilon", "max_n")
-    n = int(payload["n"])
+    n = _int_field(payload, "n")
     p = polymat_from_json(payload["p"], "p")
-    epsilon = int(payload["epsilon"])
-    max_n = int(payload["max_n"])
+    epsilon = _int_field(payload, "epsilon")
+    max_n = _int_field(payload, "max_n")
     try:
         gens = make_oc_spc_generators(n, p, epsilon, max_n)
     except ValueError as exc:
@@ -423,7 +432,7 @@ def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
 def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "p", "epsilon", "element")
     p = polymat_from_json(payload["p"], "p")
-    epsilon = int(payload["epsilon"])
+    epsilon = _int_field(payload, "epsilon")
     elem = cend_from_json(payload["element"], "element")
     try:
         form = ConfBilinearForm(p, epsilon)
@@ -654,10 +663,13 @@ def _verify_classify(report: Any) -> tuple[bool, str]:
 
 def _verify_recompute(report: Any) -> tuple[bool, str]:
     verb = report["verb"]
+    recorded = report.get("budgets")
+    if not isinstance(recorded, dict):
+        raise AppError(E_PARSE, "report field 'budgets' must be an object")
     budgets = Budgets(
-        degree_cap=report["budgets"].get("degree_cap"),
-        rounds=report["budgets"].get("rounds"),
-        seed=report["budgets"].get("seed", DEFAULT_SEED),
+        degree_cap=recorded.get("degree_cap"),
+        rounds=recorded.get("rounds"),
+        seed=recorded.get("seed", DEFAULT_SEED),
     )
     handler = _HANDLERS[verb]
     status, result, certificate = handler(report["input"], budgets)

@@ -56,7 +56,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # e.g. more digits than int() accepts
+            raise ParseError(f"invalid integer literal: {exc}", start) from exc
 
 
 def parse_poly(text: str) -> MPoly:

@@ -463,28 +463,33 @@ _D, _X, _L, _M = (_MP_VARS[v] for v in VARS)
 class UPoly:
     """Dense univariate polynomial over Q, lowest-degree coefficient first.
 
+    The value is ``sum(num[i] * var**i) / den``: a tuple of integer
+    numerators over one denominator.  The form is canonical — den > 0,
+    gcd(den, all numerators) = 1 and a nonzero last numerator; zero is the
+    empty tuple over 1 — so ``==`` and ``hash`` on it (with the variable tag)
+    are mathematical equality.  Instances are never modified after
+    construction.
+
     The variable tag is a single letter; matrix entries use ``x``, module
     coordinates use ``d``, and reported shift-variable generators use ``z``
-    (standing for d+x).  The zero polynomial is the empty coefficient tuple.
+    (standing for d+x).
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("_num", "_den", "var")
 
     def __init__(self, coeffs: Iterable[RatLike], var: str = "x"):
         cs = [_rat(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("UPoly is immutable")
+        den = lcm(*(c.denominator for c in cs))
+        p = _make_up([c.numerator * (den // c.denominator) for c in cs], den, var)
+        self._num = p._num
+        self._den = p._den
+        self.var = var
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(var: str = "x") -> UPoly:
-        return UPoly((), var)
+        return _up((), 1, var)
 
     @staticmethod
     def const(value: RatLike, var: str = "x") -> UPoly:
@@ -492,41 +497,45 @@ class UPoly:
 
     @staticmethod
     def variable(var: str = "x") -> UPoly:
-        return UPoly((0, 1), var)
+        return _up((0, 1), 1, var)
 
     @staticmethod
     def from_roots(roots: Sequence[RatLike], var: str = "x") -> UPoly:
-        p = UPoly.const(1, var)
+        p = _up((1,), 1, var)
         for r in roots:
             p = p * UPoly((-_rat(r), 1), var)
         return p
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as fractions, lowest degree first."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     def constant_value(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) > 1:
+        if len(self._num) > 1:
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     # -- arithmetic ----------------------------------------------------------
@@ -536,72 +545,122 @@ class UPoly:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other: UPoly | RatLike) -> UPoly:
-        other = self._coerce(other)
+        if not isinstance(other, UPoly):
+            return self._add_scalar(_rat(other))
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)), self.var
-        )
+        return _up_add(self._num, self._den, other._num, other._den, self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> UPoly:
-        return UPoly((-c for c in self.coeffs), self.var)
+        return _up(tuple(-c for c in self._num), self._den, self.var)
 
     def __sub__(self, other: UPoly | RatLike) -> UPoly:
-        return self + (-self._coerce(other))
+        if not isinstance(other, UPoly):
+            return self._add_scalar(-_rat(other))
+        self._check(other)
+        return _up_add(self._num, self._den, [-c for c in other._num], other._den, self.var)
 
     def __rsub__(self, other: UPoly | RatLike) -> UPoly:
-        return self._coerce(other) + (-self)
+        return (-self)._add_scalar(_rat(other))
+
+    def _add_scalar(self, c: Fraction) -> UPoly:
+        n, d = c.numerator, c.denominator
+        if not n:
+            return self
+        a, da = self._num, self._den
+        den = da if da % d == 0 else lcm(da, d)
+        out = list(a) if den == da else [x * (den // da) for x in a]
+        n *= den // d
+        if out:
+            out[0] += n
+        else:
+            out.append(n)
+        return _make_up(out, den, self.var)
 
     def __mul__(self, other: UPoly | RatLike) -> UPoly:
-        other = self._coerce(other)
+        if not isinstance(other, UPoly):
+            return self._scale(_rat(other))
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return UPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out, self.var)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _up((), 1, self.var)
+        if len(a) > len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _make_up(out, self._den * other._den, self.var)
 
     __rmul__ = __mul__
 
+    def _scale(self, c: Fraction) -> UPoly:
+        n = c.numerator
+        if not n or not self._num:
+            return _up((), 1, self.var)
+        out = self._num if n == 1 else [x * n for x in self._num]
+        return _make_up(out, self._den * c.denominator, self.var)
+
     def __pow__(self, n: int) -> UPoly:
-        result = UPoly.const(1, self.var)
+        if n < 0:
+            raise ValueError("negative power")
+        result = _up((1,), 1, self.var)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
-    def _coerce(self, other: UPoly | RatLike) -> UPoly:
-        if isinstance(other, UPoly):
-            return other
-        return UPoly.const(other, self.var)
-
     def divmod(self, other: UPoly) -> tuple[UPoly, UPoly]:
-        """Field-coefficient polynomial division with remainder."""
+        """Polynomial division with remainder over Q.
+
+        Integer pseudo-division of the numerators: while the divisor's
+        leading numerator divides the current top numerator the step is
+        exact; otherwise the remainder and quotient are first scaled by the
+        smallest factor that makes it so, and the scale goes into the
+        denominators at the end.
+        """
         self._check(other)
-        if other.is_zero():
+        b = other._num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        a, var = self._num, self.var
+        dq = len(a) - len(b)
         if dq < 0:
-            return UPoly.zero(self.var), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.lead()
+            return _up((), 1, var), self
+        if len(b) == 1:  # a constant divisor divides exactly
+            n, d = (other._den, b[0]) if b[0] > 0 else (-other._den, -b[0])
+            quo = self if n == d == 1 else _make_up([x * n for x in a], self._den * d, var)
+            return quo, _up((), 1, var)
+        lc = b[-1]
+        top = len(b) - 1
+        rem = list(a)
+        quo = [0] * (dq + 1)
+        scale = 1  # rem and quo are scale times the true remainder and quotient
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / lead
-            if c:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UPoly(quo, self.var), UPoly(rem, self.var)
+            t = rem[k + top]
+            if not t:
+                continue
+            if t % lc:
+                f = abs(lc) // gcd(t, lc)
+                rem = [x * f for x in rem]
+                quo = [x * f for x in quo]
+                scale *= f
+                t *= f
+            c = t // lc
+            quo[k] = c
+            for j, y in enumerate(b, k):
+                rem[j] -= c * y
+        # self = (quo * B + rem) / (scale * den_a) with B = other * den_b
+        den = scale * self._den
+        if other._den != 1:
+            quo = [x * other._den for x in quo]
+        return _make_up(quo, den, var), _make_up(rem[:top], den, var)
 
     def __floordiv__(self, other: UPoly) -> UPoly:
         return self.divmod(other)[0]
@@ -621,59 +680,112 @@ class UPoly:
         return quo
 
     def monic(self) -> UPoly:
-        if self.is_zero():
+        a = self._num
+        if not a or a[-1] == self._den:
             return self
-        lead = self.lead()
-        return UPoly((c / lead for c in self.coeffs), self.var)
+        g = gcd(*a)
+        if a[-1] < 0:
+            g = -g
+        return _up(tuple(x // g for x in a), a[-1] // g, self.var)
 
     def derivative(self) -> UPoly:
-        return UPoly((c * k for k, c in enumerate(self.coeffs) if k), self.var)
+        return _make_up([c * k for k, c in enumerate(self._num) if k], self._den, self.var)
 
     def eval(self, point: RatLike) -> Fraction:
-        acc = Fraction(0)
+        a = self._num
+        if not a:
+            return Fraction(0)
         p = _rat(point)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        pn, pd = p.numerator, p.denominator
+        acc, w = a[-1], 1  # homogeneous Horner: acc / w is the value so far
+        for c in reversed(a[:-1]):
+            w *= pd
+            acc = acc * pn + c * w
+        return Fraction(acc, self._den * w)
 
     def compose(self, inner: UPoly) -> UPoly:
         """Horner composition self(inner); result in inner's variable."""
-        acc = UPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly.const(c, inner.var)
-        return acc
+        acc = _up((), 1, inner.var)
+        for c in reversed(self._num):
+            acc = acc * inner + c
+        return _make_up(list(acc._num), acc._den * self._den, inner.var)
 
     def shift(self, alpha: RatLike) -> UPoly:
         """Return self(var + alpha), exact."""
         return self.compose(UPoly((alpha, 1), self.var))
 
     def retag(self, var: str) -> UPoly:
-        return UPoly(self.coeffs, var)
+        return _up(self._num, self._den, var)
 
     # -- conversions ----------------------------------------------------------
 
     def to_mpoly(self, var: str | None = None) -> MPoly:
         s = _SHIFTS[_VAR_INDEX[var or self.var]]
         _overflow([self.degree()])
-        return _from_rationals({k << s: c for k, c in enumerate(self.coeffs)})
+        num = {k << s: c for k, c in enumerate(self._num) if c}
+        return _wrap(num, self._den) if num else _MP_ZERO
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = UPoly.const(other, self.var)
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.var == other.var and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self._den, self._num))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __repr__(self) -> str:
-        from .grammar import format_poly
+        from .grammar import format_upoly
 
-        return f"UPoly({format_poly(self.to_mpoly(), var_map={self.var: self.var})!r})"
+        return f"UPoly({format_upoly(self)!r})"
+
+
+def _up(num: tuple[int, ...], den: int, var: str) -> UPoly:
+    """UPoly around numerators already in canonical form."""
+    p = _new(UPoly)
+    p._num = num
+    p._den = den
+    p.var = var
+    return p
+
+
+def _make_up(num: list[int] | tuple[int, ...], den: int, var: str) -> UPoly:
+    """UPoly from numerators over den > 0, reduced to canonical form."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return _up((), 1, var)
+    if n < len(num):
+        num = num[:n]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    return _up(tuple(num), den, var)
+
+
+def _up_add(a: Sequence[int], da: int, b: Sequence[int], db: int, var: str) -> UPoly:
+    """Sum of numerators a over da and b over db."""
+    if da != db:
+        den = lcm(da, db)
+        if da != den:
+            a = [c * (den // da) for c in a]
+        if db != den:
+            b = [c * (den // db) for c in b]
+    else:
+        den = da
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _make_up(out, den, var)
 
 
 def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
@@ -682,11 +794,10 @@ def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
     if any(k & ~(_FIELD << s) for k in p._num):
         extra = p.variables() - {var}
         raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
-    den = p._den
-    coeffs = [0] * (p.degree(var) + 1)
+    num = [0] * (p.degree(var) + 1)
     for k, c in p._num.items():
-        coeffs[k >> s] = Fraction(c, den)
-    return UPoly(coeffs, out_var or var)
+        num[k >> s] = c
+    return _up(tuple(num), p._den, out_var or var)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +827,7 @@ def upoly_xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero():
         return r0, u0, v0
-    lead = r0.lead()
-    inv = UPoly.const(Fraction(1, 1) / lead, a.var)
+    inv = 1 / r0.lead()
     return r0.monic(), u0 * inv, v0 * inv
 
 

@@ -430,11 +430,11 @@ class PidRowBasis:
                 idx += 1
                 continue
             pivot = self.rows[idx][col]
-            if pivot.divides(r[col]):
-                q = r[col].exact_div(pivot)
-                r = [a - q * b for a, b in zip(r, self.rows[idx])]
+            q, rem = r[col].divmod(pivot)
+            if not rem:
+                r = _sub_multiple(r, q, self.rows[idx])
                 if self.track:
-                    hist = [a - q * b for a, b in zip(hist, self.history[idx])]
+                    hist = _sub_multiple(hist, q, self.history[idx])
             else:
                 g, u, v = upoly_xgcd(pivot, r[col])
                 combined = [u * a + v * b for a, b in zip(self.rows[idx], r)]
@@ -480,11 +480,9 @@ class PidRowBasis:
                 if entry.is_zero() or entry.degree() < pivot.degree():
                     continue
                 q = entry // pivot
-                self.rows[k] = [a - q * b for a, b in zip(self.rows[k], self.rows[i])]
+                self.rows[k] = _sub_multiple(self.rows[k], q, self.rows[i])
                 if self.track:
-                    self.history[k] = [
-                        a - q * b for a, b in zip(self.history[k], self.history[i])
-                    ]
+                    self.history[k] = _sub_multiple(self.history[k], q, self.history[i])
 
     def reduce(self, row: Sequence[UPoly]) -> list[UPoly]:
         """Remainder of a row modulo the current module."""
@@ -492,10 +490,9 @@ class PidRowBasis:
         for idx, col in enumerate(self.pivots):
             if r[col].is_zero():
                 continue
-            pivot = self.rows[idx][col]
-            if pivot.divides(r[col]):
-                q = r[col].exact_div(pivot)
-                r = [a - q * b for a, b in zip(r, self.rows[idx])]
+            q, rem = r[col].divmod(self.rows[idx][col])
+            if not rem:
+                r = _sub_multiple(r, q, self.rows[idx])
         return r
 
     def contains(self, row: Sequence[UPoly]) -> bool:
@@ -506,6 +503,11 @@ class PidRowBasis:
 
     def rank(self) -> int:
         return len(self.rows)
+
+
+def _sub_multiple(row: Sequence[UPoly], q: UPoly, pivot_row: Sequence[UPoly]) -> list[UPoly]:
+    """row - q * pivot_row, leaving entries opposite a zero of pivot_row as they are."""
+    return [a - q * b if b else a for a, b in zip(row, pivot_row)]
 
 
 def hermite_left_generator(

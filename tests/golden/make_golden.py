@@ -7,7 +7,8 @@ every case and demands the same bytes, so a refactor or kernel change that
 alters any report shows up as a failing case.
 
 Run from the repository root, only to add cases, never to paper over a
-difference a code change introduced:
+difference a code change introduced.  Cases whose file already exists are
+left as they are, so a run writes only the cases added to the lists below:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
@@ -102,6 +103,33 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      {"gens": [[["1", "0"], ["0", "1"]], [["x", "0"], ["0", "0"]]]},
      ("--degree-cap", "4", "--rounds", "4")),
     ("unital-probe", "scalar", {"gens": [[["1"]], [["x"]]]}, ("--degree-cap", "4", "--rounds", "4")),
+    # rational, non-monic entries: UPoly arithmetic with denominators
+    ("classify-cend1", "q_rational_root", {"generators": ["d + x - 1/3"]},
+     ("--degree-cap", "4", "--rounds", "12")),
+    ("classify-cend1", "pq_rational",
+     {"generators": ["2/3*d*x + 2/3*x^2 - 1/2*x"]}, ("--degree-cap", "4", "--rounds", "12")),
+    ("classify-cend1", "full_rational", {"generators": ["3*x - 1", "2*d + 2*x - 1"]},
+     ("--degree-cap", "4", "--rounds", "12")),
+    ("iso", "rational_shift", {"p": [["1/2*x^2 - 1/3"]], "q": [["1/2*x^2 + x + 1/6"]]}, ()),
+    ("iso", "rational_2x2",
+     {"p": [["2/3*x - 1/5", "0"], ["0", "3/4*x^2"]],
+      "q": [["3/4*x^2 + 3/2*x + 3/4", "0"], ["0", "2/3*x + 7/15"]]}, ()),
+    ("iso", "rational_not_isomorphic", {"p": [["1/2*x^2 - 1/3"]], "q": [["1/3*x^2 - 1/2"]]}, ()),
+    ("anti-auto", "rational_exists", {"p": [["2/3*x - 1/5"]]}, ()),
+    ("anti-auto", "rational_absent", {"p": [["1/2*x^2 - 1/3*x", "1/5"], ["0", "3/7*x + 1"]]}, ()),
+    ("ideal", "rational_left",
+     {"side": "left", "p": [["1/3*x", "0"], ["1", "1/2*x - 1"]],
+      "gens": [[["1/3*x^2 - 1", "2/3"], ["0", "x"]], [["1/2*d", "0"], ["1/5", "x^2 + 1/3"]]]}, ()),
+    ("ideal", "rational_right",
+     {"side": "right", "p": [["2/3*x - 1/3"]], "gens": [[["1/3*d*x + 1/2"]], [["3/2*x^2 - 1/3"]]]},
+     ()),
+    ("smith", "rational_2x2",
+     {"matrix": [["2/3*x - 1/2", "1/3*x^2"], ["1/5", "3/4*x + 1/7"]]}, ()),
+    ("unital-probe", "rational_cur_n",
+     {"gens": [[["1", "0"], ["0", "1"]], [["1/2*d + 1/3", "2/5"], ["0", "2/3*d"]]]},
+     ("--degree-cap", "4", "--rounds", "4")),
+    ("unital-probe", "rational_scalar", {"gens": [[["1"]], [["2/3*d - 1/2"]]]},
+     ("--degree-cap", "4", "--rounds", "4")),
 ]
 
 # (case name, verb and case name of the report to verify, edit applied to it)
@@ -114,14 +142,33 @@ VERIFY_CASES = [
     ("product_rational", ("product", "rational_2x2"), None),
     ("tampered_smith", ("smith", "poly_3x3"),
      lambda r: r["result"].__setitem__("divisors", ["1", "1", "x^2 + 1"])),
+    ("classify_q_rational_root", ("classify-cend1", "q_rational_root"), None),
+    ("classify_pq_rational", ("classify-cend1", "pq_rational"), None),
+    ("iso_rational_2x2", ("iso", "rational_2x2"), None),
+    ("anti_auto_rational", ("anti-auto", "rational_exists"), None),
+    ("ideal_rational_left", ("ideal", "rational_left"), None),
+    ("ideal_rational_right", ("ideal", "rational_right"), None),
+    ("smith_rational", ("smith", "rational_2x2"), None),
+    ("unital_probe_rational", ("unital-probe", "rational_cur_n"), None),
+    ("bracket", ("bracket", "virasoro"), None),
+    ("anti_inv_search", ("anti-inv-search", "found"), None),
+    ("extension_build", ("extension-build", "jordan"), None),
+    ("oc_gens", ("oc-gens", "symplectic"), None),
+    ("invariance_check", ("invariance-check", "invariant"), None),
+    ("irreducibility_probe", ("irreducibility-probe", "irreducible"), None),
 ]
 
 
 def write_case(verb: str, name: str, payload, flags) -> str:
+    """Write one case unless its file exists; return its envelope text.
+
+    An existing case is never rewritten: its stored envelope is returned."""
+    path = GOLDEN / verb / f"{name}.json"
+    if path.exists():
+        return json.loads(path.read_text(encoding="utf-8"))["envelope"]
     code, text = run_case(verb, payload, flags)
     case = {"verb": verb, "flags": list(flags), "payload": payload,
             "exit": code, "envelope": text}
-    path = GOLDEN / verb / f"{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(case, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{verb}/{name}: exit {code}")

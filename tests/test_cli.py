@@ -279,3 +279,53 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
     assert report["status"] == "error"
     assert report["result"] is None
     assert report["error"]["code"] == "E_PARSE"
+
+
+def test_verify_without_budgets_is_parse_error(tmp_path):
+    report = {"verb": "product", "input": {"a": [["x"]], "b": [["1"]]},
+              "result": {}, "status": "decided"}
+    code, out = run_cli(tmp_path, "verify", report)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["error"]["code"] == "E_PARSE"
+    assert "budgets" in envelope["error"]["message"]
+
+
+def test_overlong_integer_literal_is_parse_error(tmp_path):
+    entry = "x + " + "7" * 5000
+    code, out = run_cli(tmp_path, "product", {"a": [[entry]], "b": [["1"]]})
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["error"]["code"] == "E_PARSE"
+    assert "offset 4" in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "verb,payload,flags",
+    [
+        ("check-axioms", {"kind": "lie", "n": "abc", "degree": 2}, ("--rounds", "1")),
+        ("check-axioms", {"kind": "lie", "n": 1, "degree": [2]}, ("--rounds", "1")),
+        ("check-axioms", {"kind": "lie", "n": 1.7, "degree": 1}, ("--rounds", "1")),
+        ("check-axioms", {"kind": "assoc", "n": True, "degree": 1}, ("--rounds", "1")),
+        ("oc-gens", {"n": None, "p": [["1"]], "epsilon": 1, "max_n": 1}, ()),
+        ("invariance-check", {"p": [["1"]], "epsilon": "one", "element": [["x"]]},
+         ("--degree-cap", "2")),
+    ],
+)
+def test_non_integer_payload_field_is_parse_error(tmp_path, verb, payload, flags):
+    code, out = run_cli(tmp_path, verb, payload, *flags)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["error"]["code"] == "E_PARSE"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_extension_build_rejects_no_rounds(tmp_path, rounds):
+    payload = {"p": [["x - 2"]], "kind": "jordan"}
+    code, out = run_cli(tmp_path, "extension-build", payload, "--rounds", rounds)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["result"] is None
+    assert envelope["error"]["code"] == "E_PARSE"

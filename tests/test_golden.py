@@ -25,6 +25,17 @@ def test_corpus_covers_every_verb():
     assert all(n >= 2 for n in counts.values()), counts
 
 
+def test_corpus_verifies_every_verifiable_verb():
+    from confalg.cli import _VERIFIERS
+
+    replayed = {
+        json.loads(path.read_text(encoding="utf-8"))["payload"]["verb"]
+        for path in CASES
+        if path.parent.name == "verify"
+    }
+    assert set(_VERIFIERS) <= replayed, sorted(set(_VERIFIERS) - replayed)
+
+
 @pytest.mark.parametrize("path", CASES, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_golden_case(path):
     case = json.loads(path.read_text(encoding="utf-8"))

@@ -490,3 +490,212 @@ class TestExponentLimit:
         # the exact per-term check accepts a substitution the coarse bound rejects
         r = X**20000 + D**20000
         assert r.substitute({"x": D, "d": D}) == (D**20000).scale(2)
+
+
+# ---------------------------------------------------------------------------
+# UPoly against a Fraction-list reference model
+# ---------------------------------------------------------------------------
+
+URef = list[Fraction]  # lowest degree first, no trailing zero
+
+
+def uref_clean(cs) -> URef:
+    out = [Fraction(c) for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def uref_add(a: URef, b: URef) -> URef:
+    n = max(len(a), len(b))
+    return uref_clean(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def uref_scale(a: URef, c: Fraction) -> URef:
+    return uref_clean(x * c for x in a)
+
+
+def uref_mul(a: URef, b: URef) -> URef:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return uref_clean(out)
+
+
+def uref_divmod(a: URef, b: URef) -> tuple[URef, URef]:
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return uref_clean(quo), uref_clean(rem)
+
+
+def uref_eval(a: URef, t: Fraction) -> Fraction:
+    return sum((c * t**k for k, c in enumerate(a)), Fraction(0))
+
+
+def uref_compose(a: URef, inner: URef) -> URef:
+    acc: URef = []
+    for c in reversed(a):
+        acc = uref_add(uref_mul(acc, inner), uref_clean([c]))
+    return acc
+
+
+def assert_canonical_up(p: UPoly) -> None:
+    import math
+
+    assert type(p._num) is tuple and all(type(c) is int for c in p._num)
+    assert type(p._den) is int and p._den > 0
+    assert not p._num or p._num[-1] != 0
+    assert math.gcd(p._den, *p._num) == 1
+
+
+def assert_model(p: UPoly, want: URef, var: str = "x") -> None:
+    assert list(p.coeffs) == want
+    assert p.var == var
+    assert_canonical_up(p)
+    q = UPoly(want, var)
+    assert p == q and hash(p) == hash(q)
+
+
+uref_strategy = st.lists(rationals, max_size=6).map(uref_clean)
+nonzero_uref = uref_strategy.filter(bool)
+scalars = st.one_of(rationals, st.integers(-5, 5))
+
+
+class TestUPolyModel:
+    @settings(max_examples=80, deadline=None)
+    @given(uref_strategy, uref_strategy)
+    def test_add_sub_mul_neg(self, a, b):
+        pa, pb = UPoly(a), UPoly(b)
+        assert_model(pa, a)
+        neg_b = uref_scale(b, Fraction(-1))
+        assert_model(pa + pb, uref_add(a, b))
+        assert_model(pa - pb, uref_add(a, neg_b))
+        assert_model(-pb, neg_b)
+        assert_model(pa * pb, uref_mul(a, b))
+
+    @settings(max_examples=80, deadline=None)
+    @given(uref_strategy, scalars)
+    def test_scalar_ops(self, a, c):
+        p, cr = UPoly(a), uref_clean([c])
+        assert_model(p + c, uref_add(a, cr))
+        assert_model(c + p, uref_add(a, cr))
+        assert_model(p - c, uref_add(a, uref_scale(cr, Fraction(-1))))
+        assert_model(c - p, uref_add(cr, uref_scale(a, Fraction(-1))))
+        assert_model(p * c, uref_scale(a, Fraction(c)))
+        assert_model(c * p, uref_scale(a, Fraction(c)))
+        assert (p == c) == (a == cr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(uref_strategy, st.integers(0, 4))
+    def test_pow(self, a, n):
+        want = [Fraction(1)]
+        for _ in range(n):
+            want = uref_mul(want, a)
+        assert_model(UPoly(a) ** n, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(uref_strategy, nonzero_uref)
+    def test_divmod(self, a, b):
+        pa, pb = UPoly(a), UPoly(b)
+        q, r = pa.divmod(pb)
+        want_q, want_r = uref_divmod(a, b)
+        assert_model(q, want_q)
+        assert_model(r, want_r)
+        assert q * pb + r == pa and r.degree() < pb.degree()
+        assert pa // pb == q and pa % pb == r
+        assert pb.divides(pa) == (not want_r)
+        if want_r:
+            with pytest.raises(ValueError):
+                pa.exact_div(pb)
+        else:
+            assert pa.exact_div(pb) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(uref_strategy, nonzero_uref)
+    def test_exact_div_of_product(self, a, b):
+        prod = UPoly(a) * UPoly(b)
+        assert_model(prod.exact_div(UPoly(b)), a)
+        assert UPoly(b).divides(prod)
+        assert UPoly([]).divides(UPoly([])) and not UPoly([]).divides(UPoly(b))
+        with pytest.raises(ZeroDivisionError):
+            prod.divmod(UPoly.zero())
+
+    @settings(max_examples=60, deadline=None)
+    @given(uref_strategy, rationals)
+    def test_monic_derivative_eval(self, a, t):
+        p = UPoly(a)
+        assert_model(p.monic(), uref_scale(a, 1 / a[-1]) if a else [])
+        assert_model(p.derivative(), uref_clean(c * k for k, c in enumerate(a) if k))
+        assert p.eval(t) == uref_eval(a, t)
+        assert p.lead() == a[-1] if a else p.is_zero()
+        assert all(p.coefficient(k) == (a[k] if 0 <= k < len(a) else 0) for k in range(-1, 8))
+        assert p.degree() == len(a) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(uref_strategy, uref_strategy, rationals)
+    def test_compose_shift_retag(self, a, inner, alpha):
+        p = UPoly(a)
+        assert_model(p.compose(UPoly(inner, "d")), uref_compose(a, inner), "d")
+        assert_model(p.shift(alpha), uref_compose(a, [alpha, Fraction(1)]))
+        assert_model(p.retag("z"), a, "z")
+        assert p.retag("z") != p
+
+    @settings(max_examples=80, deadline=None)
+    @given(uref_strategy, uref_strategy)
+    def test_gcd_and_xgcd(self, a, b):
+        pa, pb = UPoly(a), UPoly(b)
+        g = upoly_gcd(pa, pb)
+        xg, u, v = upoly_xgcd(pa, pb)
+        for p in (g, xg, u, v):
+            assert_canonical_up(p)
+        assert xg == g
+        assert u * pa + v * pb == g
+        if not a and not b:
+            assert g.is_zero()
+            return
+        assert g.lead() == 1
+        assert not uref_divmod(a, list(g.coeffs))[1]
+        assert not uref_divmod(b, list(g.coeffs))[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(uref_strategy)
+    def test_mpoly_bridges(self, a):
+        p = UPoly(a, "d")
+        m = p.to_mpoly()
+        assert dict(m.terms) == {(k, 0, 0, 0): c for k, c in enumerate(a) if c}
+        assert_model(upoly_from_mpoly(m, "d", out_var="z"), a, "z")
+        assert p.to_mpoly("x") == m.substitute({"d": X})
+
+
+class TestUPolyCanonicalForm:
+    def test_equal_fractions_build_equal_polys(self):
+        a = UPoly((Fraction(2, 4), Fraction(3, 6)))
+        b = UPoly((Fraction(1, 2), Fraction(1, 2), 0, 0))
+        assert a == b and hash(a) == hash(b)
+        assert a._num == (1, 1) and a._den == 2
+
+    def test_zero_has_unit_denominator(self):
+        p = UPoly((Fraction(1, 3), 1))
+        for z in (UPoly.zero(), p - p, p * 0, UPoly((0, Fraction(0, 5)))):
+            assert z._num == () and z._den == 1
+            assert z == UPoly.zero() and hash(z) == hash(UPoly.zero())
+            assert z == 0 and not z
+
+    def test_variable_tags_are_checked(self):
+        with pytest.raises(ValueError):
+            UPoly((1, 1), "x") + UPoly((1,), "d")
+        with pytest.raises(ValueError):
+            UPoly((1, 1), "x").divmod(UPoly((1, 1), "d"))
+
+    def test_repr_of_foreign_tag(self):
+        assert repr(UPoly((Fraction(-1, 3), 1), "z")) == "UPoly('z - 1/3')"
