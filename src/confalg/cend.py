@@ -105,10 +105,6 @@ def raw_mat_vec(a: RawMat, v: RawVec) -> RawVec:
     return tuple(out)
 
 
-def polymat_to_raw(p: PolyMat) -> RawMat:
-    return p.to_mpoly_rows()
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -154,10 +150,6 @@ class CendElem:
         return CendElem(rows)
 
     @staticmethod
-    def from_polymat(p: PolyMat) -> CendElem:
-        return CendElem(p.to_mpoly_rows())
-
-    @staticmethod
     def from_constant_matrix(rows: Sequence[Sequence[RatLike]]) -> CendElem:
         return CendElem([[MPoly.const(e) for e in row] for row in rows])
 
@@ -188,7 +180,7 @@ class CendElem:
         """Right multiplication by a matrix over Q[x]."""
         if p.n != self.n:
             raise ValueError("size mismatch")
-        return CendElem(raw_mul(self.entries, polymat_to_raw(p)))
+        return CendElem(raw_mul(self.entries, p.to_mpoly_rows()))
 
     def d_mult(self) -> CendElem:
         """Multiplication by the derivation symbol d."""
@@ -388,7 +380,7 @@ def pair_product_raw(
     tail = raw_subst(b, {"d": p + _D})
     if p_mat is None:
         return raw_mul(head, tail)
-    mid = raw_subst(polymat_to_raw(p_mat), {"x": _X + p + _D})
+    mid = raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D})
     return raw_mul(raw_mul(head, mid), tail)
 
 
@@ -403,7 +395,7 @@ def pair_bracket_raw(
     if p_mat is None:
         second = raw_mul(head, tail)
     else:
-        mid = raw_subst(polymat_to_raw(p_mat), {"x": _X - p})
+        mid = raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p})
         second = raw_mul(raw_mul(head, mid), tail)
     return raw_sub(first, second)
 
@@ -432,7 +424,7 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
 
     The full symbol E = a*P acts by E(-nu, nu+d+alpha) v(nu+d).
     """
-    p_raw = polymat_to_raw(p_mat)
+    p_raw = p_mat.to_mpoly_rows()
     a_const = MPoly.const(alpha)
 
     def act(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
@@ -504,9 +496,9 @@ def conjugate(a: CendElem, spec: AutoSpec) -> CendElem:
     """C(d+x) a(d, x+alpha) C(x)^{-1}."""
     if spec.c_mat.n != a.n:
         raise ValueError("size mismatch")
-    c_outer = raw_subst(polymat_to_raw(spec.c_mat), {"x": _D + _X})
+    c_outer = raw_subst(spec.c_mat.to_mpoly_rows(), {"x": _D + _X})
     middle = raw_subst(a.entries, {"x": _X + MPoly.const(spec.alpha)})
-    c_inner = polymat_to_raw(inverse_unimodular(spec.c_mat))
+    c_inner = inverse_unimodular(spec.c_mat).to_mpoly_rows()
     return CendElem(raw_mul(raw_mul(c_outer, middle), c_inner))
 
 
@@ -537,11 +529,11 @@ def apply_antiinv(a: CendElem, spec: AntiInvSpec) -> CendElem:
     """a-part of the image of a*P: eps Y(d+x) a^t(d, -d-x+alpha) Y^t(-x+alpha)^{-1}."""
     if spec.p_mat.n != a.n:
         raise ValueError("size mismatch")
-    y_outer = raw_subst(polymat_to_raw(spec.y_mat), {"x": _D + _X})
+    y_outer = raw_subst(spec.y_mat.to_mpoly_rows(), {"x": _D + _X})
     middle = raw_subst(
         raw_transpose(a.entries), {"x": -_D - _X + MPoly.const(spec.alpha)}
     )
-    y_inner = polymat_to_raw(inverse_unimodular(star(spec.y_mat, spec.alpha)))
+    y_inner = inverse_unimodular(star(spec.y_mat, spec.alpha)).to_mpoly_rows()
     return CendElem(
         raw_scale(raw_mul(raw_mul(y_outer, middle), y_inner), spec.epsilon)
     )
@@ -569,9 +561,9 @@ def homomorphism_image(
         raise ValueError("size mismatch")
     if p_mat is not None and p_mat.shift(alpha) != r_mat @ s_mat:
         raise ValueError("factorization does not match: P(x+alpha) != R(x) S(x)")
-    s_outer = raw_subst(polymat_to_raw(s_mat), {"x": _D + _X})
+    s_outer = raw_subst(s_mat.to_mpoly_rows(), {"x": _D + _X})
     middle = raw_subst(a.entries, {"x": _X + MPoly.const(alpha)})
-    r_inner = polymat_to_raw(r_mat)
+    r_inner = r_mat.to_mpoly_rows()
     return CendElem(raw_mul(raw_mul(s_outer, middle), r_inner))
 
 

@@ -14,11 +14,14 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from . import cend1 as c1
 from .cend import (
     AntiInvSpec,
+    CendElem,
+    LambdaSeries,
     lambda_product,
     lie_bracket,
     standard_action,
@@ -43,17 +46,21 @@ from .jsonio import (
     fraction_to_str,
     modvec_from_json,
     modvec_to_json,
+    poly_from_json,
     polymat_from_json,
     polymat_to_json,
+    polys_from_json,
     series_to_json,
     upolys_to_json,
 )
-from .poly import MPoly, UPoly
-from .polymat import PidRowBasis, PolyMat, SmithCert, det, smith_form, star
+from .poly import _D, _X, MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
+from .polymat import PidRowBasis, PolyMat, SmithCert, det, smith_divisors, smith_form, star
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
     DegenerateError,
     MismatchError,
+    _d_coefficient_mats,
+    _tilde_coefficient_mats,
     anti_automorphism_exists,
     anti_involution_search,
     build_extension,
@@ -71,17 +78,6 @@ E_DEGENERATE = "E_DEGENERATE"
 E_MISMATCH = "E_MISMATCH"
 E_BUDGET = "E_BUDGET"
 
-# verb -> required budget flags in machine mode, with pretty-mode defaults
-BUDGETED: dict[str, dict[str, int]] = {
-    "check-axioms": {"rounds": 12},
-    "anti-inv-search": {"degree_cap": 1},
-    "classify-cend1": {"rounds": 12},
-    "extension-build": {"rounds": 8},
-    "invariance-check": {"degree_cap": 3},
-    "irreducibility-probe": {"degree_cap": 4, "rounds": 6},
-    "unital-probe": {"degree_cap": 6, "rounds": 8},
-}
-
 
 class AppError(Exception):
     def __init__(self, code: str, message: str):
@@ -96,30 +92,18 @@ class Budgets:
     rounds: int | None
     seed: int
 
-    def require(self, verb: str) -> None:
-        for key in BUDGETED.get(verb, {}):
-            if getattr(self, key) is None:
-                raise AppError(
-                    E_PARSE,
-                    f"machine mode requires --{key.replace('_', '-')} for {verb}",
-                )
-
-    def apply_defaults(self, verb: str) -> None:
-        for key, value in BUDGETED.get(verb, {}).items():
-            if getattr(self, key) is None:
-                setattr(self, key, value)
-
 
 Outcome = tuple[str, dict[str, Any], dict[str, Any] | None]
 # (status, result, certificate)
 
 
-def _expect(payload: Any, *fields: str) -> None:
+def _expect(payload: Any, *fields: str, name: str = "payload") -> dict[str, Any]:
     if not isinstance(payload, dict):
-        raise AppError(E_PARSE, "payload must be a JSON object")
+        raise AppError(E_PARSE, f"{name} must be a JSON object")
     for f in fields:
         if f not in payload:
-            raise AppError(E_PARSE, f"payload field {f!r} is required")
+            raise AppError(E_PARSE, f"{name} field {f!r} is required")
+    return payload
 
 
 def _int_field(payload: dict[str, Any], name: str, default: int | None = None) -> int:
@@ -129,29 +113,42 @@ def _int_field(payload: dict[str, Any], name: str, default: int | None = None) -
     return value
 
 
+def _budgets(verb: str, given: dict[str, Any], defaults: bool = False) -> Budgets:
+    """Budgets for ``verb`` from the command line or a report's ``budgets``.
+
+    Each budget is an integer or null and the seed an integer; a budget the
+    verb requires must be set, unless ``defaults`` (--pretty) fills it in.
+    """
+    required = VERBS[verb].budgets
+    values: dict[str, int | None] = {}
+    for key in ("degree_cap", "rounds"):
+        if given.get(key) is not None:
+            values[key] = _int_field(given, key)
+        elif key not in required:
+            values[key] = None
+        elif defaults:
+            values[key] = required[key]
+        else:
+            flag = key.replace("_", "-")
+            raise AppError(E_PARSE, f"machine mode requires --{flag} for {verb}")
+    return Budgets(seed=_int_field(given, "seed"), **values)
+
+
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
 
 
-def run_product(payload: Any, budgets: Budgets) -> Outcome:
+def run_series(
+    op: Callable[[CendElem, CendElem], LambdaSeries], payload: Any, budgets: Budgets
+) -> Outcome:
+    """``product`` and ``bracket``: the series of ``op`` on two symbols."""
     _expect(payload, "a", "b")
     a = cend_from_json(payload["a"], "a")
     b = cend_from_json(payload["b"], "b")
     if a.n != b.n:
         raise AppError(E_MISMATCH, "operand sizes differ")
-    series = lambda_product(a, b)
-    return "decided", {"series": series_to_json(series)}, None
-
-
-def run_bracket(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "a", "b")
-    a = cend_from_json(payload["a"], "a")
-    b = cend_from_json(payload["b"], "b")
-    if a.n != b.n:
-        raise AppError(E_MISMATCH, "operand sizes differ")
-    series = lie_bracket(a, b)
-    return "decided", {"series": series_to_json(series)}, None
+    return "decided", {"series": series_to_json(op(a, b))}, None
 
 
 def _axiom_samples(rng: random.Random, n: int, degree: int, count: int):
@@ -170,7 +167,7 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
     kind = payload["kind"]
     n = _int_field(payload, "n")
     degree = _int_field(payload, "degree", 2)
-    count = budgets.rounds if budgets.rounds is not None else 1
+    count = budgets.rounds
     # each of these would make every sample set empty and "ok" vacuous
     if n < 1:
         raise AppError(E_PARSE, f"n must be at least 1, got {n}")
@@ -272,7 +269,7 @@ def run_anti_auto(payload: Any, budgets: Budgets) -> Outcome:
 def run_anti_inv_search(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "p")
     p = polymat_from_json(payload["p"], "p")
-    spec = anti_involution_search(p, degree_cap=budgets.degree_cap if budgets.degree_cap is not None else 1)
+    spec = anti_involution_search(p, degree_cap=budgets.degree_cap)
     if spec is None:
         return "undecided", {"found": False}, None
     result = {
@@ -329,9 +326,7 @@ def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
                 E_PARSE, f"generators[{i}]: variable(s) {sorted(extra)} not allowed"
             )
         gens.append(poly)
-    state = c1.closure(
-        gens, x_degree_cap=budgets.degree_cap, rounds=budgets.rounds if budgets.rounds is not None else 12
-    )
+    state = c1.closure(gens, x_degree_cap=budgets.degree_cap, rounds=budgets.rounds)
     certificate = {
         "basis": [format_poly(b) for b in state.basis],
         "gcd_witness": format_poly(state.gcd_witness),
@@ -365,7 +360,7 @@ def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
     s_mat = polymat_from_json(payload["s"], "s") if "s" in payload else None
     module = build_extension(p, kind, r_mat=r_mat, s_mat=s_mat, alpha=alpha, gamma=gamma)
     rng = random.Random(budgets.seed)
-    count = budgets.rounds if budgets.rounds is not None else 8
+    count = budgets.rounds
     if count < 1:  # no samples would make axioms_ok vacuous
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     n = p.n
@@ -440,7 +435,7 @@ def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
         raise AppError(E_MISMATCH, str(exc)) from exc
     if not form.nondegenerate():
         raise AppError(E_DEGENERATE, "form matrix must be nondegenerate")
-    report = invariance_check(form, elem, degree_cap=budgets.degree_cap if budgets.degree_cap is not None else 3)
+    report = invariance_check(form, elem, degree_cap=budgets.degree_cap)
     return (
         "decided",
         {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)},
@@ -455,12 +450,7 @@ def run_irreducibility_probe(payload: Any, budgets: Budgets) -> Outcome:
     start = modvec_from_json(payload["start"], "start")
     alpha = fraction_from_json(payload.get("alpha", "0"), "alpha")
     outcome = irreducibility_probe(
-        gens,
-        p,
-        alpha,
-        start,
-        degree_cap=budgets.degree_cap if budgets.degree_cap is not None else 4,
-        rounds=budgets.rounds if budgets.rounds is not None else 6,
+        gens, p, alpha, start, degree_cap=budgets.degree_cap, rounds=budgets.rounds
     )
     result = {
         "outcome": outcome.outcome,
@@ -477,7 +467,7 @@ def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
     gens = cend_list_from_json(payload["gens"], "gens")
     try:
         outcome = unital_closure_probe(
-            gens, degree_cap=budgets.degree_cap if budgets.degree_cap is not None else 6, rounds=budgets.rounds if budgets.rounds is not None else 8
+            gens, degree_cap=budgets.degree_cap, rounds=budgets.rounds
         )
     except ValueError as exc:
         raise AppError(E_MISMATCH, str(exc)) from exc
@@ -498,32 +488,39 @@ def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
 def run_verify(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "verb", "input", "status")
     verb = payload["verb"]
-    checker = _VERIFIERS.get(verb)
-    if checker is None:
+    row = VERBS.get(verb) if isinstance(verb, str) else None
+    if row is None or row.check is None:
         raise AppError(E_PARSE, f"no verifier for verb {verb!r}")
-    ok, notes = checker(payload)
+    if payload["status"] not in ("decided", "undecided"):
+        raise AppError(E_PARSE, f"no verdict to verify: status {payload['status']!r}")
+    ok, notes = row.check(payload)
     if not ok:
         raise AppError(E_MISMATCH, f"certificate for {verb!r} failed: {notes}")
     return "decided", {"verified": True, "verb": verb, "notes": notes}, None
 
 
-def _verify_smith(report: Any) -> tuple[bool, str]:
-    mat = polymat_from_json(report["input"]["matrix"], "matrix")
-    cert = SmithCert(
-        tuple(
-            UPoly(
-                _coeffs_of(parse_poly(s), "x"),
-                "x",
-            )
-            for s in report["result"]["divisors"]
-        ),
-        polymat_from_json(report["certificate"]["left"], "left"),
-        polymat_from_json(report["certificate"]["right"], "right"),
+def _part(report: dict[str, Any], name: str, *fields: str) -> dict[str, Any]:
+    """``report[name]``, which must be an object holding ``fields``."""
+    return _expect(report.get(name), *fields, name=name)
+
+
+def _x_polys(data: Any, field: str) -> list[UPoly]:
+    return [upoly_from_mpoly(p, "x") for p in polys_from_json(data, field, {"x"})]
+
+
+def _verify_smith(report: dict[str, Any]) -> tuple[bool, str]:
+    mat = polymat_from_json(_part(report, "input", "matrix")["matrix"], "matrix")
+    result = _part(report, "result", "divisors")
+    cert = _part(report, "certificate", "left", "right")
+    smith = SmithCert(
+        tuple(_x_polys(result["divisors"], "divisors")),
+        polymat_from_json(cert["left"], "left"),
+        polymat_from_json(cert["right"], "right"),
     )
-    if not cert.verify(mat):
+    if not smith.verify(mat):
         return False, "transform identity or divisor chain failed"
     prod = UPoly.const(1)
-    for dv in cert.divisors:
+    for dv in smith.divisors:
         prod = prod * dv
     d = det(mat)
     if prod.is_zero():
@@ -536,49 +533,42 @@ def _verify_smith(report: Any) -> tuple[bool, str]:
     return True, "smith certificate verified"
 
 
-def _coeffs_of(p: MPoly, var: str) -> list[Fraction]:
-    from .poly import upoly_from_mpoly
-
-    return list(upoly_from_mpoly(p, var).coeffs)
-
-
-def _verify_iso(report: Any) -> tuple[bool, str]:
-    p = polymat_from_json(report["input"]["p"], "p")
-    q = polymat_from_json(report["input"]["q"], "q")
+def _verify_iso(report: dict[str, Any]) -> tuple[bool, str]:
+    payload = _part(report, "input", "p", "q")
+    p = polymat_from_json(payload["p"], "p")
+    q = polymat_from_json(payload["q"], "q")
+    result = _part(report, "result", "isomorphic")
     decision = decide_isomorphism(p, q)
-    want = report["result"]["isomorphic"]
-    if decision.isomorphic != want:
+    if decision.isomorphic != result["isomorphic"]:
         return False, "decision mismatch"
     if decision.isomorphic:
-        alpha = fraction_from_json(report["result"]["alpha"], "alpha")
-        from .polymat import smith_divisors
-
+        alpha = fraction_from_json(result.get("alpha"), "alpha")
         if smith_divisors(p.shift(alpha)) != smith_divisors(q):
             return False, "shifted divisors do not match"
     return True, "isomorphism decision verified"
 
 
-def _verify_anti_auto(report: Any) -> tuple[bool, str]:
-    p = polymat_from_json(report["input"]["p"], "p")
+def _verify_anti_auto(report: dict[str, Any]) -> tuple[bool, str]:
+    p = polymat_from_json(_part(report, "input", "p")["p"], "p")
+    result = _part(report, "result", "exists")
     decision = anti_automorphism_exists(p)
-    if decision.isomorphic != report["result"]["exists"]:
+    if decision.isomorphic != result["exists"]:
         return False, "decision mismatch"
     if decision.isomorphic:
-        alpha = fraction_from_json(report["result"]["alpha"], "alpha")
-        from .polymat import smith_divisors
-
+        alpha = fraction_from_json(result.get("alpha"), "alpha")
         if smith_divisors(star(p, alpha)) != smith_divisors(p):
             return False, "mirrored divisors do not match"
     return True, "anti-automorphism decision verified"
 
 
-def _verify_anti_inv(report: Any) -> tuple[bool, str]:
-    if not report["result"].get("found", False):
+def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
+    result = _part(report, "result")
+    if not result.get("found", False):
         return True, "no certificate for an undecided search"
-    p = polymat_from_json(report["input"]["p"], "p")
-    y = polymat_from_json(report["certificate"]["y"], "y")
-    eps = int(report["result"]["epsilon"])
-    alpha = fraction_from_json(report["result"]["alpha"], "alpha")
+    p = polymat_from_json(_part(report, "input", "p")["p"], "p")
+    y = polymat_from_json(_part(report, "certificate", "y")["y"], "y")
+    eps = _int_field(result, "epsilon")
+    alpha = fraction_from_json(result.get("alpha"), "alpha")
     try:
         AntiInvSpec(p, y, eps, alpha)
     except ValueError as exc:
@@ -586,13 +576,21 @@ def _verify_anti_inv(report: Any) -> tuple[bool, str]:
     return True, "anti-involution identity verified"
 
 
-def _verify_ideal(report: Any) -> tuple[bool, str]:
-    from .structure import _d_coefficient_mats, _tilde_coefficient_mats
-
-    p = polymat_from_json(report["input"]["p"], "p")
-    gens = cend_list_from_json(report["input"]["gens"], "gens")
-    side = report["result"]["side"]
-    hermite = polymat_from_json(report["certificate"]["hermite"], "hermite")
+def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
+    payload = _part(report, "input", "p", "gens")
+    p = polymat_from_json(payload["p"], "p")
+    gens = cend_list_from_json(payload["gens"], "gens")
+    result = _part(report, "result", "side")
+    cert = _part(report, "certificate", "hermite", "multipliers")
+    side = result["side"]
+    if side not in ("left", "right"):
+        raise AppError(E_PARSE, f"unknown ideal side {side!r}")
+    hermite = polymat_from_json(cert["hermite"], "hermite")
+    if not isinstance(cert["multipliers"], list):
+        raise AppError(E_PARSE, "multipliers: expected an array of arrays")
+    multipliers = [
+        _x_polys(row, f"multipliers[{i}]") for i, row in enumerate(cert["multipliers"])
+    ]
     coeff_mats: list[PolyMat] = []
     for g in gens:
         full = g.times_polymat(p)
@@ -609,110 +607,89 @@ def _verify_ideal(report: Any) -> tuple[bool, str]:
             if not basis.contains(row):
                 return False, "input row escapes the reported generator module"
     if side == "left":
-        gen = polymat_from_json(report["result"]["generator"], "generator")
+        gen = polymat_from_json(result.get("generator"), "generator")
         if gen @ p != hermite:
             return False, "generator times defining matrix is not the hermite form"
-    multipliers = report["certificate"]["multipliers"]
     stacked = [row for m in coeff_mats for row in m.rows]
     hermite_rows = [row for row in hermite.rows if any(not e.is_zero() for e in row)]
     if len(multipliers) != len(hermite_rows):
         return False, "multiplier row count mismatch"
     for mult_row, target in zip(multipliers, hermite_rows):
         combo = [UPoly.zero()] * p.n
-        for coef_str, source in zip(mult_row, stacked):
-            coef = UPoly(_coeffs_of(parse_poly(coef_str), "x"), "x")
+        for coef, source in zip(mult_row, stacked):
             combo = [c + coef * s for c, s in zip(combo, source)]
         if tuple(combo) != tuple(target):
             return False, "multipliers do not reproduce the hermite rows"
     return True, "ideal certificate verified"
 
 
-def _verify_classify(report: Any) -> tuple[bool, str]:
-    from .poly import bipoly_gcd
-
-    cert = report["certificate"]
-    witness = parse_poly(cert["gcd_witness"])
-    basis = [parse_poly(b) for b in cert["basis"]]
+def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
+    cert = _part(report, "certificate", "gcd_witness", "basis")
+    witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"})
+    basis = polys_from_json(cert["basis"], "basis", {"d", "x"})
     for b in basis:
         if bipoly_gcd(witness, b) != bipoly_gcd(witness, MPoly.zero()):
             return False, "witness does not divide a basis element"
     if report["status"] != "decided":
         return True, "budget-exhausted closure; nothing further to verify"
-    result = report["result"]
-    tag = result["type"]
-    if tag == "CPARTIAL":
+    result = _part(report, "result", "type", "p", "q")
+    if result["type"] == "CPARTIAL":
         if any(b.uses("x") for b in basis):
             return False, "CPARTIAL closure contains x-dependence"
         return True, "classification verified"
-    p_poly = (
-        UPoly(_coeffs_of(parse_poly(result["p"]), "x"), "x")
-        if result["p"]
-        else UPoly.const(1)
-    )
-    if result["q"]:
-        q_m = parse_poly(result["q"].replace("z", "x")).substitute(
-            {"x": MPoly.var("d") + MPoly.var("x")}
-        )
-    else:
-        q_m = MPoly.const(1)
-    rebuilt = p_poly.to_mpoly("x") * q_m
-    if rebuilt != witness:
+    p_poly = poly_from_json(result["p"], "p", {"x"}) if result["p"] else MPoly.const(1)
+    q_text = result["q"] or "1"
+    if not isinstance(q_text, str):
+        raise AppError(E_PARSE, "q: expected a polynomial string")
+    # q is printed in z = d + x
+    q_m = poly_from_json(q_text.replace("z", "x"), "q", {"x"}).substitute({"x": _D + _X})
+    if p_poly * q_m != witness:
         return False, "reported split does not reconstruct the witness"
     return True, "classification verified"
 
 
-def _verify_recompute(report: Any) -> tuple[bool, str]:
+def _verify_recompute(report: dict[str, Any]) -> tuple[bool, str]:
     verb = report["verb"]
-    recorded = report.get("budgets")
-    if not isinstance(recorded, dict):
-        raise AppError(E_PARSE, "report field 'budgets' must be an object")
-    budgets = Budgets(
-        degree_cap=recorded.get("degree_cap"),
-        rounds=recorded.get("rounds"),
-        seed=recorded.get("seed", DEFAULT_SEED),
-    )
-    handler = _HANDLERS[verb]
-    status, result, certificate = handler(report["input"], budgets)
+    budgets = _budgets(verb, _part(report, "budgets"))
+    result = _part(report, "result")
+    status, recomputed, _ = _HANDLERS[verb](report["input"], budgets)
     if status != report["status"]:
         return False, "status differs on recomputation"
-    if result != report["result"]:
+    if recomputed != result:
         return False, "result differs on recomputation"
     return True, "deterministic recomputation matches"
 
 
-_VERIFIERS: dict[str, Callable[[Any], tuple[bool, str]]] = {
-    "smith": _verify_smith,
-    "iso": _verify_iso,
-    "anti-auto": _verify_anti_auto,
-    "anti-inv-search": _verify_anti_inv,
-    "ideal": _verify_ideal,
-    "classify-cend1": _verify_classify,
-    "product": _verify_recompute,
-    "bracket": _verify_recompute,
-    "check-axioms": _verify_recompute,
-    "extension-build": _verify_recompute,
-    "oc-gens": _verify_recompute,
-    "invariance-check": _verify_recompute,
-    "irreducibility-probe": _verify_recompute,
-    "unital-probe": _verify_recompute,
+class Verb(NamedTuple):
+    run: Callable[[Any, Budgets], Outcome]
+    budgets: dict[str, int] = {}  # required in machine mode -> --pretty default
+    check: Callable[[dict[str, Any]], tuple[bool, str]] | None = _verify_recompute
+
+
+# One row per verb.  ``check`` re-verifies an emitted report from its
+# certificate; the default recomputes the report and compares, and a verify
+# report has no check.
+VERBS: dict[str, Verb] = {
+    "product": Verb(partial(run_series, lambda_product)),
+    "bracket": Verb(partial(run_series, lie_bracket)),
+    "check-axioms": Verb(run_check_axioms, {"rounds": 12}),
+    "smith": Verb(run_smith, check=_verify_smith),
+    "iso": Verb(run_iso, check=_verify_iso),
+    "anti-auto": Verb(run_anti_auto, check=_verify_anti_auto),
+    "anti-inv-search": Verb(run_anti_inv_search, {"degree_cap": 1}, _verify_anti_inv),
+    "ideal": Verb(run_ideal, check=_verify_ideal),
+    "classify-cend1": Verb(run_classify_cend1, {"rounds": 12}, _verify_classify),
+    "extension-build": Verb(run_extension_build, {"rounds": 8}),
+    "oc-gens": Verb(run_oc_gens),
+    "invariance-check": Verb(run_invariance_check, {"degree_cap": 3}),
+    "irreducibility-probe": Verb(run_irreducibility_probe, {"degree_cap": 4, "rounds": 6}),
+    "unital-probe": Verb(run_unital_probe, {"degree_cap": 6, "rounds": 8}),
+    "verify": Verb(run_verify, check=None),
 }
 
+# main and the recomputing verifier look handlers up here at call time
 _HANDLERS: dict[str, Callable[[Any, Budgets], Outcome]] = {
-    "product": run_product,
-    "bracket": run_bracket,
-    "check-axioms": run_check_axioms,
-    "smith": run_smith,
-    "iso": run_iso,
-    "anti-auto": run_anti_auto,
-    "anti-inv-search": run_anti_inv_search,
-    "ideal": run_ideal,
-    "classify-cend1": run_classify_cend1,
-    "extension-build": run_extension_build,
-    "oc-gens": run_oc_gens,
-    "invariance-check": run_invariance_check,
-    "irreducibility-probe": run_irreducibility_probe,
-    "unital-probe": run_unital_probe,
-    "verify": run_verify,
+    verb: row.run for verb, row in VERBS.items()
 }
 
 
@@ -777,14 +754,9 @@ def _pretty_lines(envelope: dict[str, Any]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    budgets = Budgets(degree_cap=args.degree_cap, rounds=args.rounds, seed=args.seed)
     envelope: dict[str, Any] = {
         "verb": args.verb,
-        "budgets": {
-            "degree_cap": budgets.degree_cap,
-            "rounds": budgets.rounds,
-            "seed": budgets.seed,
-        },
+        "budgets": {"degree_cap": args.degree_cap, "rounds": args.rounds, "seed": args.seed},
         "input": None,
         "status": "error",
         "result": None,
@@ -794,15 +766,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = _read_payload(args.infile)
         envelope["input"] = payload
-        if args.json_mode:
-            budgets.require(args.verb)
-        else:
-            budgets.apply_defaults(args.verb)
-        envelope["budgets"] = {
-            "degree_cap": budgets.degree_cap,
-            "rounds": budgets.rounds,
-            "seed": budgets.seed,
-        }
+        budgets = _budgets(args.verb, envelope["budgets"], defaults=not args.json_mode)
         status, result, certificate = _HANDLERS[args.verb](payload, budgets)
         envelope["status"] = status
         envelope["result"] = result

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cend import (
     AntiInvSpec,
@@ -19,10 +19,10 @@ from .cend import (
     ModVec,
     RawMat,
     RawVec,
+    _vec_series,
     apply_antiinv,
     bracket_apply,
     pair_bracket_raw,
-    polymat_to_raw,
     raw_mat_vec,
     raw_mul,
     raw_subst,
@@ -30,7 +30,7 @@ from .cend import (
     raw_vec_subst,
     standard_action,
 )
-from .poly import _D, _L, _M, _X, MPoly, UPoly, upoly_from_mpoly
+from .poly import _D, _L, _M, _X, MPoly, UPoly
 from .polymat import PidRowBasis, PolyMat, det, is_unimodular, star
 
 
@@ -58,7 +58,7 @@ class ConfBilinearForm:
     def pair(self, v: RawVec, w: RawVec, at: MPoly | None = None) -> MPoly:
         """Evaluate the pairing with the series slot at ``at`` (default l)."""
         lam = at if at is not None else _L
-        p_at = raw_subst(polymat_to_raw(self.p_mat), {"x": lam})
+        p_at = raw_subst(self.p_mat.to_mpoly_rows(), {"x": lam})
         v_neg = raw_vec_subst(v, {"d": -lam})
         w_pos = raw_vec_subst(w, {"d": lam})
         pw = raw_mat_vec(p_at, w_pos)
@@ -287,15 +287,9 @@ def irreducibility_probe(
     basis = PidRowBasis(n, var="d")
     basis.add(list(start))
 
-    def coefficient_rows(gen: CendElem, row: Sequence[UPoly]) -> list[list[UPoly]]:
+    def coefficient_rows(gen: CendElem, row: Sequence[UPoly]) -> Iterable[ModVec]:
         vec = tuple(e.to_mpoly("d") for e in row)
-        out_raw = act(gen.entries, "l", vec)
-        rows: dict[int, list[UPoly]] = {}
-        for i, entry in enumerate(out_raw):
-            for k, part in entry.coefficients_in("l").items():
-                row_k = rows.setdefault(k, [UPoly.zero("d")] * n)
-                row_k[i] = row_k[i] + upoly_from_mpoly(part, "d")
-        return [r for r in rows.values() if any(not e.is_zero() for e in r)]
+        return _vec_series(act(gen.entries, "l", vec)).values()
 
     def is_full() -> bool:
         return basis.rank() == n and all(

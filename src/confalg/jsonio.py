@@ -35,7 +35,7 @@ def fraction_from_json(data: Any, field: str) -> Fraction:
         raise PayloadError(f"{field}: not a rational: {data!r}") from exc
 
 
-def _parse_entry(text: Any, field: str, allowed: set[str]) -> MPoly:
+def poly_from_json(text: Any, field: str, allowed: set[str]) -> MPoly:
     if not isinstance(text, str):
         raise PayloadError(f"{field}: expected a polynomial string")
     try:
@@ -50,6 +50,12 @@ def _parse_entry(text: Any, field: str, allowed: set[str]) -> MPoly:
     return poly
 
 
+def polys_from_json(data: Any, field: str, allowed: set[str]) -> list[MPoly]:
+    if not isinstance(data, list):
+        raise PayloadError(f"{field}: expected an array of polynomial strings")
+    return [poly_from_json(e, f"{field}[{i}]", allowed) for i, e in enumerate(data)]
+
+
 def polymat_from_json(data: Any, field: str = "matrix") -> PolyMat:
     if not isinstance(data, list) or not data:
         raise PayloadError(f"{field}: expected a non-empty array of arrays")
@@ -61,7 +67,7 @@ def polymat_from_json(data: Any, field: str = "matrix") -> PolyMat:
         rows.append(
             [
                 upoly_from_mpoly(
-                    _parse_entry(e, f"{field}[{i}][{j}]", {"x"}), "x"
+                    poly_from_json(e, f"{field}[{i}][{j}]", {"x"}), "x"
                 )
                 for j, e in enumerate(row)
             ]
@@ -82,7 +88,7 @@ def cend_from_json(data: Any, field: str = "symbol") -> CendElem:
         if not isinstance(row, list) or len(row) != n:
             raise PayloadError(f"{field}: non-square matrix")
         rows.append(
-            [_parse_entry(e, f"{field}[{i}][{j}]", {"d", "x"}) for j, e in enumerate(row)]
+            [poly_from_json(e, f"{field}[{i}][{j}]", {"d", "x"}) for j, e in enumerate(row)]
         )
     return CendElem(rows)
 
@@ -104,11 +110,7 @@ def series_to_json(series: LambdaSeries) -> dict[str, list[list[str]]]:
 def modvec_from_json(data: Any, field: str = "vector") -> ModVec:
     if not isinstance(data, list) or not data:
         raise PayloadError(f"{field}: expected a non-empty array")
-    entries = []
-    for i, e in enumerate(data):
-        poly = _parse_entry(e, f"{field}[{i}]", {"d"})
-        entries.append(upoly_from_mpoly(poly, "d"))
-    return modvec(entries)
+    return modvec([upoly_from_mpoly(p, "d") for p in polys_from_json(data, field, {"d"})])
 
 
 def modvec_to_json(vec: Sequence[UPoly]) -> list[str]:

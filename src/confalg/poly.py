@@ -183,11 +183,6 @@ class MPoly:
             return -1
         return max((k >> s) & _FIELD for k in self._num)
 
-    def total_degree(self) -> int:
-        if not self._num:
-            return -1
-        return max(sum(_unpack(k)) for k in self._num)
-
     def uses(self, var: str) -> bool:
         mask = _FIELD << _SHIFTS[_VAR_INDEX[var]]
         return any(k & mask for k in self._num)
@@ -498,13 +493,6 @@ class UPoly:
     @staticmethod
     def variable(var: str = "x") -> UPoly:
         return _up((0, 1), 1, var)
-
-    @staticmethod
-    def from_roots(roots: Sequence[RatLike], var: str = "x") -> UPoly:
-        p = _up((1,), 1, var)
-        for r in roots:
-            p = p * UPoly((-_rat(r), 1), var)
-        return p
 
     # -- queries -----------------------------------------------------------
 

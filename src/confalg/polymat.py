@@ -57,10 +57,6 @@ class PolyMat:
         ups = [e if isinstance(e, UPoly) else UPoly.const(e) for e in entries]
         return PolyMat([[ups[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_scalar(p: UPoly) -> PolyMat:
-        return PolyMat([[p]])
-
     # -- algebra ------------------------------------------------------------
 
     def __getitem__(self, ij: tuple[int, int]) -> UPoly:

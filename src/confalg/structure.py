@@ -19,7 +19,6 @@ from .cend import (
     RawMat,
     RawVec,
     nth_products,
-    polymat_to_raw,
     raw_mat_vec,
     raw_mul,
     raw_subst,
@@ -312,8 +311,8 @@ def build_extension(
             raise ValueError("factorization kind needs both factors")
         if r_mat @ s_mat != p_mat.shift(alpha):
             raise MismatchError("factors do not multiply to the shifted matrix")
-        s_in_d = raw_subst(polymat_to_raw(s_mat), {"x": _D})
-        r_raw = polymat_to_raw(r_mat)
+        s_in_d = raw_subst(s_mat.to_mpoly_rows(), {"x": _D})
+        r_raw = r_mat.to_mpoly_rows()
         a_const = MPoly.const(alpha)
 
         def act(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
@@ -326,7 +325,7 @@ def build_extension(
         return ExtensionModule("factorization", p_mat, alpha, r_mat, s_mat, gamma, act)
 
     if kind == "jordan":
-        p_raw = polymat_to_raw(p_mat)
+        p_raw = p_mat.to_mpoly_rows()
         g_const = MPoly.const(gamma)
         n = p_mat.n
 
@@ -363,7 +362,7 @@ def embedded_standard_witness(
     if module.kind != "factorization":
         raise ValueError("submodule witness applies to the factorization kind")
     assert module.s_mat is not None
-    s_in_d = raw_subst(polymat_to_raw(module.s_mat), {"x": _D})
+    s_in_d = raw_subst(module.s_mat.to_mpoly_rows(), {"x": _D})
     embedded = raw_mat_vec(s_in_d, vec)
     lhs = module.action(a.entries, "l", embedded)
     std = standard_action(module.p_mat, module.alpha)

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import io
 import json
+import re
+import sys
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from confalg.cli import main
+from confalg.cli import VERBS, main
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY_CASES = sorted((ROOT / "tests" / "golden" / "verify").glob("*.json"))
 
 
 def run_cli(tmp_path, verb, payload, *flags):
@@ -281,15 +293,101 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
     assert report["error"]["code"] == "E_PARSE"
 
 
-def test_verify_without_budgets_is_parse_error(tmp_path):
-    report = {"verb": "product", "input": {"a": [["x"]], "b": [["1"]]},
-              "result": {}, "status": "decided"}
+AXIOMS_REPORT = {"verb": "check-axioms", "input": {"kind": "lie", "n": 1},
+                 "result": {}, "status": "decided"}
+
+
+@pytest.mark.parametrize(
+    "report,message",
+    [
+        ({"verb": "product", "input": {"a": [["x"]], "b": [["1"]]},
+          "result": {}, "status": "decided"}, "budgets"),
+        ({"verb": "smith", "input": {"matrix": [["x"]]},
+          "result": {"divisors": ["x"]}, "status": "decided"}, "certificate"),
+        ({"verb": "iso", "input": {"p": [["x"]], "q": [["x"]]}, "status": "decided"},
+         "result"),
+        ({"verb": ["smith"], "input": {}, "status": "decided"}, "verifier"),
+        ({"verb": "smith", "input": {"matrix": [["x"]]}, "result": [],
+          "certificate": {}, "status": "decided"}, "result"),
+        ({"verb": "smith", "input": {"matrix": [["x"]]}, "result": {"divisors": "x"},
+          "certificate": {"left": [["1"]], "right": [["1"]]}, "status": "decided"},
+         "divisors"),
+        ({**AXIOMS_REPORT, "budgets": {"rounds": "3", "seed": 101}}, "rounds"),
+        ({**AXIOMS_REPORT, "budgets": {"rounds": None, "seed": 101}}, "--rounds"),
+        ({**AXIOMS_REPORT, "budgets": {"rounds": 1, "seed": "101"}}, "seed"),
+        ({**AXIOMS_REPORT, "budgets": {"rounds": 1}}, "seed"),
+        ({"verb": "unital-probe", "input": {"gens": [[["1"]]]}, "result": {},
+          "status": "decided", "budgets": {"degree_cap": "a", "rounds": 1, "seed": 101}},
+         "degree_cap"),
+        ({**AXIOMS_REPORT, "status": "error", "budgets": {"rounds": 1, "seed": 101}},
+         "status"),
+        ({"verb": "ideal", "input": {"p": [["1"]], "gens": [[["x"]]]},
+          "result": {"side": "up"}, "certificate": {"hermite": [["1"]], "multipliers": []},
+          "status": "decided"}, "side"),
+    ],
+    ids=["no_budgets", "no_certificate", "no_result", "list_verb", "list_result",
+         "string_divisors", "string_rounds", "null_rounds", "string_seed",
+         "no_seed", "string_degree_cap", "error_status", "unknown_side"],
+)
+def test_verify_malformed_report_is_parse_error(tmp_path, report, message):
     code, out = run_cli(tmp_path, "verify", report)
     envelope = json.loads(out)
     assert code == 1
     assert envelope["status"] == "error"
     assert envelope["error"]["code"] == "E_PARSE"
-    assert "budgets" in envelope["error"]["message"]
+    assert message in envelope["error"]["message"]
+
+
+FUZZ_VALUES = [None, "", [], {}, 0, -1, "x"]
+FUZZ_FIELDS = ["verb", "status", "budgets", "result", "certificate"]
+
+
+@st.composite
+def mutated_reports(draw, report):
+    """``report`` with one field outside ``input`` deleted or swapped for junk."""
+    report = copy.deepcopy(report)
+    target, key = report, draw(st.sampled_from(FUZZ_FIELDS))
+    if isinstance(report[key], dict) and report[key] and draw(st.booleans()):
+        target, key = report[key], draw(st.sampled_from(sorted(report[key])))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return report
+
+
+@pytest.mark.parametrize("path", VERIFY_CASES, ids=lambda p: p.stem)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_verify_mutated_report_answers_one_envelope(path, data):
+    report = json.loads(path.read_text(encoding="utf-8"))["payload"]
+    text = json.dumps(data.draw(mutated_reports(report)))
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    start = time.perf_counter()
+    try:
+        with redirect_stdout(out):
+            code = main(["verify"])
+    finally:
+        sys.stdin = stdin
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)
+
+
+def test_readme_lists_every_verb_and_budget():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    verbs_text = readme.split("Verbs: ", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`([a-z0-9-]+)`", verbs_text)) == set(VERBS)
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in VERBS and cells[1].startswith("--"):
+            keys = [k.replace("-", "_") for k in re.findall(r"--([a-z-]+)", cells[1])]
+            table[cells[0]] = dict(zip(keys, map(int, cells[2].split(","))))
+    assert table == {verb: row.budgets for verb, row in VERBS.items() if row.budgets}
 
 
 def test_overlong_integer_literal_is_parse_error(tmp_path):
