@@ -130,6 +130,27 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      ("--degree-cap", "4", "--rounds", "4")),
     ("unital-probe", "rational_scalar", {"gens": [[["1"]], [["2/3*d - 1/2"]]]},
      ("--degree-cap", "4", "--rounds", "4")),
+    # saturation loops: budget runs out mid-loop, x-degree cap discards parts
+    ("classify-cend1", "budget_one_round", {"generators": ["x - 1", "d + 2"]},
+     ("--rounds", "1")),
+    ("classify-cend1", "budget_two_rounds", {"generators": ["x^2"]}, ("--rounds", "2")),
+    ("classify-cend1", "full_cap1", {"generators": ["x - 1", "d + 2"]},
+     ("--degree-cap", "1", "--rounds", "12")),
+    ("classify-cend1", "full_cap2", {"generators": ["x - 1", "d + 2"]},
+     ("--degree-cap", "2", "--rounds", "12")),
+    ("classify-cend1", "pq_cap3", {"generators": ["d*x + x^2 + 2*x"]},
+     ("--degree-cap", "3", "--rounds", "12")),
+    ("unital-probe", "budget", {"gens": [[["1", "0"], ["0", "1"]], [["d", "1"], ["0", "0"]]]},
+     ("--degree-cap", "8", "--rounds", "1")),
+    ("unital-probe", "two_rounds",
+     {"gens": [[["1", "0"], ["0", "1"]], [["d", "1"], ["0", "0"]]]},
+     ("--degree-cap", "8", "--rounds", "2")),
+    ("irreducibility-probe", "cap_skipped_two_rounds",
+     {"p": [["1", "0"], ["0", "1"]], "gens": [[["0", "x"], ["d", "x^3"]]],
+      "start": ["d^2", "0"]}, ("--degree-cap", "1", "--rounds", "4")),
+    ("irreducibility-probe", "cap_skipped_one_round",
+     {"p": [["1", "0"], ["0", "1"]], "gens": [[["x^3", "0"], ["d", "x"]]],
+      "start": ["1", "0"]}, ("--degree-cap", "1", "--rounds", "4")),
 ]
 
 # (case name, verb and case name of the report to verify, edit applied to it)
@@ -156,6 +177,11 @@ VERIFY_CASES = [
     ("oc_gens", ("oc-gens", "symplectic"), None),
     ("invariance_check", ("invariance-check", "invariant"), None),
     ("irreducibility_probe", ("irreducibility-probe", "irreducible"), None),
+    ("classify_full_cap1", ("classify-cend1", "full_cap1"), None),
+    ("classify_full_cap2", ("classify-cend1", "full_cap2"), None),
+    ("classify_pq_cap3", ("classify-cend1", "pq_cap3"), None),
+    ("unital_probe_two_rounds", ("unital-probe", "two_rounds"), None),
+    ("classify_budget_one_round", ("classify-cend1", "budget_one_round"), None),
 ]
 
 
