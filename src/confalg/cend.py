@@ -320,12 +320,20 @@ def _param(var: str | MPoly) -> MPoly:
     return MPoly.var(var)
 
 
+def product_head(g: RawMat, p: MPoly) -> RawMat:
+    """The left factor of the product: g(-p, x + p + d)."""
+    return raw_subst(g, {"d": -p, "x": _X + p + _D})
+
+
+def product_tail(x_raw: RawMat, p: MPoly) -> RawMat:
+    """The right factor of the product: x(p + d, x)."""
+    return raw_subst(x_raw, {"d": p + _D})
+
+
 def product_apply(g: RawMat, x_raw: RawMat, nu: str | MPoly = "l") -> RawMat:
     """g acting on the left of x by the associative product, parameter nu."""
     p = _param(nu)
-    head = raw_subst(g, {"d": -p, "x": _X + p + _D})
-    tail = raw_subst(x_raw, {"d": p + _D})
-    return raw_mul(head, tail)
+    return raw_mul(product_head(g, p), product_tail(x_raw, p))
 
 
 def bracket_apply(g: RawMat, x_raw: RawMat, nu: str | MPoly = "l") -> RawMat:
@@ -376,8 +384,8 @@ def pair_product_raw(
     division is performed (the defining matrix appears once, mid-product).
     """
     p = _param(nu)
-    head = raw_subst(a, {"d": -p, "x": _X + p + _D})
-    tail = raw_subst(b, {"d": p + _D})
+    head = product_head(a, p)
+    tail = product_tail(b, p)
     if p_mat is None:
         return raw_mul(head, tail)
     mid = raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D})

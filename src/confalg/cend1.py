@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from typing import Sequence
 
-from .cend import product_apply
-from .poly import _D, _X, MPoly, UPoly, bipoly_gcd, mpoly_div_by_upoly, upoly_from_mpoly, upoly_gcd
+from .cend import product_head, product_tail
+from .poly import _D, _L, _X, MPoly, UPoly, bipoly_gcd, mpoly_div_by_upoly, upoly_from_mpoly, upoly_gcd
 from .polymat import PidRowBasis
 
 CPARTIAL = "CPARTIAL"
@@ -85,7 +85,10 @@ def closure(
     """Saturate generators under the product's coefficient extraction.
 
     Elements above the x-degree cap are discarded; the state stabilizes when
-    the echelon basis stops changing and the gcd witness repeats.
+    a round adds no row to the echelon basis.  The module only grows, so a
+    pair of basis rows multiplied in an earlier round, or an l-part offered
+    before, would only be rejected again: each is computed once.  The gcd
+    witness is a function of the basis, so it is computed once, at return.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -107,30 +110,36 @@ def closure(
             raise ValueError("generator exceeds the x-degree cap")
         basis.add(row)
 
-    witness = _witness(_rows_to_polys(basis))
+    heads: dict[MPoly, MPoly] = {}  # a(-l, x+l+d) per basis row a
+    tails: dict[MPoly, MPoly] = {}  # b(l+d, x) per basis row b
+    multiplied: set[tuple[MPoly, MPoly]] = set()
+    offered: set[MPoly] = set()
+    status = "budget_exhausted"
     rounds_used = 0
-    for round_no in range(1, rounds + 1):
-        rounds_used = round_no
+    for rounds_used in range(1, rounds + 1):
         current = _rows_to_polys(basis)
+        for r in current:
+            if r not in heads:
+                heads[r] = product_head(((r,),), _L)[0][0]
+                tails[r] = product_tail(((r,),), _L)[0][0]
         changed = False
         for a in current:
-            ar = ((a,),)
             for b in current:
-                product = product_apply(ar, ((b,),), "l")[0][0]
-                for part in product.coefficients_in("l").values():
+                if (a, b) in multiplied:
+                    continue
+                multiplied.add((a, b))
+                for part in (heads[a] * tails[b]).coefficients_in("l").values():
+                    if part in offered:
+                        continue
+                    offered.add(part)
                     row = _poly_to_row(part, x_degree_cap)
                     if row is not None and basis.add(row):
                         changed = True
-        new_witness = _witness(_rows_to_polys(basis))
-        stable = not changed and new_witness == witness
-        witness = new_witness
-        if stable:
-            return ClosureState(
-                _rows_to_polys(basis), witness, rounds_used, "stabilized", x_degree_cap
-            )
-    return ClosureState(
-        _rows_to_polys(basis), witness, rounds_used, "budget_exhausted", x_degree_cap
-    )
+        if not changed:
+            status = "stabilized"
+            break
+    polys = _rows_to_polys(basis)
+    return ClosureState(polys, _witness(polys), rounds_used, status, x_degree_cap)
 
 
 def _specialize_d(p: MPoly, t: Fraction) -> UPoly:

@@ -39,6 +39,7 @@ from .gclie import (
 )
 from .jsonio import (
     PayloadError,
+    check_degree,
     cend_from_json,
     cend_list_from_json,
     cend_to_json,
@@ -72,6 +73,11 @@ from .structure import (
 )
 
 DEFAULT_SEED = 101
+
+# check-axioms samples n x n symbols of this degree; one lie round at n = 4,
+# degree 4 already takes seconds, and the cost grows fast in both
+MAX_AXIOM_N = 4
+MAX_AXIOM_DEGREE = 4
 
 E_PARSE = "E_PARSE"
 E_DEGENERATE = "E_DEGENERATE"
@@ -169,10 +175,10 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
     degree = _int_field(payload, "degree", 2)
     count = budgets.rounds
     # each of these would make every sample set empty and "ok" vacuous
-    if n < 1:
-        raise AppError(E_PARSE, f"n must be at least 1, got {n}")
-    if degree < 0:
-        raise AppError(E_PARSE, f"degree must be at least 0, got {degree}")
+    if not 1 <= n <= MAX_AXIOM_N:
+        raise AppError(E_PARSE, f"n must be from 1 to {MAX_AXIOM_N}, got {n}")
+    if not 0 <= degree <= MAX_AXIOM_DEGREE:
+        raise AppError(E_PARSE, f"degree must be from 0 to {MAX_AXIOM_DEGREE}, got {degree}")
     if count < 1:
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     rng = random.Random(budgets.seed)
@@ -325,7 +331,7 @@ def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
             raise AppError(
                 E_PARSE, f"generators[{i}]: variable(s) {sorted(extra)} not allowed"
             )
-        gens.append(poly)
+        gens.append(check_degree(poly, f"generators[{i}]"))
     state = c1.closure(gens, x_degree_cap=budgets.degree_cap, rounds=budgets.rounds)
     certificate = {
         "basis": [format_poly(b) for b in state.basis],
@@ -505,17 +511,28 @@ def _part(report: dict[str, Any], name: str, *fields: str) -> dict[str, Any]:
 
 
 def _x_polys(data: Any, field: str) -> list[UPoly]:
-    return [upoly_from_mpoly(p, "x") for p in polys_from_json(data, field, {"x"})]
+    """Output polynomials in x (divisors, multipliers): not degree-bounded."""
+    return [upoly_from_mpoly(p, "x") for p in polys_from_json(data, field, {"x"}, None)]
+
+
+# a decision verifier's answer when the report's status contradicts its result
+_STATUS_MISMATCH = (False, "status does not match the result")
+
+
+def _status_agrees(report: dict[str, Any], decided: bool) -> bool:
+    return report["status"] == ("decided" if decided else "undecided")
 
 
 def _verify_smith(report: dict[str, Any]) -> tuple[bool, str]:
+    if not _status_agrees(report, True):
+        return _STATUS_MISMATCH
     mat = polymat_from_json(_part(report, "input", "matrix")["matrix"], "matrix")
     result = _part(report, "result", "divisors")
     cert = _part(report, "certificate", "left", "right")
     smith = SmithCert(
         tuple(_x_polys(result["divisors"], "divisors")),
-        polymat_from_json(cert["left"], "left"),
-        polymat_from_json(cert["right"], "right"),
+        polymat_from_json(cert["left"], "left", None),
+        polymat_from_json(cert["right"], "right", None),
     )
     if not smith.verify(mat):
         return False, "transform identity or divisor chain failed"
@@ -534,6 +551,8 @@ def _verify_smith(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_iso(report: dict[str, Any]) -> tuple[bool, str]:
+    if not _status_agrees(report, True):
+        return _STATUS_MISMATCH
     payload = _part(report, "input", "p", "q")
     p = polymat_from_json(payload["p"], "p")
     q = polymat_from_json(payload["q"], "q")
@@ -549,6 +568,8 @@ def _verify_iso(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_anti_auto(report: dict[str, Any]) -> tuple[bool, str]:
+    if not _status_agrees(report, True):
+        return _STATUS_MISMATCH
     p = polymat_from_json(_part(report, "input", "p")["p"], "p")
     result = _part(report, "result", "exists")
     decision = anti_automorphism_exists(p)
@@ -562,11 +583,16 @@ def _verify_anti_auto(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
-    result = _part(report, "result")
-    if not result.get("found", False):
+    result = _part(report, "result", "found")
+    found = result["found"]
+    if not isinstance(found, bool):
+        raise AppError(E_PARSE, f"found: expected true or false, got {found!r}")
+    if not _status_agrees(report, found):
+        return _STATUS_MISMATCH
+    if not found:
         return True, "no certificate for an undecided search"
     p = polymat_from_json(_part(report, "input", "p")["p"], "p")
-    y = polymat_from_json(_part(report, "certificate", "y")["y"], "y")
+    y = polymat_from_json(_part(report, "certificate", "y")["y"], "y", None)
     eps = _int_field(result, "epsilon")
     alpha = fraction_from_json(result.get("alpha"), "alpha")
     try:
@@ -577,6 +603,8 @@ def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
+    if not _status_agrees(report, True):
+        return _STATUS_MISMATCH
     payload = _part(report, "input", "p", "gens")
     p = polymat_from_json(payload["p"], "p")
     gens = cend_list_from_json(payload["gens"], "gens")
@@ -585,7 +613,7 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
     side = result["side"]
     if side not in ("left", "right"):
         raise AppError(E_PARSE, f"unknown ideal side {side!r}")
-    hermite = polymat_from_json(cert["hermite"], "hermite")
+    hermite = polymat_from_json(cert["hermite"], "hermite", None)
     if not isinstance(cert["multipliers"], list):
         raise AppError(E_PARSE, "multipliers: expected an array of arrays")
     multipliers = [
@@ -607,7 +635,7 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
             if not basis.contains(row):
                 return False, "input row escapes the reported generator module"
     if side == "left":
-        gen = polymat_from_json(result.get("generator"), "generator")
+        gen = polymat_from_json(result.get("generator"), "generator", None)
         if gen @ p != hermite:
             return False, "generator times defining matrix is not the hermite form"
     stacked = [row for m in coeff_mats for row in m.rows]
@@ -624,9 +652,12 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
+    stabilized = _part(report, "result", "status")["status"] == "stabilized"
+    if not _status_agrees(report, stabilized):
+        return _STATUS_MISMATCH
     cert = _part(report, "certificate", "gcd_witness", "basis")
-    witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"})
-    basis = polys_from_json(cert["basis"], "basis", {"d", "x"})
+    witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
+    basis = polys_from_json(cert["basis"], "basis", {"d", "x"}, None)
     for b in basis:
         if bipoly_gcd(witness, b) != bipoly_gcd(witness, MPoly.zero()):
             return False, "witness does not divide a basis element"
@@ -637,12 +668,14 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
         if any(b.uses("x") for b in basis):
             return False, "CPARTIAL closure contains x-dependence"
         return True, "classification verified"
-    p_poly = poly_from_json(result["p"], "p", {"x"}) if result["p"] else MPoly.const(1)
+    p_poly = poly_from_json(result["p"], "p", {"x"}, None) if result["p"] else MPoly.const(1)
     q_text = result["q"] or "1"
     if not isinstance(q_text, str):
         raise AppError(E_PARSE, "q: expected a polynomial string")
     # q is printed in z = d + x
-    q_m = poly_from_json(q_text.replace("z", "x"), "q", {"x"}).substitute({"x": _D + _X})
+    q_m = poly_from_json(q_text.replace("z", "x"), "q", {"x"}, None).substitute(
+        {"x": _D + _X}
+    )
     if p_poly * q_m != witness:
         return False, "reported split does not reconstruct the witness"
     return True, "classification verified"

@@ -31,7 +31,7 @@ from .cend import (
     standard_action,
 )
 from .poly import _D, _L, _M, _X, MPoly, UPoly
-from .polymat import PidRowBasis, PolyMat, det, is_unimodular, star
+from .polymat import PidRowBasis, PolyMat, Row, det, is_unimodular, star
 
 
 # ---------------------------------------------------------------------------
@@ -297,35 +297,33 @@ def irreducibility_probe(
             for i in range(n)
         )
 
+    # (generator, row) -> its coefficient rows above the cap; every other
+    # coefficient row of the pair has been offered to the basis already
+    over_cap: dict[tuple[int, Row], list[ModVec]] = {}
     rounds_used = 0
     for round_no in range(1, rounds + 1):
         rounds_used = round_no
         changed = False
-        snapshot = [list(r) for r in basis.canonical()]
-        for gen in gens:
+        snapshot = basis.canonical()
+        for gi, gen in enumerate(gens):
             for row in snapshot:
+                if (gi, row) in over_cap:
+                    continue
+                skipped = over_cap[gi, row] = []
                 for new_row in coefficient_rows(gen, row):
                     if max(e.degree() for e in new_row) > degree_cap:
-                        continue
-                    if basis.add(new_row):
+                        skipped.append(new_row)
+                    elif basis.add(new_row):
                         changed = True
         if is_full():
             return ProbeOutcome("irreducible", basis.rank(), rounds_used, basis.canonical())
         if not changed:
             # stabilized strictly below the full span: verify invariance
-            for gen in gens:
-                for row in basis.canonical():
-                    for new_row in coefficient_rows(gen, row):
-                        if not basis.contains(new_row):
-                            return ProbeOutcome(
-                                "undecided", basis.rank(), rounds_used, basis.canonical()
-                            )
-            return ProbeOutcome(
-                "proper_invariant_detected",
-                basis.rank(),
-                rounds_used,
-                basis.canonical(),
-            )
+            for gi in range(len(gens)):
+                for row in snapshot:
+                    if not all(basis.contains(r) for r in over_cap[gi, row]):
+                        return ProbeOutcome("undecided", basis.rank(), rounds_used, snapshot)
+            return ProbeOutcome("proper_invariant_detected", basis.rank(), rounds_used, snapshot)
     return ProbeOutcome("undecided", basis.rank(), rounds_used, basis.canonical())
 
 

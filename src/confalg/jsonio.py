@@ -16,8 +16,22 @@ from .poly import MPoly, UPoly, upoly_from_mpoly
 from .polymat import PolyMat
 
 
+# Largest total degree of a polynomial in a verb's payload: work grows fast
+# with degree (a dense 1x1 product of degree 32 takes about 80 times as long
+# as one of degree 16), so larger inputs are refused as E_PARSE.  The
+# certificates and results that ``verify`` reads are not bounded.
+MAX_DEGREE = 16
+
+
 class PayloadError(ValueError):
     """Malformed JSON payload (wrong shape, bad polynomial, bad variable)."""
+
+
+def check_degree(poly: MPoly, field: str, max_degree: int | None = MAX_DEGREE) -> MPoly:
+    """``poly``, unless its total degree is above ``max_degree`` (None: no limit)."""
+    if max_degree is not None and (degree := poly.total_degree()) > max_degree:
+        raise PayloadError(f"{field}: total degree {degree} is above the limit {max_degree}")
+    return poly
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -35,7 +49,9 @@ def fraction_from_json(data: Any, field: str) -> Fraction:
         raise PayloadError(f"{field}: not a rational: {data!r}") from exc
 
 
-def poly_from_json(text: Any, field: str, allowed: set[str]) -> MPoly:
+def poly_from_json(
+    text: Any, field: str, allowed: set[str], max_degree: int | None = MAX_DEGREE
+) -> MPoly:
     if not isinstance(text, str):
         raise PayloadError(f"{field}: expected a polynomial string")
     try:
@@ -47,16 +63,22 @@ def poly_from_json(text: Any, field: str, allowed: set[str]) -> MPoly:
         raise PayloadError(
             f"{field}: variable(s) {sorted(extra)} not allowed here"
         )
-    return poly
+    return check_degree(poly, field, max_degree)
 
 
-def polys_from_json(data: Any, field: str, allowed: set[str]) -> list[MPoly]:
+def polys_from_json(
+    data: Any, field: str, allowed: set[str], max_degree: int | None = MAX_DEGREE
+) -> list[MPoly]:
     if not isinstance(data, list):
         raise PayloadError(f"{field}: expected an array of polynomial strings")
-    return [poly_from_json(e, f"{field}[{i}]", allowed) for i, e in enumerate(data)]
+    return [
+        poly_from_json(e, f"{field}[{i}]", allowed, max_degree) for i, e in enumerate(data)
+    ]
 
 
-def polymat_from_json(data: Any, field: str = "matrix") -> PolyMat:
+def polymat_from_json(
+    data: Any, field: str = "matrix", max_degree: int | None = MAX_DEGREE
+) -> PolyMat:
     if not isinstance(data, list) or not data:
         raise PayloadError(f"{field}: expected a non-empty array of arrays")
     n = len(data)
@@ -67,7 +89,7 @@ def polymat_from_json(data: Any, field: str = "matrix") -> PolyMat:
         rows.append(
             [
                 upoly_from_mpoly(
-                    poly_from_json(e, f"{field}[{i}][{j}]", {"x"}), "x"
+                    poly_from_json(e, f"{field}[{i}][{j}]", {"x"}, max_degree), "x"
                 )
                 for j, e in enumerate(row)
             ]

@@ -183,6 +183,10 @@ class MPoly:
             return -1
         return max((k >> s) & _FIELD for k in self._num)
 
+    def total_degree(self) -> int:
+        """Largest exponent sum of a term; -1 for the zero polynomial."""
+        return max((sum(_unpack(k)) for k in self._num), default=-1)
+
     def uses(self, var: str) -> bool:
         mask = _FIELD << _SHIFTS[_VAR_INDEX[var]]
         return any(k & mask for k in self._num)

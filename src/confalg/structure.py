@@ -418,11 +418,15 @@ def unital_closure_probe(
 
     for g in gens:
         basis.add(to_row(g))
+    multiplied: set[tuple[CendElem, CendElem]] = set()  # their parts are in the basis
     for round_no in range(1, rounds + 1):
         current = [from_row(r) for r in basis.canonical()]
         changed = False
         for a in current:
             for b in current:
+                if (a, b) in multiplied:
+                    continue
+                multiplied.add((a, b))
                 for coeff in nth_products(a, b):
                     if coeff.is_zero():
                         continue

@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confalg.cend import CendElem, _vec_series, nth_products, product_apply, standard_action
 from confalg.cend1 import (
     CPARTIAL,
     FULL,
     PQ,
     P_ONLY,
     Q_ONLY,
+    ClosureState,
+    _poly_to_row,
+    _rows_to_polys,
+    _witness,
     classify,
     closure,
     irreducible_on_standard,
 )
-from confalg.poly import MPoly, UPoly, bipoly_gcd
+from confalg.gclie import ProbeOutcome, irreducibility_probe
+from confalg.grammar import parse_poly
+from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
+from confalg.polymat import PidRowBasis, PolyMat
+from confalg.structure import ClosureOutcome, unital_closure_probe
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -133,3 +146,219 @@ class TestIrreducibility:
         assert irreducible_on_standard(classify(closure([X, D])))
         assert not irreducible_on_standard(classify(closure([D + X])))
         assert not irreducible_on_standard(classify(closure([X * (D + X)])))
+
+
+# ---------------------------------------------------------------------------
+# Reference model: the naive saturation loops, which recompute every product
+# pair and every substitution in every round.  The memoised loops in
+# cend1.closure, structure.unital_closure_probe and gclie.irreducibility_probe
+# must return exactly what these return.
+# ---------------------------------------------------------------------------
+
+
+def naive_closure(gens, x_degree_cap, rounds):
+    clean = [g for g in gens if not g.is_zero()]
+    basis = PidRowBasis(x_degree_cap + 1, var="d")
+    for g in clean:
+        basis.add(_poly_to_row(g, x_degree_cap))
+
+    witness = _witness(_rows_to_polys(basis))
+    rounds_used = 0
+    for round_no in range(1, rounds + 1):
+        rounds_used = round_no
+        current = _rows_to_polys(basis)
+        changed = False
+        for a in current:
+            ar = ((a,),)
+            for b in current:
+                product = product_apply(ar, ((b,),), "l")[0][0]
+                for part in product.coefficients_in("l").values():
+                    row = _poly_to_row(part, x_degree_cap)
+                    if row is not None and basis.add(row):
+                        changed = True
+        new_witness = _witness(_rows_to_polys(basis))
+        stable = not changed and new_witness == witness
+        witness = new_witness
+        if stable:
+            return ClosureState(
+                _rows_to_polys(basis), witness, rounds_used, "stabilized", x_degree_cap
+            )
+    return ClosureState(
+        _rows_to_polys(basis), witness, rounds_used, "budget_exhausted", x_degree_cap
+    )
+
+
+def naive_unital_closure_probe(gens, degree_cap, rounds):
+    n = gens[0].n
+    if any(g.uses_x() for g in gens):
+        return ClosureOutcome("cend_n", 0, 0)
+
+    basis = PidRowBasis(n * n, var="d")
+
+    def to_row(elem):
+        row = []
+        for i in range(n):
+            for j in range(n):
+                row.append(upoly_from_mpoly(elem.entries[i][j], "d"))
+        return row
+
+    def from_row(row):
+        rows = [
+            [row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)
+        ]
+        return CendElem(rows)
+
+    for g in gens:
+        basis.add(to_row(g))
+    for round_no in range(1, rounds + 1):
+        current = [from_row(r) for r in basis.canonical()]
+        changed = False
+        for a in current:
+            for b in current:
+                for coeff in nth_products(a, b):
+                    if coeff.is_zero():
+                        continue
+                    if coeff.uses_x():
+                        return ClosureOutcome("cend_n", round_no, basis.rank())
+                    if coeff.d_degree() > degree_cap:
+                        continue
+                    if basis.add(to_row(coeff)):
+                        changed = True
+        if not changed:
+            return ClosureOutcome("cur_n", round_no, basis.rank())
+    return ClosureOutcome("undecided", rounds, basis.rank())
+
+
+def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
+    n = p_mat.n
+    act = standard_action(p_mat, alpha)
+    basis = PidRowBasis(n, var="d")
+    basis.add(list(start))
+
+    def coefficient_rows(gen, row):
+        vec = tuple(e.to_mpoly("d") for e in row)
+        return _vec_series(act(gen.entries, "l", vec)).values()
+
+    def is_full():
+        return basis.rank() == n and all(
+            basis.rows[i][basis.pivots[i]] == UPoly.const(1, "d")
+            for i in range(n)
+        )
+
+    rounds_used = 0
+    for round_no in range(1, rounds + 1):
+        rounds_used = round_no
+        changed = False
+        snapshot = [list(r) for r in basis.canonical()]
+        for gen in gens:
+            for row in snapshot:
+                for new_row in coefficient_rows(gen, row):
+                    if max(e.degree() for e in new_row) > degree_cap:
+                        continue
+                    if basis.add(new_row):
+                        changed = True
+        if is_full():
+            return ProbeOutcome("irreducible", basis.rank(), rounds_used, basis.canonical())
+        if not changed:
+            # stabilized strictly below the full span: verify invariance
+            for gen in gens:
+                for row in basis.canonical():
+                    for new_row in coefficient_rows(gen, row):
+                        if not basis.contains(new_row):
+                            return ProbeOutcome(
+                                "undecided", basis.rank(), rounds_used, basis.canonical()
+                            )
+            return ProbeOutcome(
+                "proper_invariant_detected",
+                basis.rank(),
+                rounds_used,
+                basis.canonical(),
+            )
+    return ProbeOutcome("undecided", basis.rank(), rounds_used, basis.canonical())
+
+
+small_coeffs = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+def _poly_in(variables):
+    """Polynomials in ``variables`` of degree <= 2 in each, few terms."""
+    exps = st.tuples(*(st.integers(0, 2) if v else st.just(0) for v in variables))
+    return st.dictionaries(exps, small_coeffs, max_size=4).map(
+        lambda terms: MPoly({(e[0], e[1], 0, 0): c for e, c in terms.items() if c})
+    )
+
+
+dx_polys = _poly_in((True, True))
+d_polys = _poly_in((True, False))
+
+
+def _symbols(entries, n):
+    return st.lists(entries, min_size=n * n, max_size=n * n).map(
+        lambda es: CendElem([es[i * n:(i + 1) * n] for i in range(n)])
+    )
+
+
+@st.composite
+def unital_sets(draw):
+    n = draw(st.integers(1, 2))
+    others = draw(st.lists(_symbols(d_polys, n), min_size=1, max_size=2))
+    return [CendElem.identity(n), *others]
+
+
+@st.composite
+def probe_inputs(draw):
+    n = draw(st.integers(1, 2))
+    diag = draw(st.lists(st.sampled_from(("1", "x", "x - 1", "x^2")), min_size=n, max_size=n))
+    p_mat = PolyMat.diagonal([upoly_from_mpoly(parse_poly(e), "x") for e in diag])
+    gens = draw(st.lists(_symbols(dx_polys, n), min_size=1, max_size=2))
+    start = draw(
+        st.lists(d_polys, min_size=n, max_size=n).filter(lambda v: any(v))
+    )
+    alpha = draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2))))
+    return gens, p_mat, alpha, tuple(upoly_from_mpoly(e, "d") for e in start)
+
+
+class TestSaturationMatchesNaiveLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(dx_polys, min_size=1, max_size=3).filter(lambda gs: any(gs)),
+        st.integers(2, 5),
+        st.integers(1, 4),
+    )
+    def test_closure(self, gens, cap, rounds):
+        got = closure(gens, x_degree_cap=cap, rounds=rounds)
+        want = naive_closure(gens, cap, rounds)
+        assert got.basis == want.basis
+        assert got.gcd_witness == want.gcd_witness
+        assert got.rounds == want.rounds
+        assert got.status == want.status
+        assert got == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(unital_sets(), st.integers(2, 5), st.integers(1, 4))
+    def test_unital_closure_probe(self, gens, cap, rounds):
+        got = unital_closure_probe(gens, degree_cap=cap, rounds=rounds)
+        assert got == naive_unital_closure_probe(gens, cap, rounds)
+
+    @settings(max_examples=80, deadline=None)
+    @given(probe_inputs(), st.integers(1, 5), st.integers(1, 4))
+    def test_irreducibility_probe(self, case, cap, rounds):
+        gens, p_mat, alpha, start = case
+        got = irreducibility_probe(gens, p_mat, alpha, start, degree_cap=cap, rounds=rounds)
+        want = naive_irreducibility_probe(gens, p_mat, alpha, start, cap, rounds)
+        assert (got.outcome, got.rank, got.rounds_used) == (
+            want.outcome, want.rank, want.rounds_used
+        )
+        assert got.basis == want.basis
+
+    def test_golden_probe_cases_end_in_the_final_pass(self):
+        # the cap-skipped rows, not the budget, make these undecided
+        e = [[parse_poly("0"), parse_poly("x")], [parse_poly("d"), parse_poly("x^3")]]
+        start = (UPoly((0, 0, 1), "d"), UPoly.zero("d"))
+        args = ([CendElem(e)], PolyMat.identity(2), 0, start)
+        got = irreducibility_probe(*args, degree_cap=1, rounds=4)
+        assert (got.outcome, got.rank, got.rounds_used) == ("undecided", 2, 2)
+        assert got == naive_irreducibility_probe(*args, 1, 4)

@@ -293,6 +293,55 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
     assert report["error"]["code"] == "E_PARSE"
 
 
+@pytest.mark.parametrize(
+    "verb,payload,flags,field",
+    [
+        ("product", {"a": [["x^32767"]], "b": [["1"]]}, (), "a[0][0]"),
+        ("product", {"a": [["1"]], "b": [["d^9*x^8"]]}, (), "b[0][0]"),
+        ("bracket", {"a": [["x^17 + 1"]], "b": [["1"]]}, (), "a[0][0]"),
+        ("smith", {"matrix": [["x^17"]]}, (), "matrix[0][0]"),
+        ("classify-cend1", {"generators": ["x", "d^17"]}, ("--rounds", "1"), "generators[1]"),
+        ("unital-probe", {"gens": [[["1"]], [["d^40"]]]},
+         ("--degree-cap", "4", "--rounds", "1"), "gens[1][0][0]"),
+        ("irreducibility-probe", {"p": [["1"]], "gens": [[["1"]]], "start": ["d^17"]},
+         ("--degree-cap", "4", "--rounds", "1"), "start[0]"),
+        ("check-axioms", {"kind": "lie", "n": 5}, ("--rounds", "1"), "n must be"),
+        ("check-axioms", {"kind": "lie", "n": 1, "degree": 5}, ("--rounds", "1"),
+         "degree must be"),
+    ],
+    ids=["product_x32767", "product_d9x8", "bracket", "smith", "classify", "unital_probe",
+         "irreducibility_start", "axioms_n", "axioms_degree"],
+)
+def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, verb, payload, *flags)
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "E_PARSE"
+    assert field in report["error"]["message"]
+
+
+def test_input_at_the_degree_limit_is_accepted(tmp_path):
+    code, out = run_cli(tmp_path, "product", {"a": [["d^8*x^8"]], "b": [["x^16"]]})
+    assert code == 0
+    code, out = run_cli(tmp_path, "check-axioms", {"kind": "lie", "n": 4, "degree": 0},
+                        "--rounds", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["ok"] is True
+
+
+def test_verify_does_not_bound_certificates(tmp_path):
+    # divisors 1, x^32: the result is above the input degree limit
+    code, out = run_cli(tmp_path, "smith", {"matrix": [["x^16", "1"], ["0", "x^16"]]})
+    assert code == 0
+    assert json.loads(out)["result"]["divisors"] == ["1", "x^32"]
+    code, out = run_cli(tmp_path, "verify", json.loads(out))
+    assert code == 0
+    assert json.loads(out)["result"]["verified"] is True
+
+
 AXIOMS_REPORT = {"verb": "check-axioms", "input": {"kind": "lie", "n": 1},
                  "result": {}, "status": "decided"}
 
@@ -336,6 +385,40 @@ def test_verify_malformed_report_is_parse_error(tmp_path, report, message):
     assert envelope["status"] == "error"
     assert envelope["error"]["code"] == "E_PARSE"
     assert message in envelope["error"]["message"]
+
+
+def _golden_report(name):
+    return json.loads((ROOT / "tests" / "golden" / "verify" / f"{name}.json")
+                      .read_text(encoding="utf-8"))["payload"]
+
+
+@pytest.mark.parametrize(
+    "name,edit",
+    [
+        ("anti_inv_search", lambda r: r["result"].__setitem__("found", False)),
+        ("anti_inv_search", lambda r: r.__setitem__("status", "undecided")),
+        ("iso", lambda r: r.__setitem__("status", "undecided")),
+        ("anti_auto_rational", lambda r: r.__setitem__("status", "undecided")),
+        ("classify_pq", lambda r: r.__setitem__("status", "undecided")),
+        ("classify_budget_one_round", lambda r: r.__setitem__("status", "decided")),
+        ("smith", lambda r: r.__setitem__("status", "undecided")),
+        ("ideal_right", lambda r: r.__setitem__("status", "undecided")),
+    ],
+    ids=["anti_inv_not_found_decided", "anti_inv_found_undecided", "iso_undecided",
+         "anti_auto_undecided", "classify_undecided", "classify_budget_decided",
+         "smith_undecided", "ideal_undecided"],
+)
+def test_verify_rejects_status_contradicting_result(tmp_path, name, edit):
+    report = _golden_report(name)
+    code, out = run_cli(tmp_path, "verify", report)
+    assert code == 0  # the report as emitted verifies
+    edit(report)
+    code, out = run_cli(tmp_path, "verify", report)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["error"]["code"] == "E_MISMATCH"
+    assert "status does not match the result" in envelope["error"]["message"]
 
 
 FUZZ_VALUES = [None, "", [], {}, 0, -1, "x"]
