@@ -318,7 +318,8 @@ def irreducibility_probe(
         if is_full():
             return ProbeOutcome("irreducible", basis.rank(), rounds_used, basis.canonical())
         if not changed:
-            # stabilized strictly below the full span: verify invariance
+            # stabilized strictly below the full span: verify invariance; only
+            # the rows skipped for the cap can lie outside the basis
             for gi in range(len(gens)):
                 for row in snapshot:
                     if not all(basis.contains(r) for r in over_cap[gi, row]):
