@@ -38,6 +38,7 @@ from .gclie import (
     make_oc_spc_generators,
 )
 from .jsonio import (
+    MAX_MATRIX_N,
     PayloadError,
     check_degree,
     cend_from_json,
@@ -78,6 +79,9 @@ DEFAULT_SEED = 101
 # degree 4 already takes seconds, and the cost grows fast in both
 MAX_AXIOM_N = 4
 MAX_AXIOM_DEGREE = 4
+# oc-gens builds n*n generators for each power 0..max_n; n = 4 with
+# max_n = 16 takes about half a second, n = 8 with max_n = 16 six seconds
+MAX_OC_POWER = 16
 
 E_PARSE = "E_PARSE"
 E_DEGENERATE = "E_DEGENERATE"
@@ -313,7 +317,8 @@ def run_ideal(payload: Any, budgets: Budgets) -> Outcome:
     return "decided", result, certificate
 
 
-def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
+def _cend1_generators(payload: Any) -> list[MPoly]:
+    """The generators of a ``classify-cend1`` payload: a list or ``generators``."""
     if isinstance(payload, list):
         raw_gens = payload
     else:
@@ -332,6 +337,11 @@ def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
                 E_PARSE, f"generators[{i}]: variable(s) {sorted(extra)} not allowed"
             )
         gens.append(check_degree(poly, f"generators[{i}]"))
+    return gens
+
+
+def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
+    gens = _cend1_generators(payload)
     state = c1.closure(gens, x_degree_cap=budgets.degree_cap, rounds=budgets.rounds)
     certificate = {
         "basis": [format_poly(b) for b in state.basis],
@@ -407,9 +417,13 @@ def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
 def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "n", "p", "epsilon", "max_n")
     n = _int_field(payload, "n")
+    max_n = _int_field(payload, "max_n")
+    if not 1 <= n <= MAX_MATRIX_N:
+        raise AppError(E_PARSE, f"n must be from 1 to {MAX_MATRIX_N}, got {n}")
+    if not 0 <= max_n <= MAX_OC_POWER:
+        raise AppError(E_PARSE, f"max_n must be from 0 to {MAX_OC_POWER}, got {max_n}")
     p = polymat_from_json(payload["p"], "p")
     epsilon = _int_field(payload, "epsilon")
-    max_n = _int_field(payload, "max_n")
     try:
         gens = make_oc_spc_generators(n, p, epsilon, max_n)
     except ValueError as exc:
@@ -655,15 +669,26 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
     stabilized = _part(report, "result", "status")["status"] == "stabilized"
     if not _status_agrees(report, stabilized):
         return _STATUS_MISMATCH
+    gens = _cend1_generators(report["input"])
     cert = _part(report, "certificate", "gcd_witness", "basis")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
     basis = polys_from_json(cert["basis"], "basis", {"d", "x"}, None)
+    # the witness divides the whole closure, so it divides every generator
+    monic_witness = bipoly_gcd(witness, MPoly.zero())
+    if any(bipoly_gcd(witness, g) != monic_witness for g in gens):
+        return False, "witness does not divide an input generator"
     for b in basis:
-        if bipoly_gcd(witness, b) != bipoly_gcd(witness, MPoly.zero()):
+        if bipoly_gcd(witness, b) != monic_witness:
             return False, "witness does not divide a basis element"
     if report["status"] != "decided":
         return True, "budget-exhausted closure; nothing further to verify"
-    result = _part(report, "result", "type", "p", "q")
+    result = _part(report, "result", "type", "p", "q", "irreducible_on_standard")
+    try:
+        desc = c1.SubalgDescriptor(result["type"])
+    except ValueError as exc:
+        raise AppError(E_PARSE, f"type: {exc}") from exc
+    if result["irreducible_on_standard"] is not c1.irreducible_on_standard(desc):
+        return False, "irreducible_on_standard does not match the type"
     if result["type"] == "CPARTIAL":
         if any(b.uses("x") for b in basis):
             return False, "CPARTIAL closure contains x-dependence"
@@ -731,8 +756,16 @@ _HANDLERS: dict[str, Callable[[Any, Budgets], Outcome]] = {
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a rejected command line as E_PARSE instead of exiting with 2,
+    the exit code that means undecided."""
+
+    def error(self, message: str):
+        raise AppError(E_PARSE, f"command line: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="confalg",
         description="Exact symbolic kernel for conformal endomorphism algebras.",
     )
@@ -748,6 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--pretty", action="store_false", dest="json_mode", help="human summary"
     )
     return parser
+
+
+# built once per process: it depends on nothing in a request
+_PARSER = build_parser()
 
 
 def _read_payload(path: str) -> Any:
@@ -786,20 +823,26 @@ def _pretty_lines(envelope: dict[str, Any]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     envelope: dict[str, Any] = {
-        "verb": args.verb,
-        "budgets": {"degree_cap": args.degree_cap, "rounds": args.rounds, "seed": args.seed},
+        "verb": None,
+        "budgets": None,
         "input": None,
         "status": "error",
         "result": None,
         "certificate": None,
         "error": None,
     }
+    json_mode, outfile = True, "-"  # what a command line that fails to parse gets
     try:
+        args = _PARSER.parse_args(argv)
+        json_mode, outfile = args.json_mode, args.outfile
+        envelope["verb"] = args.verb
+        envelope["budgets"] = {
+            "degree_cap": args.degree_cap, "rounds": args.rounds, "seed": args.seed
+        }
         payload = _read_payload(args.infile)
         envelope["input"] = payload
-        budgets = _budgets(args.verb, envelope["budgets"], defaults=not args.json_mode)
+        budgets = _budgets(args.verb, envelope["budgets"], defaults=not json_mode)
         status, result, certificate = _HANDLERS[args.verb](payload, budgets)
         envelope["status"] = status
         envelope["result"] = result
@@ -820,11 +863,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         envelope["error"] = {"code": E_MISMATCH, "message": str(exc)}
 
-    if args.json_mode:
+    if json_mode:
         text = json.dumps(envelope, sort_keys=True) + "\n"
     else:
         text = _pretty_lines(envelope)
-    _write_output(args.outfile, text)
+    _write_output(outfile, text)
     if envelope["error"] is not None and envelope["status"] == "error":
         return 1
     if envelope["status"] == "undecided":

@@ -13,9 +13,13 @@ are stable after one normalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+from math import gcd
 
-from .poly import MAX_EXP, VARS, Exponent, ExponentOverflowError, MPoly, UPoly, upoly_from_mpoly
+from .poly import (
+    _FIELD, _GUARD, _SHIFTS, MAX_EXP, VARS, ExponentOverflowError, MPoly, UPoly, _grlex,
+    _make, _overflow, _unpack, upoly_from_mpoly,
+)
 
 
 class ParseError(ValueError):
@@ -27,155 +31,146 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A token is a run of decimal digits (group 1) or any other character that is
+# not whitespace (group 2); finditer skips the whitespace between tokens.  For
+# str patterns ``\S`` is exactly not str.isspace and ``\d`` exactly
+# str.isdecimal.
+_TOKEN = re.compile(r"(\d+)|(\S)")
+_SHIFT = dict(zip(VARS, _SHIFTS))
+_SIGN = {"+": 1, "-": -1}
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+def _start(text: str, tok: re.Match[str] | None) -> int:
+    """Offset of a token; the end of the text when there is none."""
+    return len(text) if tok is None else tok.start()
 
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected integer", start)
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError as exc:  # e.g. more digits than int() accepts
-            raise ParseError(f"invalid integer literal: {exc}", start) from exc
+def _integer(text: str, tok: re.Match[str] | None) -> int:
+    """The integer literal at ``tok``.
+
+    A literal is a run of str.isdigit characters, which include digits such
+    as '²' that int() refuses, so the run may extend past ``\\d+``; such a
+    literal, or one longer than int() accepts, is a ParseError at its start.
+    """
+    start = _start(text, tok)
+    end = start if tok is None or tok[1] is None else tok.end()
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == start:
+        raise ParseError("expected integer", start)
+    try:
+        return int(text[start:end])
+    except ValueError as exc:
+        raise ParseError(f"invalid integer literal: {exc}", start) from exc
 
 
 def parse_poly(text: str) -> MPoly:
-    """Parse the grammar above into a canonical MPoly."""
-    sc = _Scanner(text)
-    result = MPoly.zero()
-    sign = 1
-    ch = sc.peek()
-    if ch is None:
+    """Parse the grammar above into a canonical MPoly.
+
+    One pass over the tokens: each term's coefficient and packed exponent
+    key are read directly, and the numerators are summed over one common
+    denominator.
+    """
+    tokens = _TOKEN.finditer(text)
+    tok = next(tokens, None)
+    if tok is None:
         raise ParseError("empty input", 0)
-    if ch in "+-":
-        sc.take()
-        sign = -1 if ch == "-" else 1
-    while True:
-        result = result + _parse_term(sc).scale(sign)
-        ch = sc.peek()
-        if ch is None:
-            return result
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", sc.pos)
-        sc.take()
-
-
-def _parse_term(sc: _Scanner) -> MPoly:
-    ch = sc.peek()
-    if ch is None:
-        raise ParseError("expected term", sc.pos)
-    if ch.isdigit():
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.take()
-            sc.skip_ws()
-            den_pos = sc.pos
-            den = sc.integer()
-            if den <= 0:
-                raise ParseError("denominator must be positive", den_pos)
-            coef = Fraction(num, den)
-        else:
-            coef = Fraction(num)
-        term = MPoly.const(coef)
-    elif ch in VARS:
-        term = _parse_mono(sc)
+    num: dict[int, int] = {}
+    den = 1
+    sign = _SIGN.get(tok[2])
+    if sign is None:
+        sign = 1
     else:
-        raise ParseError(f"expected coefficient or variable, found {ch!r}", sc.pos)
-    while sc.peek() == "*":
-        sc.take()
-        sc.skip_ws()
-        start = sc.pos
-        mono = _parse_mono(sc)
-        try:
-            term = term * mono
-        except ExponentOverflowError as exc:
-            raise ParseError(str(exc), start) from exc
-    return term
-
-
-def _parse_mono(sc: _Scanner) -> MPoly:
-    ch = sc.peek()
-    if ch is None or ch not in VARS:
-        raise ParseError(
-            "expected variable (one of d, x, l, m)", sc.pos if ch is not None else sc.pos
-        )
-    sc.take()
-    power = 1
-    if sc.peek() == "^":
-        sc.take()
-        sc.skip_ws()
-        start = sc.pos
-        power = sc.integer()
-        if power > MAX_EXP:
-            raise ParseError(f"exponent {power} is above the limit {MAX_EXP}", start)
-    exp = [0, 0, 0, 0]
-    exp[VARS.index(ch)] = power
-    return MPoly.monomial(tuple(exp))  # type: ignore[arg-type]
-
-
-def _format_fraction(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _format_monomial(exp: Exponent, names: tuple[str, ...]) -> str:
-    parts = []
-    for i, k in enumerate(exp):
-        if k == 1:
-            parts.append(names[i])
-        elif k > 1:
-            parts.append(f"{names[i]}^{k}")
-    return "*".join(parts)
+        tok = next(tokens, None)
+    while True:
+        if tok is None:
+            raise ParseError("expected term", len(text))
+        ch = tok[2]
+        c, q, key = 1, 1, 0
+        if ch is None or ch.isdigit():
+            c = _integer(text, tok)
+            tok = next(tokens, None)
+            if tok is not None and tok[2] == "/":
+                tok = next(tokens, None)
+                q = _integer(text, tok)
+                if not q:
+                    raise ParseError("denominator must be positive", _start(text, tok))
+                tok = next(tokens, None)
+            more = tok is not None and tok[2] == "*"
+            if more:
+                tok = next(tokens, None)
+        elif ch in _SHIFT:
+            more = True
+        else:
+            raise ParseError(f"expected coefficient or variable, found {ch!r}", tok.start())
+        while more:  # tok is a monomial's variable
+            shift = _SHIFT.get(tok[2]) if tok is not None else None
+            if shift is None:
+                raise ParseError("expected variable (one of d, x, l, m)", _start(text, tok))
+            start = tok.start()
+            tok = next(tokens, None)
+            power = 1
+            if tok is not None and tok[2] == "^":
+                tok = next(tokens, None)
+                power = _integer(text, tok)
+                if power > MAX_EXP:
+                    raise ParseError(
+                        f"exponent {power} is above the limit {MAX_EXP}", tok.start()
+                    )
+                tok = next(tokens, None)
+            key += power << shift
+            if key & _GUARD and c:  # a zero term is never multiplied out
+                try:
+                    _overflow(_unpack(key))
+                except ExponentOverflowError as exc:
+                    raise ParseError(str(exc), start) from exc
+            more = tok is not None and tok[2] == "*"
+            if more:
+                tok = next(tokens, None)
+        if c:
+            if den % q:
+                scale = q // gcd(den, q)
+                num = {k: v * scale for k, v in num.items()}
+                den *= scale
+            num[key] = num.get(key, 0) + sign * c * (den // q)
+        if tok is None:
+            return _make({k: v for k, v in num.items() if v}, den)
+        sign = _SIGN.get(tok[2])
+        if sign is None:
+            pos = _start(text, tok)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tok = next(tokens, None)
 
 
 def format_poly(p: MPoly, var_map: dict[str, str] | None = None) -> str:
     """Canonical text form, graded-lex descending term order."""
-    names = tuple(var_map.get(v, v) for v in VARS) if var_map else VARS
-    terms = p.sorted_terms()
-    if not terms:
+    num, den = p._num, p._den
+    if not num:
         return "0"
+    names = tuple(var_map.get(v, v) for v in VARS) if var_map else VARS
+    fields = tuple(zip(names, _SHIFTS))
     pieces: list[str] = []
-    for idx, (exp, coef) in enumerate(terms):
-        mono = _format_monomial(exp, names)
-        mag = abs(coef)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{_format_fraction(mag)}*{mono}"
+    for key in sorted(num, key=_grlex, reverse=True) if len(num) > 1 else num:
+        c = num[key]
+        mag = -c if c < 0 else c
+        if den == 1:
+            coef = str(mag)
         else:
-            body = _format_fraction(mag)
-        if idx == 0:
-            pieces.append(body if coef > 0 else f"-{body}")
+            g = gcd(mag, den)
+            coef = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        if key:
+            mono = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, s in fields
+                if (e := key >> s & _FIELD)
+            )
+            body = mono if coef == "1" else f"{coef}*{mono}"
         else:
-            pieces.append(f"+ {body}" if coef > 0 else f"- {body}")
+            body = coef
+        if pieces:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
     return " ".join(pieces)
 
 

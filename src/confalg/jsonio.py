@@ -21,6 +21,9 @@ from .polymat import PolyMat
 # as one of degree 16), so larger inputs are refused as E_PARSE.  The
 # certificates and results that ``verify`` reads are not bounded.
 MAX_DEGREE = 16
+# Largest size n of an n x n matrix in a verb's payload; no verb's work is
+# bounded by degree alone (oc-gens at n = 8 takes seconds).
+MAX_MATRIX_N = 4
 
 
 class PayloadError(ValueError):
@@ -76,12 +79,21 @@ def polys_from_json(
     ]
 
 
-def polymat_from_json(
-    data: Any, field: str = "matrix", max_degree: int | None = MAX_DEGREE
-) -> PolyMat:
+def _matrix_size(data: Any, field: str, bounded: bool) -> int:
+    """The number of rows of a matrix; a payload matrix (``bounded``) may
+    have at most MAX_MATRIX_N."""
     if not isinstance(data, list) or not data:
         raise PayloadError(f"{field}: expected a non-empty array of arrays")
     n = len(data)
+    if bounded and n > MAX_MATRIX_N:
+        raise PayloadError(f"{field}: {n} x {n} matrix is above the size limit {MAX_MATRIX_N}")
+    return n
+
+
+def polymat_from_json(
+    data: Any, field: str = "matrix", max_degree: int | None = MAX_DEGREE
+) -> PolyMat:
+    n = _matrix_size(data, field, max_degree is not None)
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
@@ -102,9 +114,7 @@ def polymat_to_json(mat: PolyMat) -> list[list[str]]:
 
 
 def cend_from_json(data: Any, field: str = "symbol") -> CendElem:
-    if not isinstance(data, list) or not data:
-        raise PayloadError(f"{field}: expected a non-empty array of arrays")
-    n = len(data)
+    n = _matrix_size(data, field, True)
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:

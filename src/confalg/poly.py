@@ -202,13 +202,6 @@ class MPoly:
         key = max(self._num, key=_grlex)
         return _unpack(key), Fraction(self._num[key], self._den)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        num, den = self._num, self._den
-        return [
-            (_unpack(k), Fraction(num[k], den))
-            for k in sorted(num, key=_grlex, reverse=True)
-        ]
-
     def coefficient(self, exp: Exponent) -> Fraction:
         return Fraction(self._num.get(_pack(exp), 0), self._den)
 

@@ -308,9 +308,15 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
         ("check-axioms", {"kind": "lie", "n": 5}, ("--rounds", "1"), "n must be"),
         ("check-axioms", {"kind": "lie", "n": 1, "degree": 5}, ("--rounds", "1"),
          "degree must be"),
+        ("oc-gens", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 3000}, (), "max_n must be"),
+        ("oc-gens", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": -1}, (), "max_n must be"),
+        ("oc-gens", {"n": 5, "p": [["1"]], "epsilon": 1, "max_n": 1}, (), "n must be"),
+        ("smith", {"matrix": [["1"] * 5] * 5}, (), "matrix: 5 x 5"),
+        ("product", {"a": [["x"] * 5] * 5, "b": [["1"] * 5] * 5}, (), "a: 5 x 5"),
     ],
     ids=["product_x32767", "product_d9x8", "bracket", "smith", "classify", "unital_probe",
-         "irreducibility_start", "axioms_n", "axioms_degree"],
+         "irreducibility_start", "axioms_n", "axioms_degree", "oc_gens_max_n",
+         "oc_gens_negative_max_n", "oc_gens_n", "smith_size", "product_size"],
 )
 def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
     start = time.perf_counter()
@@ -325,6 +331,10 @@ def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
 
 def test_input_at_the_degree_limit_is_accepted(tmp_path):
     code, out = run_cli(tmp_path, "product", {"a": [["d^8*x^8"]], "b": [["x^16"]]})
+    assert code == 0
+    code, out = run_cli(tmp_path, "oc-gens", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 16})
+    assert code == 0
+    code, out = run_cli(tmp_path, "smith", {"matrix": [["x"] * 4] * 4})
     assert code == 0
     code, out = run_cli(tmp_path, "check-axioms", {"kind": "lie", "n": 4, "degree": 0},
                         "--rounds", "1")
@@ -419,6 +429,70 @@ def test_verify_rejects_status_contradicting_result(tmp_path, name, edit):
     assert envelope["status"] == "error"
     assert envelope["error"]["code"] == "E_MISMATCH"
     assert "status does not match the result" in envelope["error"]["message"]
+
+
+def _forge_p_only(report):
+    # a self-consistent certificate for a module the input does not generate
+    report["certificate"]["basis"] = ["x^5"]
+    report["certificate"]["gcd_witness"] = "x^5"
+    report["result"].update(type="P_ONLY", p="x^5", q=None, irreducible_on_standard=True)
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("classify_pq", _forge_p_only, "witness does not divide an input generator"),
+        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["x^2 + 1"]),
+         "witness does not divide an input generator"),
+        ("classify_pq", lambda r: r["result"].__setitem__("irreducible_on_standard", True),
+         "irreducible_on_standard does not match the type"),
+        ("classify_full_cap1",
+         lambda r: r["result"].__setitem__("irreducible_on_standard", False),
+         "irreducible_on_standard does not match the type"),
+    ],
+    ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible"],
+)
+def test_verify_checks_classification_against_input(tmp_path, name, edit, message):
+    report = _golden_report(name)
+    edit(report)
+    code, out = run_cli(tmp_path, "verify", report)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["error"]["code"] == "E_MISMATCH"
+    assert message in envelope["error"]["message"]
+
+
+def test_verify_rejects_unknown_classification_type(tmp_path):
+    report = _golden_report("classify_pq")
+    report["result"]["type"] = "PQR"
+    code, out = run_cli(tmp_path, "verify", report)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["error"]["code"] == "E_PARSE"
+    assert "PQR" in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["nosuchverb"], "invalid choice: 'nosuchverb'"),
+        (["smith", "--rounds", "abc"], "invalid int value: 'abc'"),
+        (["smith", "--json", "--pretty"], "not allowed with argument"),
+        ([], "required: verb"),
+    ],
+    ids=["unknown_verb", "non_integer_rounds", "json_and_pretty", "no_verb"],
+)
+def test_rejected_command_line_is_one_envelope(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    assert out.count("\n") == 1
+    envelope = json.loads(out)
+    assert envelope["status"] == "error"
+    assert envelope["result"] is None
+    assert envelope["error"]["code"] == "E_PARSE"
+    assert message in envelope["error"]["message"]
 
 
 FUZZ_VALUES = [None, "", [], {}, 0, -1, "x"]

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confalg.grammar import ParseError, format_poly, format_upoly, parse_poly, parse_upoly
-from confalg.poly import MPoly, UPoly
+from confalg.poly import MAX_EXP, VARS, Exponent, ExponentOverflowError, MPoly, UPoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -91,3 +93,230 @@ def test_parse_upoly_single_variable():
     assert parse_upoly("x^2 - 1", "x") == UPoly((-1, 0, 1), "x")
     with pytest.raises(ValueError):
         parse_upoly("x + d", "x")
+
+
+# Reference model: the character-at-a-time scanner and the Fraction-based
+# printer that the one-pass parser and the integer printer replaced, kept as
+# they were apart from the ``ref_`` names and a local sorted_terms.
+
+
+class _RefScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def take(self) -> str:
+        ch = self.peek()
+        if ch is None:
+            raise ParseError("unexpected end of input", self.pos)
+        self.pos += 1
+        return ch
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected integer", start)
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # e.g. more digits than int() accepts
+            raise ParseError(f"invalid integer literal: {exc}", start) from exc
+
+
+def ref_parse_poly(text: str) -> MPoly:
+    sc = _RefScanner(text)
+    result = MPoly.zero()
+    sign = 1
+    ch = sc.peek()
+    if ch is None:
+        raise ParseError("empty input", 0)
+    if ch in "+-":
+        sc.take()
+        sign = -1 if ch == "-" else 1
+    while True:
+        result = result + _ref_parse_term(sc).scale(sign)
+        ch = sc.peek()
+        if ch is None:
+            return result
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", sc.pos)
+        sc.take()
+
+
+def _ref_parse_term(sc: _RefScanner) -> MPoly:
+    ch = sc.peek()
+    if ch is None:
+        raise ParseError("expected term", sc.pos)
+    if ch.isdigit():
+        num = sc.integer()
+        if sc.peek() == "/":
+            sc.take()
+            sc.skip_ws()
+            den_pos = sc.pos
+            den = sc.integer()
+            if den <= 0:
+                raise ParseError("denominator must be positive", den_pos)
+            coef = Fraction(num, den)
+        else:
+            coef = Fraction(num)
+        term = MPoly.const(coef)
+    elif ch in VARS:
+        term = _ref_parse_mono(sc)
+    else:
+        raise ParseError(f"expected coefficient or variable, found {ch!r}", sc.pos)
+    while sc.peek() == "*":
+        sc.take()
+        sc.skip_ws()
+        start = sc.pos
+        mono = _ref_parse_mono(sc)
+        try:
+            term = term * mono
+        except ExponentOverflowError as exc:
+            raise ParseError(str(exc), start) from exc
+    return term
+
+
+def _ref_parse_mono(sc: _RefScanner) -> MPoly:
+    ch = sc.peek()
+    if ch is None or ch not in VARS:
+        raise ParseError(
+            "expected variable (one of d, x, l, m)", sc.pos if ch is not None else sc.pos
+        )
+    sc.take()
+    power = 1
+    if sc.peek() == "^":
+        sc.take()
+        sc.skip_ws()
+        start = sc.pos
+        power = sc.integer()
+        if power > MAX_EXP:
+            raise ParseError(f"exponent {power} is above the limit {MAX_EXP}", start)
+    exp = [0, 0, 0, 0]
+    exp[VARS.index(ch)] = power
+    return MPoly.monomial(tuple(exp))  # type: ignore[arg-type]
+
+
+def _ref_format_fraction(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _ref_format_monomial(exp: Exponent, names: tuple[str, ...]) -> str:
+    parts = []
+    for i, k in enumerate(exp):
+        if k == 1:
+            parts.append(names[i])
+        elif k > 1:
+            parts.append(f"{names[i]}^{k}")
+    return "*".join(parts)
+
+
+def _ref_sorted_terms(p: MPoly) -> list[tuple[Exponent, Fraction]]:
+    # graded lex, d > x > l > m: exponent tuples compare in lex order
+    return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def ref_format_poly(p: MPoly, var_map: dict[str, str] | None = None) -> str:
+    names = tuple(var_map.get(v, v) for v in VARS) if var_map else VARS
+    terms = _ref_sorted_terms(p)
+    if not terms:
+        return "0"
+    pieces: list[str] = []
+    for idx, (exp, coef) in enumerate(terms):
+        mono = _ref_format_monomial(exp, names)
+        mag = abs(coef)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{_ref_format_fraction(mag)}*{mono}"
+        else:
+            body = _ref_format_fraction(mag)
+        if idx == 0:
+            pieces.append(body if coef > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def ref_format_upoly(p: UPoly) -> str:
+    if p.var in VARS:
+        return ref_format_poly(p.to_mpoly())
+    return ref_format_poly(p.retag("x").to_mpoly(), var_map={"x": p.var})
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.position)
+
+
+# grammar characters, ASCII and Unicode whitespace, a digit int() refuses
+# ('²'), a decimal digit it accepts ('٣'), and the literals that hit
+# the exponent limit, the zero denominator and the integer-string limit
+_CHARS = list("dxlm0123456789+-*/^") + [" ", "\t", "\u00b2", "\u0663", "\u00a0", "\x1c"]
+_PIECES = st.one_of(
+    st.text(st.sampled_from(_CHARS), min_size=1, max_size=6),
+    st.text(st.sampled_from(_CHARS), min_size=1, max_size=6),
+    st.integers(MAX_EXP - 3, 10**6).map(lambda e: f"^{e}"),
+    st.sampled_from(["/0", "*x^32767*x", "7" * 4300, "7" * 4301]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_PIECES, max_size=5).map("".join))
+@example("0*x^32767*x")  # a zero term is never multiplied out, so no overflow
+@example("2*x^32767*x")
+@example("3\u00b2*x")
+@example("x^\u00b2")
+@example("1/\u0663 - x \x1c")
+def test_parse_matches_reference_scanner(text):
+    assert _outcome(parse_poly, text) == _outcome(ref_parse_poly, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["x", "d", "1/2", "3", "x^2", "l^3", "m", "0"]), min_size=1,
+                max_size=6),
+       st.lists(st.sampled_from(["+", "-", "*", " + ", " * ", "\t-\t"]), min_size=5,
+                max_size=5))
+def test_parse_matches_reference_on_well_formed_text(atoms, ops):
+    text = atoms[0] + "".join(o + a for o, a in zip(ops, atoms[1:]))
+    assert _outcome(parse_poly, text) == _outcome(ref_parse_poly, text)
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 5)] * 4)
+_RATIONALS = st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 40))
+_MPOLYS = st.dictionaries(_EXPONENTS, _RATIONALS, max_size=7).map(MPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MPOLYS)
+def test_format_matches_reference_printer(p):
+    assert format_poly(p) == ref_format_poly(p)
+    assert format_poly(p, var_map={"x": "z"}) == ref_format_poly(p, var_map={"x": "z"})
+    assert parse_poly(format_poly(p)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 20)), max_size=6),
+       st.sampled_from("dxz"))
+def test_format_upoly_matches_reference_printer(coeffs, var):
+    p = UPoly(coeffs, var)
+    assert format_upoly(p) == ref_format_upoly(p)
