@@ -439,37 +439,30 @@ def _forge_p_only(report):
 
 
 @pytest.mark.parametrize(
-    "name,edit,message",
+    "name,edit,code,message",
     [
-        ("classify_pq", _forge_p_only, "witness does not divide an input generator"),
-        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["x^2 + 1"]),
+        ("classify_pq", _forge_p_only, "E_MISMATCH",
          "witness does not divide an input generator"),
+        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["x^2 + 1"]),
+         "E_MISMATCH", "witness does not divide an input generator"),
         ("classify_pq", lambda r: r["result"].__setitem__("irreducible_on_standard", True),
-         "irreducible_on_standard does not match the type"),
+         "E_MISMATCH", "irreducible_on_standard does not match the type"),
         ("classify_full_cap1",
          lambda r: r["result"].__setitem__("irreducible_on_standard", False),
-         "irreducible_on_standard does not match the type"),
+         "E_MISMATCH", "irreducible_on_standard does not match the type"),
+        ("classify_pq", lambda r: r["result"].__setitem__("type", "PQR"), "E_PARSE", "PQR"),
     ],
-    ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible"],
+    ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible",
+         "unknown_type"],
 )
-def test_verify_checks_classification_against_input(tmp_path, name, edit, message):
+def test_verify_checks_classification_against_input(tmp_path, name, edit, code, message):
     report = _golden_report(name)
     edit(report)
-    code, out = run_cli(tmp_path, "verify", report)
+    exit_code, out = run_cli(tmp_path, "verify", report)
     envelope = json.loads(out)
-    assert code == 1
-    assert envelope["error"]["code"] == "E_MISMATCH"
+    assert exit_code == 1
+    assert envelope["error"]["code"] == code
     assert message in envelope["error"]["message"]
-
-
-def test_verify_rejects_unknown_classification_type(tmp_path):
-    report = _golden_report("classify_pq")
-    report["result"]["type"] = "PQR"
-    code, out = run_cli(tmp_path, "verify", report)
-    envelope = json.loads(out)
-    assert code == 1
-    assert envelope["error"]["code"] == "E_PARSE"
-    assert "PQR" in envelope["error"]["message"]
 
 
 @pytest.mark.parametrize(
