@@ -8,14 +8,11 @@ exactly the classification data.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-
 from typing import Sequence
 
 from .cend import product_head, product_tail
-from .poly import _D, _L, _X, MPoly, UPoly, bipoly_gcd, mpoly_div_by_upoly, upoly_from_mpoly, upoly_gcd
+from .poly import _D, _L, _X, MPoly, UPoly, _dx_content_and_primitive, bipoly_gcd, upoly_from_mpoly
 from .polymat import PidRowBasis
 
 CPARTIAL = "CPARTIAL"
@@ -23,8 +20,6 @@ P_ONLY = "P_ONLY"
 Q_ONLY = "Q_ONLY"
 PQ = "PQ"
 FULL = "FULL"
-
-_SPLIT_SEED = 733362  # deterministic specialization points for the p/q split
 
 
 @dataclass(frozen=True)
@@ -142,68 +137,44 @@ def closure(
     return ClosureState(polys, _witness(polys), rounds_used, status, x_degree_cap)
 
 
-def _specialize_d(p: MPoly, t: Fraction) -> UPoly:
-    return upoly_from_mpoly(p.substitute({"d": MPoly.const(t)}), "x")
+def split_witness(witness: MPoly) -> tuple[UPoly, UPoly]:
+    """Split a witness as c * p(x) * q(d + x): monic p in x, monic q in z.
+
+    Put d = z - x.  Then w(z - x, x) = c * p(x) * q(z), so p is its content
+    over Q[x] and q its primitive part, which is free of x exactly when w
+    splits.
+    """
+    content, primitive = _dx_content_and_primitive(witness.substitute({"d": _D - _X}))
+    if not primitive or any(not c.is_constant() for c in primitive.values()):
+        raise ValueError("gcd witness does not split as p(x) * q(d+x)")
+    coeffs = [0] * (max(primitive) + 1)
+    for k, c in primitive.items():
+        coeffs[k] = c.constant_value()
+    return content, UPoly(coeffs, "z").monic()
+
+
+def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
+    """The type of the closure of generators with this gcd witness.
+
+    The closure is CPARTIAL exactly when no generator uses x, since x-free
+    symbols stay x-free under the product; otherwise the split of the
+    witness decides the type.
+    """
+    if not uses_x:
+        return SubalgDescriptor(CPARTIAL)
+    p, q = split_witness(witness)
+    if q.is_constant():
+        return SubalgDescriptor(FULL if p.is_constant() else P_ONLY, p=p)
+    if p.is_constant():
+        return SubalgDescriptor(Q_ONLY, q=q)
+    return SubalgDescriptor(PQ, p=p, q=q)
 
 
 def classify(state: ClosureState) -> SubalgDescriptor:
     """Split the stabilized gcd witness as p(x) * q(d + x) and tag the type."""
     if state.status != "stabilized":
         raise ValueError("closure did not stabilize; classification refused")
-    if all(not p.uses("x") for p in state.basis):
-        return SubalgDescriptor(CPARTIAL)
-    witness = state.gcd_witness
-    if witness.is_constant():
-        return SubalgDescriptor(FULL, p=UPoly.const(1), q=None)
-
-    rng = random.Random(_SPLIT_SEED)
-    for _ in range(8):
-        points = []
-        while len(points) < 3:
-            t = Fraction(rng.randint(-19, 19))
-            if t not in points:
-                points.append(t)
-        p_split = _specialize_d(witness, points[0])
-        for t in points[1:]:
-            p_split = upoly_gcd(p_split, _specialize_d(witness, t))
-        try:
-            residue = mpoly_div_by_upoly(witness, p_split, "x")
-        except ValueError:
-            continue
-        # read q from the residue at a point where p does not vanish
-        c = None
-        for cand in range(0, 40):
-            for signed in (Fraction(cand), Fraction(-cand)):
-                if p_split.eval(signed) != 0:
-                    c = signed
-                    break
-            if c is not None:
-                break
-        if c is None:
-            continue
-        q_at_c = residue.substitute({"d": _X - MPoly.const(c), "x": MPoly.const(c)})
-        try:
-            q_split = upoly_from_mpoly(q_at_c, "x", out_var="z").monic()
-        except ValueError:
-            continue
-        rebuilt = p_split.to_mpoly("x") * q_split.retag("x").to_mpoly().substitute(
-            {"x": _D + _X}
-        )
-        if rebuilt == witness:
-            p_final = p_split.monic()
-            q_final = q_split
-            p_const = p_final.is_constant()
-            q_const = q_final.is_constant()
-            if p_const and q_const:
-                return SubalgDescriptor(FULL, p=UPoly.const(1), q=None)
-            if q_const:
-                return SubalgDescriptor(P_ONLY, p=p_final, q=None)
-            if p_const:
-                return SubalgDescriptor(Q_ONLY, p=None, q=q_final)
-            return SubalgDescriptor(PQ, p=p_final, q=q_final)
-    raise ValueError(
-        "gcd witness does not split as p(x) * q(d+x); closure invariant violated"
-    )
+    return classify_witness(any(b.uses("x") for b in state.basis), state.gcd_witness)
 
 
 def irreducible_on_standard(desc: SubalgDescriptor) -> bool:

@@ -55,7 +55,7 @@ from .jsonio import (
     series_to_json,
     upolys_to_json,
 )
-from .poly import _D, _X, MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
+from .poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
 from .polymat import PidRowBasis, PolyMat, SmithCert, det, smith_divisors, smith_form, star
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
@@ -356,14 +356,21 @@ def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
         )
     desc = c1.classify(state)
     result = {
-        "type": desc.type_tag,
-        "p": format_upoly(desc.p) if desc.p is not None else None,
-        "q": format_upoly(desc.q) if desc.q is not None else None,
+        **_classification(desc),
         "status": state.status,
         "rounds": state.rounds,
         "irreducible_on_standard": c1.irreducible_on_standard(desc),
     }
     return "decided", result, certificate
+
+
+def _classification(desc: c1.SubalgDescriptor) -> dict[str, str | None]:
+    """The ``type``, ``p`` and ``q`` fields of a ``classify-cend1`` result."""
+    return {
+        "type": desc.type_tag,
+        "p": format_upoly(desc.p) if desc.p is not None else None,
+        "q": format_upoly(desc.q) if desc.q is not None else None,
+    }
 
 
 def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
@@ -670,12 +677,15 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
     if not _status_agrees(report, stabilized):
         return _STATUS_MISMATCH
     gens = _cend1_generators(report["input"])
+    gens_gcd = c1._witness(gens)
     cert = _part(report, "certificate", "gcd_witness", "basis")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
     basis = polys_from_json(cert["basis"], "basis", {"d", "x"}, None)
+    if gens_gcd.is_zero():
+        return False, "all input generators are zero"
     # the witness divides the whole closure, so it divides every generator
     monic_witness = bipoly_gcd(witness, MPoly.zero())
-    if any(bipoly_gcd(witness, g) != monic_witness for g in gens):
+    if bipoly_gcd(witness, gens_gcd) != monic_witness:
         return False, "witness does not divide an input generator"
     for b in basis:
         if bipoly_gcd(witness, b) != monic_witness:
@@ -684,25 +694,22 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
         return True, "budget-exhausted closure; nothing further to verify"
     result = _part(report, "result", "type", "p", "q", "irreducible_on_standard")
     try:
-        desc = c1.SubalgDescriptor(result["type"])
+        claimed = c1.SubalgDescriptor(result["type"])
     except ValueError as exc:
         raise AppError(E_PARSE, f"type: {exc}") from exc
-    if result["irreducible_on_standard"] is not c1.irreducible_on_standard(desc):
+    if result["irreducible_on_standard"] is not c1.irreducible_on_standard(claimed):
         return False, "irreducible_on_standard does not match the type"
-    if result["type"] == "CPARTIAL":
-        if any(b.uses("x") for b in basis):
-            return False, "CPARTIAL closure contains x-dependence"
-        return True, "classification verified"
-    p_poly = poly_from_json(result["p"], "p", {"x"}, None) if result["p"] else MPoly.const(1)
-    q_text = result["q"] or "1"
-    if not isinstance(q_text, str):
-        raise AppError(E_PARSE, "q: expected a polynomial string")
-    # q is printed in z = d + x
-    q_m = poly_from_json(q_text.replace("z", "x"), "q", {"x"}, None).substitute(
-        {"x": _D + _X}
-    )
-    if p_poly * q_m != witness:
-        return False, "reported split does not reconstruct the witness"
+    try:
+        desc = c1.classify_witness(any(g.uses("x") for g in gens), witness)
+    except ValueError as exc:
+        return False, str(exc)
+    for key, value in _classification(desc).items():
+        if result[key] != value:
+            return False, f"{key} differs from the classification of input and witness"
+    # a witness that splits and divides the generators divides the closure's
+    # gcd; it is that gcd when it also equals the generators' gcd
+    if desc.type_tag != c1.CPARTIAL and witness != gens_gcd:
+        return _verify_recompute(report)
     return True, "classification verified"
 
 
@@ -809,6 +816,10 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _json_line(envelope: dict[str, Any]) -> str:
+    return json.dumps(envelope, sort_keys=True) + "\n"
+
+
 def _pretty_lines(envelope: dict[str, Any]) -> str:
     lines = [f"{envelope['verb']}: {envelope['status']}"]
     if envelope.get("error"):
@@ -863,11 +874,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         envelope["error"] = {"code": E_MISMATCH, "message": str(exc)}
 
-    if json_mode:
-        text = json.dumps(envelope, sort_keys=True) + "\n"
-    else:
-        text = _pretty_lines(envelope)
-    _write_output(outfile, text)
+    render = _json_line if json_mode else _pretty_lines
+    try:
+        _write_output(outfile, render(envelope))
+    except OSError as exc:  # the report is lost: say so on stdout instead
+        message = f"cannot write output to {outfile}: {exc.strerror or exc}"
+        envelope.update(status="error", result=None, certificate=None,
+                        error={"code": E_PARSE, "message": message})
+        _write_output("-", render(envelope))
     if envelope["error"] is not None and envelope["status"] == "error":
         return 1
     if envelope["status"] == "undecided":

@@ -912,34 +912,3 @@ def _normalize_leading(p: MPoly) -> MPoly:
     _, lead = p.leading_term()
     return p.scale(Fraction(1, 1) / lead)
 
-
-def mpoly_div_by_upoly(p: MPoly, q: UPoly, var: str | None = None) -> MPoly:
-    """Exact division of an MPoly by a univariate polynomial in ``var``."""
-    v = var or q.var
-    if q.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if q.is_constant():
-        return p.scale(Fraction(1, 1) / q.constant_value())
-    s = _SHIFTS[_VAR_INDEX[v]]
-    den = p._den
-    rem = {k: Fraction(c, den) for k, c in p._num.items()}
-    out: dict[int, Fraction] = {}
-    dq = q.degree()
-    lead = q.lead()
-    while rem:
-        key = max(rem, key=_grlex)
-        if (key >> s) & _FIELD < dq:
-            raise ValueError("division is not exact")
-        qk = key - (dq << s)
-        c = rem[key] / lead
-        out[qk] = out.get(qk, 0) + c
-        for k, b in enumerate(q.coeffs):
-            if not b:
-                continue
-            t = qk + (k << s)
-            r = rem.get(t, 0) - c * b
-            if r:
-                rem[t] = r
-            else:
-                rem.pop(t, None)
-    return _from_rationals(out)

@@ -151,7 +151,24 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("irreducibility-probe", "cap_skipped_one_round",
      {"p": [["1", "0"], ["0", "1"]], "gens": [[["x^3", "0"], ["d", "x"]]],
       "start": ["1", "0"]}, ("--degree-cap", "1", "--rounds", "4")),
+    # the generators' gcd d*x*(x + 1) does not split; the closure's is x*(x + 1)
+    ("classify-cend1", "p_only_nonsplit_gcd", {"generators": ["d*x^2 + d*x"]},
+     ("--rounds", "12")),
 ]
+
+
+def _forge_witness_one(report):
+    # witness 1 divides everything and splits as FULL: only the gcd of the
+    # generators shows it is too small
+    report["certificate"]["gcd_witness"] = "1"
+    report["result"].update(type="FULL", p="1", q=None, irreducible_on_standard=True)
+
+
+def _forge_cpartial(report):
+    # an x-free basis with a CPARTIAL result, for generators that use x
+    report["certificate"]["basis"] = ["1"]
+    report["result"].update(type="CPARTIAL", p=None, q=None)
+
 
 # (case name, verb and case name of the report to verify, edit applied to it)
 VERIFY_CASES = [
@@ -182,6 +199,15 @@ VERIFY_CASES = [
     ("classify_pq_cap3", ("classify-cend1", "pq_cap3"), None),
     ("unital_probe_two_rounds", ("unital-probe", "two_rounds"), None),
     ("classify_budget_one_round", ("classify-cend1", "budget_one_round"), None),
+    # forged classifications, each consistent with the witness as the old
+    # verifier read it; and an honest report that needs recomputation
+    ("forged_pq_as_full", ("classify-cend1", "pq"),
+     lambda r: r["result"].update(type="FULL", irreducible_on_standard=True)),
+    ("forged_pq_non_monic", ("classify-cend1", "pq"),
+     lambda r: r["result"].update(p="2*x", q="1/2*z + 1")),
+    ("forged_full_as_cpartial", ("classify-cend1", "full"), _forge_cpartial),
+    ("forged_pq_witness_one", ("classify-cend1", "pq"), _forge_witness_one),
+    ("classify_p_only_nonsplit_gcd", ("classify-cend1", "p_only_nonsplit_gcd"), None),
 ]
 
 

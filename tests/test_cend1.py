@@ -20,8 +20,10 @@ from confalg.cend1 import (
     _rows_to_polys,
     _witness,
     classify,
+    classify_witness,
     closure,
     irreducible_on_standard,
+    split_witness,
 )
 from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.grammar import parse_poly
@@ -137,6 +139,52 @@ class TestClassify:
                 else MPoly.const(1)
             )
             assert p_m * q_m == state.gcd_witness
+
+
+split_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _upolys(var):
+    """Nonzero polynomials of degree <= 3, constants included."""
+    return st.lists(split_coeffs, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0).map(
+        lambda cs: UPoly(cs, var)
+    )
+
+
+def _at_shift(q):
+    """q(z) as the symbol q(d + x)."""
+    return q.retag("x").to_mpoly().substitute({"x": D + X})
+
+
+class TestSplitWitness:
+    @settings(max_examples=200, deadline=None)
+    @given(_upolys("x"), _upolys("z"), split_coeffs.filter(bool))
+    def test_returns_the_monic_factors(self, p, q, c):
+        witness = (p.to_mpoly() * _at_shift(q)).scale(c)
+        assert split_witness(witness) == (p.monic(), q.monic())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _upolys("x"),
+        _upolys("z"),
+        st.sampled_from(("d*x + 1", "d^2 + x", "d*x^2 + d + 1", "d")),
+    )
+    def test_mixed_factor_raises(self, p, q, mixed):
+        witness = p.to_mpoly() * _at_shift(q) * parse_poly(mixed)
+        with pytest.raises(ValueError, match="does not split"):
+            split_witness(witness)
+
+    def test_zero_raises(self):
+        with pytest.raises(ValueError, match="does not split"):
+            split_witness(MPoly.zero())
+
+    def test_type_from_generators_and_witness(self):
+        assert classify_witness(False, X * (D + X)).type_tag == CPARTIAL
+        assert classify_witness(True, MPoly.const(3)).type_tag == FULL
+        assert classify_witness(True, X**2 - 1).p == UPoly((-1, 0, 1), "x")
+        assert classify_witness(True, (D + X) * 2).q == UPoly((0, 1), "z")
+        desc = classify_witness(True, X * (D + X + 1))
+        assert (desc.type_tag, desc.p, desc.q) == (PQ, UPoly((0, 1)), UPoly((1, 1), "z"))
 
 
 class TestIrreducibility:

@@ -451,9 +451,14 @@ def _forge_p_only(report):
          lambda r: r["result"].__setitem__("irreducible_on_standard", False),
          "E_MISMATCH", "irreducible_on_standard does not match the type"),
         ("classify_pq", lambda r: r["result"].__setitem__("type", "PQR"), "E_PARSE", "PQR"),
+        ("classify_p_only_nonsplit_gcd",
+         lambda r: r["certificate"].update(gcd_witness="d*x^2 + d*x", basis=[]),
+         "E_MISMATCH", "does not split"),
+        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["0"]),
+         "E_MISMATCH", "all input generators are zero"),
     ],
     ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible",
-         "unknown_type"],
+         "unknown_type", "non_split_witness", "zero_generators"],
 )
 def test_verify_checks_classification_against_input(tmp_path, name, edit, code, message):
     report = _golden_report(name)
@@ -486,6 +491,27 @@ def test_rejected_command_line_is_one_envelope(capsys, argv, message):
     assert envelope["result"] is None
     assert envelope["error"]["code"] == "E_PARSE"
     assert message in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize("mode", ["--json", "--pretty"])
+def test_unwritable_output_is_one_envelope(tmp_path, capsys, monkeypatch, mode):
+    outfile = tmp_path / "missing-dir" / "out.json"
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"a": [["x"]], "b": [["1"]]}'))
+    code = main(["product", "--out", str(outfile), mode])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    assert not outfile.exists()
+    if mode == "--json":
+        envelope = json.loads(out)
+        assert out.count("\n") == 1
+        assert envelope["status"] == "error"
+        assert envelope["result"] is None
+        assert envelope["error"]["code"] == "E_PARSE"
+        assert str(outfile) in envelope["error"]["message"]
+    else:
+        assert out.startswith("product: error\n  error E_PARSE: cannot write output to ")
+        assert str(outfile) in out
 
 
 FUZZ_VALUES = [None, "", [], {}, 0, -1, "x"]

@@ -11,6 +11,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 
+import make_golden  # noqa: E402
 from make_golden import run_case  # noqa: E402
 
 CASES = sorted(GOLDEN.glob("*/*.json"))
@@ -35,6 +36,14 @@ def test_corpus_verifies_every_verifiable_verb():
     }
     verifiable = set(_HANDLERS) - {"verify"}
     assert verifiable <= replayed, sorted(verifiable - replayed)
+
+
+def test_listed_cases_match_the_files():
+    # a listed case whose file was never written would never be replayed
+    listed = [f"{verb}/{name}" for verb, name, _, _ in make_golden.CASES]
+    listed += [f"verify/{name}" for name, _, _ in make_golden.VERIFY_CASES]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(f"{p.parent.name}/{p.stem}" for p in CASES)
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: f"{p.parent.name}/{p.stem}")

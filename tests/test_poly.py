@@ -14,7 +14,6 @@ from confalg.poly import (
     MPoly,
     UPoly,
     bipoly_gcd,
-    mpoly_div_by_upoly,
     upoly_from_mpoly,
     upoly_gcd,
     upoly_xgcd,
@@ -257,16 +256,6 @@ class TestBipolyGcd:
             if a.is_zero() or b.is_zero():
                 continue
             assert _brute_common_divisor_dx(a, b, g)
-
-
-class TestMPolyDivByUPoly:
-    def test_exact(self):
-        num = (D + X) * X**2
-        assert mpoly_div_by_upoly(num, UPoly((0, 0, 1), "x")) == D + X
-
-    def test_not_exact_raises(self):
-        with pytest.raises(ValueError):
-            mpoly_div_by_upoly(D**2 + X, UPoly((0, 1), "x"))
 
 
 class TestUPolyFromMPoly:
