@@ -82,6 +82,8 @@ MAX_AXIOM_DEGREE = 4
 # oc-gens builds n*n generators for each power 0..max_n; n = 4 with
 # max_n = 16 takes about half a second, n = 8 with max_n = 16 six seconds
 MAX_OC_POWER = 16
+# every degree cap, flag or recorded budget: the capped searches grow steeply
+MAX_DEGREE_CAP = 16
 
 E_PARSE = "E_PARSE"
 E_DEGENERATE = "E_DEGENERATE"
@@ -141,6 +143,11 @@ def _budgets(verb: str, given: dict[str, Any], defaults: bool = False) -> Budget
         else:
             flag = key.replace("_", "-")
             raise AppError(E_PARSE, f"machine mode requires --{flag} for {verb}")
+    cap, rounds = values["degree_cap"], values["rounds"]
+    if cap is not None and not 0 <= cap <= MAX_DEGREE_CAP:
+        raise AppError(E_PARSE, f"degree_cap must be from 0 to {MAX_DEGREE_CAP}, got {cap}")
+    if rounds is not None and rounds < 0:
+        raise AppError(E_PARSE, f"rounds must be at least 0, got {rounds}")
     return Budgets(seed=_int_field(given, "seed"), **values)
 
 
@@ -341,35 +348,26 @@ def _cend1_generators(payload: Any) -> list[MPoly]:
 
 
 def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
-    gens = _cend1_generators(payload)
-    state = c1.closure(gens, x_degree_cap=budgets.degree_cap, rounds=budgets.rounds)
+    state = c1.closure(_cend1_generators(payload), budgets.degree_cap, budgets.rounds)
     certificate = {
-        "basis": [format_poly(b) for b in state.basis],
+        "derivation": [list(step) for step in state.derivation],
         "gcd_witness": format_poly(state.gcd_witness),
         "x_degree_cap": state.x_degree_cap,
     }
-    if state.status != "stabilized":
-        return (
-            "undecided",
-            {"status": state.status, "rounds": state.rounds},
-            certificate,
-        )
-    desc = c1.classify(state)
-    result = {
-        **_classification(desc),
-        "status": state.status,
-        "rounds": state.rounds,
-        "irreducible_on_standard": c1.irreducible_on_standard(desc),
-    }
-    return "decided", result, certificate
+    if state.status == "budget_exhausted":
+        return "undecided", {"status": state.status, "rounds": state.rounds}, certificate
+    return "decided", _classify_result(c1.classify(state), state.status, state.rounds), certificate
 
 
-def _classification(desc: c1.SubalgDescriptor) -> dict[str, str | None]:
-    """The ``type``, ``p`` and ``q`` fields of a ``classify-cend1`` result."""
+def _classify_result(desc: c1.SubalgDescriptor, status: str, rounds: int) -> dict[str, Any]:
+    """The result of a decided ``classify-cend1``."""
     return {
         "type": desc.type_tag,
         "p": format_upoly(desc.p) if desc.p is not None else None,
         "q": format_upoly(desc.q) if desc.q is not None else None,
+        "status": status,
+        "rounds": rounds,
+        "irreducible_on_standard": c1.irreducible_on_standard(desc),
     }
 
 
@@ -673,43 +671,39 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
-    stabilized = _part(report, "result", "status")["status"] == "stabilized"
-    if not _status_agrees(report, stabilized):
+    decided = _part(report, "result", "status")["status"] in ("split", "x_free")
+    if not _status_agrees(report, decided):
         return _STATUS_MISMATCH
     gens = _cend1_generators(report["input"])
-    gens_gcd = c1._witness(gens)
-    cert = _part(report, "certificate", "gcd_witness", "basis")
-    witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
-    basis = polys_from_json(cert["basis"], "basis", {"d", "x"}, None)
-    if gens_gcd.is_zero():
-        return False, "all input generators are zero"
-    # the witness divides the whole closure, so it divides every generator
-    monic_witness = bipoly_gcd(witness, MPoly.zero())
-    if bipoly_gcd(witness, gens_gcd) != monic_witness:
-        return False, "witness does not divide an input generator"
-    for b in basis:
-        if bipoly_gcd(witness, b) != monic_witness:
-            return False, "witness does not divide a basis element"
-    if report["status"] != "decided":
-        return True, "budget-exhausted closure; nothing further to verify"
-    result = _part(report, "result", "type", "p", "q", "irreducible_on_standard")
+    if not decided:  # the search is cheap, so an undecided report is rerun
+        return _verify_recompute(report)
     try:
-        claimed = c1.SubalgDescriptor(result["type"])
+        c1.SubalgDescriptor(_part(report, "result", "type")["type"])
     except ValueError as exc:
         raise AppError(E_PARSE, f"type: {exc}") from exc
-    if result["irreducible_on_standard"] is not c1.irreducible_on_standard(claimed):
-        return False, "irreducible_on_standard does not match the type"
+    cert = _part(report, "certificate", "derivation", "gcd_witness", "x_degree_cap")
+    steps = cert["derivation"]
+    if not isinstance(steps, list) or not all(
+        isinstance(s, list) and len(s) == 3 and all(type(v) is int for v in s) for s in steps
+    ):
+        raise AppError(E_PARSE, "derivation: expected an array of [a, b, k] integer triples")
+    witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
+    cap = _budgets(report["verb"], _part(report, "budgets")).degree_cap
+    if _int_field(cert, "x_degree_cap") != c1.x_degree_cap_for(gens, cap):
+        return False, "x_degree_cap is not the cap the budgets set"
+    uses_x = any(g.uses("x") for g in gens)
     try:
-        desc = c1.classify_witness(any(g.uses("x") for g in gens), witness)
+        gcd, depth = c1.replay(gens, steps, cert["x_degree_cap"])
+        desc = c1.classify_witness(uses_x, gcd)
     except ValueError as exc:
         return False, str(exc)
-    for key, value in _classification(desc).items():
-        if result[key] != value:
-            return False, f"{key} differs from the classification of input and witness"
-    # a witness that splits and divides the generators divides the closure's
-    # gcd; it is that gcd when it also equals the generators' gcd
-    if desc.type_tag != c1.CPARTIAL and witness != gens_gcd:
-        return _verify_recompute(report)
+    if bipoly_gcd(witness, MPoly.zero()) != gcd:
+        return False, "witness is not the gcd of the generators and the derivation"
+    expected = _classify_result(desc, "split" if uses_x else "x_free", depth)
+    result = _part(report, "result", *expected)
+    for key, value in expected.items():
+        if json.dumps(result[key]) != json.dumps(value):  # tells true from 1
+            return False, f"{key} differs from the replayed derivation"
     return True, "classification verified"
 
 

@@ -154,6 +154,11 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # the generators' gcd d*x*(x + 1) does not split; the closure's is x*(x + 1)
     ("classify-cend1", "p_only_nonsplit_gcd", {"generators": ["d*x^2 + d*x"]},
      ("--rounds", "12")),
+    # honest undecided: no round to derive in, or every l-part above the cap
+    ("classify-cend1", "nonsplit_rounds0", {"generators": ["d*x^2 + d*x"]},
+     ("--rounds", "0")),
+    ("classify-cend1", "nonsplit_cap1", {"generators": ["d*x^2 + d*x"]},
+     ("--degree-cap", "1", "--rounds", "12")),
 ]
 
 
@@ -165,9 +170,12 @@ def _forge_witness_one(report):
 
 
 def _forge_cpartial(report):
-    # an x-free basis with a CPARTIAL result, for generators that use x
-    report["certificate"]["basis"] = ["1"]
-    report["result"].update(type="CPARTIAL", p=None, q=None)
+    # an x-free result, for generators that use x
+    report["result"].update(type="CPARTIAL", p=None, q=None, status="x_free")
+
+
+def _forge_rounds(report):
+    report["result"]["rounds"] += 1
 
 
 # (case name, verb and case name of the report to verify, edit applied to it)
@@ -199,8 +207,8 @@ VERIFY_CASES = [
     ("classify_pq_cap3", ("classify-cend1", "pq_cap3"), None),
     ("unital_probe_two_rounds", ("unital-probe", "two_rounds"), None),
     ("classify_budget_one_round", ("classify-cend1", "budget_one_round"), None),
-    # forged classifications, each consistent with the witness as the old
-    # verifier read it; and an honest report that needs recomputation
+    # forged classifications, each consistent with the witness alone; and an
+    # honest report whose derivation has one step
     ("forged_pq_as_full", ("classify-cend1", "pq"),
      lambda r: r["result"].update(type="FULL", irreducible_on_standard=True)),
     ("forged_pq_non_monic", ("classify-cend1", "pq"),
@@ -208,6 +216,17 @@ VERIFY_CASES = [
     ("forged_full_as_cpartial", ("classify-cend1", "full"), _forge_cpartial),
     ("forged_pq_witness_one", ("classify-cend1", "pq"), _forge_witness_one),
     ("classify_p_only_nonsplit_gcd", ("classify-cend1", "p_only_nonsplit_gcd"), None),
+    # the derivation [[0, 0, 2]]: the l^2 part of the generator times itself
+    # lowers the gcd to x^2 + x, which splits
+    ("classify_nonsplit_rounds0", ("classify-cend1", "nonsplit_rounds0"), None),
+    ("forged_rounds", ("classify-cend1", "p_only_nonsplit_gcd"), _forge_rounds),
+    ("forged_derivation_index", ("classify-cend1", "p_only_nonsplit_gcd"),
+     lambda r: r["certificate"].update(derivation=[[0, 1, 2]])),
+    ("forged_witness_not_gcd", ("classify-cend1", "p_only_nonsplit_gcd"),
+     lambda r: (r["certificate"].update(gcd_witness="x"), r["result"].update(p="x"))),
+    # the l^1 part is divisible by the generators' gcd
+    ("forged_step_not_lowering", ("classify-cend1", "p_only_nonsplit_gcd"),
+     lambda r: r["certificate"].update(derivation=[[0, 0, 1], [0, 0, 2]])),
 ]
 
 

@@ -15,14 +15,12 @@ from confalg.cend1 import (
     PQ,
     P_ONLY,
     Q_ONLY,
-    ClosureState,
-    _poly_to_row,
-    _rows_to_polys,
     _witness,
     classify,
     classify_witness,
     closure,
     irreducible_on_standard,
+    replay,
     split_witness,
 )
 from confalg.gclie import ProbeOutcome, irreducibility_probe
@@ -38,26 +36,35 @@ X = MPoly.var("x")
 class TestClosure:
     def test_constants_stay_derivation_only(self):
         state = closure([MPoly.const(1)])
-        assert state.status == "stabilized"
+        assert state.status == "x_free"
         assert state.gcd_witness == MPoly.const(1)
-        assert all(not b.uses("x") for b in state.basis)
+        assert (state.derivation, state.rounds) == ((), 0)
 
     def test_x_squared(self):
         state = closure([X**2])
-        assert state.status == "stabilized"
+        assert state.status == "split"
         assert state.gcd_witness == X**2
 
     def test_x_and_d_generate_everything(self):
         state = closure([X, D])
-        assert state.status == "stabilized"
+        assert state.status == "split"
         assert state.gcd_witness == MPoly.const(1)
-        assert any(b.uses("x") for b in state.basis)
+        assert (state.derivation, state.rounds) == ((), 0)
 
     def test_pure_p_witness_matches_generator(self):
         for p in (X, X**2 + 1, X**3 - X):
             state = closure([p])
-            assert state.status == "stabilized"
+            assert state.status == "split"
             assert state.gcd_witness == bipoly_gcd(p, MPoly.zero())
+
+    def test_nonsplit_gcd_is_lowered_by_one_step(self):
+        # gcd d*x*(x + 1): the l^2 part of the generator times itself has gcd
+        # x*(x + 1) with it, which splits
+        gens = [D * X**2 + D * X]
+        state = closure(gens)
+        assert (state.status, state.rounds, state.derivation) == ("split", 1, ((0, 0, 2),))
+        assert state.gcd_witness == X**2 + X
+        assert replay(gens, state.derivation, state.x_degree_cap) == (X**2 + X, 1)
 
     def test_monotone_in_generators(self):
         base = closure([X**2 * (D + X)])
@@ -70,10 +77,33 @@ class TestClosure:
             closure([MPoly.var("l")])
 
     def test_budget_exhaustion_reported(self):
-        state = closure([X, D], rounds=0)
-        assert state.status == "budget_exhausted"
-        with pytest.raises(ValueError):
-            classify(state)
+        gens = [D * X**2 + D * X]
+        no_round, capped = closure(gens, rounds=0), closure(gens, x_degree_cap=1)
+        # every l-part is above cap 1, so the first round keeps nothing
+        assert (no_round.rounds, capped.rounds) == (0, 1)
+        for state in (no_round, capped):
+            assert state.status == "budget_exhausted"
+            assert state.gcd_witness == bipoly_gcd(gens[0], MPoly.zero())
+            with pytest.raises(ValueError):
+                classify(state)
+
+    @pytest.mark.parametrize(
+        "derivation,message",
+        [
+            ([(0, 1, 2)], "not derived before it"),
+            ([(-1, 0, 2)], "not derived before it"),
+            ([(0, 0, 1), (0, 0, 2)], "does not lower the gcd"),
+            ([(0, 0, 9)], "does not lower the gcd"),
+            ([(0, 0, 2), (1, 1, 0)], "does not lower the gcd"),
+        ],
+    )
+    def test_replay_rejects_a_bad_step(self, derivation, message):
+        with pytest.raises(ValueError, match=message):
+            replay([D * X**2 + D * X], derivation, 8)
+
+    def test_replay_rejects_a_step_above_the_cap(self):
+        with pytest.raises(ValueError, match="x-degree cap"):
+            replay([D * X**2 + D * X], [(0, 0, 2)], 1)
 
 
 class TestClassify:
@@ -171,12 +201,14 @@ class TestSplitWitness:
     )
     def test_mixed_factor_raises(self, p, q, mixed):
         witness = p.to_mpoly() * _at_shift(q) * parse_poly(mixed)
+        assert split_witness(witness) is None
         with pytest.raises(ValueError, match="does not split"):
-            split_witness(witness)
+            classify_witness(True, witness)
 
     def test_zero_raises(self):
+        assert split_witness(MPoly.zero()) is None
         with pytest.raises(ValueError, match="does not split"):
-            split_witness(MPoly.zero())
+            classify_witness(True, MPoly.zero())
 
     def test_type_from_generators_and_witness(self):
         assert classify_witness(False, X * (D + X)).type_tag == CPARTIAL
@@ -197,14 +229,36 @@ class TestIrreducibility:
 
 
 # ---------------------------------------------------------------------------
-# Reference model: the naive saturation loops, which recompute every product
-# pair and every substitution in every round.  The memoised loops in
-# cend1.closure, structure.unital_closure_probe and gclie.irreducibility_probe
-# must return exactly what these return.
+# Reference models: the naive saturation loops, which recompute every product
+# pair and every substitution in every round.  structure.unital_closure_probe
+# and gclie.irreducibility_probe must return exactly what their loops return.
+# cend1.closure searches for a derivation instead: whenever the saturation
+# stabilises with a witness that decides the type, it must decide that type.
 # ---------------------------------------------------------------------------
 
 
+def _poly_to_row(p, cap):
+    if p.degree("x") > cap:
+        return None
+    row = [UPoly.zero("d")] * (cap + 1)
+    for k, part in p.coefficients_in("x").items():
+        row[k] = upoly_from_mpoly(part, "d")
+    return row
+
+
+def _rows_to_polys(basis):
+    out = []
+    for row in basis.canonical():
+        acc = MPoly.zero()
+        for k, entry in enumerate(row):
+            if not entry.is_zero():
+                acc = acc + entry.to_mpoly("d") * X**k
+        out.append(acc)
+    return tuple(out)
+
+
 def naive_closure(gens, x_degree_cap, rounds):
+    """Saturate a capped Q[d]-module basis: (basis, witness, rounds, status)."""
     clean = [g for g in gens if not g.is_zero()]
     basis = PidRowBasis(x_degree_cap + 1, var="d")
     for g in clean:
@@ -228,12 +282,8 @@ def naive_closure(gens, x_degree_cap, rounds):
         stable = not changed and new_witness == witness
         witness = new_witness
         if stable:
-            return ClosureState(
-                _rows_to_polys(basis), witness, rounds_used, "stabilized", x_degree_cap
-            )
-    return ClosureState(
-        _rows_to_polys(basis), witness, rounds_used, "budget_exhausted", x_degree_cap
-    )
+            return _rows_to_polys(basis), witness, rounds_used, "stabilized"
+    return _rows_to_polys(basis), witness, rounds_used, "budget_exhausted"
 
 
 def naive_unital_closure_probe(gens, degree_cap, rounds):
@@ -377,13 +427,19 @@ class TestSaturationMatchesNaiveLoops:
         st.integers(1, 4),
     )
     def test_closure(self, gens, cap, rounds):
+        basis, witness, _, status = naive_closure(gens, cap, rounds)
+        uses_x = any(b.uses("x") for b in basis)
         got = closure(gens, x_degree_cap=cap, rounds=rounds)
-        want = naive_closure(gens, cap, rounds)
-        assert got.basis == want.basis
-        assert got.gcd_witness == want.gcd_witness
-        assert got.rounds == want.rounds
-        assert got.status == want.status
-        assert got == want
+        assert len(got.derivation) <= _witness(gens).total_degree()
+        if got.status != "budget_exhausted":
+            assert replay(gens, got.derivation, cap) == (got.gcd_witness, got.rounds)
+        if status != "stabilized":
+            return
+        try:
+            want = classify_witness(uses_x, witness)
+        except ValueError:  # stabilised under the cap without a split witness
+            return
+        assert classify(got) == want
 
     @settings(max_examples=80, deadline=None)
     @given(unital_sets(), st.integers(2, 5), st.integers(1, 4))
@@ -410,3 +466,17 @@ class TestSaturationMatchesNaiveLoops:
         got = irreducibility_probe(*args, degree_cap=1, rounds=4)
         assert (got.outcome, got.rank, got.rounds_used) == ("undecided", 2, 2)
         assert got == naive_irreducibility_probe(*args, 1, 4)
+
+
+class TestProductPreservesSplitDivisibility:
+    """The lemma behind the search: for a split w = p(x) * q(d + x), every
+    l-part of a product of two multiples of w is a multiple of w."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_upolys("x"), _upolys("z"), dx_polys, dx_polys)
+    def test_l_parts_stay_divisible(self, p, q, f, g):
+        w = p.to_mpoly() * _at_shift(q)
+        monic_w = bipoly_gcd(w, MPoly.zero())
+        product = product_apply(((w * f,),), ((w * g,),), "l")[0][0]
+        for part in product.coefficients_in("l").values():
+            assert bipoly_gcd(part, w) == monic_w

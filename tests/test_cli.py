@@ -69,13 +69,14 @@ def test_classify_cend1(tmp_path):
     assert code == 0
     assert report["result"]["type"] == "P_ONLY"
     assert report["result"]["p"] == "x^2"
-    assert report["result"]["status"] == "stabilized"
+    assert report["result"]["status"] == "split"
     assert report["result"]["irreducible_on_standard"] is True
 
 
 def test_classify_budget_exhaustion_exit_code(tmp_path):
+    # the gcd d*x*(x + 1) does not split, and no round may lower it
     code, out = run_cli(
-        tmp_path, "classify-cend1", {"generators": ["x", "d"]}, "--rounds", "0"
+        tmp_path, "classify-cend1", {"generators": ["d*x^2 + d*x"]}, "--rounds", "0"
     )
     report = json.loads(out)
     assert code == 2
@@ -313,12 +314,29 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
         ("oc-gens", {"n": 5, "p": [["1"]], "epsilon": 1, "max_n": 1}, (), "n must be"),
         ("smith", {"matrix": [["1"] * 5] * 5}, (), "matrix: 5 x 5"),
         ("product", {"a": [["x"] * 5] * 5, "b": [["1"] * 5] * 5}, (), "a: 5 x 5"),
+        ("classify-cend1", ["d*x + 1"], ("--rounds", "12", "--degree-cap", "17"),
+         "degree_cap must be"),
+        ("classify-cend1", ["d*x + 1"], ("--rounds", "12", "--degree-cap", "-1"),
+         "degree_cap must be"),
+        ("classify-cend1", ["d*x + 1"], ("--rounds", "-3"), "rounds must be"),
+        ("unital-probe", {"gens": [[["1"]]]}, ("--degree-cap", "40", "--rounds", "1"),
+         "degree_cap must be"),
+        ("verify", "classify_nonsplit_rounds0", {"degree_cap": 40}, "degree_cap must be"),
+        ("verify", "classify_nonsplit_rounds0", {"rounds": -1}, "rounds must be"),
+        ("verify", "classify_p_only_nonsplit_gcd", {"degree_cap": 40}, "degree_cap must be"),
     ],
     ids=["product_x32767", "product_d9x8", "bracket", "smith", "classify", "unital_probe",
          "irreducibility_start", "axioms_n", "axioms_degree", "oc_gens_max_n",
-         "oc_gens_negative_max_n", "oc_gens_n", "smith_size", "product_size"],
+         "oc_gens_negative_max_n", "oc_gens_n", "smith_size", "product_size",
+         "classify_cap_17", "classify_negative_cap", "classify_negative_rounds",
+         "unital_probe_cap_40", "verify_undecided_cap_40", "verify_negative_rounds",
+         "verify_decided_cap_40"],
 )
 def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
+    if verb == "verify":  # a golden report with its recorded budgets edited
+        payload = _golden_report(payload)
+        payload["budgets"].update(flags)
+        flags = ()
     start = time.perf_counter()
     code, out = run_cli(tmp_path, verb, payload, *flags)
     assert time.perf_counter() - start < 1
@@ -410,7 +428,7 @@ def _golden_report(name):
         ("iso", lambda r: r.__setitem__("status", "undecided")),
         ("anti_auto_rational", lambda r: r.__setitem__("status", "undecided")),
         ("classify_pq", lambda r: r.__setitem__("status", "undecided")),
-        ("classify_budget_one_round", lambda r: r.__setitem__("status", "decided")),
+        ("classify_nonsplit_rounds0", lambda r: r.__setitem__("status", "decided")),
         ("smith", lambda r: r.__setitem__("status", "undecided")),
         ("ideal_right", lambda r: r.__setitem__("status", "undecided")),
     ],
@@ -433,32 +451,55 @@ def test_verify_rejects_status_contradicting_result(tmp_path, name, edit):
 
 def _forge_p_only(report):
     # a self-consistent certificate for a module the input does not generate
-    report["certificate"]["basis"] = ["x^5"]
     report["certificate"]["gcd_witness"] = "x^5"
     report["result"].update(type="P_ONLY", p="x^5", q=None, irreducible_on_standard=True)
+
+
+def _forge_non_split(report):
+    # the generators' own gcd, claimed with no derivation
+    report["certificate"].update(gcd_witness="d*x^2 + d*x", derivation=[])
+    report["result"]["rounds"] = 0
 
 
 @pytest.mark.parametrize(
     "name,edit,code,message",
     [
-        ("classify_pq", _forge_p_only, "E_MISMATCH",
-         "witness does not divide an input generator"),
+        ("classify_pq", _forge_p_only, "E_MISMATCH", "witness is not the gcd"),
         ("classify_pq", lambda r: r["input"].__setitem__("generators", ["x^2 + 1"]),
-         "E_MISMATCH", "witness does not divide an input generator"),
+         "E_MISMATCH", "witness is not the gcd"),
         ("classify_pq", lambda r: r["result"].__setitem__("irreducible_on_standard", True),
-         "E_MISMATCH", "irreducible_on_standard does not match the type"),
+         "E_MISMATCH", "irreducible_on_standard differs"),
         ("classify_full_cap1",
          lambda r: r["result"].__setitem__("irreducible_on_standard", False),
-         "E_MISMATCH", "irreducible_on_standard does not match the type"),
+         "E_MISMATCH", "irreducible_on_standard differs"),
         ("classify_pq", lambda r: r["result"].__setitem__("type", "PQR"), "E_PARSE", "PQR"),
+        ("classify_p_only_nonsplit_gcd", _forge_non_split, "E_MISMATCH", "does not split"),
+        # with the recorded cap, so that only the generators are wrong
+        ("classify_pq", lambda r: (r["input"].__setitem__("generators", ["0"]),
+                                   r["budgets"].update(degree_cap=8)),
+         "E_MISMATCH", "all generators are zero"),
         ("classify_p_only_nonsplit_gcd",
-         lambda r: r["certificate"].update(gcd_witness="d*x^2 + d*x", basis=[]),
-         "E_MISMATCH", "does not split"),
-        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["0"]),
-         "E_MISMATCH", "all input generators are zero"),
+         lambda r: r["certificate"].update(derivation=[[-1, 0, 2]]),
+         "E_MISMATCH", "not derived before it"),
+        ("classify_p_only_nonsplit_gcd",
+         lambda r: r["certificate"].update(x_degree_cap=1),
+         "E_MISMATCH", "x_degree_cap is not the cap the budgets set"),
+        ("classify_p_only_nonsplit_gcd",
+         lambda r: (r["certificate"].update(x_degree_cap=1),
+                    r["budgets"].update(degree_cap=1)),
+         "E_MISMATCH", "exceeds the x-degree cap"),
+        ("classify_p_only_nonsplit_gcd",
+         lambda r: r["certificate"].update(derivation=[[0, 0]]),
+         "E_PARSE", "derivation"),
+        ("classify_p_only_nonsplit_gcd",
+         lambda r: r["certificate"].update(derivation=[[0, 0, True]]),
+         "E_PARSE", "derivation"),
+        ("classify_pq", lambda r: r["result"].__setitem__("status", "x_free"),
+         "E_MISMATCH", "status differs from the replayed derivation"),
     ],
     ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible",
-         "unknown_type", "non_split_witness", "zero_generators"],
+         "unknown_type", "non_split_witness", "zero_generators", "negative_index",
+         "cap_not_budget", "step_above_cap", "short_step", "bool_step", "x_free_status"],
 )
 def test_verify_checks_classification_against_input(tmp_path, name, edit, code, message):
     report = _golden_report(name)
