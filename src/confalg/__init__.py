@@ -21,8 +21,6 @@ from .cend import (
     module_action,
     nth_products,
     nth_products_divided,
-    pair_bracket_series,
-    pair_product_series,
     standard_action,
     verify_assoc_axioms,
     verify_lie_axioms,

@@ -330,27 +330,40 @@ def product_tail(x_raw: RawMat, p: MPoly) -> RawMat:
     return raw_subst(x_raw, {"d": p + _D})
 
 
-def product_apply(g: RawMat, x_raw: RawMat, nu: str | MPoly = "l") -> RawMat:
-    """g acting on the left of x by the associative product, parameter nu."""
+def product_apply(
+    g: RawMat, x_raw: RawMat, nu: str | MPoly = "l", p_mat: PolyMat | None = None
+) -> RawMat:
+    """g acting on the left of x by the associative product, parameter nu.
+
+    With ``p_mat`` the operands are the a-parts of g*P and x*P, and so is the
+    result c: (gP) prod (xP) = c * P.  No division is performed; the defining
+    matrix appears once, mid-product.
+    """
     p = _param(nu)
-    return raw_mul(product_head(g, p), product_tail(x_raw, p))
+    head = product_head(g, p)
+    if p_mat is not None:
+        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D}))
+    return raw_mul(head, product_tail(x_raw, p))
 
 
-def bracket_apply(g: RawMat, x_raw: RawMat, nu: str | MPoly = "l") -> RawMat:
-    """g acting on x by the commutator bracket, parameter nu."""
+def bracket_apply(
+    g: RawMat, x_raw: RawMat, nu: str | MPoly = "l", p_mat: PolyMat | None = None
+) -> RawMat:
+    """g acting on x by the commutator bracket, parameter nu; a-parts with ``p_mat``."""
     p = _param(nu)
-    first = product_apply(g, x_raw, p)
-    second = raw_mul(
-        raw_subst(x_raw, {"d": p + _D, "x": _X - p}),
-        raw_subst(g, {"d": -p}),
-    )
-    return raw_sub(first, second)
+    first = product_apply(g, x_raw, p, p_mat)
+    head = raw_subst(x_raw, {"d": p + _D, "x": _X - p})
+    if p_mat is not None:
+        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p}))
+    return raw_sub(first, raw_mul(head, raw_subst(g, {"d": -p})))
 
 
-def lambda_product(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
+def lambda_product(
+    a: CendElem, b: CendElem, nu: str = "l", p_mat: PolyMat | None = None
+) -> LambdaSeries:
     """The associative product of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu))
+    return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu, p_mat))
 
 
 def nth_products(a: CendElem, b: CendElem) -> list[CendElem]:
@@ -369,55 +382,12 @@ def nth_products_divided(a: CendElem, b: CendElem) -> list[CendElem]:
     return out
 
 
-def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
+def lie_bracket(
+    a: CendElem, b: CendElem, nu: str = "l", p_mat: PolyMat | None = None
+) -> LambdaSeries:
     """Commutator bracket of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries, nu))
-
-
-def pair_product_raw(
-    a: RawMat, b: RawMat, p_mat: PolyMat | None, nu: str | MPoly = "l"
-) -> RawMat:
-    """Product of the elements a*P and b*P, expressed on their a-parts.
-
-    The result is the a-part series c with (aP) prod (bP) = c * P; no
-    division is performed (the defining matrix appears once, mid-product).
-    """
-    p = _param(nu)
-    head = product_head(a, p)
-    tail = product_tail(b, p)
-    if p_mat is None:
-        return raw_mul(head, tail)
-    mid = raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D})
-    return raw_mul(raw_mul(head, mid), tail)
-
-
-def pair_bracket_raw(
-    a: RawMat, b: RawMat, p_mat: PolyMat | None, nu: str | MPoly = "l"
-) -> RawMat:
-    """Commutator of the elements a*P and b*P on their a-parts."""
-    p = _param(nu)
-    first = pair_product_raw(a, b, p_mat, p)
-    head = raw_subst(b, {"d": p + _D, "x": _X - p})
-    tail = raw_subst(a, {"d": -p})
-    if p_mat is None:
-        second = raw_mul(head, tail)
-    else:
-        mid = raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p})
-        second = raw_mul(raw_mul(head, mid), tail)
-    return raw_sub(first, second)
-
-
-def pair_product_series(
-    a: CendElem, b: CendElem, p_mat: PolyMat | None = None
-) -> LambdaSeries:
-    return LambdaSeries.from_raw(pair_product_raw(a.entries, b.entries, p_mat))
-
-
-def pair_bracket_series(
-    a: CendElem, b: CendElem, p_mat: PolyMat | None = None
-) -> LambdaSeries:
-    return LambdaSeries.from_raw(pair_bracket_raw(a.entries, b.entries, p_mat))
+    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries, nu, p_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +652,9 @@ def verify_module_axioms(
             lhs = tuple(
                 p - q for p, q in zip(lhs, action(br, "m", action(ar, "l", vec)))
             )
-            composite = pair_bracket_raw(ar, br, p_mat, "l")
+            composite = bracket_apply(ar, br, "l", p_mat)
         else:
-            composite = pair_product_raw(ar, br, p_mat, "l")
+            composite = product_apply(ar, br, "l", p_mat)
         rhs = raw_vec_subst(action(composite, "m", vec), {"m": _L + _M})
         if lhs != rhs:
             failures.append(f"sample {idx}: composition axiom fails")

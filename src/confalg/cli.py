@@ -56,13 +56,12 @@ from .jsonio import (
     upolys_to_json,
 )
 from .poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
-from .polymat import PidRowBasis, PolyMat, SmithCert, det, smith_divisors, smith_form, star
+from .polymat import PolyMat, SmithCert, det, smith_divisors, smith_form, star
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
     DegenerateError,
+    IdealReport,
     MismatchError,
-    _d_coefficient_mats,
-    _tilde_coefficient_mats,
     anti_automorphism_exists,
     anti_involution_search,
     build_extension,
@@ -298,6 +297,13 @@ def run_anti_inv_search(payload: Any, budgets: Budgets) -> Outcome:
     return "decided", result, certificate
 
 
+def _generator_json(side: str, generator: PolyMat) -> list[list[str]]:
+    """An ideal generator as ``ideal`` reports print it: in z on the right."""
+    if side == "left":
+        return polymat_to_json(generator)
+    return [[format_upoly(e.retag("z")) for e in row] for row in generator.rows]
+
+
 def run_ideal(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "side", "p", "gens")
     side = payload["side"]
@@ -305,18 +311,15 @@ def run_ideal(payload: Any, budgets: Budgets) -> Outcome:
     gens = cend_list_from_json(payload["gens"], "gens")
     if side == "left":
         report = left_ideal_generator(p, gens)
-        variable = "x"
     elif side == "right":
         report = right_ideal_generator(p, gens)
-        variable = "z"
     else:
         raise AppError(E_PARSE, f"unknown ideal side {side!r}")
-    gen_out = report.generator
-    if variable == "z":
-        gen_json = [[format_upoly(e.retag("z")) for e in row] for row in gen_out.rows]
-    else:
-        gen_json = polymat_to_json(gen_out)
-    result = {"side": side, "generator": gen_json, "variable": variable}
+    result = {
+        "side": side,
+        "generator": _generator_json(side, report.generator),
+        "variable": "x" if side == "left" else "z",
+    }
     certificate = {
         "hermite": polymat_to_json(report.hermite),
         "multipliers": [upolys_to_json(row) for row in report.multipliers],
@@ -635,38 +638,18 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
     hermite = polymat_from_json(cert["hermite"], "hermite", None)
     if not isinstance(cert["multipliers"], list):
         raise AppError(E_PARSE, "multipliers: expected an array of arrays")
-    multipliers = [
-        _x_polys(row, f"multipliers[{i}]") for i, row in enumerate(cert["multipliers"])
-    ]
-    coeff_mats: list[PolyMat] = []
-    for g in gens:
-        full = g.times_polymat(p)
-        if side == "left":
-            coeff_mats.extend(_d_coefficient_mats(full))
-        else:
-            coeff_mats.extend(m.transpose() for m in _tilde_coefficient_mats(full))
-    basis = PidRowBasis(p.n, "x")
-    for row in hermite.rows:
-        if any(not e.is_zero() for e in row):
-            basis.add(row)
-    for m in coeff_mats:
-        for row in m.rows:
-            if not basis.contains(row):
-                return False, "input row escapes the reported generator module"
+    multipliers = tuple(
+        tuple(_x_polys(row, f"multipliers[{i}]")) for i, row in enumerate(cert["multipliers"])
+    )
     if side == "left":
-        gen = polymat_from_json(result.get("generator"), "generator", None)
-        if gen @ p != hermite:
-            return False, "generator times defining matrix is not the hermite form"
-    stacked = [row for m in coeff_mats for row in m.rows]
-    hermite_rows = [row for row in hermite.rows if any(not e.is_zero() for e in row)]
-    if len(multipliers) != len(hermite_rows):
-        return False, "multiplier row count mismatch"
-    for mult_row, target in zip(multipliers, hermite_rows):
-        combo = [UPoly.zero()] * p.n
-        for coef, source in zip(mult_row, stacked):
-            combo = [c + coef * s for c, s in zip(combo, source)]
-        if tuple(combo) != tuple(target):
-            return False, "multipliers do not reproduce the hermite rows"
+        generator = polymat_from_json(result.get("generator"), "generator", None)
+    elif result.get("generator") == _generator_json(side, hermite):
+        generator = hermite
+    else:  # the grammar has no z: the printed forms are compared
+        return False, "generator is not the hermite form"
+    failure = IdealReport(side, generator, hermite, multipliers).verify(p, gens)
+    if failure is not None:
+        return False, failure
     return True, "ideal certificate verified"
 
 

@@ -22,7 +22,6 @@ from .cend import (
     _vec_series,
     apply_antiinv,
     bracket_apply,
-    pair_bracket_raw,
     raw_mat_vec,
     raw_mul,
     raw_subst,
@@ -239,7 +238,7 @@ def bracket_closure_check(
                 return AxiomReport(not failures, checked, tuple(failures))
             checked += 1
             series = LambdaSeries.from_raw(
-                pair_bracket_raw(a.entries, b.entries, p_mat, "l")
+                bracket_apply(a.entries, b.entries, "l", p_mat)
             )
             for (kl, _), coeff in series.coefficients:
                 if coeff.is_zero():

@@ -398,17 +398,16 @@ class PidRowBasis:
                 return j
         return None
 
-    def add(self, row: Sequence[UPoly], tag_width: int | None = None) -> bool:
+    def add(self, row: Sequence[UPoly]) -> bool:
         """Insert a row; returns True if the module grew or a pivot changed."""
         if len(row) != self.ncols:
             raise ValueError("row width mismatch")
         r = list(row)
         if self.track:
-            width = tag_width if tag_width is not None else self._count + 1
-            hist = self._zero_row(max(width, self._count + 1))
+            # history rows have one entry per row inserted so far
             for h in self.history:
-                while len(h) < len(hist):
-                    h.append(UPoly.zero(self.var))
+                h.append(UPoly.zero(self.var))
+            hist = self._zero_row(self._count + 1)
             hist[self._count] = UPoly.const(1, self.var)
             self._count += 1
         else:
@@ -506,33 +505,27 @@ def _sub_multiple(row: Sequence[UPoly], q: UPoly, pivot_row: Sequence[UPoly]) ->
     return [a - q * b if b else a for a, b in zip(row, pivot_row)]
 
 
-def hermite_left_generator(
-    mats: Sequence[PolyMat], track: bool = False
-) -> tuple[PolyMat, list[list[UPoly]] | None]:
+def hermite_left_generator(mats: Sequence[PolyMat]) -> tuple[PolyMat, list[list[UPoly]]]:
     """Canonical generator of the left Mat_N Q[x]-ideal spanned by ``mats``.
 
     Returns R with ideal == Mat_N Q[x] * R, rows in Hermite form (monic
-    pivots, reduced off-pivot entries, zero rows at the bottom).  With
-    ``track=True`` also returns, per basis row, its expression in the stacked
-    input rows.
+    pivots, reduced off-pivot entries, zero rows at the bottom), and, per
+    nonzero row of R, its expression in the stacked input rows.
     """
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].n
     if any(m.n != n for m in mats):
         raise ValueError("all matrices must have the same size")
-    total = len(mats) * n
-    basis = PidRowBasis(n, "x", track=track)
+    basis = PidRowBasis(n, "x", track=True)
     for m in mats:
         for row in m.rows:
-            basis.add(row, tag_width=total)
+            basis.add(row)
     rows = [list(r) for r in basis.canonical()]
     while len(rows) < n:
         rows.append([UPoly.zero()] * n)
-    history = None
-    if track:
-        history = [list(h) + [UPoly.zero()] * (total - len(h)) for h in basis.history]
-    return PolyMat(rows), history
+    # every history row has one entry per input row: each add pads them all
+    return PolyMat(rows), basis.history
 
 
 def right_divide(mat_rows: PolyMat, p_mat: PolyMat) -> PolyMat:
@@ -571,18 +564,21 @@ def congruence_verify(a_mat: PolyMat, c_mat: PolyMat, alpha: RatLike = 0) -> Pol
     return star(c_mat, alpha) @ a_mat @ c_mat
 
 
+def _candidate_polys(degree_cap: int, grid: Sequence[RatLike]) -> list[UPoly]:
+    """Polynomials of degree <= degree_cap with coefficients in ``grid``, in a fixed order."""
+    polys: list[UPoly] = []
+    for deg in range(degree_cap + 1):
+        for coefs in itertools.product(grid, repeat=deg + 1):
+            if coefs[deg] == 0:
+                continue
+            polys.append(UPoly(coefs))
+    return polys
+
+
 def _elementary_factors(n: int, degree_cap: int) -> list[PolyMat]:
     """Deterministic grid of unimodular factors for the bounded search."""
     factors: list[PolyMat] = []
-    coeff_grid = (-2, -1, 1, 2)
-    polys: list[UPoly] = []
-    for deg in range(degree_cap + 1):
-        for coefs in itertools.product((0,) + coeff_grid, repeat=deg + 1):
-            if coefs[deg] == 0:
-                continue
-            if all(c == 0 for c in coefs):
-                continue
-            polys.append(UPoly(coefs))
+    polys = _candidate_polys(degree_cap, (0, -2, -1, 1, 2))
     # transvections I + p*E_ij
     for i in range(n):
         for j in range(n):

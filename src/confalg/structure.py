@@ -29,6 +29,7 @@ from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
 from .polymat import (
     PidRowBasis,
     PolyMat,
+    _candidate_polys,
     det,
     hermite_left_generator,
     is_unimodular,
@@ -59,13 +60,46 @@ class IdealReport:
     the certificate carries the Hermite matrix R = generator @ P and the row
     multipliers expressing R in the stacked coefficient rows of the inputs.
     For side "right" the generator is a matrix in the shifted variable z
-    (standing for d+x) and the ideal is generator(d+x) * (algebra).
+    (standing for d+x) and the ideal is generator(d+x) * (algebra).  Its
+    Hermite rows are the generator's columns: ``hermite`` is the generator
+    itself, and the multipliers express the rows of its transpose.
     """
 
     side: str
     generator: PolyMat
     hermite: PolyMat
     multipliers: tuple[tuple[UPoly, ...], ...]
+
+    def verify(self, p_mat: PolyMat, gens: Sequence[CendElem]) -> str | None:
+        """The first check of this report against its inputs that fails, or None.
+
+        Both containments are checked on the coefficient rows, in the Hermite
+        orientation: every input row reduces to zero modulo the Hermite rows,
+        and the multipliers combine the input rows into exactly the nonzero
+        Hermite rows.  The generator must give the Hermite form: times P on
+        the left, and equal to it on the right.
+        """
+        stacked = [row for m in _coefficient_mats(self.side, p_mat, gens) for row in m.rows]
+        oriented = self.hermite if self.side == "left" else self.hermite.transpose()
+        hermite_rows = [row for row in oriented.rows if any(row)]
+        basis = PidRowBasis(p_mat.n, "x")
+        for row in hermite_rows:
+            basis.add(row)
+        if not all(basis.contains(row) for row in stacked):
+            return "input row escapes the reported generator module"
+        if self.side == "left" and self.generator @ p_mat != self.hermite:
+            return "generator times defining matrix is not the hermite form"
+        if self.side == "right" and self.generator != self.hermite:
+            return "generator is not the hermite form"
+        if len(self.multipliers) != len(hermite_rows):
+            return "multiplier row count mismatch"
+        for mult_row, target in zip(self.multipliers, hermite_rows):
+            combo = [UPoly.zero()] * p_mat.n
+            for coef, source in zip(mult_row, stacked):
+                combo = [c + coef * s for c, s in zip(combo, source)]
+            if tuple(combo) != target:
+                return "multipliers do not reproduce the hermite rows"
+        return None
 
 
 def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
@@ -82,18 +116,14 @@ def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
     return [PolyMat(split[k]) for k in sorted(split)]
 
 
-def _tilde_coefficient_mats(elem: CendElem) -> list[PolyMat]:
-    """Coefficients of the (d+x)-adapted expansion sum_i d^i a_i(d+x).
+def _coefficient_mats(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> list[PolyMat]:
+    """The coefficient matrices of the elements g * P, rows stacked in order.
 
-    Substituting x -> z - d turns the expansion into a plain d-expansion with
-    coefficients in the shift variable z, carried here in the x slot.
+    Left: the d-coefficients.  Right: the coefficients of the (d+x)-adapted
+    expansion sum_i d^i a_i(d+x), which x -> z - d turns into a plain
+    d-expansion with coefficients in the shift variable z (carried in the x
+    slot), transposed so that the ideal's generators are rows.
     """
-    shifted = elem.substitute({"x": _X - _D})
-    return _d_coefficient_mats(shifted)
-
-
-def left_ideal_generator(p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
-    """Canonical Q: the generated left ideal is (algebra) * Q * P, gens as a-parts."""
     if det(p_mat).is_zero():
         raise DegenerateError("defining matrix must be nondegenerate")
     if not gens:
@@ -103,41 +133,41 @@ def left_ideal_generator(p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealRepor
         if g.n != p_mat.n:
             raise ValueError("generator size mismatch")
         full = g.times_polymat(p_mat)
-        mats.extend(_d_coefficient_mats(full))
-    if not mats:
+        if side == "left":
+            mats.extend(_d_coefficient_mats(full))
+        else:
+            shifted = full.substitute({"x": _X - _D})
+            mats.extend(m.transpose() for m in _d_coefficient_mats(shifted))
+    return mats
+
+
+def _ideal_report(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
+    mats = _coefficient_mats(side, p_mat, gens)
+    if not mats:  # every generator is zero
         zero = PolyMat.zero(p_mat.n)
-        return IdealReport("left", zero, zero, ())
-    hermite, history = hermite_left_generator(mats, track=True)
+        return IdealReport(side, zero, zero, ())
+    hermite, history = hermite_left_generator(mats)
+    multipliers = tuple(tuple(row) for row in history)
+    if side == "right":
+        generator = hermite.transpose()
+        return IdealReport(side, generator, generator, multipliers)
     try:
         generator = right_divide(hermite, p_mat)
     except ValueError as exc:
         raise MismatchError(
             "saturation did not close on a multiple of the defining matrix"
         ) from exc
-    return IdealReport("left", generator, hermite, _pack_history(history))
+    return IdealReport(side, generator, hermite, multipliers)
+
+
+def left_ideal_generator(p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
+    """Canonical Q: the generated left ideal is (algebra) * Q * P, gens as a-parts."""
+    return _ideal_report("left", p_mat, gens)
 
 
 def right_ideal_generator(p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
     """Canonical Q(z): the generated right ideal is Q(d+x) * (algebra)."""
-    if det(p_mat).is_zero():
-        raise DegenerateError("defining matrix must be nondegenerate")
-    if not gens:
-        raise ValueError("need at least one generator")
-    mats: list[PolyMat] = []
-    for g in gens:
-        if g.n != p_mat.n:
-            raise ValueError("generator size mismatch")
-        full = g.times_polymat(p_mat)
-        mats.extend(m.transpose() for m in _tilde_coefficient_mats(full))
-    hermite_t, history = hermite_left_generator(mats, track=True)
-    generator = hermite_t.transpose()
-    return IdealReport("right", generator, generator, _pack_history(history))
-
-
-def _pack_history(history) -> tuple[tuple[UPoly, ...], ...]:
-    if history is None:
-        return ()
-    return tuple(tuple(row) for row in history)
+    return _ideal_report("right", p_mat, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +229,6 @@ def anti_automorphism_exists(p_mat: PolyMat) -> IsoDecision:
     if reflected == plain:
         return IsoDecision(True, alpha, plain, reflected)
     return IsoDecision(False, None, plain, reflected)
-
-
-def _candidate_polys(degree_cap: int, grid: Sequence[RatLike]) -> list[UPoly]:
-    polys: list[UPoly] = []
-    for deg in range(degree_cap + 1):
-        for coefs in itertools.product(grid, repeat=deg + 1):
-            if coefs[deg] == 0:
-                continue
-            polys.append(UPoly(coefs))
-    return polys
 
 
 def anti_involution_search(

@@ -159,6 +159,11 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      ("--rounds", "0")),
     ("classify-cend1", "nonsplit_cap1", {"generators": ["d*x^2 + d*x"]},
      ("--degree-cap", "1", "--rounds", "12")),
+    # Q(d+x) with Q not symmetric: the right Hermite rows are Q's columns
+    ("ideal", "right_2x2",
+     {"side": "right", "p": [["1", "0"], ["0", "1"]],
+      "gens": [[["d + x", "0"], ["1", "d + x - 1"]]]}, ()),
+    ("ideal", "right_zero", {"side": "right", "p": [["x"]], "gens": [[["0"]]]}, ()),
 ]
 
 
@@ -227,6 +232,9 @@ VERIFY_CASES = [
     # the l^1 part is divisible by the generators' gcd
     ("forged_step_not_lowering", ("classify-cend1", "p_only_nonsplit_gcd"),
      lambda r: r["certificate"].update(derivation=[[0, 0, 1], [0, 0, 2]])),
+    ("ideal_right_2x2", ("ideal", "right_2x2"), None),
+    ("forged_ideal_right_generator", ("ideal", "right"),
+     lambda r: r["result"].__setitem__("generator", [["z + 7"]])),
 ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
 from confalg.polymat import PidRowBasis, PolyMat, hermite_left_generator, right_divide
-from confalg.structure import _d_coefficient_mats, _tilde_coefficient_mats
+from confalg.structure import _coefficient_mats
 
 _D = MPoly.var("d")
 _X = MPoly.var("x")
@@ -109,9 +109,7 @@ def brute_left_generator(
     rounds: int = 6,
 ) -> PolyMat:
     elements = _saturate(p_mat, gens, "left", probe_cap, x_cap, rounds)
-    mats: list[PolyMat] = []
-    for e in elements:
-        mats.extend(_d_coefficient_mats(e))
+    mats = _coefficient_mats("left", PolyMat.identity(p_mat.n), elements)
     hermite, _ = hermite_left_generator(mats)
     return right_divide(hermite, p_mat)
 
@@ -124,8 +122,6 @@ def brute_right_generator(
     rounds: int = 6,
 ) -> PolyMat:
     elements = _saturate(p_mat, gens, "right", probe_cap, x_cap, rounds)
-    mats: list[PolyMat] = []
-    for e in elements:
-        mats.extend(m.transpose() for m in _tilde_coefficient_mats(e))
+    mats = _coefficient_mats("right", PolyMat.identity(p_mat.n), elements)
     hermite_t, _ = hermite_left_generator(mats)
     return hermite_t.transpose()

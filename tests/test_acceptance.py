@@ -16,7 +16,7 @@ from confalg.cend import (
     apply_antiinv,
     lie_bracket,
     modvec,
-    pair_product_raw,
+    product_apply,
     raw_subst,
     standard_action,
     verify_assoc_axioms,
@@ -150,12 +150,12 @@ def test_criterion_05_scalar_x_anti_involution():
         a = random_cend(rng, 1, 2)
         b = random_cend(rng, 1, 2)
         lhs = LambdaSeries.from_raw(
-            pair_product_raw(a.entries, b.entries, P_X, "l")
+            product_apply(a.entries, b.entries, "l", P_X)
         ).map_coefficients(lambda c: apply_antiinv(c, spec))
         sa = apply_antiinv(a, spec)
         sb = apply_antiinv(b, spec)
         rhs = raw_subst(
-            pair_product_raw(sb.entries, sa.entries, P_X, "m"), {"m": -D - L}
+            product_apply(sb.entries, sa.entries, "m", P_X), {"m": -D - L}
         )
         assert lhs.to_raw() == rhs
     for i in range(5):

@@ -24,7 +24,6 @@ from confalg.cend import (
     module_action,
     nth_products,
     nth_products_divided,
-    pair_product_raw,
     product_apply,
     raw_subst,
     standard_action,
@@ -212,12 +211,12 @@ class TestAntiInvolution:
             a = random_cend(rng, 1, 2)
             b = random_cend(rng, 1, 2)
             lhs = LambdaSeries.from_raw(
-                pair_product_raw(a.entries, b.entries, P_X, "l")
+                product_apply(a.entries, b.entries, "l", P_X)
             ).map_coefficients(lambda c: apply_antiinv(c, spec))
             sa = apply_antiinv(a, spec)
             sb = apply_antiinv(b, spec)
             rhs_raw = raw_subst(
-                pair_product_raw(sb.entries, sa.entries, P_X, "m"), {"m": -D - L}
+                product_apply(sb.entries, sa.entries, "m", P_X), {"m": -D - L}
             )
             assert lhs.to_raw() == rhs_raw
 
@@ -341,7 +340,7 @@ class TestCurAndHomomorphism:
             a = random_cend(rng, 1, 2)
             b = random_cend(rng, 1, 2)
             lhs = LambdaSeries.from_raw(
-                pair_product_raw(a.entries, b.entries, p2, "l")
+                product_apply(a.entries, b.entries, "l", p2)
             ).map_coefficients(lambda c: homomorphism_image(c, P_X, P_X, 0))
             rhs = lambda_product(
                 homomorphism_image(a, P_X, P_X, 0), homomorphism_image(b, P_X, P_X, 0)

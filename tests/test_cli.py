@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import io
 import json
@@ -12,10 +13,13 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from confalg.cend import CendElem
 from confalg.cli import VERBS, main
+from confalg.jsonio import cend_to_json
+from confalg.poly import MPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_CASES = sorted((ROOT / "tests" / "golden" / "verify").glob("*.json"))
@@ -230,6 +234,12 @@ def test_invariance_check_cli(tmp_path):
             "irreducibility-probe",
             {"p": [["x"]], "gens": [[["1"]]], "start": ["1"]},
             ("--degree-cap", "4", "--rounds", "6"),
+        ),
+        (
+            "ideal",
+            {"side": "right", "p": [["1", "0"], ["0", "1"]],
+             "gens": [[["d + x", "0"], ["1", "d + x - 1"]]]},
+            (),
         ),
     ],
 )
@@ -592,6 +602,65 @@ def test_verify_mutated_report_answers_one_envelope(path, data):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     assert isinstance(json.loads(lines[0]), dict)
+
+
+def _run_stdin(verb, payload):
+    """One in-process CLI call with ``payload`` on stdin: (exit code, envelope)."""
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out):
+            code = main([verb])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(out.getvalue())
+
+
+IDEAL_P = [[["1", "0"], ["0", "1"]], [["x", "1"], ["0", "1"]], [["1", "0"], ["x", "x - 1"]]]
+
+
+@st.composite
+def ideal_payloads(draw):
+    """Generators Q * B_i (left) or Q(d+x) * B_i (right), Q 2 x 2 and not symmetric."""
+    side = draw(st.sampled_from(["left", "right"]))
+    t = MPoly.var("x") if side == "left" else MPoly.var("d") + MPoly.var("x")
+    small = st.integers(-2, 2)
+    q = [[draw(small) * t + draw(small) for _ in range(2)] for _ in range(2)]
+    assume(q[0][1] != q[1][0])
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        b = CendElem([[draw(small) * MPoly.var("d") + draw(small) * MPoly.var("x") + draw(small)
+                       for _ in range(2)] for _ in range(2)])
+        gens.append(cend_to_json(CendElem(q) @ b))
+    return {"side": side, "p": draw(st.sampled_from(IDEAL_P)), "gens": gens}
+
+
+@settings(max_examples=30, deadline=None)
+@given(payload=ideal_payloads())
+def test_ideal_reports_verify_on_both_sides(payload):
+    code, report = _run_stdin("ideal", payload)
+    assert code == 0, report
+    code, envelope = _run_stdin("verify", report)
+    assert code == 0, envelope
+    assert envelope["result"]["verified"] is True
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse((ROOT / "src" / "confalg" / "cli.py").read_text(encoding="utf-8"))
+    modules = set()  # names bound to confalg modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("confalg")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
 
 
 def test_readme_lists_every_verb_and_budget():

@@ -155,10 +155,11 @@ class TestHermiteLeftGenerator:
     def test_membership_and_multipliers(self):
         rng = random.Random(41)
         mats = [random_polymat(rng, 2, 2) for _ in range(3)]
-        gen, history = hermite_left_generator(mats, track=True)
+        gen, history = hermite_left_generator(mats)
         stacked = [row for m in mats for row in m.rows]
         nonzero_rows = [r for r in gen.rows if any(not e.is_zero() for e in r)]
-        assert history is not None and len(history) == len(nonzero_rows)
+        assert len(history) == len(nonzero_rows)
+        assert all(len(h) == len(stacked) for h in history)
         # each generator row is the tracked combination of the input rows
         for hist_row, target in zip(history, nonzero_rows):
             combo = [ZERO, ZERO]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -359,13 +360,47 @@ class TestRightIdealWithDefiningMatrix:
         assert fast == brute
 
     def test_zero_generators_give_zero_ideal(self):
-        report = left_ideal_generator(P_1, [CendElem.zero(1)])
-        assert report.generator == PolyMat.zero(1)
+        for build in (left_ideal_generator, right_ideal_generator):
+            report = build(P_1, [CendElem.zero(1)])
+            assert report.generator == PolyMat.zero(1)
+            assert report.verify(P_1, [CendElem.zero(1)]) is None
+
+
+class TestIdealReportVerify:
+    # Q(d+x) with Q = [[z, 0], [1, z - 1]] not symmetric: the right Hermite
+    # rows are the columns of the generator
+    GENS = [CendElem([[D + X, MPoly.zero()], [MPoly.const(1), D + X - 1]])]
+    P_2 = PolyMat.identity(2)
+
+    def test_emitted_reports_verify(self):
+        for build in (left_ideal_generator, right_ideal_generator):
+            assert build(self.P_2, self.GENS).verify(self.P_2, self.GENS) is None
+        report = right_ideal_generator(self.P_2, self.GENS)
+        assert report.generator == PolyMat(
+            [[UPoly((0, 1)), UPoly.zero()], [ONE, UPoly((-1, 1))]]
+        )
+
+    def test_forged_reports_fail(self):
+        report = right_ideal_generator(self.P_2, self.GENS)
+        too_small = PolyMat.diagonal([XX, XX])
+        forged = [
+            replace(report, generator=report.generator.transpose()),
+            replace(report, hermite=too_small, generator=too_small),
+            replace(report, multipliers=report.multipliers[:1]),
+            replace(report, multipliers=report.multipliers[::-1]),
+        ]
+        messages = [f.verify(self.P_2, self.GENS) for f in forged]
+        assert messages == [
+            "generator is not the hermite form",
+            "input row escapes the reported generator module",
+            "multiplier row count mismatch",
+            "multipliers do not reproduce the hermite rows",
+        ]
 
 
 class TestShiftedAntiInvolutionLaw:
     def test_product_reversal_at_nonzero_shift(self):
-        from confalg.cend import LambdaSeries, pair_product_raw, raw_subst
+        from confalg.cend import LambdaSeries, product_apply, raw_subst
         from confalg.poly import MPoly
 
         lam = MPoly.var("l")
@@ -377,11 +412,11 @@ class TestShiftedAntiInvolutionLaw:
             a = random_cend(rng, 2, 1)
             b = random_cend(rng, 2, 1)
             lhs = LambdaSeries.from_raw(
-                pair_product_raw(a.entries, b.entries, p, "l")
+                product_apply(a.entries, b.entries, "l", p)
             ).map_coefficients(lambda c: apply_antiinv(c, spec))
             sa = apply_antiinv(a, spec)
             sb = apply_antiinv(b, spec)
             rhs = raw_subst(
-                pair_product_raw(sb.entries, sa.entries, p, "m"), {"m": -D - lam}
+                product_apply(sb.entries, sa.entries, "m", p), {"m": -D - lam}
             )
             assert lhs.to_raw() == rhs
