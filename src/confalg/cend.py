@@ -358,12 +358,10 @@ def bracket_apply(
     return raw_sub(first, raw_mul(head, raw_subst(g, {"d": -p})))
 
 
-def lambda_product(
-    a: CendElem, b: CendElem, nu: str = "l", p_mat: PolyMat | None = None
-) -> LambdaSeries:
+def lambda_product(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
     """The associative product of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu, p_mat))
+    return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu))
 
 
 def nth_products(a: CendElem, b: CendElem) -> list[CendElem]:
@@ -382,12 +380,10 @@ def nth_products_divided(a: CendElem, b: CendElem) -> list[CendElem]:
     return out
 
 
-def lie_bracket(
-    a: CendElem, b: CendElem, nu: str = "l", p_mat: PolyMat | None = None
-) -> LambdaSeries:
+def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
     """Commutator bracket of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries, nu, p_mat))
+    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries, nu))
 
 
 # ---------------------------------------------------------------------------

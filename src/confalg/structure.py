@@ -75,9 +75,11 @@ class IdealReport:
 
         Both containments are checked on the coefficient rows, in the Hermite
         orientation: every input row reduces to zero modulo the Hermite rows,
-        and the multipliers combine the input rows into exactly the nonzero
-        Hermite rows.  The generator must give the Hermite form: times P on
-        the left, and equal to it on the right.
+        and the multipliers, one entry per input row, combine the input rows
+        into exactly the nonzero Hermite rows.  On the left the generator
+        times P must be the Hermite form.  On the right the generator is the
+        Hermite form itself, so a caller holding a separate right generator
+        compares it with ``hermite``.
         """
         stacked = [row for m in _coefficient_mats(self.side, p_mat, gens) for row in m.rows]
         oriented = self.hermite if self.side == "left" else self.hermite.transpose()
@@ -89,10 +91,10 @@ class IdealReport:
             return "input row escapes the reported generator module"
         if self.side == "left" and self.generator @ p_mat != self.hermite:
             return "generator times defining matrix is not the hermite form"
-        if self.side == "right" and self.generator != self.hermite:
-            return "generator is not the hermite form"
         if len(self.multipliers) != len(hermite_rows):
             return "multiplier row count mismatch"
+        if any(len(row) != len(stacked) for row in self.multipliers):
+            return "multiplier row length mismatch"
         for mult_row, target in zip(self.multipliers, hermite_rows):
             combo = [UPoly.zero()] * p_mat.n
             for coef, source in zip(mult_row, stacked):

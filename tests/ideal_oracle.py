@@ -11,7 +11,7 @@ from __future__ import annotations
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
 from confalg.polymat import PidRowBasis, PolyMat, hermite_left_generator, right_divide
-from confalg.structure import _coefficient_mats
+from confalg.structure import _d_coefficient_mats
 
 _D = MPoly.var("d")
 _X = MPoly.var("x")
@@ -109,7 +109,9 @@ def brute_left_generator(
     rounds: int = 6,
 ) -> PolyMat:
     elements = _saturate(p_mat, gens, "left", probe_cap, x_cap, rounds)
-    mats = _coefficient_mats("left", PolyMat.identity(p_mat.n), elements)
+    mats: list[PolyMat] = []
+    for e in elements:
+        mats.extend(_d_coefficient_mats(e))
     hermite, _ = hermite_left_generator(mats)
     return right_divide(hermite, p_mat)
 
@@ -122,6 +124,10 @@ def brute_right_generator(
     rounds: int = 6,
 ) -> PolyMat:
     elements = _saturate(p_mat, gens, "right", probe_cap, x_cap, rounds)
-    mats = _coefficient_mats("right", PolyMat.identity(p_mat.n), elements)
+    mats: list[PolyMat] = []
+    for e in elements:
+        # the (d+x)-adapted expansion: x -> z - d (z in the x slot), then strip d
+        shifted = e.substitute({"x": _X - _D})
+        mats.extend(m.transpose() for m in _d_coefficient_mats(shifted))
     hermite_t, _ = hermite_left_generator(mats)
     return hermite_t.transpose()

@@ -380,20 +380,28 @@ class TestIdealReportVerify:
             [[UPoly((0, 1)), UPoly.zero()], [ONE, UPoly((-1, 1))]]
         )
 
+    def test_non_symmetric_right_generator_against_oracle(self):
+        fast = right_ideal_generator(self.P_2, self.GENS).generator
+        brute = brute_right_generator(self.P_2, self.GENS, probe_cap=1, x_cap=4, rounds=3)
+        assert fast == brute
+
     def test_forged_reports_fail(self):
         report = right_ideal_generator(self.P_2, self.GENS)
         too_small = PolyMat.diagonal([XX, XX])
+        padded = tuple(row + (UPoly((7,)),) for row in report.multipliers)
         forged = [
-            replace(report, generator=report.generator.transpose()),
             replace(report, hermite=too_small, generator=too_small),
             replace(report, multipliers=report.multipliers[:1]),
+            replace(report, multipliers=padded),
+            replace(report, multipliers=tuple(row[:-1] for row in report.multipliers)),
             replace(report, multipliers=report.multipliers[::-1]),
         ]
         messages = [f.verify(self.P_2, self.GENS) for f in forged]
         assert messages == [
-            "generator is not the hermite form",
             "input row escapes the reported generator module",
             "multiplier row count mismatch",
+            "multiplier row length mismatch",
+            "multiplier row length mismatch",
             "multipliers do not reproduce the hermite rows",
         ]
 
