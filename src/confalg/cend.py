@@ -155,9 +155,6 @@ class CendElem:
 
     # -- algebra ------------------------------------------------------------
 
-    def raw(self) -> RawMat:
-        return self.entries
-
     def __add__(self, other: CendElem) -> CendElem:
         self._same_size(other)
         return CendElem(raw_add(self.entries, other.entries))

@@ -78,7 +78,6 @@ class OcSpcGen:
     """One generator x^n A - eps (-d-x)^n A^t, right-multiplied by P."""
 
     n: int
-    a_matrix: tuple[tuple[Fraction, ...], ...]
     a_part: CendElem
     element: CendElem
 
@@ -104,16 +103,7 @@ def make_oc_spc_generators(
                 ).scale(epsilon)
                 if a_part.is_zero():
                     continue
-                a_rows = tuple(
-                    tuple(
-                        Fraction(1) if (r, c) == (i, j) else Fraction(0)
-                        for c in range(n)
-                    )
-                    for r in range(n)
-                )
-                gens.append(
-                    OcSpcGen(power, a_rows, a_part, a_part.times_polymat(p_mat))
-                )
+                gens.append(OcSpcGen(power, a_part, a_part.times_polymat(p_mat)))
     return gens
 
 
@@ -223,7 +213,6 @@ def bracket_closure_check(
     gens: Sequence[CendElem],
     p_mat: PolyMat | None,
     membership: Callable[[CendElem], bool],
-    max_pairs: int | None = None,
 ) -> AxiomReport:
     """Check that bracket coefficients of generator pairs satisfy a predicate.
 
@@ -234,8 +223,6 @@ def bracket_closure_check(
     checked = 0
     for ia, a in enumerate(gens):
         for ib, b in enumerate(gens):
-            if max_pairs is not None and checked >= max_pairs:
-                return AxiomReport(not failures, checked, tuple(failures))
             checked += 1
             series = LambdaSeries.from_raw(
                 bracket_apply(a.entries, b.entries, "l", p_mat)

@@ -286,7 +286,8 @@ def smith_form(mat: PolyMat) -> SmithCert:
             work[r][i] = work[r][i] - q * work[r][j]
             right[r][i] = right[r][i] - q * right[r][j]
 
-    for t in range(n):
+    t = 0
+    while t < n:
         # locate a nonzero pivot of minimal degree in the trailing block
         pivot = None
         best = None
@@ -339,8 +340,10 @@ def smith_form(mat: PolyMat) -> SmithCert:
                 break
         if offender is not None:
             row_op(t, offender, UPoly.const(-1))  # add offending row to pivot row
-            # redo this pivot position
-            return _smith_resume(work, left, right, t, n)
+            # restart the elimination: the fix strictly lowers the minimal
+            # degree reachable at the pivot, so the restarts end
+            t = 0
+            continue
         # normalize pivot monic
         lead = work[t][t].lead()
         if lead != 1:
@@ -348,18 +351,10 @@ def smith_form(mat: PolyMat) -> SmithCert:
             for c in range(n):
                 work[t][c] = work[t][c] * inv
                 left[t][c] = left[t][c] * inv
+        t += 1
 
     divisors = tuple(work[i][i] for i in range(n))
     return SmithCert(divisors, PolyMat(left), PolyMat(right))
-
-
-def _smith_resume(work, left, right, t, n) -> SmithCert:
-    # Re-run the elimination from the current state.  The divisibility fix
-    # strictly reduces the minimal degree reachable at the pivot, so the
-    # recursion terminates.
-    partial = PolyMat(work)
-    cert = smith_form(partial)
-    return SmithCert(cert.divisors, cert.left @ PolyMat(left), PolyMat(right) @ cert.right)
 
 
 def smith_divisors(mat: PolyMat) -> tuple[UPoly, ...]:

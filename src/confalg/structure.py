@@ -73,8 +73,9 @@ class IdealReport:
     def verify(self, p_mat: PolyMat, gens: Sequence[CendElem]) -> str | None:
         """The first check of this report against its inputs that fails, or None.
 
-        Both containments are checked on the coefficient rows, in the Hermite
-        orientation: every input row reduces to zero modulo the Hermite rows,
+        The checks run on the coefficient rows, in the Hermite orientation:
+        the Hermite rows are the canonical Hermite form of the module they
+        span, zero rows last; every input row reduces to zero modulo them;
         and the multipliers, one entry per input row, combine the input rows
         into exactly the nonzero Hermite rows.  On the left the generator
         times P must be the Hermite form.  On the right the generator is the
@@ -87,6 +88,9 @@ class IdealReport:
         basis = PidRowBasis(p_mat.n, "x")
         for row in hermite_rows:
             basis.add(row)
+        zero_rows = ((UPoly.zero(),) * p_mat.n,) * (p_mat.n - basis.rank())
+        if oriented.rows != basis.canonical() + zero_rows:
+            return "hermite is not in Hermite normal form"
         if not all(basis.contains(row) for row in stacked):
             return "input row escapes the reported generator module"
         if self.side == "left" and self.generator @ p_mat != self.hermite:
@@ -440,20 +444,14 @@ def unital_closure_probe(
 
     for g in gens:
         basis.add(to_row(g))
-    multiplied: set[tuple[CendElem, CendElem]] = set()  # their parts are in the basis
     for round_no in range(1, rounds + 1):
         current = [from_row(r) for r in basis.canonical()]
         changed = False
         for a in current:
             for b in current:
-                if (a, b) in multiplied:
-                    continue
-                multiplied.add((a, b))
                 for coeff in nth_products(a, b):
                     if coeff.is_zero():
                         continue
-                    if coeff.uses_x():
-                        return ClosureOutcome("cend_n", round_no, basis.rank())
                     if coeff.d_degree() > degree_cap:
                         continue
                     if basis.add(to_row(coeff)):

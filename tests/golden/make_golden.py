@@ -235,6 +235,22 @@ VERIFY_CASES = [
     ("ideal_right_2x2", ("ideal", "right_2x2"), None),
     ("forged_ideal_right_generator", ("ideal", "right"),
      lambda r: r["result"].__setitem__("generator", [["z + 7"]])),
+    # 2*x + 2 spans the same module as x + 1 and the multipliers reach it,
+    # but it is not monic, so not the Hermite form
+    ("forged_ideal_noncanonical", ("ideal", "left"),
+     lambda r: (r["result"].__setitem__("generator", [["2*x + 2"]]),
+                r["certificate"].update(hermite=[["2*x + 2"]], multipliers=[["-2", "2"]]))),
+    # recomputed verbs: a forged certificate under an honest result
+    ("forged_irreducibility_basis", ("irreducibility-probe", "irreducible"),
+     lambda r: r["certificate"].__setitem__("basis", [["7"]])),
+    ("forged_classify_undecided_witness", ("classify-cend1", "nonsplit_rounds0"),
+     lambda r: r["certificate"].update(gcd_witness="1", derivation=[[0, 0, 5]])),
+    ("forged_extension_alpha", ("extension-build", "jordan"),
+     lambda r: r["certificate"].__setitem__("alpha", "99")),
+    ("forged_iso_certificate", ("iso", "shift"),
+     lambda r: r["certificate"].__setitem__("divisors_left", ["x^7"])),
+    ("forged_anti_auto_certificate", ("anti-auto", "rational_exists"),
+     lambda r: r["certificate"].__setitem__("divisors_reflected", ["1"])),
 ]
 
 

@@ -522,6 +522,35 @@ def test_verify_checks_classification_against_input(tmp_path, name, edit, code, 
 
 
 @pytest.mark.parametrize(
+    "verb,payload,flags,edit,message",
+    [
+        ("oc-gens", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 1}, [],
+         lambda r: r["certificate"].__setitem__("anti_fixed_verified", False),
+         "certificate differs on recomputation"),
+        ("iso", {"p": [["1"]], "q": [["2"]]}, [],
+         lambda r: r["result"].__setitem__("alpha", "3"), "result differs on recomputation"),
+        ("check-axioms", {"kind": "lie", "n": 1, "degree": 1}, ["--rounds", "1"],
+         lambda r: r["result"].__setitem__("ok", 1), "result differs on recomputation"),
+        # a search that succeeds at its recorded cap, reported as undecided
+        ("anti-inv-search", {"p": [["x"]]}, ["--degree-cap", "0"],
+         lambda r: r.update(status="undecided", result={"found": False}, certificate=None),
+         "status does not match the result"),
+    ],
+    ids=["oc_gens_certificate", "iso_alpha", "axioms_ok_as_one", "anti_inv_false_undecided"],
+)
+def test_verify_recompute_compares_whole_report(tmp_path, verb, payload, flags, edit, message):
+    code, out = run_cli(tmp_path, verb, payload, *flags)
+    assert code == 0
+    report = json.loads(out)
+    edit(report)
+    code, out = run_cli(tmp_path, "verify", report)
+    envelope = json.loads(out)
+    assert code == 1
+    assert envelope["error"]["code"] == "E_MISMATCH"
+    assert message in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["nosuchverb"], "invalid choice: 'nosuchverb'"),

@@ -46,6 +46,17 @@ def test_listed_cases_match_the_files():
     assert sorted(listed) == sorted(f"{p.parent.name}/{p.stem}" for p in CASES)
 
 
+def test_forged_reports_are_rejected():
+    # a regeneration must never record a forged report as verified
+    forged = [p for p in CASES if p.parent.name == "verify"
+              and p.stem.startswith(("forged_", "tampered_"))]
+    assert forged
+    for path in forged:
+        case = json.loads(path.read_text(encoding="utf-8"))
+        assert case["exit"] == 1, path.stem
+        assert json.loads(case["envelope"])["error"]["code"] == "E_MISMATCH", path.stem
+
+
 @pytest.mark.parametrize("path", CASES, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_golden_case(path):
     case = json.loads(path.read_text(encoding="utf-8"))
