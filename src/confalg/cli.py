@@ -61,7 +61,7 @@ from .sampling import random_cend, random_modvec_raw
 from .structure import (
     DegenerateError,
     IdealReport,
-    MismatchError,
+    IsoDecision,
     anti_automorphism_exists,
     anti_involution_search,
     build_extension,
@@ -275,17 +275,22 @@ def run_anti_auto(payload: Any, budgets: Budgets) -> Outcome:
         "exists": decision.isomorphic,
         "alpha": fraction_to_str(decision.alpha) if decision.alpha is not None else None,
     }
-    certificate = {
+    return "decided", result, _anti_auto_certificate(decision)
+
+
+def _anti_auto_certificate(decision: IsoDecision) -> dict[str, Any]:
+    return {
         "divisors": upolys_to_json(decision.divisors_left),
         "divisors_reflected": upolys_to_json(decision.divisors_right),
     }
-    return "decided", result, certificate
 
 
 def run_anti_inv_search(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "p")
     p = polymat_from_json(payload["p"], "p")
-    spec = anti_involution_search(p, degree_cap=budgets.degree_cap)
+    decision, spec = anti_involution_search(p, degree_cap=budgets.degree_cap)
+    if not decision.isomorphic:  # no anti-automorphism, so no anti-involution
+        return "decided", {"found": False}, _anti_auto_certificate(decision)
     if spec is None:
         return "undecided", {"found": False}, None
     result = {
@@ -492,20 +497,8 @@ def run_irreducibility_probe(payload: Any, budgets: Budgets) -> Outcome:
 
 def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "gens")
-    gens = cend_list_from_json(payload["gens"], "gens")
-    try:
-        outcome = unital_closure_probe(
-            gens, degree_cap=budgets.degree_cap, rounds=budgets.rounds
-        )
-    except ValueError as exc:
-        raise AppError(E_MISMATCH, str(exc)) from exc
-    result = {
-        "outcome": outcome.outcome,
-        "rounds_used": outcome.rounds_used,
-        "basis_rank": outcome.basis_rank,
-    }
-    status = "undecided" if outcome.outcome == "undecided" else "decided"
-    return status, result, None
+    outcome = unital_closure_probe(cend_list_from_json(payload["gens"], "gens"))
+    return "decided", {"outcome": outcome.outcome, "basis_rank": outcome.basis_rank}, None
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +564,10 @@ def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
     found = result["found"]
     if not isinstance(found, bool):
         raise AppError(E_PARSE, f"found: expected true or false, got {found!r}")
-    if not _status_agrees(report, found):
-        return _STATUS_MISMATCH
-    if not found:  # the search is bounded by its recorded cap, so it is rerun
+    if not found:  # a decided absence and a failed bounded search are both rerun
         return _verify_recompute(report)
+    if not _status_agrees(report, True):
+        return _STATUS_MISMATCH
     p = polymat_from_json(_part(report, "input", "p")["p"], "p")
     y = polymat_from_json(_part(report, "certificate", "y")["y"], "y", None)
     eps = _int_field(result, "epsilon")
@@ -690,7 +683,7 @@ VERBS: dict[str, Verb] = {
     "oc-gens": Verb(run_oc_gens),
     "invariance-check": Verb(run_invariance_check, {"degree_cap": 3}),
     "irreducibility-probe": Verb(run_irreducibility_probe, {"degree_cap": 4, "rounds": 6}),
-    "unital-probe": Verb(run_unital_probe, {"degree_cap": 6, "rounds": 8}),
+    "unital-probe": Verb(run_unital_probe),
     "verify": Verb(run_verify, check=None),
 }
 
@@ -811,8 +804,6 @@ def main(argv: list[str] | None = None) -> int:
         envelope["error"] = {"code": E_PARSE, "message": str(exc)}
     except DegenerateError as exc:
         envelope["error"] = {"code": E_DEGENERATE, "message": str(exc)}
-    except (MismatchError,) as exc:
-        envelope["error"] = {"code": E_MISMATCH, "message": str(exc)}
     except ValueError as exc:
         envelope["error"] = {"code": E_MISMATCH, "message": str(exc)}
 

@@ -18,7 +18,6 @@ from .cend import (
     CendElem,
     RawMat,
     RawVec,
-    nth_products,
     raw_mat_vec,
     raw_mul,
     raw_subst,
@@ -242,17 +241,19 @@ def anti_involution_search(
     degree_cap: int = 1,
     coeff_grid: Sequence[RatLike] = (0, 1, -1),
     max_candidates: int = 200_000,
-) -> AntiInvSpec | None:
-    """Bounded search for anti-involution data over a small coefficient grid.
+) -> tuple[IsoDecision, AntiInvSpec | None]:
+    """The anti-automorphism decision, and anti-involution data found for it.
 
-    The shift is the unique anti-automorphism candidate; Y ranges over
-    unimodular matrices with entry degrees <= degree_cap and coefficients in
-    the grid, in a fixed enumeration order.  Absence within the budget is not
+    No anti-automorphism means no anti-involution: the decision is then
+    negative and there is no search.  Otherwise the shift is the decision's
+    unique candidate, and Y ranges over unimodular matrices with entry
+    degrees <= degree_cap and coefficients in the grid, in a fixed
+    enumeration order.  A search that finds nothing within its budget is not
     a disproof.
     """
     report = anti_automorphism_exists(p_mat)
     if not report.isomorphic:
-        return None
+        return report, None
     alpha = report.alpha
     n = p_mat.n
     polys = _candidate_polys(degree_cap, tuple(coeff_grid))
@@ -268,15 +269,15 @@ def anti_involution_search(
     for flat in itertools.product(*slots):
         seen += 1
         if seen > max_candidates:
-            return None
+            return report, None
         y = PolyMat([list(flat[i * n : (i + 1) * n]) for i in range(n)])
         if not is_unimodular(y):
             continue
         lhs = star(y, alpha) @ p_star
         for eps in (1, -1):
             if lhs == (p_mat @ y).scale(eps):
-                return AntiInvSpec(p_mat, y, eps, Fraction(alpha))
-    return None
+                return report, AntiInvSpec(p_mat, y, eps, Fraction(alpha))
+    return report, None
 
 
 def antiinv_conjugacy_verify(
@@ -403,19 +404,20 @@ def embedded_standard_witness(
 
 @dataclass(frozen=True)
 class ClosureOutcome:
-    outcome: str  # "cur_n" | "cend_n" | "undecided"
-    rounds_used: int
+    outcome: str  # "cur_n" | "cend_n"
     basis_rank: int
 
 
-def unital_closure_probe(
-    gens: Sequence[CendElem], degree_cap: int = 6, rounds: int = 8
-) -> ClosureOutcome:
-    """Saturate a unital generator set and report the closure dichotomy.
+def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
+    """Decide whether a unital generator set generates Cur_N or Cend_N.
 
     Requires the identity symbol among the generators.  Any x-dependent
-    element forces the full algebra; a stabilized x-free closure is the
-    current subalgebra; otherwise the budget ran out.
+    generator gives the full algebra, ``cend_n``.  Otherwise the Q[d]-span of
+    the closure is Q[d] (x) A, where A is the unital Q-algebra generated by
+    the generators' d-coefficient matrices (README), so the outcome is
+    ``cur_n`` and ``basis_rank`` is dim_Q A: the coefficient matrices are put
+    into an echelon basis as constant rows, and the products of basis pairs
+    are added until a pass adds nothing.
     """
     if not gens:
         raise ValueError("need generators")
@@ -425,37 +427,21 @@ def unital_closure_probe(
     if not any(g == CendElem.identity(n) for g in gens):
         raise ValueError("identity symbol must be among the generators")
     if any(g.uses_x() for g in gens):
-        return ClosureOutcome("cend_n", 0, 0)
+        return ClosureOutcome("cend_n", 0)
 
-    basis = PidRowBasis(n * n, var="d")
+    def flat(mat: PolyMat) -> list[UPoly]:
+        return [e for row in mat.rows for e in row]
 
-    def to_row(elem: CendElem) -> list[UPoly]:
-        row = []
-        for i in range(n):
-            for j in range(n):
-                row.append(upoly_from_mpoly(elem.entries[i][j], "d"))
-        return row
-
-    def from_row(row: Sequence[UPoly]) -> CendElem:
-        rows = [
-            [row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)
-        ]
-        return CendElem(rows)
-
+    basis = PidRowBasis(n * n)
     for g in gens:
-        basis.add(to_row(g))
-    for round_no in range(1, rounds + 1):
-        current = [from_row(r) for r in basis.canonical()]
-        changed = False
-        for a in current:
-            for b in current:
-                for coeff in nth_products(a, b):
-                    if coeff.is_zero():
-                        continue
-                    if coeff.d_degree() > degree_cap:
-                        continue
-                    if basis.add(to_row(coeff)):
-                        changed = True
-        if not changed:
-            return ClosureOutcome("cur_n", round_no, basis.rank())
-    return ClosureOutcome("undecided", rounds, basis.rank())
+        for mat in _d_coefficient_mats(g):
+            basis.add(flat(mat))
+    grew = True
+    while grew:  # a pass that adds a row raises the rank, which is at most N^2
+        mats = [PolyMat([r[i * n : (i + 1) * n] for i in range(n)]) for r in basis.canonical()]
+        grew = False
+        for a in mats:
+            for b in mats:
+                if basis.add(flat(a @ b)):
+                    grew = True
+    return ClosureOutcome("cur_n", basis.rank())

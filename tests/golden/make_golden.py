@@ -72,7 +72,11 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("anti-auto", "exists", {"p": [["x - 1"]]}, ()),
     ("anti-auto", "absent", {"p": [["1", "0"], ["0", "x^3 - 4*x^2 + 3*x"]]}, ()),
     ("anti-inv-search", "found", {"p": [["x"]]}, ("--degree-cap", "0")),
-    ("anti-inv-search", "undecided", {"p": [["x", "0"], ["0", "x^2 - x"]]},
+    # det roots {0, 0, 1} cannot be mirrored: no anti-automorphism, a decided absence
+    ("anti-inv-search", "absent", {"p": [["x", "0"], ["0", "x^2 - x"]]},
+     ("--degree-cap", "0")),
+    # an anti-automorphism exists (shift -4), but no Y of degree 0 over the grid
+    ("anti-inv-search", "undecided", {"p": [["3*x + 1", "1"], ["x^2 - 2*x - 1", "-2"]]},
      ("--degree-cap", "0")),
     ("ideal", "left", {"side": "left", "p": [["1"]], "gens": [[["x^2 - 1"]], [["x^2 + x"]]]}, ()),
     ("ideal", "right", {"side": "right", "p": [["x"]], "gens": [[["d*x + x^2"]]]}, ()),
@@ -100,9 +104,12 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("irreducibility-probe", "reducible",
      {"p": [["x"]], "gens": [[["1"]]], "start": ["1"]}, ("--degree-cap", "4", "--rounds", "6")),
     ("unital-probe", "cend_n",
-     {"gens": [[["1", "0"], ["0", "1"]], [["x", "0"], ["0", "0"]]]},
-     ("--degree-cap", "4", "--rounds", "4")),
-    ("unital-probe", "scalar", {"gens": [[["1"]], [["x"]]]}, ("--degree-cap", "4", "--rounds", "4")),
+     {"gens": [[["1", "0"], ["0", "1"]], [["x", "0"], ["0", "0"]]]}, ()),
+    ("unital-probe", "scalar", {"gens": [[["1"]], [["x"]]]}, ()),
+    # coefficient matrices E_11 and the cyclic shift generate all of Mat_3
+    ("unital-probe", "mat_3",
+     {"gens": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               [["d", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]]}, ()),
     # rational, non-monic entries: UPoly arithmetic with denominators
     ("classify-cend1", "q_rational_root", {"generators": ["d + x - 1/3"]},
      ("--degree-cap", "4", "--rounds", "12")),
@@ -126,10 +133,8 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("smith", "rational_2x2",
      {"matrix": [["2/3*x - 1/2", "1/3*x^2"], ["1/5", "3/4*x + 1/7"]]}, ()),
     ("unital-probe", "rational_cur_n",
-     {"gens": [[["1", "0"], ["0", "1"]], [["1/2*d + 1/3", "2/5"], ["0", "2/3*d"]]]},
-     ("--degree-cap", "4", "--rounds", "4")),
-    ("unital-probe", "rational_scalar", {"gens": [[["1"]], [["2/3*d - 1/2"]]]},
-     ("--degree-cap", "4", "--rounds", "4")),
+     {"gens": [[["1", "0"], ["0", "1"]], [["1/2*d + 1/3", "2/5"], ["0", "2/3*d"]]]}, ()),
+    ("unital-probe", "rational_scalar", {"gens": [[["1"]], [["2/3*d - 1/2"]]]}, ()),
     # saturation loops: budget runs out mid-loop, x-degree cap discards parts
     ("classify-cend1", "budget_one_round", {"generators": ["x - 1", "d + 2"]},
      ("--rounds", "1")),
@@ -140,11 +145,9 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      ("--degree-cap", "2", "--rounds", "12")),
     ("classify-cend1", "pq_cap3", {"generators": ["d*x + x^2 + 2*x"]},
      ("--degree-cap", "3", "--rounds", "12")),
+    # given budget flags are validated and echoed, and change nothing
     ("unital-probe", "budget", {"gens": [[["1", "0"], ["0", "1"]], [["d", "1"], ["0", "0"]]]},
      ("--degree-cap", "8", "--rounds", "1")),
-    ("unital-probe", "two_rounds",
-     {"gens": [[["1", "0"], ["0", "1"]], [["d", "1"], ["0", "0"]]]},
-     ("--degree-cap", "8", "--rounds", "2")),
     ("irreducibility-probe", "cap_skipped_two_rounds",
      {"p": [["1", "0"], ["0", "1"]], "gens": [[["0", "x"], ["d", "x^3"]]],
       "start": ["d^2", "0"]}, ("--degree-cap", "1", "--rounds", "4")),
@@ -210,7 +213,8 @@ VERIFY_CASES = [
     ("classify_full_cap1", ("classify-cend1", "full_cap1"), None),
     ("classify_full_cap2", ("classify-cend1", "full_cap2"), None),
     ("classify_pq_cap3", ("classify-cend1", "pq_cap3"), None),
-    ("unital_probe_two_rounds", ("unital-probe", "two_rounds"), None),
+    ("unital_probe_budget", ("unital-probe", "budget"), None),
+    ("anti_inv_search_absent", ("anti-inv-search", "absent"), None),
     ("classify_budget_one_round", ("classify-cend1", "budget_one_round"), None),
     # forged classifications, each consistent with the witness alone; and an
     # honest report whose derivation has one step

@@ -27,7 +27,7 @@ from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.grammar import parse_poly
 from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
 from confalg.polymat import PidRowBasis, PolyMat
-from confalg.structure import ClosureOutcome, unital_closure_probe
+from confalg.structure import unital_closure_probe
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -230,10 +230,12 @@ class TestIrreducibility:
 
 # ---------------------------------------------------------------------------
 # Reference models: the naive saturation loops, which recompute every product
-# pair and every substitution in every round.  structure.unital_closure_probe
-# and gclie.irreducibility_probe must return exactly what their loops return.
-# cend1.closure searches for a derivation instead: whenever the saturation
-# stabilises with a witness that decides the type, it must decide that type.
+# pair and every substitution in every round.  gclie.irreducibility_probe must
+# return exactly what its loop returns.  cend1.closure searches for a
+# derivation instead: whenever the saturation stabilises with a witness that
+# decides the type, it must decide that type.  structure.unital_closure_probe
+# answers from the coefficient algebra: whenever the saturation stabilises, it
+# must give the same outcome and rank.
 # ---------------------------------------------------------------------------
 
 
@@ -287,9 +289,10 @@ def naive_closure(gens, x_degree_cap, rounds):
 
 
 def naive_unital_closure_probe(gens, degree_cap, rounds):
+    """The capped Q[d]-module saturation: (outcome, rank), undecided if unstable."""
     n = gens[0].n
     if any(g.uses_x() for g in gens):
-        return ClosureOutcome("cend_n", 0, 0)
+        return "cend_n", 0
 
     basis = PidRowBasis(n * n, var="d")
 
@@ -308,7 +311,7 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
 
     for g in gens:
         basis.add(to_row(g))
-    for round_no in range(1, rounds + 1):
+    for _ in range(rounds):
         current = [from_row(r) for r in basis.canonical()]
         changed = False
         for a in current:
@@ -317,14 +320,14 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
                     if coeff.is_zero():
                         continue
                     if coeff.uses_x():
-                        return ClosureOutcome("cend_n", round_no, basis.rank())
+                        return "cend_n", basis.rank()
                     if coeff.d_degree() > degree_cap:
                         continue
                     if basis.add(to_row(coeff)):
                         changed = True
         if not changed:
-            return ClosureOutcome("cur_n", round_no, basis.rank())
-    return ClosureOutcome("undecided", rounds, basis.rank())
+            return "cur_n", basis.rank()
+    return "undecided", basis.rank()
 
 
 def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
@@ -401,7 +404,7 @@ def _symbols(entries, n):
 
 @st.composite
 def unital_sets(draw):
-    n = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
     others = draw(st.lists(_symbols(d_polys, n), min_size=1, max_size=2))
     return [CendElem.identity(n), *others]
 
@@ -444,8 +447,10 @@ class TestSaturationMatchesNaiveLoops:
     @settings(max_examples=80, deadline=None)
     @given(unital_sets(), st.integers(2, 5), st.integers(1, 4))
     def test_unital_closure_probe(self, gens, cap, rounds):
-        got = unital_closure_probe(gens, degree_cap=cap, rounds=rounds)
-        assert got == naive_unital_closure_probe(gens, cap, rounds)
+        outcome, rank = naive_unital_closure_probe(gens, cap, rounds)
+        got = unital_closure_probe(gens)
+        if outcome != "undecided":
+            assert (got.outcome, got.basis_rank) == (outcome, rank)
 
     @settings(max_examples=80, deadline=None)
     @given(probe_inputs(), st.integers(1, 5), st.integers(1, 4))

@@ -186,13 +186,13 @@ class TestAntiAutomorphism:
 
 class TestAntiInvolutionSearch:
     def test_scalar_x(self):
-        spec = anti_involution_search(P_X, degree_cap=0)
+        _, spec = anti_involution_search(P_X, degree_cap=0)
         assert spec is not None
         assert spec.epsilon == -1 and spec.alpha == 0
         assert spec.y_mat == P_1
 
     def test_identity_matrix(self):
-        spec = anti_involution_search(PolyMat.identity(2), degree_cap=0)
+        _, spec = anti_involution_search(PolyMat.identity(2), degree_cap=0)
         assert spec is not None
         assert spec.epsilon == 1 and spec.alpha == 0
         assert spec.y_mat == PolyMat.identity(2)
@@ -203,7 +203,7 @@ class TestAntiInvolutionSearch:
 
     def test_mirrored_diagonal_with_cap_one(self):
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
-        spec = anti_involution_search(p, degree_cap=1)
+        _, spec = anti_involution_search(p, degree_cap=1)
         assert spec is not None
         # re-verify the defining identity and involutivity on monomials
         lhs = star(spec.y_mat, spec.alpha) @ star(p, spec.alpha)
@@ -216,8 +216,11 @@ class TestAntiInvolutionSearch:
     def test_absent_when_no_anti_automorphism(self):
         # det roots {0, 0, 1} cannot be mirrored onto themselves
         p = PolyMat.diagonal([XX, XX * UPoly((-1, 1))])
-        assert anti_automorphism_exists(p).isomorphic is False
-        assert anti_involution_search(p, degree_cap=1) is None
+        decision, spec = anti_involution_search(p, degree_cap=1)
+        # a decided absence: the divisors and their reflection differ
+        assert decision == anti_automorphism_exists(p)
+        assert decision.isomorphic is False and spec is None
+        assert decision.divisors_left != decision.divisors_right
 
 
 class TestConjugacyVerify:
@@ -303,16 +306,29 @@ class TestUnitalProbe:
             CendElem.matrix_unit(2, i, j) for i in range(2) for j in range(2)
         ]
         outcome = unital_closure_probe(gens)
-        assert outcome.outcome == "cur_n"
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 4)
 
     def test_x_dependent_generator(self):
         gens = [CendElem.identity(2), CendElem.matrix_unit(2, 0, 0, X)]
         outcome = unital_closure_probe(gens)
-        assert outcome.outcome == "cend_n"
+        assert (outcome.outcome, outcome.basis_rank) == ("cend_n", 0)
 
     def test_identity_only(self):
         outcome = unital_closure_probe([CendElem.identity(1)])
-        assert outcome.outcome == "cur_n"
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 1)
+
+    def test_upper_triangular(self):
+        # coefficient matrices E_11 (at d^1) and E_12: the upper triangular algebra
+        gens = [CendElem.identity(2), CendElem([[D, MPoly.const(1)], [MPoly.zero(), MPoly.zero()]])]
+        outcome = unital_closure_probe(gens)
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 3)
+
+    def test_products_of_coefficients_reach_all_of_mat_3(self):
+        # E_11 and the cyclic shift C: the products C^i E_11 C^j are all the matrix units
+        zero, one = MPoly.zero(), MPoly.const(1)
+        shift = CendElem([[D, one, zero], [zero, zero, one], [one, zero, zero]])
+        outcome = unital_closure_probe([CendElem.identity(3), shift])
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 9)
 
     def test_requires_identity(self):
         with pytest.raises(ValueError):
@@ -322,13 +338,12 @@ class TestUnitalProbe:
 class TestSearchBudgets:
     def test_candidate_budget_returns_none(self):
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
-        assert (
-            anti_involution_search(p, degree_cap=1, max_candidates=3) is None
-        )
+        decision, spec = anti_involution_search(p, degree_cap=1, max_candidates=3)
+        assert decision.isomorphic and spec is None
 
     def test_searched_spec_is_involutive_to_degree_three(self):
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
-        spec = anti_involution_search(p, degree_cap=1)
+        _, spec = anti_involution_search(p, degree_cap=1)
         assert spec is not None
         for i in range(4):
             for j in range(4 - i):
@@ -413,7 +428,7 @@ class TestShiftedAntiInvolutionLaw:
 
         lam = MPoly.var("l")
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
-        spec = anti_involution_search(p, degree_cap=1)
+        _, spec = anti_involution_search(p, degree_cap=1)
         assert spec is not None and spec.alpha == 1
         rng = random.Random(63)
         for _ in range(3):
