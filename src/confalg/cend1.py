@@ -2,9 +2,10 @@
 
 The closure of generators in Q[d, x] under the substitution product is typed
 by its gcd w.  Once the running gcd of the generators and of l-parts derived
-from them splits as p(x) * q(d+x), it is the gcd of the whole closure, for
-any x-degree cap and round count (README).  So a classification is decided
-by a short derivation, which ``replay`` checks in one product per step.
+from them splits as p(x) * q(d+x), it is the gcd of the whole closure; and
+the l-parts of the first nonzero generator times itself always make it split
+(README).  So every classification is decided by a derivation of at most
+one product, which ``replay`` checks in one product per step.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ class SubalgDescriptor:
 class ClosureState:
     derivation: tuple[tuple[int, int, int], ...]  # steps (a, b, k), as in replay
     gcd_witness: MPoly
-    rounds: int  # the derivation depth; the rounds used when undecided
-    status: str  # "split" | "x_free" | "budget_exhausted"
-    x_degree_cap: int
+    rounds: int  # the derivation depth: 0, or 1 when a product was needed
+    status: str  # "split" | "x_free"
 
 
 def _witness(polys: Sequence[MPoly]) -> MPoly:
@@ -61,81 +61,51 @@ def _l_parts(a: MPoly, b: MPoly) -> dict[int, MPoly]:
     return product_apply(((a,),), ((b,),), "l")[0][0].coefficients_in("l")
 
 
-def x_degree_cap_for(gens: Sequence[MPoly], cap: int | None) -> int:
-    """``cap``, or by default twice the generators' x-degree plus 4."""
-    return 2 * max(g.degree("x") for g in gens) + 4 if cap is None else cap
+def closure(gens: Sequence[MPoly]) -> ClosureState:
+    """The gcd of the closure of ``gens``, with a derivation that proves it.
 
-
-def closure(
-    gens: Sequence[MPoly], x_degree_cap: int | None = None, rounds: int = 12
-) -> ClosureState:
-    """Search for a derivation whose running gcd splits.
-
-    Round 0 takes the gcd of the generators.  Round r multiplies the pairs of
-    elements kept before it that no earlier round multiplied, and keeps an
-    l-part only when it is within the x-degree cap and strictly lowers the
-    running gcd; the search stops as soon as the gcd splits, so a kept part
-    has depth r.  Each kept part lowers the degree of the gcd, so at most
-    deg(gcd of the generators) parts are kept.  A round that keeps nothing
-    leaves no new pair, and ends the search undecided, as does the budget.
-    Generators in variables other than d, x raise ``ValueError`` in the gcd.
+    Start from the gcd of the generators.  When no generator uses x or that
+    gcd splits, it is the answer.  Otherwise take g, the first nonzero
+    generator, and keep each l-part of g * g, in increasing power, that
+    strictly lowers the running gcd, until the gcd splits.  The l-parts of
+    g * g have gcd p_g(x) * q_g(d+x) (README), so it always splits, and at
+    most deg(gcd of the generators) parts are kept.  Generators in variables
+    other than d, x raise ``ValueError`` in the gcd.
     """
-    x_degree_cap = x_degree_cap_for(gens, x_degree_cap)
     witness = _witness(gens)
     if not any(g.uses("x") for g in gens):
-        return ClosureState((), witness, 0, "x_free", x_degree_cap)
+        return ClosureState((), witness, 0, "x_free")
     if split_witness(witness) is not None:
-        return ClosureState((), witness, 0, "split", x_degree_cap)
-    elems = list(gens)
+        return ClosureState((), witness, 0, "split")
+    i = next(i for i, g in enumerate(gens) if not g.is_zero())
     steps: list[tuple[int, int, int]] = []
-    multiplied = round_no = 0  # every pair of elems[:multiplied] was multiplied
-    for round_no in range(1, rounds + 1):
-        end = len(elems)
-        for a in range(end):
-            for b in range(0 if a >= multiplied else multiplied, end):
-                for k, part in _l_parts(elems[a], elems[b]).items():
-                    if part.degree("x") > x_degree_cap:
-                        continue
-                    lowered = bipoly_gcd(witness, part)
-                    if lowered == witness:
-                        continue
-                    elems.append(part)
-                    steps.append((a, b, k))
-                    witness = lowered
-                    if split_witness(witness) is not None:
-                        return ClosureState(tuple(steps), witness, round_no, "split", x_degree_cap)
-        if len(elems) == end:
-            break
-        multiplied = end
-    return ClosureState(tuple(steps), witness, round_no, "budget_exhausted", x_degree_cap)
-
-
-def replay(
-    gens: Sequence[MPoly], derivation: Sequence[Sequence[int]], x_degree_cap: int
-) -> tuple[MPoly, int]:
-    """The running gcd after a derivation, and the derivation's depth.
-
-    Element i < len(gens) is generator i, and step j derives element
-    len(gens) + j.  Raises ``ValueError`` unless every step names earlier
-    elements and keeps a part that is within the cap and strictly lowers the
-    gcd; so a replay makes at most deg(gcd of the generators) + 1 products.
-    """
-    elems = list(gens)
-    depth = [0] * len(elems)
-    witness = _witness(elems)
-    for j, (a, b, k) in enumerate(derivation):
-        if not (0 <= a < len(elems) and 0 <= b < len(elems)):
-            raise ValueError(f"derivation step {j} names an element not derived before it")
-        part = _l_parts(elems[a], elems[b]).get(k, MPoly.zero())
-        if part.degree("x") > x_degree_cap:
-            raise ValueError(f"derivation step {j} exceeds the x-degree cap")
+    for k, part in _l_parts(gens[i], gens[i]).items():
         lowered = bipoly_gcd(witness, part)
         if lowered == witness:
-            raise ValueError(f"derivation step {j} does not lower the gcd")
-        elems.append(part)
-        depth.append(max(depth[a], depth[b]) + 1)
+            continue
+        steps.append((i, i, k))
         witness = lowered
-    return witness, max(depth)
+        if split_witness(witness) is not None:
+            return ClosureState(tuple(steps), witness, 1, "split")
+    raise ValueError("the l-parts of g * g left the gcd unsplit, against the one-product lemma")
+
+
+def replay(gens: Sequence[MPoly], derivation: Sequence[Sequence[int]]) -> tuple[MPoly, int]:
+    """The running gcd after a derivation, and the derivation's depth.
+
+    Raises ``ValueError`` unless every step [a, b, k] names two generators
+    and its l^k part of gens[a] * gens[b] strictly lowers the gcd; so a
+    replay makes at most deg(gcd of the generators) products.
+    """
+    witness = _witness(gens)
+    for j, (a, b, k) in enumerate(derivation):
+        if not (0 <= a < len(gens) and 0 <= b < len(gens)):
+            raise ValueError(f"derivation step {j} names an element that is not a generator")
+        lowered = bipoly_gcd(witness, _l_parts(gens[a], gens[b]).get(k, MPoly.zero()))
+        if lowered == witness:
+            raise ValueError(f"derivation step {j} does not lower the gcd")
+        witness = lowered
+    return witness, 1 if derivation else 0
 
 
 def split_witness(witness: MPoly) -> tuple[UPoly, UPoly] | None:
@@ -175,9 +145,7 @@ def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
 
 
 def classify(state: ClosureState) -> SubalgDescriptor:
-    """Split the decided gcd witness as p(x) * q(d + x) and tag the type."""
-    if state.status == "budget_exhausted":
-        raise ValueError("closure undecided; classification refused")
+    """Split the gcd witness as p(x) * q(d + x) and tag the type."""
     return classify_witness(state.status == "split", state.gcd_witness)
 
 

@@ -356,14 +356,11 @@ def _cend1_generators(payload: Any) -> list[MPoly]:
 
 
 def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
-    state = c1.closure(_cend1_generators(payload), budgets.degree_cap, budgets.rounds)
+    state = c1.closure(_cend1_generators(payload))
     certificate = {
         "derivation": [list(step) for step in state.derivation],
         "gcd_witness": format_poly(state.gcd_witness),
-        "x_degree_cap": state.x_degree_cap,
     }
-    if state.status == "budget_exhausted":
-        return "undecided", {"status": state.status, "rounds": state.rounds}, certificate
     return "decided", _classify_result(c1.classify(state), state.status, state.rounds), certificate
 
 
@@ -609,29 +606,24 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
 
 
 def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
-    decided = _part(report, "result", "status")["status"] in ("split", "x_free")
-    if not _status_agrees(report, decided):
+    if not _status_agrees(report, True):
         return _STATUS_MISMATCH
     gens = _cend1_generators(report["input"])
-    if not decided:  # the search is cheap, so an undecided report is rerun
-        return _verify_recompute(report)
     try:
         c1.SubalgDescriptor(_part(report, "result", "type")["type"])
     except ValueError as exc:
         raise AppError(E_PARSE, f"type: {exc}") from exc
-    cert = _part(report, "certificate", "derivation", "gcd_witness", "x_degree_cap")
+    cert = _part(report, "certificate", "derivation", "gcd_witness")
     steps = cert["derivation"]
     if not isinstance(steps, list) or not all(
         isinstance(s, list) and len(s) == 3 and all(type(v) is int for v in s) for s in steps
     ):
         raise AppError(E_PARSE, "derivation: expected an array of [a, b, k] integer triples")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
-    cap = _budgets(report["verb"], _part(report, "budgets")).degree_cap
-    if _int_field(cert, "x_degree_cap") != c1.x_degree_cap_for(gens, cap):
-        return False, "x_degree_cap is not the cap the budgets set"
+    _budgets(report["verb"], _part(report, "budgets"))  # validated, and ignored
     uses_x = any(g.uses("x") for g in gens)
     try:
-        gcd, depth = c1.replay(gens, steps, cert["x_degree_cap"])
+        gcd, depth = c1.replay(gens, steps)
         desc = c1.classify_witness(uses_x, gcd)
     except ValueError as exc:
         return False, str(exc)
@@ -678,7 +670,7 @@ VERBS: dict[str, Verb] = {
     "anti-auto": Verb(run_anti_auto),
     "anti-inv-search": Verb(run_anti_inv_search, {"degree_cap": 1}, _verify_anti_inv),
     "ideal": Verb(run_ideal, check=_verify_ideal),
-    "classify-cend1": Verb(run_classify_cend1, {"rounds": 12}, _verify_classify),
+    "classify-cend1": Verb(run_classify_cend1, check=_verify_classify),
     "extension-build": Verb(run_extension_build, {"rounds": 8}),
     "oc-gens": Verb(run_oc_gens),
     "invariance-check": Verb(run_invariance_check, {"degree_cap": 3}),

@@ -135,7 +135,7 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("unital-probe", "rational_cur_n",
      {"gens": [[["1", "0"], ["0", "1"]], [["1/2*d + 1/3", "2/5"], ["0", "2/3*d"]]]}, ()),
     ("unital-probe", "rational_scalar", {"gens": [[["1"]], [["2/3*d - 1/2"]]]}, ()),
-    # saturation loops: budget runs out mid-loop, x-degree cap discards parts
+    # given budget flags are validated and echoed, and change nothing
     ("classify-cend1", "budget_one_round", {"generators": ["x - 1", "d + 2"]},
      ("--rounds", "1")),
     ("classify-cend1", "budget_two_rounds", {"generators": ["x^2"]}, ("--rounds", "2")),
@@ -157,9 +157,9 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # the generators' gcd d*x*(x + 1) does not split; the closure's is x*(x + 1)
     ("classify-cend1", "p_only_nonsplit_gcd", {"generators": ["d*x^2 + d*x"]},
      ("--rounds", "12")),
-    # honest undecided: no round to derive in, or every l-part above the cap
+    # the same generator under budget flags that the derivation ignores
     ("classify-cend1", "nonsplit_rounds0", {"generators": ["d*x^2 + d*x"]},
-     ("--rounds", "0")),
+     ("--degree-cap", "1", "--rounds", "0")),
     ("classify-cend1", "nonsplit_cap1", {"generators": ["d*x^2 + d*x"]},
      ("--degree-cap", "1", "--rounds", "12")),
     # Q(d+x) with Q not symmetric: the right Hermite rows are Q's columns
@@ -167,6 +167,8 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      {"side": "right", "p": [["1", "0"], ["0", "1"]],
       "gens": [[["d + x", "0"], ["1", "d + x - 1"]]]}, ()),
     ("ideal", "right_zero", {"side": "right", "p": [["x"]], "gens": [[["0"]]]}, ()),
+    # no budget flags; gcd (2d - x)(2d + x), which the l^1 part of g * g lowers to 1
+    ("classify-cend1", "full_mixed_factors", {"generators": ["4*d^2 - x^2"]}, ()),
 ]
 
 
@@ -184,6 +186,11 @@ def _forge_cpartial(report):
 
 def _forge_rounds(report):
     report["result"]["rounds"] += 1
+
+
+def _forge_undecided(report):
+    report.update(status="undecided", result={"rounds": 0, "status": "budget_exhausted"})
+    report["certificate"].update(derivation=[], gcd_witness="d*x^2 + d*x")
 
 
 # (case name, verb and case name of the report to verify, edit applied to it)
@@ -236,6 +243,15 @@ VERIFY_CASES = [
     # the l^1 part is divisible by the generators' gcd
     ("forged_step_not_lowering", ("classify-cend1", "p_only_nonsplit_gcd"),
      lambda r: r["certificate"].update(derivation=[[0, 0, 1], [0, 0, 2]])),
+    # every classification is decided: the budget-exhausted shape of the old
+    # capped search contradicts its status
+    ("forged_classify_undecided_witness", ("classify-cend1", "nonsplit_rounds0"),
+     _forge_undecided),
+    # a two-round derivation, which multiplies the derived element 1: each
+    # step lowers the gcd, to d - x/2 and then to 1, but steps name generators only
+    ("forged_derivation_derived_element", ("classify-cend1", "full_mixed_factors"),
+     lambda r: (r["certificate"].update(derivation=[[0, 0, 3], [1, 0, 1]]),
+                r["result"].update(rounds=2))),
     ("ideal_right_2x2", ("ideal", "right_2x2"), None),
     ("forged_ideal_right_generator", ("ideal", "right"),
      lambda r: r["result"].__setitem__("generator", [["z + 7"]])),
@@ -247,8 +263,6 @@ VERIFY_CASES = [
     # recomputed verbs: a forged certificate under an honest result
     ("forged_irreducibility_basis", ("irreducibility-probe", "irreducible"),
      lambda r: r["certificate"].__setitem__("basis", [["7"]])),
-    ("forged_classify_undecided_witness", ("classify-cend1", "nonsplit_rounds0"),
-     lambda r: r["certificate"].update(gcd_witness="1", derivation=[[0, 0, 5]])),
     ("forged_extension_alpha", ("extension-build", "jordan"),
      lambda r: r["certificate"].__setitem__("alpha", "99")),
     ("forged_iso_certificate", ("iso", "shift"),

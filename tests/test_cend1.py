@@ -25,7 +25,7 @@ from confalg.cend1 import (
 )
 from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.grammar import parse_poly
-from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
+from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly, upoly_gcd
 from confalg.polymat import PidRowBasis, PolyMat
 from confalg.structure import unital_closure_probe
 
@@ -64,7 +64,7 @@ class TestClosure:
         state = closure(gens)
         assert (state.status, state.rounds, state.derivation) == ("split", 1, ((0, 0, 2),))
         assert state.gcd_witness == X**2 + X
-        assert replay(gens, state.derivation, state.x_degree_cap) == (X**2 + X, 1)
+        assert replay(gens, state.derivation) == (X**2 + X, 1)
 
     def test_monotone_in_generators(self):
         base = closure([X**2 * (D + X)])
@@ -76,34 +76,36 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure([MPoly.var("l")])
 
-    def test_budget_exhaustion_reported(self):
-        gens = [D * X**2 + D * X]
-        no_round, capped = closure(gens, rounds=0), closure(gens, x_degree_cap=1)
-        # every l-part is above cap 1, so the first round keeps nothing
-        assert (no_round.rounds, capped.rounds) == (0, 1)
-        for state in (no_round, capped):
-            assert state.status == "budget_exhausted"
-            assert state.gcd_witness == bipoly_gcd(gens[0], MPoly.zero())
-            with pytest.raises(ValueError):
-                classify(state)
+    def test_zero_first_generator_derives_from_the_next(self):
+        # gcd d*x does not split; the l^2 part of (d*x) * (d*x), -2*d*x - x^2,
+        # lowers it to x
+        gens = [MPoly.zero(), D * X]
+        state = closure(gens)
+        assert (state.status, state.rounds, state.derivation) == ("split", 1, ((1, 1, 2),))
+        assert state.gcd_witness == X
+        assert replay(gens, state.derivation) == (X, 1)
 
     @pytest.mark.parametrize(
         "derivation,message",
         [
-            ([(0, 1, 2)], "not derived before it"),
-            ([(-1, 0, 2)], "not derived before it"),
+            ([(0, 1, 2)], "not a generator"),
+            ([(-1, 0, 2)], "not a generator"),
             ([(0, 0, 1), (0, 0, 2)], "does not lower the gcd"),
             ([(0, 0, 9)], "does not lower the gcd"),
-            ([(0, 0, 2), (1, 1, 0)], "does not lower the gcd"),
+            ([(0, 0, 2), (0, 0, 3)], "does not lower the gcd"),
         ],
     )
     def test_replay_rejects_a_bad_step(self, derivation, message):
         with pytest.raises(ValueError, match=message):
-            replay([D * X**2 + D * X], derivation, 8)
+            replay([D * X**2 + D * X], derivation)
 
-    def test_replay_rejects_a_step_above_the_cap(self):
-        with pytest.raises(ValueError, match="x-degree cap"):
-            replay([D * X**2 + D * X], [(0, 0, 2)], 1)
+    def test_replay_rejects_a_derived_element(self):
+        # a two-round derivation: step 0 lowers the gcd of 4*d^2 - x^2 to
+        # d - x/2, and step 1 multiplies that derived element 1, lowering it to 1
+        gens = [D**2 * 4 - X**2]
+        assert replay(gens, [(0, 0, 3)]) == (D - X * Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match="step 1 names an element that is not a generator"):
+            replay(gens, [(0, 0, 3), (1, 0, 1)])
 
 
 class TestClassify:
@@ -231,11 +233,11 @@ class TestIrreducibility:
 # ---------------------------------------------------------------------------
 # Reference models: the naive saturation loops, which recompute every product
 # pair and every substitution in every round.  gclie.irreducibility_probe must
-# return exactly what its loop returns.  cend1.closure searches for a
-# derivation instead: whenever the saturation stabilises with a witness that
-# decides the type, it must decide that type.  structure.unital_closure_probe
-# answers from the coefficient algebra: whenever the saturation stabilises, it
-# must give the same outcome and rank.
+# return exactly what its loop returns.  cend1.closure derives its gcd from
+# one product, with no cap and no rounds: whenever the saturation stabilises
+# with a witness that decides the type, it must decide that type.
+# structure.unital_closure_probe answers from the coefficient algebra:
+# whenever the saturation stabilises, it must give the same outcome and rank.
 # ---------------------------------------------------------------------------
 
 
@@ -432,10 +434,9 @@ class TestSaturationMatchesNaiveLoops:
     def test_closure(self, gens, cap, rounds):
         basis, witness, _, status = naive_closure(gens, cap, rounds)
         uses_x = any(b.uses("x") for b in basis)
-        got = closure(gens, x_degree_cap=cap, rounds=rounds)
+        got = closure(gens)
         assert len(got.derivation) <= _witness(gens).total_degree()
-        if got.status != "budget_exhausted":
-            assert replay(gens, got.derivation, cap) == (got.gcd_witness, got.rounds)
+        assert replay(gens, got.derivation) == (got.gcd_witness, got.rounds)
         if status != "stabilized":
             return
         try:
@@ -485,3 +486,56 @@ class TestProductPreservesSplitDivisibility:
         product = product_apply(((w * f,),), ((w * g,),), "l")[0][0]
         for part in product.coefficients_in("l").values():
             assert bipoly_gcd(part, w) == monic_w
+
+
+def _content(p, var, over):
+    """The monic gcd of p's coefficients as a polynomial in ``var``; they lie in Q[over]."""
+    acc = UPoly.zero(over)
+    for c in p.coefficients_in(var).values():
+        acc = upoly_gcd(acc, upoly_from_mpoly(c, over))
+    return acc
+
+
+def _split_parts(gens):
+    """gcd_i p_i(x) * gcd_i q_i(d+x) over the nonzero generators g_i.
+
+    p_i, the factors of g_i free of d, is its content over Q[x] as a
+    polynomial in d.  q_i, the factors that are polynomials in d+x, is the
+    content over Q[z] of g_i(z - x, x) as a polynomial in x; z is kept in d.
+    """
+    p = q = None
+    for g in gens:
+        if g.is_zero():
+            continue
+        p_g, q_g = _content(g, "d", "x"), _content(g.substitute({"d": D - X}), "x", "d")
+        p, q = (p_g, q_g) if p is None else (upoly_gcd(p, p_g), upoly_gcd(q, q_g))
+    return p.to_mpoly() * q.to_mpoly().substitute({"d": D + X})
+
+
+@st.composite
+def generator_sets(draw):
+    """One to three generators, not all zero, sometimes sharing a factor."""
+    gens = draw(st.lists(dx_polys, min_size=1, max_size=3).filter(any))
+    if draw(st.booleans()):
+        common = draw(dx_polys.filter(bool))
+        gens = [common * g for g in gens]
+    return gens
+
+
+class TestOneProductSplits:
+    """The lemma behind closure: the l-parts of g * g, for g the first
+    nonzero generator, have gcd p_g(x) * q_g(d+x), so the closure's gcd is
+    the product of the generators' common split parts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_sets())
+    def test_gcd_is_the_common_split_part(self, gens):
+        got = closure(gens)
+        assert got.status in ("split", "x_free")
+        if got.status == "x_free":
+            assert not any(g.uses("x") for g in gens)
+            return
+        assert got.gcd_witness == bipoly_gcd(_split_parts(gens), MPoly.zero())
+        first = next(i for i, g in enumerate(gens) if not g.is_zero())
+        assert all((a, b) == (first, first) for a, b, _ in got.derivation)
+        assert got.rounds == (1 if got.derivation else 0)

@@ -77,30 +77,33 @@ def test_classify_cend1(tmp_path):
     assert report["result"]["irreducible_on_standard"] is True
 
 
-def test_classify_budget_exhaustion_exit_code(tmp_path):
-    # the gcd d*x*(x + 1) does not split, and no round may lower it
-    code, out = run_cli(
-        tmp_path, "classify-cend1", {"generators": ["d*x^2 + d*x"]}, "--rounds", "0"
-    )
+@pytest.mark.parametrize(
+    "flags", [(), ("--rounds", "0"), ("--degree-cap", "1", "--rounds", "0")]
+)
+def test_classify_decides_whatever_budgets_are_given(tmp_path, flags):
+    # the gcd d*x*(x + 1) does not split; one product lowers it to x*(x + 1)
+    code, out = run_cli(tmp_path, "classify-cend1", {"generators": ["d*x^2 + d*x"]}, *flags)
     report = json.loads(out)
-    assert code == 2
-    assert report["status"] == "undecided"
-    assert report["error"]["code"] == "E_BUDGET"
+    assert code == 0
+    assert report["status"] == "decided"
+    assert (report["result"]["type"], report["result"]["p"]) == ("P_ONLY", "x^2 + x")
+    assert report["certificate"] == {"derivation": [[0, 0, 2]], "gcd_witness": "x^2 + x"}
 
 
 def test_machine_mode_requires_budgets(tmp_path):
-    code, out = run_cli(tmp_path, "classify-cend1", {"generators": ["x^2"]})
+    code, out = run_cli(tmp_path, "check-axioms", {"kind": "lie", "n": 1, "degree": 1})
     report = json.loads(out)
     assert code == 1
     assert report["error"]["code"] == "E_PARSE"
+    assert "--rounds" in report["error"]["message"]
 
 
 def test_pretty_mode_applies_defaults(tmp_path):
     code, out = run_cli(
-        tmp_path, "classify-cend1", {"generators": ["x^2"]}, "--pretty"
+        tmp_path, "check-axioms", {"kind": "lie", "n": 1, "degree": 1}, "--pretty"
     )
     assert code == 0
-    assert "type: P_ONLY" in out
+    assert "checked: 12" in out
 
 
 def test_parse_error_reported(tmp_path):
@@ -436,12 +439,12 @@ def _golden_report(name):
         ("iso", lambda r: r.__setitem__("status", "undecided")),
         ("anti_auto_rational", lambda r: r.__setitem__("status", "undecided")),
         ("classify_pq", lambda r: r.__setitem__("status", "undecided")),
-        ("classify_nonsplit_rounds0", lambda r: r.__setitem__("status", "decided")),
+        ("classify_nonsplit_rounds0", lambda r: r.__setitem__("status", "undecided")),
         ("smith", lambda r: r.__setitem__("status", "undecided")),
         ("ideal_right", lambda r: r.__setitem__("status", "undecided")),
     ],
     ids=["anti_inv_found_undecided", "iso_undecided",
-         "anti_auto_undecided", "classify_undecided", "classify_budget_decided",
+         "anti_auto_undecided", "classify_undecided", "classify_derived_undecided",
          "smith_undecided", "ideal_undecided"],
 )
 def test_verify_rejects_status_contradicting_result(tmp_path, name, edit):
@@ -482,20 +485,15 @@ def _forge_non_split(report):
          "E_MISMATCH", "irreducible_on_standard differs"),
         ("classify_pq", lambda r: r["result"].__setitem__("type", "PQR"), "E_PARSE", "PQR"),
         ("classify_p_only_nonsplit_gcd", _forge_non_split, "E_MISMATCH", "does not split"),
-        # with the recorded cap, so that only the generators are wrong
-        ("classify_pq", lambda r: (r["input"].__setitem__("generators", ["0"]),
-                                   r["budgets"].update(degree_cap=8)),
+        ("classify_pq", lambda r: r["input"].__setitem__("generators", ["0"]),
          "E_MISMATCH", "all generators are zero"),
         ("classify_p_only_nonsplit_gcd",
          lambda r: r["certificate"].update(derivation=[[-1, 0, 2]]),
-         "E_MISMATCH", "not derived before it"),
+         "E_MISMATCH", "not a generator"),
+        # step 0 derives element 1; a step may not multiply it
         ("classify_p_only_nonsplit_gcd",
-         lambda r: r["certificate"].update(x_degree_cap=1),
-         "E_MISMATCH", "x_degree_cap is not the cap the budgets set"),
-        ("classify_p_only_nonsplit_gcd",
-         lambda r: (r["certificate"].update(x_degree_cap=1),
-                    r["budgets"].update(degree_cap=1)),
-         "E_MISMATCH", "exceeds the x-degree cap"),
+         lambda r: r["certificate"].update(derivation=[[0, 0, 2], [1, 1, 0]]),
+         "E_MISMATCH", "step 1 names an element that is not a generator"),
         ("classify_p_only_nonsplit_gcd",
          lambda r: r["certificate"].update(derivation=[[0, 0]]),
          "E_PARSE", "derivation"),
@@ -507,7 +505,7 @@ def _forge_non_split(report):
     ],
     ids=["forged_p_only", "other_generator", "pq_irreducible", "full_reducible",
          "unknown_type", "non_split_witness", "zero_generators", "negative_index",
-         "cap_not_budget", "step_above_cap", "short_step", "bool_step", "x_free_status"],
+         "derived_element", "short_step", "bool_step", "x_free_status"],
 )
 def test_verify_checks_classification_against_input(tmp_path, name, edit, code, message):
     report = _golden_report(name)
