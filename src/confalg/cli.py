@@ -1,8 +1,11 @@
 """Command-line frontend: JSON in, JSON (or text summary) out, exit codes.
 
-Exit codes: 0 decided/verified, 2 undecided (budget exhausted), 1 error.
-Machine mode (--json, the default) demands explicit budgets for budgeted
-verbs; --pretty applies the documented defaults.  Identical invocations
+Exit codes: 0 decided/verified, 2 undecided (budget exhausted), 1 error;
+only anti-inv-search, the one verb with a degree cap, can answer undecided.
+Machine mode (--json, the default) demands the budgets a verb requires
+(anti-inv-search its --degree-cap, check-axioms and extension-build their
+--rounds sample count); --pretty applies the documented defaults.  Any other
+given budget is validated, echoed and ignored.  Identical invocations
 (inputs + budgets + seed) produce byte-identical JSON.
 """
 
@@ -81,7 +84,8 @@ MAX_AXIOM_DEGREE = 4
 # oc-gens builds n*n generators for each power 0..max_n; n = 4 with
 # max_n = 16 takes about half a second, n = 8 with max_n = 16 six seconds
 MAX_OC_POWER = 16
-# every degree cap, flag or recorded budget: the capped searches grow steeply
+# every --degree-cap flag or recorded degree_cap: only anti-inv-search reads
+# one, and its grid grows steeply in it; every other verb validates and ignores it
 MAX_DEGREE_CAP = 16
 
 E_PARSE = "E_PARSE"
@@ -465,7 +469,7 @@ def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
         raise AppError(E_MISMATCH, str(exc)) from exc
     if not form.nondegenerate():
         raise AppError(E_DEGENERATE, "form matrix must be nondegenerate")
-    report = invariance_check(form, elem, degree_cap=budgets.degree_cap)
+    report = invariance_check(form, elem)
     return (
         "decided",
         {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)},
@@ -479,17 +483,14 @@ def run_irreducibility_probe(payload: Any, budgets: Budgets) -> Outcome:
     gens = cend_list_from_json(payload["gens"], "gens")
     start = modvec_from_json(payload["start"], "start")
     alpha = fraction_from_json(payload.get("alpha", "0"), "alpha")
-    outcome = irreducibility_probe(
-        gens, p, alpha, start, degree_cap=budgets.degree_cap, rounds=budgets.rounds
-    )
+    outcome = irreducibility_probe(gens, p, alpha, start)
     result = {
         "outcome": outcome.outcome,
         "rank": outcome.rank,
         "rounds_used": outcome.rounds_used,
     }
     certificate = {"basis": [modvec_to_json(r) for r in outcome.basis]}
-    status = "undecided" if outcome.outcome == "undecided" else "decided"
-    return status, result, certificate
+    return "decided", result, certificate
 
 
 def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
@@ -511,7 +512,7 @@ def run_verify(payload: Any, budgets: Budgets) -> Outcome:
         raise AppError(E_PARSE, f"no verifier for verb {verb!r}")
     if payload["status"] not in ("decided", "undecided"):
         raise AppError(E_PARSE, f"no verdict to verify: status {payload['status']!r}")
-    ok, notes = row.check(payload)
+    ok, notes = row.check(payload, _budgets(verb, _part(payload, "budgets")))
     if not ok:
         raise AppError(E_MISMATCH, f"certificate for {verb!r} failed: {notes}")
     return "decided", {"verified": True, "verb": verb, "notes": notes}, None
@@ -540,7 +541,7 @@ def _status_agrees(report: dict[str, Any], decided: bool) -> bool:
     return report["status"] == ("decided" if decided else "undecided")
 
 
-def _verify_smith(report: dict[str, Any]) -> tuple[bool, str]:
+def _verify_smith(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     if not _status_agrees(report, True):
         return _STATUS_MISMATCH
     mat = polymat_from_json(_part(report, "input", "matrix")["matrix"], "matrix")
@@ -556,13 +557,13 @@ def _verify_smith(report: dict[str, Any]) -> tuple[bool, str]:
     return True, "smith certificate verified"
 
 
-def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
+def _verify_anti_inv(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     result = _part(report, "result", "found")
     found = result["found"]
     if not isinstance(found, bool):
         raise AppError(E_PARSE, f"found: expected true or false, got {found!r}")
     if not found:  # a decided absence and a failed bounded search are both rerun
-        return _verify_recompute(report)
+        return _verify_recompute(report, budgets)
     if not _status_agrees(report, True):
         return _STATUS_MISMATCH
     p = polymat_from_json(_part(report, "input", "p")["p"], "p")
@@ -576,7 +577,7 @@ def _verify_anti_inv(report: dict[str, Any]) -> tuple[bool, str]:
     return True, "anti-involution identity verified"
 
 
-def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
+def _verify_ideal(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     if not _status_agrees(report, True):
         return _STATUS_MISMATCH
     payload = _part(report, "input", "p", "gens")
@@ -605,7 +606,7 @@ def _verify_ideal(report: dict[str, Any]) -> tuple[bool, str]:
     return True, "ideal certificate verified"
 
 
-def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
+def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     if not _status_agrees(report, True):
         return _STATUS_MISMATCH
     gens = _cend1_generators(report["input"])
@@ -620,7 +621,6 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
     ):
         raise AppError(E_PARSE, "derivation: expected an array of [a, b, k] integer triples")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
-    _budgets(report["verb"], _part(report, "budgets"))  # validated, and ignored
     uses_x = any(g.uses("x") for g in gens)
     try:
         gcd, depth = c1.replay(gens, steps)
@@ -637,11 +637,9 @@ def _verify_classify(report: dict[str, Any]) -> tuple[bool, str]:
     return True, "classification verified"
 
 
-def _verify_recompute(report: dict[str, Any]) -> tuple[bool, str]:
-    verb = report["verb"]
+def _verify_recompute(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     result = _part(report, "result")
-    budgets = _budgets(verb, _part(report, "budgets"))
-    status, recomputed, certificate = _HANDLERS[verb](report["input"], budgets)
+    status, recomputed, certificate = _HANDLERS[report["verb"]](report["input"], budgets)
     if status != report["status"]:
         return _STATUS_MISMATCH
     if not _same_json(recomputed, result):
@@ -654,7 +652,7 @@ def _verify_recompute(report: dict[str, Any]) -> tuple[bool, str]:
 class Verb(NamedTuple):
     run: Callable[[Any, Budgets], Outcome]
     budgets: dict[str, int] = {}  # required in machine mode -> --pretty default
-    check: Callable[[dict[str, Any]], tuple[bool, str]] | None = _verify_recompute
+    check: Callable[[dict[str, Any], Budgets], tuple[bool, str]] | None = _verify_recompute
 
 
 # One row per verb.  ``check`` re-verifies an emitted report in one of two
@@ -673,8 +671,8 @@ VERBS: dict[str, Verb] = {
     "classify-cend1": Verb(run_classify_cend1, check=_verify_classify),
     "extension-build": Verb(run_extension_build, {"rounds": 8}),
     "oc-gens": Verb(run_oc_gens),
-    "invariance-check": Verb(run_invariance_check, {"degree_cap": 3}),
-    "irreducibility-probe": Verb(run_irreducibility_probe, {"degree_cap": 4, "rounds": 6}),
+    "invariance-check": Verb(run_invariance_check),
+    "irreducibility-probe": Verb(run_irreducibility_probe),
     "unital-probe": Verb(run_unital_probe),
     "verify": Verb(run_verify, check=None),
 }

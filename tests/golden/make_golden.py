@@ -94,10 +94,10 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("oc-gens", "orthogonal", {"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 1}, ()),
     ("oc-gens", "symplectic",
      {"n": 2, "p": [["0", "1"], ["-1", "0"]], "epsilon": -1, "max_n": 1}, ()),
+    # a given --degree-cap is validated and echoed, and changes nothing
     ("invariance-check", "invariant", {"p": [["1"]], "epsilon": 1, "element": [["2*x + d"]]},
      ("--degree-cap", "2")),
-    ("invariance-check", "not_invariant", {"p": [["1"]], "epsilon": 1, "element": [["x"]]},
-     ("--degree-cap", "2")),
+    ("invariance-check", "not_invariant", {"p": [["1"]], "epsilon": 1, "element": [["x"]]}, ()),
     ("irreducibility-probe", "irreducible",
      {"p": [["x"]], "gens": [[["1"]], [["x"]], [["d"]]], "start": ["1"], "alpha": "0"},
      ("--degree-cap", "4", "--rounds", "6")),
@@ -148,6 +148,8 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # given budget flags are validated and echoed, and change nothing
     ("unital-probe", "budget", {"gens": [[["1", "0"], ["0", "1"]], [["d", "1"], ["0", "0"]]]},
      ("--degree-cap", "8", "--rounds", "1")),
+    # given budget flags are validated and echoed, and change nothing: the rows
+    # above the old cap of 1 are offered like any other
     ("irreducibility-probe", "cap_skipped_two_rounds",
      {"p": [["1", "0"], ["0", "1"]], "gens": [[["0", "x"], ["d", "x^3"]]],
       "start": ["d^2", "0"]}, ("--degree-cap", "1", "--rounds", "4")),
@@ -169,6 +171,23 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("ideal", "right_zero", {"side": "right", "p": [["x"]], "gens": [[["0"]]]}, ()),
     # no budget flags; gcd (2d - x)(2d + x), which the l^1 part of g * g lowers to 1
     ("classify-cend1", "full_mixed_factors", {"generators": ["4*d^2 - x^2"]}, ()),
+    # E12, E23, E34 carry e4 to e3, e2 and e1, one link per round
+    ("irreducibility-probe", "chain",
+     {"p": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "1"]],
+      "gens": [[["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"]],
+               [["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"]],
+               [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"],
+                ["0", "0", "0", "0"]]],
+      "start": ["0", "0", "0", "1"]}, ()),
+    ("irreducibility-probe", "proper_invariant",
+     {"p": [["1", "0"], ["0", "1"]], "gens": [[["1", "0"], ["0", "0"]]], "start": ["1", "0"]},
+     ()),
+    # x E11 against the symplectic form J: only the mixed unit pairs fail
+    ("invariance-check", "symplectic_2x2",
+     {"p": [["0", "1"], ["-1", "0"]], "epsilon": -1, "element": [["x", "0"], ["0", "0"]]}, ()),
 ]
 
 

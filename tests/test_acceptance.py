@@ -233,20 +233,20 @@ def test_criterion_07_ideal_generators_vs_oracle():
 def test_criterion_08_irreducibility_probes():
     outcomes = []
     probe1 = irreducibility_probe(
-        [scalar(MPoly.const(1)), scalar(X), scalar(D)], P_X, 0, modvec([1]), degree_cap=4
+        [scalar(MPoly.const(1)), scalar(X), scalar(D)], P_X, 0, modvec([1])
     )
     outcomes.append(probe1.outcome)
     assert probe1.outcome == "irreducible"
     y_gens = [
         scalar(X**n - (-D - X) ** n) for n in (1, 2)
     ]
-    probe2 = irreducibility_probe(y_gens, P_X, 0, modvec([1]), degree_cap=4)
+    probe2 = irreducibility_probe(y_gens, P_X, 0, modvec([1]))
     outcomes.append(probe2.outcome)
     assert probe2.outcome == "irreducible"
     w_gens = [
         scalar(X**n + (-D - X) ** n) for n in (0, 1, 2)
     ]
-    probe3 = irreducibility_probe(w_gens, P_X, 0, modvec([1]), degree_cap=4)
+    probe3 = irreducibility_probe(w_gens, P_X, 0, modvec([1]))
     outcomes.append(probe3.outcome)
     assert probe3.outcome == "irreducible"
     probe4 = irreducibility_probe(
@@ -254,7 +254,6 @@ def test_criterion_08_irreducibility_probes():
         PolyMat.identity(2),
         0,
         modvec([1, 0]),
-        degree_cap=4,
     )
     outcomes.append(probe4.outcome)
     assert probe4.outcome == "proper_invariant_detected"
@@ -303,7 +302,7 @@ def test_criterion_10_invariance_identities():
         gens = make_oc_spc_generators(2, p_mat, eps, 3)
         assert gens
         for g in gens:
-            rep = invariance_check(form, g.element, degree_cap=3)
+            rep = invariance_check(form, g.element)
             assert rep.ok, (eps, g.n, rep.failures)
             total += 1
     report(10, f"{total} generators satisfy the invariance identity exactly")

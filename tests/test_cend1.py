@@ -232,8 +232,10 @@ class TestIrreducibility:
 
 # ---------------------------------------------------------------------------
 # Reference models: the naive saturation loops, which recompute every product
-# pair and every substitution in every round.  gclie.irreducibility_probe must
-# return exactly what its loop returns.  cend1.closure derives its gcd from
+# pair and every substitution in every round.  gclie.irreducibility_probe runs
+# its loop with no cap and no rounds: whenever the capped loop decides, the
+# probe must give the same outcome, rank and basis, in at most as many rounds.
+# cend1.closure derives its gcd from
 # one product, with no cap and no rounds: whenever the saturation stabilises
 # with a witness that decides the type, it must decide that type.
 # structure.unital_closure_probe answers from the coefficient algebra:
@@ -380,6 +382,19 @@ def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
     return ProbeOutcome("undecided", basis.rank(), rounds_used, basis.canonical())
 
 
+def _assert_invariant(gens, p_mat, alpha, rows):
+    """Every coefficient row of every generator on every row lies in their span."""
+    basis = PidRowBasis(p_mat.n, var="d")
+    for row in rows:
+        basis.add(list(row))
+    act = standard_action(p_mat, alpha)
+    for gen in gens:
+        for row in rows:
+            vec = tuple(e.to_mpoly("d") for e in row)
+            for new_row in _vec_series(act(gen.entries, "l", vec)).values():
+                assert basis.contains(new_row)
+
+
 small_coeffs = st.one_of(
     st.integers(-3, 3).map(Fraction),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
@@ -457,21 +472,37 @@ class TestSaturationMatchesNaiveLoops:
     @given(probe_inputs(), st.integers(1, 5), st.integers(1, 4))
     def test_irreducibility_probe(self, case, cap, rounds):
         gens, p_mat, alpha, start = case
-        got = irreducibility_probe(gens, p_mat, alpha, start, degree_cap=cap, rounds=rounds)
+        got = irreducibility_probe(gens, p_mat, alpha, start)
         want = naive_irreducibility_probe(gens, p_mat, alpha, start, cap, rounds)
-        assert (got.outcome, got.rank, got.rounds_used) == (
-            want.outcome, want.rank, want.rounds_used
-        )
-        assert got.basis == want.basis
+        assert got.outcome in ("irreducible", "proper_invariant_detected")
+        if want.outcome != "undecided":
+            assert (got.outcome, got.rank, got.basis) == (want.outcome, want.rank, want.basis)
+            assert got.rounds_used <= want.rounds_used
+        if got.outcome == "proper_invariant_detected":
+            _assert_invariant(gens, p_mat, alpha, got.basis)
 
-    def test_golden_probe_cases_end_in_the_final_pass(self):
-        # the cap-skipped rows, not the budget, make these undecided
-        e = [[parse_poly("0"), parse_poly("x")], [parse_poly("d"), parse_poly("x^3")]]
-        start = (UPoly((0, 0, 1), "d"), UPoly.zero("d"))
-        args = ([CendElem(e)], PolyMat.identity(2), 0, start)
-        got = irreducibility_probe(*args, degree_cap=1, rounds=4)
-        assert (got.outcome, got.rank, got.rounds_used) == ("undecided", 2, 2)
-        assert got == naive_irreducibility_probe(*args, 1, 4)
+    @pytest.mark.parametrize(
+        "entries,start",
+        [([["0", "x"], ["d", "x^3"]], ("d^2", "0")), ([["x^3", "0"], ["d", "x"]], ("1", "0"))],
+        ids=["cap_skipped_two_rounds", "cap_skipped_one_round"],
+    )
+    def test_golden_probe_cases_are_decided(self, entries, start):
+        # the capped loop leaves both undecided: rows above its cap were skipped
+        gen = CendElem([[parse_poly(e) for e in row] for row in entries])
+        start = tuple(upoly_from_mpoly(parse_poly(e), "d") for e in start)
+        args = ([gen], PolyMat.identity(2), 0, start)
+        assert naive_irreducibility_probe(*args, 1, 4).outcome == "undecided"
+        got = irreducibility_probe(*args)
+        assert (got.outcome, got.rank) == ("irreducible", 2)
+        assert got == naive_irreducibility_probe(*args, 16, 4)
+
+    def test_chain_needs_a_round_per_link(self):
+        # E12, E23, E34 carry e4 to e3, e2 and e1, one link per round
+        gens = [CendElem.matrix_unit(4, i, i + 1) for i in range(3)]
+        start = tuple(UPoly.const(int(i == 3), "d") for i in range(4))
+        got = irreducibility_probe(gens, PolyMat.identity(4), 0, start)
+        assert (got.outcome, got.rank, got.rounds_used) == ("irreducible", 4, 3)
+        assert got == naive_irreducibility_probe(gens, PolyMat.identity(4), 0, start, 0, 3)
 
 
 class TestProductPreservesSplitDivisibility:

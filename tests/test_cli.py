@@ -336,13 +336,17 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
         ("verify", "classify_nonsplit_rounds0", {"degree_cap": 40}, "degree_cap must be"),
         ("verify", "classify_nonsplit_rounds0", {"rounds": -1}, "rounds must be"),
         ("verify", "classify_p_only_nonsplit_gcd", {"degree_cap": 40}, "degree_cap must be"),
+        ("verify", "smith", {"degree_cap": 40, "rounds": -5}, "degree_cap must be"),
+        ("verify", "ideal_right", {"rounds": -5}, "rounds must be"),
+        ("verify", "anti_inv_search", {"degree_cap": 17}, "degree_cap must be"),
     ],
     ids=["product_x32767", "product_d9x8", "bracket", "smith", "classify", "unital_probe",
          "irreducibility_start", "axioms_n", "axioms_degree", "oc_gens_max_n",
          "oc_gens_negative_max_n", "oc_gens_n", "smith_size", "product_size",
          "classify_cap_17", "classify_negative_cap", "classify_negative_rounds",
          "unital_probe_cap_40", "verify_undecided_cap_40", "verify_negative_rounds",
-         "verify_decided_cap_40"],
+         "verify_decided_cap_40", "verify_smith_cap_40", "verify_ideal_negative_rounds",
+         "verify_anti_inv_found_cap_17"],
 )
 def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
     if verb == "verify":  # a golden report with its recorded budgets edited
@@ -384,6 +388,8 @@ def test_verify_does_not_bound_certificates(tmp_path):
 
 AXIOMS_REPORT = {"verb": "check-axioms", "input": {"kind": "lie", "n": 1},
                  "result": {}, "status": "decided"}
+# verify reads the recorded budgets before any other part of a report
+NO_BUDGETS = {"budgets": {"seed": 101}}
 
 
 @pytest.mark.parametrize(
@@ -392,15 +398,15 @@ AXIOMS_REPORT = {"verb": "check-axioms", "input": {"kind": "lie", "n": 1},
         ({"verb": "product", "input": {"a": [["x"]], "b": [["1"]]},
           "result": {}, "status": "decided"}, "budgets"),
         ({"verb": "smith", "input": {"matrix": [["x"]]},
-          "result": {"divisors": ["x"]}, "status": "decided"}, "certificate"),
-        ({"verb": "iso", "input": {"p": [["x"]], "q": [["x"]]}, "status": "decided"},
-         "result"),
+          "result": {"divisors": ["x"]}, "status": "decided", **NO_BUDGETS}, "certificate"),
+        ({"verb": "iso", "input": {"p": [["x"]], "q": [["x"]]}, "status": "decided",
+          **NO_BUDGETS}, "result"),
         ({"verb": ["smith"], "input": {}, "status": "decided"}, "verifier"),
         ({"verb": "smith", "input": {"matrix": [["x"]]}, "result": [],
-          "certificate": {}, "status": "decided"}, "result"),
+          "certificate": {}, "status": "decided", **NO_BUDGETS}, "result"),
         ({"verb": "smith", "input": {"matrix": [["x"]]}, "result": {"divisors": "x"},
-          "certificate": {"left": [["1"]], "right": [["1"]]}, "status": "decided"},
-         "divisors"),
+          "certificate": {"left": [["1"]], "right": [["1"]]}, "status": "decided",
+          **NO_BUDGETS}, "divisors"),
         ({**AXIOMS_REPORT, "budgets": {"rounds": "3", "seed": 101}}, "rounds"),
         ({**AXIOMS_REPORT, "budgets": {"rounds": None, "seed": 101}}, "--rounds"),
         ({**AXIOMS_REPORT, "budgets": {"rounds": 1, "seed": "101"}}, "seed"),
@@ -412,7 +418,7 @@ AXIOMS_REPORT = {"verb": "check-axioms", "input": {"kind": "lie", "n": 1},
          "status"),
         ({"verb": "ideal", "input": {"p": [["1"]], "gens": [[["x"]]]},
           "result": {"side": "up"}, "certificate": {"hermite": [["1"]], "multipliers": []},
-          "status": "decided"}, "side"),
+          "status": "decided", **NO_BUDGETS}, "side"),
     ],
     ids=["no_budgets", "no_certificate", "no_result", "list_verb", "list_result",
          "string_divisors", "string_rounds", "null_rounds", "string_seed",

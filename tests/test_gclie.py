@@ -6,8 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from confalg.cend import AntiInvSpec, CendElem, lie_bracket, modvec
+from confalg.cend import (
+    AntiInvSpec,
+    CendElem,
+    lie_bracket,
+    modvec,
+    raw_mat_vec,
+    raw_subst,
+    raw_vec_subst,
+)
 from confalg.gclie import (
     ConfBilinearForm,
     anti_fixed_part,
@@ -21,12 +31,13 @@ from confalg.gclie import (
     sigma_star,
 )
 from confalg.poly import MPoly, UPoly
-from confalg.polymat import PolyMat
+from confalg.polymat import PolyMat, det, star
 from confalg.sampling import random_cend
 
 D = MPoly.var("d")
 X = MPoly.var("x")
 L = MPoly.var("l")
+M = MPoly.var("m")
 
 ONE = UPoly.const(1)
 XX = UPoly.variable()
@@ -98,21 +109,91 @@ class TestAntiFixed:
             assert sigma_star(plus) == plus
 
 
+def naive_invariance_defects(form, a, degree_cap):
+    """The degree-window loop: the pairs (d^k e_i, d^j e_j), k, j <= degree_cap,
+    at which the invariance identity fails."""
+    n = form.p_mat.n
+    head = raw_subst(a.entries, {"d": -M, "x": M + D})
+
+    def act(vec):
+        return raw_mat_vec(head, raw_vec_subst(vec, {"d": M + D}))
+
+    window = []
+    for k in range(degree_cap + 1):
+        for i in range(n):
+            vec = [MPoly.zero()] * n
+            vec[i] = D**k
+            window.append((k, i, tuple(vec)))
+    return {
+        (k1, i1, k2, i2)
+        for k1, i1, v in window
+        for k2, i2, w in window
+        if not (form.pair(act(v), w, at=L) + form.pair(v, act(w), at=L - M)).is_zero()
+    }
+
+
+small_ints = st.integers(-2, 2)
+x_polys = st.lists(small_ints, max_size=3).map(lambda cs: UPoly(tuple(cs)))
+dx_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_ints, max_size=3
+).map(lambda terms: MPoly({(i, j, 0, 0): c for (i, j), c in terms.items() if c}))
+
+
+@st.composite
+def invariance_cases(draw):
+    """(form, element): P = Q + eps Q*, and an element that is a sum of
+    orthogonal/symplectic generators, a random symbol, or both."""
+    n = draw(st.integers(1, 2))
+    eps = draw(st.sampled_from((1, -1)))
+    q = PolyMat([[draw(x_polys) for _ in range(n)] for _ in range(n)])
+    p_mat = q + star(q, 0).scale(eps)
+    assume(not det(p_mat).is_zero())
+    form = ConfBilinearForm(p_mat, eps)
+    gens = make_oc_spc_generators(n, p_mat, eps, 1)
+    elem = CendElem.zero(n)
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else ():
+        elem = elem + g.element
+    if draw(st.booleans()):
+        elem = elem + CendElem([[draw(dx_polys) for _ in range(n)] for _ in range(n)])
+    return form, elem
+
+
 class TestInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(invariance_cases(), st.integers(0, 2))
+    def test_unit_pairs_decide_every_degree(self, case, cap):
+        # defect(d^k v, d^j w) = (m - l)^k l^j defect(v, w): a unit pair fails
+        # exactly when every pair above it fails
+        form, elem = case
+        report = invariance_check(form, elem)
+        failing = {(i, j) for i in range(elem.n) for j in range(elem.n)
+                   if f"defect at v=e{i + 1}, w=e{j + 1}" in report.failures}
+        assert len(failing) == len(report.failures)
+        assert report.checked == elem.n**2
+        assert report.ok == (not failing)
+        want = {(k1, i, k2, j) for i, j in failing
+                for k1 in range(cap + 1) for k2 in range(cap + 1)}
+        assert naive_invariance_defects(form, elem, cap) == want
+
+    def test_failures_name_unit_pairs(self):
+        report = invariance_check(ConfBilinearForm(J2, -1), CendElem.matrix_unit(2, 0, 0, X))
+        assert report.checked == 4
+        assert report.failures == ("defect at v=e1, w=e2", "defect at v=e2, w=e1")
+
     def test_oc_scalar_generators_pass(self):
         form = ConfBilinearForm(P_1, 1)
         for g in make_oc_spc_generators(1, P_1, 1, 3):
-            report = invariance_check(form, g.element, degree_cap=3)
+            report = invariance_check(form, g.element)
             assert report.ok, (g.n, report.failures)
 
     def test_x_fails(self):
         form = ConfBilinearForm(P_1, 1)
-        report = invariance_check(form, scalar(X), degree_cap=1)
+        report = invariance_check(form, scalar(X))
         assert not report.ok
 
     def test_zero_passes(self):
         form = ConfBilinearForm(P_1, 1)
-        assert invariance_check(form, CendElem.zero(1), degree_cap=1).ok
+        assert invariance_check(form, CendElem.zero(1)).ok
 
     def test_degenerate_rejected(self):
         form = ConfBilinearForm(PolyMat([[UPoly.zero()]]), 1)
@@ -150,20 +231,18 @@ class TestBracketClosure:
 class TestIrreducibilityProbe:
     def test_defining_matrix_x(self):
         gens = [scalar(MPoly.const(1)), scalar(X), scalar(D)]
-        outcome = irreducibility_probe(gens, P_X, 0, modvec([1]), degree_cap=4)
+        outcome = irreducibility_probe(gens, P_X, 0, modvec([1]))
         assert outcome.outcome == "irreducible"
 
     def test_proper_invariant_line(self):
         gens = [CendElem.matrix_unit(2, 0, 0)]
-        outcome = irreducibility_probe(
-            gens, PolyMat.identity(2), 0, modvec([1, 0]), degree_cap=4
-        )
+        outcome = irreducibility_probe(gens, PolyMat.identity(2), 0, modvec([1, 0]))
         assert outcome.outcome == "proper_invariant_detected"
         assert outcome.rank == 1
 
     def test_oc_over_x(self):
         gens = [g.a_part for g in make_oc_spc_generators(1, P_X, -1, 2)]
-        outcome = irreducibility_probe(gens, P_X, 0, modvec([1]), degree_cap=4)
+        outcome = irreducibility_probe(gens, P_X, 0, modvec([1]))
         assert outcome.outcome == "irreducible"
 
     def test_zero_start_rejected(self):
