@@ -26,6 +26,8 @@ from .poly import (
     UPoly,
     _make,
     _unpack,
+    mpoly_dot,
+    substituter,
     upoly_from_mpoly,
 )
 from .polymat import PolyMat, inverse_unimodular, is_unimodular, star
@@ -62,23 +64,28 @@ def raw_scale(a: RawMat, c: MPoly | RatLike) -> RawMat:
     return tuple(tuple(x * c for x in ra) for ra in a)
 
 
+def raw_neg(a: RawMat) -> RawMat:
+    return tuple(tuple(-x for x in ra) for ra in a)
+
+
+def _columns(a: RawMat, b: RawMat) -> list[tuple[MPoly, ...]]:
+    """The columns of b, once every row of a has one entry per row of b."""
+    width = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
+        raise ValueError("size mismatch")
+    return list(zip(*b))
+
+
 def raw_mul(a: RawMat, b: RawMat) -> RawMat:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MPoly.zero()
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """Matrix product, each entry one dot product."""
+    cols = _columns(a, b)
+    return tuple(tuple(mpoly_dot(zip(row, col)) for col in cols) for row in a)
 
 
 def raw_subst(a: RawMat, bindings: Mapping[str, MPoly | RatLike]) -> RawMat:
-    return tuple(tuple(e.substitute(bindings) for e in row) for row in a)
+    """Substitute into every entry; the power tables are built once."""
+    sub = substituter(bindings)
+    return tuple(tuple(map(sub, row)) for row in a)
 
 
 def raw_transpose(a: RawMat) -> RawMat:
@@ -91,18 +98,13 @@ def raw_is_zero(a: RawMat) -> bool:
 
 
 def raw_vec_subst(v: RawVec, bindings: Mapping[str, MPoly | RatLike]) -> RawVec:
-    return tuple(e.substitute(bindings) for e in v)
+    return tuple(map(substituter(bindings), v))
 
 
 def raw_mat_vec(a: RawMat, v: RawVec) -> RawVec:
-    out = []
-    for row in a:
-        acc = MPoly.zero()
-        for e, x in zip(row, v):
-            if e and x:
-                acc = acc + e * x
-        out.append(acc)
-    return tuple(out)
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("size mismatch")
+    return tuple(mpoly_dot(zip(row, v)) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ class CendElem:
         return CendElem(raw_sub(self.entries, other.entries))
 
     def __neg__(self) -> CendElem:
-        return CendElem(raw_scale(self.entries, -1))
+        return CendElem(raw_neg(self.entries))
 
     def scale(self, c: MPoly | RatLike) -> CendElem:
         return CendElem(raw_scale(self.entries, c))
@@ -317,14 +319,57 @@ def _param(var: str | MPoly) -> MPoly:
     return MPoly.var(var)
 
 
-def product_head(g: RawMat, p: MPoly) -> RawMat:
-    """The left factor of the product: g(-p, x + p + d)."""
-    return raw_subst(g, {"d": -p, "x": _X + p + _D})
+# The product and the bracket are sums of two-factor matrix products.  Each
+# operand's substituted factors are built once by ``left_factors`` (the acting
+# element g) and ``right_factors`` (the element x acted on) and can be reused
+# across calls; ``bracket_of`` combines them, one dot product per entry.
+
+Factors = tuple[RawMat, RawMat]
 
 
-def product_tail(x_raw: RawMat, p: MPoly) -> RawMat:
+def product_head(g: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> RawMat:
+    """The left factor of the product: g(-p, x + p + d), times P(x + p + d)."""
+    p = _param(nu)
+    head = raw_subst(g, {"d": -p, "x": _X + p + _D})
+    if p_mat is not None:
+        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D}))
+    return head
+
+
+def product_tail(x_raw: RawMat, nu: str | MPoly) -> RawMat:
     """The right factor of the product: x(p + d, x)."""
-    return raw_subst(x_raw, {"d": p + _D})
+    return raw_subst(x_raw, {"d": _param(nu) + _D})
+
+
+def left_factors(g: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> Factors:
+    """g's factors in the bracket: (g(-p, x+p+d) [P(x+p+d)], -g(-p, x))."""
+    p = _param(nu)
+    back = raw_subst(g, {"d": -p})
+    return product_head(g, p, p_mat), raw_neg(back)
+
+
+def right_factors(x_raw: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> Factors:
+    """x's factors in the bracket: (x(p+d, x), x(p+d, x-p) [P(x-p)])."""
+    p = _param(nu)
+    back = raw_subst(x_raw, {"d": p + _D, "x": _X - p})
+    if p_mat is not None:
+        back = raw_mul(back, raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p}))
+    return product_tail(x_raw, p), back
+
+
+def bracket_of(left: Factors, right: Factors) -> RawMat:
+    """head * tail + back_x * back_g, each entry one dot product over 2n pairs."""
+    (head, back_g), (tail, back_x) = left, right
+    tail_cols, g_cols = _columns(head, tail), _columns(back_x, back_g)
+    if len(head) != len(back_x) or len(tail_cols) != len(g_cols):
+        raise ValueError("size mismatch")
+    return tuple(
+        tuple(
+            mpoly_dot([*zip(h_row, t_col), *zip(x_row, g_col)])
+            for t_col, g_col in zip(tail_cols, g_cols)
+        )
+        for h_row, x_row in zip(head, back_x)
+    )
 
 
 def product_apply(
@@ -336,23 +381,14 @@ def product_apply(
     result c: (gP) prod (xP) = c * P.  No division is performed; the defining
     matrix appears once, mid-product.
     """
-    p = _param(nu)
-    head = product_head(g, p)
-    if p_mat is not None:
-        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D}))
-    return raw_mul(head, product_tail(x_raw, p))
+    return raw_mul(product_head(g, nu, p_mat), product_tail(x_raw, nu))
 
 
 def bracket_apply(
     g: RawMat, x_raw: RawMat, nu: str | MPoly = "l", p_mat: PolyMat | None = None
 ) -> RawMat:
     """g acting on x by the commutator bracket, parameter nu; a-parts with ``p_mat``."""
-    p = _param(nu)
-    first = product_apply(g, x_raw, p, p_mat)
-    head = raw_subst(x_raw, {"d": p + _D, "x": _X - p})
-    if p_mat is not None:
-        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p}))
-    return raw_sub(first, raw_mul(head, raw_subst(g, {"d": -p})))
+    return bracket_of(left_factors(g, nu, p_mat), right_factors(x_raw, nu, p_mat))
 
 
 def lambda_product(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
@@ -387,7 +423,17 @@ def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
 # Module actions
 # ---------------------------------------------------------------------------
 
-ActionClosure = Callable[[RawMat, str, RawVec], RawVec]
+# An action is staged: (a-part, parameter name) -> (vector -> vector).  The
+# first stage builds the element's matrix once; the second applies it to
+# vectors of polynomials in d (and the parameters).
+VecMap = Callable[[RawVec], RawVec]
+ActionClosure = Callable[[RawMat, str], VecMap]
+
+
+def head_action(head: RawMat, p: MPoly) -> VecMap:
+    """v -> head * v(p + d)."""
+    shift = substituter({"d": p + _D})
+    return lambda vec: raw_mat_vec(head, tuple(map(shift, vec)))
 
 
 def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
@@ -398,12 +444,10 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
     p_raw = p_mat.to_mpoly_rows()
     a_const = MPoly.const(alpha)
 
-    def act(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
+    def act(a_part: RawMat, param: str) -> VecMap:
         p = _param(param)
         full = raw_mul(a_part, p_raw)
-        head = raw_subst(full, {"d": -p, "x": p + _D + a_const})
-        shifted = raw_vec_subst(vec, {"d": p + _D})
-        return raw_mat_vec(head, shifted)
+        return head_action(raw_subst(full, {"d": -p, "x": p + _D + a_const}), p)
 
     return act
 
@@ -414,26 +458,23 @@ def module_action(
     """Standard action of the element a*P on a vector, split by l-powers."""
     if p_mat.n != a.n or len(vec) != a.n:
         raise ValueError("size mismatch")
-    act = standard_action(p_mat, alpha)
-    raw = act(a.entries, "l", tuple(v.to_mpoly("d") for v in vec))
-    return _vec_series(raw)
+    act = standard_action(p_mat, alpha)(a.entries, "l")
+    return _vec_series(act(tuple(v.to_mpoly("d") for v in vec)))
 
 
 def dual_action(a: CendElem, vec: ModVec) -> dict[int, ModVec]:
     """Contragredient action: -a^t(-l, -d) v(l+d), split by l-powers."""
     if len(vec) != a.n:
         raise ValueError("size mismatch")
-    raw = dual_action_raw(a.entries, "l", tuple(v.to_mpoly("d") for v in vec))
-    return _vec_series(raw)
+    act = dual_action_raw(a.entries, "l")
+    return _vec_series(act(tuple(v.to_mpoly("d") for v in vec)))
 
 
-def dual_action_raw(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
+def dual_action_raw(a_part: RawMat, param: str) -> VecMap:
+    """The contragredient action as a staged action closure."""
     p = _param(param)
-    head = raw_scale(
-        raw_subst(raw_transpose(a_part), {"d": -p, "x": -_D}), -1
-    )
-    shifted = raw_vec_subst(vec, {"d": p + _D})
-    return raw_mat_vec(head, shifted)
+    head = raw_subst(raw_transpose(a_part), {"d": -p, "x": -_D})
+    return head_action(raw_neg(head), p)
 
 
 def _vec_series(raw: RawVec) -> dict[int, ModVec]:
@@ -562,18 +603,15 @@ def verify_assoc_axioms(
     for idx, (a, b, c) in enumerate(samples):
         count += 1
         ar, br, cr = a.entries, b.entries, c.entries
-        prod_ab = product_apply(ar, br, "l")
-        if product_apply(raw_scale(ar, _D), br, "l") != raw_scale(prod_ab, -_L):
+        head_a = product_head(ar, _L)
+        tail_b = product_tail(br, _L)
+        prod_ab = raw_mul(head_a, tail_b)
+        if raw_mul(product_head(raw_scale(ar, _D), _L), tail_b) != raw_scale(prod_ab, -_L):
             failures.append(f"sample {idx}: sesquilinearity fails in the left slot")
-        if product_apply(ar, raw_scale(br, _D), "l") != raw_scale(prod_ab, _L + _D):
+        if raw_mul(head_a, product_tail(raw_scale(br, _D), _L)) != raw_scale(prod_ab, _L + _D):
             failures.append(f"sample {idx}: sesquilinearity fails in the right slot")
-        inner = product_apply(br, cr, "m")
-        lhs = product_apply(ar, inner, "l")
-        rhs = raw_mul(
-            raw_subst(prod_ab, {"d": -(_L + _M), "x": _X + _L + _M + _D}),
-            raw_subst(cr, {"d": _L + _M + _D}),
-        )
-        if lhs != rhs:
+        lhs = raw_mul(head_a, product_tail(product_apply(br, cr, _M), _L))
+        if lhs != product_apply(prod_ab, cr, _L + _M):
             failures.append(f"sample {idx}: associativity fails")
     return AxiomReport(not failures, count, tuple(failures))
 
@@ -587,28 +625,20 @@ def verify_lie_axioms(
     for idx, (a, b, c) in enumerate(samples):
         count += 1
         ar, br, cr = a.entries, b.entries, c.entries
-        br_ab = bracket_apply(ar, br, "l")
-        if bracket_apply(raw_scale(ar, _D), br, "l") != raw_scale(br_ab, -_L):
+        left_a = left_factors(ar, _L)  # a_l acting, in four of the brackets
+        left_b = left_factors(br, _M)  # b_m acting, in three
+        right_b = right_factors(br, _L)
+        br_ab = bracket_of(left_a, right_b)
+        if bracket_of(left_factors(raw_scale(ar, _D), _L), right_b) != raw_scale(br_ab, -_L):
             failures.append(f"sample {idx}: bracket sesquilinearity fails (left)")
-        if bracket_apply(ar, raw_scale(br, _D), "l") != raw_scale(br_ab, _L + _D):
+        if bracket_of(left_a, right_factors(raw_scale(br, _D), _L)) != raw_scale(br_ab, _L + _D):
             failures.append(f"sample {idx}: bracket sesquilinearity fails (right)")
-        flipped = bracket_apply(br, ar, "m")
-        skew = raw_subst(flipped, {"m": -_D - _L})
-        if br_ab != raw_scale(skew, -1):
+        flipped = bracket_of(left_b, right_factors(ar, _M))
+        if br_ab != raw_neg(raw_subst(flipped, {"m": -_D - _L})):
             failures.append(f"sample {idx}: skew-symmetry fails")
-        lhs = bracket_apply(ar, bracket_apply(br, cr, "m"), "l")
-        nu = _L + _M
-        term1 = raw_sub(
-            raw_mul(
-                raw_subst(br_ab, {"d": -nu, "x": _X + nu + _D}),
-                raw_subst(cr, {"d": nu + _D}),
-            ),
-            raw_mul(
-                raw_subst(cr, {"d": nu + _D, "x": _X - nu}),
-                raw_subst(br_ab, {"d": -nu}),
-            ),
-        )
-        term2 = bracket_apply(br, bracket_apply(ar, cr, "l"), "m")
+        lhs = bracket_of(left_a, right_factors(bracket_of(left_b, right_factors(cr, _M)), _L))
+        term1 = bracket_apply(br_ab, cr, _L + _M)
+        term2 = bracket_of(left_b, right_factors(bracket_of(left_a, right_factors(cr, _L)), _M))
         if lhs != raw_add(term1, term2):
             failures.append(f"sample {idx}: Jacobi identity fails")
     return AxiomReport(not failures, count, tuple(failures))
@@ -630,25 +660,24 @@ def verify_module_axioms(
     for idx, (a, b, vec) in enumerate(samples):
         count += 1
         ar, br = a.entries, b.entries
-        av = action(ar, "l", vec)
+        act_a = action(ar, "l")
+        act_b = action(br, "m")
+        av = act_a(vec)
         scaled = tuple(e * _D for e in av)
-        shifted = action(ar, "l", tuple(e * _D for e in vec))
+        shifted = act_a(tuple(e * _D for e in vec))
         if tuple(e * (-_L) for e in av) != tuple(
             s - t for s, t in zip(scaled, shifted)
         ):
             failures.append(f"sample {idx}: derivation compatibility fails")
-        if action(raw_scale(ar, _D), "l", vec) != tuple(e * (-_L) for e in av):
+        if action(raw_scale(ar, _D), "l")(vec) != tuple(e * (-_L) for e in av):
             failures.append(f"sample {idx}: sesquilinearity of the action fails")
-        inner = action(br, "m", vec)
-        lhs = action(ar, "l", inner)
+        lhs = act_a(act_b(vec))
         if lie:
-            lhs = tuple(
-                p - q for p, q in zip(lhs, action(br, "m", action(ar, "l", vec)))
-            )
+            lhs = tuple(p - q for p, q in zip(lhs, act_b(av)))
             composite = bracket_apply(ar, br, "l", p_mat)
         else:
             composite = product_apply(ar, br, "l", p_mat)
-        rhs = raw_vec_subst(action(composite, "m", vec), {"m": _L + _M})
+        rhs = raw_vec_subst(action(composite, "m")(vec), {"m": _L + _M})
         if lhs != rhs:
             failures.append(f"sample {idx}: composition axiom fails")
     return AxiomReport(not failures, count, tuple(failures))

@@ -77,8 +77,9 @@ from .structure import (
 
 DEFAULT_SEED = 101
 
-# check-axioms samples n x n symbols of this degree; one lie round at n = 4,
-# degree 4 already takes seconds, and the cost grows fast in both
+# check-axioms samples n x n symbols of this degree; one round at n = 4,
+# degree 4 takes about 1 s for assoc and 2 s for lie, and the cost grows fast
+# in both
 MAX_AXIOM_N = 4
 MAX_AXIOM_DEGREE = 4
 # oc-gens builds n*n generators for each power 0..max_n; n = 4 with
@@ -206,6 +207,8 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
             if "p" in payload
             else PolyMat.identity(n)
         )
+        if p_mat.n != n:
+            raise AppError(E_MISMATCH, "size mismatch")
         raw_alphas = payload.get("alphas", ["0"])
         if not isinstance(raw_alphas, list) or not raw_alphas:
             raise AppError(E_PARSE, "alphas: expected a non-empty array of rationals")

@@ -19,6 +19,7 @@ from .cend import (
     ModVec,
     RawMat,
     RawVec,
+    VecMap,
     _vec_series,
     apply_antiinv,
     bracket_apply,
@@ -29,7 +30,7 @@ from .cend import (
     raw_vec_subst,
     standard_action,
 )
-from .poly import _D, _L, _M, _X, MPoly, UPoly
+from .poly import _D, _L, _M, _X, MPoly, UPoly, mpoly_dot
 from .polymat import PidRowBasis, PolyMat, Row, det, is_unimodular, star
 
 
@@ -56,16 +57,13 @@ class ConfBilinearForm:
 
     def pair(self, v: RawVec, w: RawVec, at: MPoly | None = None) -> MPoly:
         """Evaluate the pairing with the series slot at ``at`` (default l)."""
+        if len(v) != len(w):
+            raise ValueError("size mismatch")
         lam = at if at is not None else _L
         p_at = raw_subst(self.p_mat.to_mpoly_rows(), {"x": lam})
         v_neg = raw_vec_subst(v, {"d": -lam})
-        w_pos = raw_vec_subst(w, {"d": lam})
-        pw = raw_mat_vec(p_at, w_pos)
-        acc = MPoly.zero()
-        for a, b in zip(v_neg, pw):
-            if a and b:
-                acc = acc + a * b
-        return acc
+        pw = raw_mat_vec(p_at, raw_vec_subst(w, {"d": lam}))  # w must fit P
+        return mpoly_dot(zip(v_neg, pw))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +245,14 @@ def irreducibility_probe(
         raise ValueError("start vector must be nonzero")
     if len(start) != n or any(g.n != n for g in gens):
         raise ValueError("size mismatch")
-    act = standard_action(p_mat, alpha)
+    std = standard_action(p_mat, alpha)
+    acts = [std(g.entries, "l") for g in gens]  # each generator's head, built once
     basis = PidRowBasis(n, var="d")
     basis.add(list(start))
 
-    def coefficient_rows(gen: CendElem, row: Sequence[UPoly]) -> Iterable[ModVec]:
+    def coefficient_rows(act: VecMap, row: Sequence[UPoly]) -> Iterable[ModVec]:
         vec = tuple(e.to_mpoly("d") for e in row)
-        return _vec_series(act(gen.entries, "l", vec)).values()
+        return _vec_series(act(vec)).values()
 
     def is_full() -> bool:
         return basis.rank() == n and all(
@@ -267,11 +266,11 @@ def irreducibility_probe(
         rounds_used += 1
         snapshot = basis.canonical()
         offered: list[ModVec] = []
-        for gi, gen in enumerate(gens):
+        for gi, act in enumerate(acts):
             for row in snapshot:
                 if (gi, row) not in done:
                     done.add((gi, row))
-                    offered.extend(coefficient_rows(gen, row))
+                    offered.extend(coefficient_rows(act, row))
         # low degrees first keeps the Hermite entries small (a constant row
         # gives a unit pivot at once); no order changes the span a round ends with
         offered.sort(key=lambda r: max(e.degree() for e in r))

@@ -22,7 +22,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 VARS: tuple[str, ...] = ("d", "x", "l", "m")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -279,73 +279,8 @@ class MPoly:
     # -- structural operations ----------------------------------------------
 
     def substitute(self, bindings: Mapping[str, MPoly | RatLike]) -> MPoly:
-        """Simultaneous substitution; unbound variables are unchanged.
-
-        One pass over the terms: the powers of each bound value are cached
-        as numerator dicts and each term's product is added straight into a
-        single output dict over the common denominator.
-        """
-        shifts: list[int] = []
-        values: list[MPoly] = []
-        keep = _ALL  # fields of the variables left in place
-        for name, val in bindings.items():
-            if name not in _VAR_INDEX:
-                raise KeyError(f"unknown variable {name!r}")
-            s = _SHIFTS[_VAR_INDEX[name]]
-            shifts.append(s)
-            values.append(_as_mpoly(val))
-            keep &= ~(_FIELD << s)
-        terms = self._num
-        if not shifts or not terms:
-            return self
-        tops = [max((k >> s) & _FIELD for k in terms) for s in shifts]
-        _check_substitution(terms, keep, shifts, values)
-
-        den = self._den
-        powers: list[list[dict[int, int]]] = []
-        den_powers: list[list[int] | None] = []
-        for val, top in zip(values, tops):
-            cache = [{0: 1}]
-            for _ in range(top):
-                cache.append(_dict_mul(val._num, cache[-1]))
-            powers.append(cache)
-            vd = val._den
-            if vd == 1:
-                den_powers.append(None)
-            else:
-                # a term with exponent k is brought to den * vd**top by vd**(top-k)
-                den *= vd**top
-                den_powers.append([vd ** (top - k) for k in range(top + 1)])
-        bound = list(zip(shifts, powers, den_powers))
-
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in terms.items():
-            base = key & keep
-            factors = []
-            for s, cache, dpw in bound:
-                k = (key >> s) & _FIELD
-                if dpw is not None:
-                    c *= dpw[k]
-                if k:
-                    f = cache[k]
-                    if len(f) == 1:  # a power of a monomial folds into the term
-                        [(fk, fc)] = f.items()
-                        base += fk
-                        c *= fc
-                    else:
-                        factors.append(f)
-            if not factors:
-                out[base] = get(base, 0) + c
-                continue
-            piece = {base: c}
-            for f in factors[:-1]:
-                piece = _dict_mul(piece, f)
-            for k1, c1 in piece.items():
-                for k2, c2 in factors[-1].items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        return _make({k: c for k, c in out.items() if c}, den)
+        """Simultaneous substitution; unbound variables are unchanged."""
+        return substituter(bindings)(self)
 
     def derivative(self, var: str) -> MPoly:
         s = _SHIFTS[_VAR_INDEX[var]]
@@ -386,6 +321,117 @@ class MPoly:
         from .grammar import format_poly
 
         return f"MPoly({format_poly(self)!r})"
+
+
+def substituter(bindings: Mapping[str, MPoly | RatLike]) -> Callable[[MPoly], MPoly]:
+    """Simultaneous substitution of ``bindings``, as a function of the polynomial.
+
+    The powers of each bound value are built once, as numerator dicts, and
+    shared by every polynomial the function is applied to; each term's image
+    is added straight into one output dict over the common denominator.
+    """
+    shifts: list[int] = []
+    values: list[MPoly] = []
+    keep = _ALL  # fields of the variables left in place
+    for name, val in bindings.items():
+        if name not in _VAR_INDEX:
+            raise KeyError(f"unknown variable {name!r}")
+        s = _SHIFTS[_VAR_INDEX[name]]
+        shifts.append(s)
+        values.append(_as_mpoly(val))
+        keep &= ~(_FIELD << s)
+    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in values]
+    den_powers: list[list[int]] = [[1] for _ in values]
+    tables = list(zip(shifts, values, powers, den_powers))
+
+    def subst(p: MPoly) -> MPoly:
+        terms = p._num
+        if not terms:
+            return p
+        den = p._den
+        bound = []  # (shift, powers, denominator lift by exponent or None)
+        for s, val, cache, dcache in tables:
+            top = max((k >> s) & _FIELD for k in terms)
+            if not top:
+                continue
+            while len(cache) <= top:
+                cache.append(_dict_mul(val._num, cache[-1]))
+            vd = val._den
+            if vd == 1:
+                bound.append((s, cache, None))
+            else:
+                while len(dcache) <= top:
+                    dcache.append(dcache[-1] * vd)
+                # a term with exponent k is brought to den * vd**top by vd**(top-k)
+                den *= dcache[top]
+                bound.append((s, cache, dcache[top::-1]))
+        if not bound:
+            return p
+        _check_substitution(terms, keep, shifts, values)
+
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in terms.items():
+            base = key & keep
+            factors = []
+            for s, cache, dpw in bound:
+                k = (key >> s) & _FIELD
+                if dpw is not None:
+                    c *= dpw[k]
+                if k:
+                    f = cache[k]
+                    if len(f) == 1:  # a power of a monomial folds into the term
+                        [(fk, fc)] = f.items()
+                        base += fk
+                        c *= fc
+                    else:
+                        factors.append(f)
+            if not factors:
+                out[base] = get(base, 0) + c
+                continue
+            piece = {base: c}
+            for f in factors[:-1]:
+                piece = _dict_mul(piece, f)
+            for k1, c1 in piece.items():
+                for k2, c2 in factors[-1].items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return _make({k: c for k, c in out.items() if c}, den)
+
+    return subst
+
+
+def mpoly_dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+    """The sum of a * b over the pairs, accumulated in one numerator dict.
+
+    The numerators are brought over the lcm of the pair denominators and the
+    sum is reduced to canonical form once, at the end.  Pairs with a zero
+    factor are skipped; every other pair passes the exponent guard of a
+    product.
+    """
+    live = []
+    den = 1
+    for a, b in pairs:
+        na, nb = a._num, b._num
+        if na and nb:
+            _check_product(na, nb)
+            d = a._den * b._den
+            if den % d:
+                den = lcm(den, d)
+            live.append((na, nb, d) if len(na) <= len(nb) else (nb, na, d))
+    if not live:
+        return _MP_ZERO
+    out: dict[int, int] = {}
+    get = out.get
+    for na, nb, d in live:
+        f = den // d
+        for k1, c1 in na.items():
+            if f != 1:
+                c1 *= f
+            for k2, c2 in nb.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return _make({k: c for k, c in out.items() if c}, den)
 
 
 def _check_substitution(

@@ -18,10 +18,11 @@ from .cend import (
     CendElem,
     RawMat,
     RawVec,
+    VecMap,
+    head_action,
     raw_mat_vec,
     raw_mul,
     raw_subst,
-    raw_vec_subst,
     standard_action,
 )
 from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
@@ -305,9 +306,12 @@ def antiinv_conjugacy_verify(
 class ExtensionModule:
     """A module built from a factorization or a Jordan-block twist.
 
-    ``action`` follows the verifier contract: (a-part, parameter name,
-    vector of polynomials in d) -> vector.  For the factorization kind the
-    vector length is N; for the Jordan kind it is 2N (two stacked blocks).
+    ``action`` follows the verifier contract, in two stages: (a-part,
+    parameter name) -> (vector of polynomials in d -> vector).  The first
+    stage builds the element's matrix once, so one element acts on many
+    vectors at the cost of a matrix-vector product each.  For the
+    factorization kind the vector length is N; for the Jordan kind it is 2N
+    (two stacked blocks).
     """
 
     kind: str
@@ -342,12 +346,11 @@ def build_extension(
         r_raw = r_mat.to_mpoly_rows()
         a_const = MPoly.const(alpha)
 
-        def act(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
+        def act(a_part: RawMat, param: str) -> VecMap:
             p = MPoly.var(param)
             head = raw_subst(a_part, {"d": -p, "x": p + _D + a_const})
             r_shift = raw_subst(r_raw, {"x": p + _D})
-            shifted = raw_vec_subst(vec, {"d": p + _D})
-            return raw_mat_vec(raw_mul(raw_mul(s_in_d, head), r_shift), shifted)
+            return head_action(raw_mul(raw_mul(s_in_d, head), r_shift), p)
 
         return ExtensionModule("factorization", p_mat, alpha, r_mat, s_mat, gamma, act)
 
@@ -356,22 +359,17 @@ def build_extension(
         g_const = MPoly.const(gamma)
         n = p_mat.n
 
-        def act_jordan(a_part: RawMat, param: str, vec: RawVec) -> RawVec:
-            if len(vec) != 2 * n:
-                raise ValueError("jordan module vectors have two blocks")
+        def act_jordan(a_part: RawMat, param: str) -> VecMap:
             p = MPoly.var(param)
             full = raw_mul(a_part, p_raw)
-            head0 = raw_subst(full, {"d": -p, "x": p + _D + g_const})
+            bindings = {"d": -p, "x": p + _D + g_const}
+            head0 = raw_subst(full, bindings)
             deriv = tuple(tuple(e.derivative("x") for e in row) for row in full)
-            head1 = raw_subst(deriv, {"d": -p, "x": p + _D + g_const})
-            first = raw_vec_subst(vec[:n], {"d": p + _D})
-            second = raw_vec_subst(vec[n:], {"d": p + _D})
-            out_first = tuple(
-                a + b
-                for a, b in zip(raw_mat_vec(head0, first), raw_mat_vec(head1, second))
-            )
-            out_second = raw_mat_vec(head0, second)
-            return out_first + out_second
+            head1 = raw_subst(deriv, bindings)
+            # [[head0, head1], [0, head0]] acting on the two stacked blocks
+            zero = (MPoly.zero(),) * n
+            block = tuple(r0 + r1 for r0, r1 in zip(head0, head1))
+            return head_action(block + tuple(zero + r0 for r0 in head0), p)
 
         return ExtensionModule("jordan", p_mat, alpha, None, None, gamma, act_jordan)
 
@@ -391,9 +389,9 @@ def embedded_standard_witness(
     assert module.s_mat is not None
     s_in_d = raw_subst(module.s_mat.to_mpoly_rows(), {"x": _D})
     embedded = raw_mat_vec(s_in_d, vec)
-    lhs = module.action(a.entries, "l", embedded)
-    std = standard_action(module.p_mat, module.alpha)
-    rhs = raw_mat_vec(s_in_d, std(a.entries, "l", vec))
+    lhs = module.action(a.entries, "l")(embedded)
+    std = standard_action(module.p_mat, module.alpha)(a.entries, "l")
+    rhs = raw_mat_vec(s_in_d, std(vec))
     return lhs, rhs
 
 

@@ -62,6 +62,11 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
      ("--rounds", "2", "--seed", "7")),
     ("check-axioms", "missing_rounds", {"kind": "lie", "n": 1, "degree": 1}, ()),
     ("check-axioms", "unknown_kind", {"kind": "jordan", "n": 1}, R1),
+    # P must be n x n: smaller and larger are both refused
+    ("check-axioms", "module_p_too_small",
+     {"kind": "module", "n": 2, "degree": 1, "p": [["x"]]}, R1),
+    ("check-axioms", "module_p_too_large",
+     {"kind": "module", "n": 1, "degree": 1, "p": [["x", "0"], ["0", "x"]]}, R1),
     ("smith", "identity", {"matrix": [["1", "0"], ["0", "1"]]}, ()),
     ("smith", "poly_3x3",
      {"matrix": [["x", "1", "0"], ["0", "x^2 - 1", "x"], ["1/2", "0", "x + 3"]]}, ()),
@@ -219,6 +224,9 @@ VERIFY_CASES = [
     ("ideal_right", ("ideal", "right"), None),
     ("classify_pq", ("classify-cend1", "pq"), None),
     ("check_axioms_module", ("check-axioms", "module"), None),
+    # n = 1 under the 2 x 2 P: a recomputation must refuse the sizes
+    ("forged_check_axioms_module_size", ("check-axioms", "module"),
+     lambda r: r["input"].update(n=1)),
     ("product_rational", ("product", "rational_2x2"), None),
     ("tampered_smith", ("smith", "poly_3x3"),
      lambda r: r["result"].__setitem__("divisors", ["1", "1", "x^2 + 1"])),

@@ -6,13 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confalg.cend as cend
 from confalg.cend import (
     AntiInvSpec,
     AutoSpec,
     CendElem,
     LambdaSeries,
     apply_antiinv,
+    bracket_apply,
+    bracket_of,
     conjugate,
     cur_n,
     dual_action,
@@ -24,8 +29,13 @@ from confalg.cend import (
     module_action,
     nth_products,
     nth_products_divided,
+    left_factors,
     product_apply,
+    raw_mat_vec,
+    raw_mul,
     raw_subst,
+    raw_vec_subst,
+    right_factors,
     standard_action,
     verify_assoc_axioms,
     verify_lie_axioms,
@@ -33,7 +43,8 @@ from confalg.cend import (
 )
 from confalg.poly import MPoly, UPoly
 from confalg.polymat import PolyMat
-from confalg.sampling import random_cend, random_modvec_raw
+from confalg.sampling import random_cend, random_modvec_raw, random_polymat
+from confalg.structure import build_extension
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -275,9 +286,8 @@ class TestAxiomVerifiers:
         # drop the defining matrix from the action: composition must fail
         p_mat = P_X
 
-        def broken(a_part, param, vec):
-            act = standard_action(PolyMat.identity(1), 0)
-            return act(a_part, param, vec)
+        def broken(a_part, param):
+            return standard_action(PolyMat.identity(1), 0)(a_part, param)
 
         rng = random.Random(22)
         samples = [
@@ -285,6 +295,29 @@ class TestAxiomVerifiers:
         ]
         report = verify_module_axioms(broken, samples, p_mat=p_mat)
         assert not report.ok
+
+
+    def test_assoc_verifier_catches_wrong_head(self, monkeypatch):
+        # a head built with d -> p instead of d -> -p
+        def wrong_head(g, nu, p_mat=None):
+            p = cend._param(nu)
+            return raw_subst(g, {"d": p, "x": X + p + D})
+
+        monkeypatch.setattr(cend, "product_head", wrong_head)
+        rng = random.Random(18)
+        samples = [(random_cend(rng, 2, 2), random_cend(rng, 2, 2), random_cend(rng, 2, 2))]
+        report = verify_assoc_axioms(samples)
+        assert not report.ok and report.checked == 1
+        assert "sample 0: sesquilinearity fails in the left slot" in report.failures
+
+    def test_lie_verifier_catches_bracket_without_back_term(self, monkeypatch):
+        # the bracket reduced to its product term
+        monkeypatch.setattr(cend, "bracket_of", lambda left, right: raw_mul(left[0], right[0]))
+        rng = random.Random(19)
+        samples = [(random_cend(rng, 2, 2), random_cend(rng, 2, 2), random_cend(rng, 2, 2))]
+        report = verify_lie_axioms(samples)
+        assert not report.ok and report.checked == 1
+        assert "sample 0: skew-symmetry fails" in report.failures
 
 
 class TestDualAction:
@@ -346,3 +379,139 @@ class TestCurAndHomomorphism:
                 homomorphism_image(a, P_X, P_X, 0), homomorphism_image(b, P_X, P_X, 0)
             )
             assert lhs.to_raw() == rhs.to_raw()
+
+
+# ---------------------------------------------------------------------------
+# The fused kernel against an unfused reference
+# ---------------------------------------------------------------------------
+
+
+def ref_subst(a, bindings):
+    return tuple(tuple(e.substitute(bindings) for e in row) for row in a)
+
+
+def ref_mul(a, b):
+    """Matrix product built from pairwise products and sums."""
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(len(b))), MPoly.zero())
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )
+
+
+def ref_mat_vec(a, v):
+    return tuple(sum((e * x for e, x in zip(row, v)), MPoly.zero()) for row in a)
+
+
+def ref_product(g, x_raw, p, p_mat=None):
+    head = ref_subst(g, {"d": -p, "x": X + p + D})
+    if p_mat is not None:
+        head = ref_mul(head, ref_subst(p_mat.to_mpoly_rows(), {"x": X + p + D}))
+    return ref_mul(head, ref_subst(x_raw, {"d": p + D}))
+
+
+def ref_bracket(g, x_raw, p, p_mat=None):
+    back = ref_subst(x_raw, {"d": p + D, "x": X - p})
+    if p_mat is not None:
+        back = ref_mul(back, ref_subst(p_mat.to_mpoly_rows(), {"x": X - p}))
+    second = ref_mul(back, ref_subst(g, {"d": -p}))
+    first = ref_product(g, x_raw, p, p_mat)
+    return tuple(tuple(s - t for s, t in zip(r, q)) for r, q in zip(first, second))
+
+
+def rational_cend(rng, n, degree):
+    """A random symbol with rational coefficients."""
+    return random_cend(rng, n, degree).scale(Fraction(rng.randint(1, 5), rng.randint(1, 6)))
+
+
+PARAMS = (L, M, L + M)
+
+
+class TestFusedKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.booleans(), st.sampled_from(PARAMS))
+    def test_product_and_bracket_match_reference(self, n, seed, with_p, p):
+        rng = random.Random(seed)
+        g = rational_cend(rng, n, 2).entries
+        x_raw = rational_cend(rng, n, 2).entries
+        p_mat = random_polymat(rng, n, 1) if with_p else None
+        assert product_apply(g, x_raw, p, p_mat) == ref_product(g, x_raw, p, p_mat)
+        assert bracket_apply(g, x_raw, p, p_mat) == ref_bracket(g, x_raw, p, p_mat)
+        assert bracket_of(left_factors(g, p, p_mat), right_factors(x_raw, p, p_mat)) == (
+            ref_bracket(g, x_raw, p, p_mat)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    def test_raw_subst_matches_each_entry(self, n, seed):
+        rng = random.Random(seed)
+        a = rational_cend(rng, n, 3).entries
+        half = MPoly.const(Fraction(1, 2))
+        for bindings in (
+            {"d": L},  # monomial values
+            {"d": -L, "x": X * M},
+            {"d": D.scale(Fraction(2, 3)) + half, "x": X - L},  # rational denominators
+            {"x": Fraction(-1, 3), "d": L + M + D},
+        ):
+            assert raw_subst(a, bindings) == ref_subst(a, bindings)
+            vec = a[0]
+            assert raw_vec_subst(vec, bindings) == tuple(e.substitute(bindings) for e in vec)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.sampled_from([0, 1, Fraction(-1, 2)]))
+    def test_staged_actions_match_one_step_formulas(self, n, seed, alpha):
+        rng = random.Random(seed)
+        a = rational_cend(rng, n, 2).entries
+        p_mat = random_polymat(rng, n, 1)
+        vecs = [random_modvec_raw(rng, n, 2) for _ in range(3)]
+        for param, p in (("l", L), ("m", M)):
+            std = standard_action(p_mat, alpha)(a, param)
+            dual = dual_action_raw(a, param)
+            full = ref_mul(a, p_mat.to_mpoly_rows())
+            std_head = ref_subst(full, {"d": -p, "x": p + D + MPoly.const(alpha)})
+            dual_head = ref_subst(tuple(zip(*a)), {"d": -p, "x": -D})
+            for vec in vecs:  # one staged action serves every vector
+                shifted = tuple(e.substitute({"d": p + D}) for e in vec)
+                assert std(vec) == ref_mat_vec(std_head, shifted)
+                assert dual(vec) == tuple(-e for e in ref_mat_vec(dual_head, shifted))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([0, Fraction(1, 3)]))
+    def test_staged_extension_actions_match_one_step_formulas(self, seed, shift):
+        rng = random.Random(seed)
+        a = rational_cend(rng, 1, 2).entries
+        vec = random_modvec_raw(rng, 2, 2)
+        s_mat = PolyMat([[UPoly((shift, 1))]])
+        r_mat = PolyMat([[UPoly((1, 2))]])
+        p_mat = (r_mat @ s_mat).shift(-shift)
+        factor = build_extension(p_mat, "factorization", r_mat=r_mat, s_mat=s_mat, alpha=shift)
+        jordan = build_extension(p_mat, "jordan", gamma=shift)
+        head = ref_subst(a, {"d": -L, "x": L + D + MPoly.const(shift)})
+        s_in_d = ref_subst(s_mat.to_mpoly_rows(), {"x": D})
+        r_shift = ref_subst(r_mat.to_mpoly_rows(), {"x": L + D})
+        shifted = tuple(e.substitute({"d": L + D}) for e in vec)
+        want = ref_mat_vec(ref_mul(ref_mul(s_in_d, head), r_shift), shifted[:1])
+        assert factor.action(a, "l")(vec[:1]) == want
+        full = ref_mul(a, p_mat.to_mpoly_rows())
+        bind = {"d": -L, "x": L + D + MPoly.const(shift)}
+        head0 = ref_subst(full, bind)
+        head1 = ref_subst(tuple(tuple(e.derivative("x") for e in r) for r in full), bind)
+        first = ref_mat_vec(head0, shifted[:1])[0] + ref_mat_vec(head1, shifted[1:])[0]
+        assert jordan.action(a, "l")(vec) == (first, ref_mat_vec(head0, shifted[1:])[0])
+
+    def test_shapes_that_do_not_match_raise(self):
+        one = ((MPoly.const(1),),)
+        two = CendElem.identity(2).entries
+        wide = ((X, D),)
+        for a, b in ((two, one), (one, two), (wide, wide), (two, wide)):
+            with pytest.raises(ValueError, match="size mismatch"):
+                raw_mul(a, b)
+        assert raw_mul(wide, two) == wide
+        with pytest.raises(ValueError, match="size mismatch"):
+            raw_mat_vec(two, (X,))
+        with pytest.raises(ValueError, match="size mismatch"):
+            bracket_of(left_factors(two, L), right_factors(one, L))
+        with pytest.raises(ValueError, match="size mismatch"):
+            standard_action(PolyMat.identity(1))(two, "l")

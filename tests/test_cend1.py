@@ -342,7 +342,7 @@ def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
 
     def coefficient_rows(gen, row):
         vec = tuple(e.to_mpoly("d") for e in row)
-        return _vec_series(act(gen.entries, "l", vec)).values()
+        return _vec_series(act(gen.entries, "l")(vec)).values()
 
     def is_full():
         return basis.rank() == n and all(
@@ -391,7 +391,7 @@ def _assert_invariant(gens, p_mat, alpha, rows):
     for gen in gens:
         for row in rows:
             vec = tuple(e.to_mpoly("d") for e in row)
-            for new_row in _vec_series(act(gen.entries, "l", vec)).values():
+            for new_row in _vec_series(act(gen.entries, "l")(vec)).values():
                 assert basis.contains(new_row)
 
 

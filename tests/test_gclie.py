@@ -200,6 +200,13 @@ class TestInvariance:
         with pytest.raises(ValueError):
             invariance_check(form, scalar(X))
 
+    def test_pair_refuses_vectors_of_the_wrong_length(self):
+        form = ConfBilinearForm(PolyMat.identity(2), 1)
+        assert form.pair((D, X), (D, D)) == -L * L + X * L
+        for v, w in (((D,), (D, D)), ((D, D, D), (D, D)), ((D,), (D,))):
+            with pytest.raises(ValueError, match="size mismatch"):
+                form.pair(v, w)
+
 
 class TestBracketClosure:
     def test_oc1_closed(self):

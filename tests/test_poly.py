@@ -14,6 +14,8 @@ from confalg.poly import (
     MPoly,
     UPoly,
     bipoly_gcd,
+    mpoly_dot,
+    substituter,
     upoly_from_mpoly,
     upoly_gcd,
     upoly_xgcd,
@@ -395,6 +397,37 @@ class TestMPolyModel:
         assert dict(got.terms) == want
         assert_canonical(got)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(ref_strategy, min_size=1, max_size=4),
+        st.dictionaries(var_names, ref_strategy, max_size=3),
+    )
+    def test_substituter_shares_tables_across_polys(self, polys, bindings):
+        # the power tables grow with the first polynomial and serve the rest
+        sub = substituter({v: MPoly(t) for v, t in bindings.items()})
+        for a in polys:
+            got = sub(MPoly(a))
+            assert dict(got.terms) == ref_subst(a, bindings)
+            assert_canonical(got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(ref_strategy, ref_strategy), max_size=5))
+    def test_dot_is_sum_of_products(self, pairs):
+        got = mpoly_dot((MPoly(a), MPoly(b)) for a, b in pairs)
+        want: Ref = {}
+        for a, b in pairs:
+            want = ref_add(want, ref_mul(a, b))
+        assert dict(got.terms) == want
+        assert got == sum((MPoly(a) * MPoly(b) for a, b in pairs), MPoly.zero())
+        assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ref_strategy, ref_strategy, ref_strategy)
+    def test_dot_cancels_to_canonical_zero(self, a, b, c):
+        pa, pb, pc = MPoly(a), MPoly(b), MPoly(c)
+        got = mpoly_dot([(pa, pb), (MPoly.zero(), pc), (-pa, pb), (pc, MPoly.zero())])
+        assert got == MPoly.zero() and got._den == 1 and not got._num
+
     @settings(max_examples=60, deadline=None)
     @given(ref_strategy, st.integers(0, 3))
     def test_derivative_and_coefficients_in(self, a, i):
@@ -468,6 +501,17 @@ class TestExponentLimit:
             (X ** 20000).substitute({"x": X**2})
         with pytest.raises(ExponentOverflowError):
             (D ** 20000 * X).substitute({"x": D ** 20000})
+
+    def test_dot_guards_every_pair(self):
+        from confalg.poly import MAX_EXP, ExponentOverflowError
+
+        big = X**MAX_EXP
+        assert mpoly_dot([(big, MPoly.const(3)), (X, X)]) == big * 3 + X * X
+        for pairs in ([(big, X)], [(D, D), (big, X)], [(MPoly.zero(), X), (X, big)]):
+            with pytest.raises(ExponentOverflowError):
+                mpoly_dot(pairs)
+        # a zero factor is skipped, so its partner is never multiplied
+        assert mpoly_dot([(big, MPoly.zero()), (D, X)]) == D * X
 
     def test_guard_does_not_misfire_across_fields(self):
         from confalg.poly import MAX_EXP

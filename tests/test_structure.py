@@ -271,7 +271,7 @@ class TestExtensions:
         for _ in range(4):
             a = random_cend(rng, 1, 2)
             vec = random_modvec_raw(rng, 1, 2)
-            assert module.action(a.entries, "l", vec) == act(a.entries, "l", vec)
+            assert module.action(a.entries, "l")(vec) == act(a.entries, "l")(vec)
 
     def test_factorization_mismatch(self):
         with pytest.raises(MismatchError):
@@ -294,7 +294,7 @@ class TestExtensions:
 
     def test_jordan_mixes_blocks(self):
         module = build_extension(P_1, "jordan")
-        out = module.action(scalar(X).entries, "l", (MPoly.zero(), MPoly.const(1)))
+        out = module.action(scalar(X).entries, "l")((MPoly.zero(), MPoly.const(1)))
         # x evaluated at l + d + nilpotent: the second block leaks into the first
         assert out[0] == MPoly.const(1)
         assert out[1] == MPoly.var("l") + D
