@@ -44,7 +44,6 @@ from .polymat import (
     PolyMat,
     SmithCert,
     StarForm,
-    congruence_search_bounded,
     congruence_verify,
     det,
     hermite_left_generator,

@@ -86,7 +86,8 @@ MAX_AXIOM_DEGREE = 4
 # max_n = 16 takes about half a second, n = 8 with max_n = 16 six seconds
 MAX_OC_POWER = 16
 # every --degree-cap flag or recorded degree_cap: only anti-inv-search reads
-# one, and its grid grows steeply in it; every other verb validates and ignores it
+# one, as the entry degree of its n^2 (cap + 1) unknowns; every other verb
+# validates and ignores it
 MAX_DEGREE_CAP = 16
 
 E_PARSE = "E_PARSE"
@@ -300,13 +301,8 @@ def run_anti_inv_search(payload: Any, budgets: Budgets) -> Outcome:
         return "decided", {"found": False}, _anti_auto_certificate(decision)
     if spec is None:
         return "undecided", {"found": False}, None
-    result = {
-        "found": True,
-        "epsilon": spec.epsilon,
-        "alpha": fraction_to_str(spec.alpha),
-    }
-    certificate = {"y": polymat_to_json(spec.y_mat)}
-    return "decided", result, certificate
+    result = {"found": True, "epsilon": spec.epsilon, "alpha": fraction_to_str(spec.alpha)}
+    return "decided", result, {"y": polymat_to_json(spec.y_mat)}
 
 
 def _generator_json(side: str, generator: PolyMat) -> list[list[str]]:

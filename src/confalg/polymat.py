@@ -8,7 +8,6 @@ independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -557,77 +556,3 @@ def congruence_verify(a_mat: PolyMat, c_mat: PolyMat, alpha: RatLike = 0) -> Pol
     if not is_unimodular(c_mat):
         raise ValueError("congruence transform must be unimodular")
     return star(c_mat, alpha) @ a_mat @ c_mat
-
-
-def _candidate_polys(degree_cap: int, grid: Sequence[RatLike]) -> list[UPoly]:
-    """Polynomials of degree <= degree_cap with coefficients in ``grid``, in a fixed order."""
-    polys: list[UPoly] = []
-    for deg in range(degree_cap + 1):
-        for coefs in itertools.product(grid, repeat=deg + 1):
-            if coefs[deg] == 0:
-                continue
-            polys.append(UPoly(coefs))
-    return polys
-
-
-def _elementary_factors(n: int, degree_cap: int) -> list[PolyMat]:
-    """Deterministic grid of unimodular factors for the bounded search."""
-    factors: list[PolyMat] = []
-    polys = _candidate_polys(degree_cap, (0, -2, -1, 1, 2))
-    # transvections I + p*E_ij
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for p in polys:
-                rows = [list(r) for r in PolyMat.identity(n).rows]
-                rows[i][j] = p
-                factors.append(PolyMat(rows))
-    # diagonal unit scalings
-    units = (Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
-    for i in range(n):
-        for u in units:
-            entries: list[UPoly | RatLike] = [Fraction(1)] * n
-            entries[i] = u
-            factors.append(PolyMat.diagonal(entries))
-    # permutations
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        zero = UPoly.zero()
-        one = UPoly.const(1)
-        factors.append(
-            PolyMat([[one if perm[i] == j else zero for j in range(n)] for i in range(n)])
-        )
-    return factors
-
-
-def congruence_search_bounded(
-    a_mat: PolyMat,
-    target: PolyMat,
-    alpha: RatLike = 0,
-    degree_cap: int = 1,
-    max_factors: int = 2,
-) -> PolyMat | None:
-    """Search a unimodular C with star(C, alpha) @ A @ C == target.
-
-    C is sought as a product of at most ``max_factors`` elementary unimodular
-    factors with entry degrees <= degree_cap over a small integer grid, in a
-    fixed enumeration order.  Absence within the budget proves nothing.
-    """
-    a_mat._same_size(target)
-    ident = PolyMat.identity(a_mat.n)
-    if congruence_verify(a_mat, ident, alpha) == target:
-        return ident
-    factors = _elementary_factors(a_mat.n, degree_cap)
-    frontier: list[PolyMat] = [ident]
-    for _ in range(max_factors):
-        next_frontier: list[PolyMat] = []
-        for base in frontier:
-            for f in factors:
-                cand = base @ f
-                if star(cand, alpha) @ a_mat @ cand == target:
-                    return cand
-                next_frontier.append(cand)
-        frontier = next_frontier
-    return None

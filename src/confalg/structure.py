@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterator, Sequence
 
 from .cend import (
     ActionClosure,
@@ -29,7 +31,6 @@ from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
 from .polymat import (
     PidRowBasis,
     PolyMat,
-    _candidate_polys,
     det,
     hermite_left_generator,
     is_unimodular,
@@ -237,48 +238,125 @@ def anti_automorphism_exists(p_mat: PolyMat) -> IsoDecision:
     return IsoDecision(False, None, plain, reflected)
 
 
+# the search tests at most this many combinations Y before it answers undecided
+_MAX_CANDIDATES = 200_000
+
+
 def anti_involution_search(
-    p_mat: PolyMat,
-    degree_cap: int = 1,
-    coeff_grid: Sequence[RatLike] = (0, 1, -1),
-    max_candidates: int = 200_000,
+    p_mat: PolyMat, degree_cap: int = 1
 ) -> tuple[IsoDecision, AntiInvSpec | None]:
     """The anti-automorphism decision, and anti-involution data found for it.
 
-    No anti-automorphism means no anti-involution: the decision is then
-    negative and there is no search.  Otherwise the shift is the decision's
-    unique candidate, and Y ranges over unimodular matrices with entry
-    degrees <= degree_cap and coefficients in the grid, in a fixed
-    enumeration order.  A search that finds nothing within its budget is not
-    a disproof.
+    No anti-automorphism means no anti-involution, and no search.  Otherwise
+    alpha is the decision's shift and Y = 1 is tried first.  Then, for each
+    epsilon, the {0, 1, -1} combinations of an echelon basis of the solutions
+    with entry degrees <= degree_cap are tested, lowest degree first, up to
+    ``_MAX_CANDIDATES`` in all (README).  Finding nothing is not a disproof.
     """
     report = anti_automorphism_exists(p_mat)
     if not report.isomorphic:
         return report, None
-    alpha = report.alpha
-    n = p_mat.n
-    polys = _candidate_polys(degree_cap, tuple(coeff_grid))
-    diag_opts: list[UPoly] = [UPoly.const(1), UPoly.zero()] + [
-        p for p in polys if p != UPoly.const(1)
-    ]
-    off_opts: list[UPoly] = [UPoly.zero()] + polys
-    slots = [
-        diag_opts if i == j else off_opts for i in range(n) for j in range(n)
-    ]
-    seen = 0
+    alpha, n = Fraction(report.alpha), p_mat.n
     p_star = star(p_mat, alpha)
-    for flat in itertools.product(*slots):
-        seen += 1
-        if seen > max_candidates:
-            return report, None
-        y = PolyMat([list(flat[i * n : (i + 1) * n]) for i in range(n)])
-        if not is_unimodular(y):
-            continue
-        lhs = star(y, alpha) @ p_star
-        for eps in (1, -1):
-            if lhs == (p_mat @ y).scale(eps):
-                return report, AntiInvSpec(p_mat, y, eps, Fraction(alpha))
+    for eps in (1, -1):  # Y = 1
+        if p_star == p_mat.scale(eps):
+            return report, AntiInvSpec(p_mat, PolyMat.identity(n), eps, alpha)
+    tried = 0
+    for eps in (1, -1):
+        den, basis = _solution_basis(p_mat, p_star, alpha, eps, degree_cap)
+        # highest degree first: every combination of degree <= c comes before the rest
+        sums = _signed_sums([0] * (n * n * (degree_cap + 1)), basis[::-1])
+        next(sums)  # the zero combination
+        for tried, vec in enumerate(sums, tried + 1):
+            if tried > _MAX_CANDIDATES:
+                return report, None
+            if _unimodular(vec, n, degree_cap):  # x^k in Y[i][j] is vec[k*n^2 + i*n + j] / den
+                y = [[UPoly(Fraction(c, den) for c in vec[i * n + j :: n * n]) for j in range(n)]
+                     for i in range(n)]
+                return report, AntiInvSpec(p_mat, PolyMat(y), eps, alpha)
     return report, None
+
+
+def _signed_sums(vec: list[int], vecs: Sequence[list[int]]) -> Iterator[list[int]]:
+    """vec plus each {0, 1, -1} combination of vecs, the zero combination first."""
+    if not vecs:
+        yield vec
+        return
+    plus, minus = [a + b for a, b in zip(vec, vecs[0])], [a - b for a, b in zip(vec, vecs[0])]
+    for nxt in (vec, plus, minus):
+        yield from _signed_sums(nxt, vecs[1:])
+
+
+def _unimodular(vec: list[int], n: int, degree_cap: int) -> bool:
+    """Whether det Y (degree <= n * degree_cap) is one nonzero value at x = 0 .. n * degree_cap."""
+    size, dets = n * n, set()
+    for t in range(n * degree_cap + 1):
+        powers = [t**k for k in range(degree_cap + 1)]
+        at = [sum(map(mul, vec[e::size], powers)) for e in range(size)]
+        dets.add(_integer_det([at[i : i + n] for i in range(0, size, n)]))
+        if 0 in dets or len(dets) > 1:
+            return False
+    return True
+
+
+def _integer_det(rows: list[list[int]]) -> int:
+    """Laplace expansion along the first row (the CLI bounds n by 4)."""
+    if len(rows) <= 2:
+        return rows[0][0] if len(rows) == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return sum((-1) ** j * c * _integer_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
+
+
+def _solution_basis(
+    p_mat: PolyMat, p_star: PolyMat, alpha: Fraction, eps: int, degree_cap: int
+) -> tuple[int, list[list[int]]]:
+    """The Y with entry degrees <= degree_cap and Y^* P^* = eps P Y, by `_integer_kernel`.
+
+    Unknown k*n^2 + i*n + j is the x^k coefficient of Y[i][j].  R = Y^* P^* - eps P Y
+    has R^* = -eps R, so its entries (a, b) with a <= b hold every equation.
+    """
+    n, x, zero = p_mat.n, UPoly.variable(), UPoly.zero()
+    width = degree_cap + 1 + max(e.degree() for row in p_mat.rows for e in row)
+    cols = []
+    for k, i, j in itertools.product(range(degree_cap + 1), range(n), range(n)):
+        y = PolyMat([[x**k if (a, b) == (i, j) else zero for b in range(n)] for a in range(n)])
+        r = star(y, alpha) @ p_star - (p_mat @ y).scale(eps)
+        cols.append([r[a, b].coefficient(m) for a in range(n) for b in range(a, n)
+                     for m in range(width)])
+    return _integer_kernel(list(zip(*cols)), len(cols))
+
+
+def _integer_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[int, list[list[int]]]:
+    """The kernel of a rational matrix: den, and one vector per free column f.
+
+    The vector for f is den at f and 0 at the other free columns and after f:
+    reduced echelon form for the columns read last to first.  Fraction-free
+    elimination with primitive rows, then back substitution in integers.
+    """
+    echelon: dict[int, list[int]] = {}  # pivot column -> its row, zero before it
+    for row in rows:
+        den = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        lead = next((j for j, c in enumerate(ints) if c), None)
+        while lead in echelon:
+            a, b = echelon[lead][lead], ints[lead]
+            tail = [a * c - b * q for c, q in zip(ints[lead + 1 :], echelon[lead][lead + 1 :])]
+            g = gcd(*tail) or 1
+            ints = [0] * (lead + 1) + [c // g for c in tail]
+            lead = next((j for j in range(lead + 1, ncols) if ints[j]), None)
+        if lead is not None:
+            echelon[lead] = ints
+    kernel = []
+    for free in (f for f in range(ncols) if f not in echelon):
+        vec = [0] * free + [1] + [0] * (ncols - free - 1)
+        for p in sorted((p for p in echelon if p < free), reverse=True):
+            total = sum(map(mul, echelon[p][p + 1 : free + 1], vec[p + 1 : free + 1]))
+            g = gcd(total, echelon[p][p])
+            vec = [c * (echelon[p][p] // g) for c in vec]
+            vec[p] = -total // g
+        kernel.append((vec[free], vec))
+    den = lcm(*(lead for lead, _ in kernel))
+    return den, [[c * (den // lead) for c in vec] for lead, vec in kernel]
 
 
 def antiinv_conjugacy_verify(

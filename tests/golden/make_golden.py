@@ -80,9 +80,12 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # det roots {0, 0, 1} cannot be mirrored: no anti-automorphism, a decided absence
     ("anti-inv-search", "absent", {"p": [["x", "0"], ["0", "x^2 - x"]]},
      ("--degree-cap", "0")),
-    # an anti-automorphism exists (shift -4), but no Y of degree 0 over the grid
+    # an anti-automorphism exists (shift -4), but no unimodular Y of degree 0
     ("anti-inv-search", "undecided", {"p": [["3*x + 1", "1"], ["x^2 - 2*x - 1", "-2"]]},
      ("--degree-cap", "0")),
+    # the same P at cap 1: Y needs coefficients outside {0, 1, -1}
+    ("anti-inv-search", "outside_grid", {"p": [["3*x + 1", "1"], ["x^2 - 2*x - 1", "-2"]]},
+     ("--degree-cap", "1")),
     ("ideal", "left", {"side": "left", "p": [["1"]], "gens": [[["x^2 - 1"]], [["x^2 + x"]]]}, ()),
     ("ideal", "right", {"side": "right", "p": [["x"]], "gens": [[["d*x + x^2"]]]}, ()),
     ("classify-cend1", "cpartial", {"generators": ["d + 1", "d^2 - 1"]}, ("--rounds", "12")),
@@ -249,6 +252,7 @@ VERIFY_CASES = [
     ("classify_pq_cap3", ("classify-cend1", "pq_cap3"), None),
     ("unital_probe_budget", ("unital-probe", "budget"), None),
     ("anti_inv_search_absent", ("anti-inv-search", "absent"), None),
+    ("anti_inv_search_outside_grid", ("anti-inv-search", "outside_grid"), None),
     ("classify_budget_one_round", ("classify-cend1", "budget_one_round"), None),
     # forged classifications, each consistent with the witness alone; and an
     # honest report whose derivation has one step

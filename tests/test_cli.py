@@ -9,7 +9,7 @@ import json
 import re
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from confalg.cend import CendElem
 from confalg.cli import VERBS, main
+from confalg.grammar import format_poly
 from confalg.jsonio import cend_to_json
 from confalg.poly import MPoly
 
@@ -137,7 +138,7 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_anti_inv_search_undecided_exit(tmp_path):
-    # an anti-automorphism exists, but no Y of degree 0 over the grid
+    # an anti-automorphism exists, but no unimodular Y of degree 0
     payload = {"p": [["3*x + 1", "1"], ["x^2 - 2*x - 1", "-2"]]}
     code, out = run_cli(tmp_path, "anti-inv-search", payload, "--degree-cap", "0")
     report = json.loads(out)
@@ -639,15 +640,20 @@ def test_verify_mutated_report_answers_one_envelope(path, data):
     assert isinstance(json.loads(lines[0]), dict)
 
 
-def _run_stdin(verb, payload):
-    """One in-process CLI call with ``payload`` on stdin: (exit code, envelope)."""
-    out = io.StringIO()
+def _run_stdin(verb, payload, *flags):
+    """One in-process CLI call with ``payload`` on stdin: (exit code, envelope).
+
+    The call must print exactly one line to stdout and nothing to stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
     try:
-        with redirect_stdout(out):
-            code = main([verb])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([verb, *flags])
     finally:
         sys.stdin = stdin
+    assert err.getvalue() == ""
+    assert len(out.getvalue().splitlines()) == 1
     return code, json.loads(out.getvalue())
 
 
@@ -678,6 +684,61 @@ def test_ideal_reports_verify_on_both_sides(payload):
     code, envelope = _run_stdin("verify", report)
     assert code == 0, envelope
     assert envelope["result"]["verified"] is True
+
+
+def test_anti_inv_search_top_degree_cap(tmp_path):
+    # Y = [[0, -1/3], [1/6, x]]: solved for, not enumerated, at every cap
+    payload = {"p": [["3*x + 1", "1"], ["x^2 - 2*x - 1", "-2"]]}
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "anti-inv-search", payload, "--degree-cap", "16")
+    assert time.perf_counter() - start < 5
+    report = json.loads(out)
+    assert code == 0
+    assert report["result"] == {"found": True, "epsilon": 1, "alpha": "-4"}
+
+
+POLY_COEFFS = st.lists(st.integers(-3, 3), min_size=1, max_size=5)  # degree <= 4
+
+
+def _poly(coeffs, var):
+    return sum((var**k * c for k, c in enumerate(coeffs)), MPoly.zero())
+
+
+@st.composite
+def anti_inv_payloads(draw):
+    """P with n <= 3 and entry degrees <= 4: random, or S + eps S^*(alpha) times a transvection.
+
+    The second kind has an anti-automorphism, and the inverse transvection
+    is an anti-involution matrix for it.
+    """
+    n = draw(st.integers(1, 3))
+    x = MPoly.var("x")
+    entries = [[draw(POLY_COEFFS) for _ in range(n)] for _ in range(n)]
+    if n == 1 or draw(st.booleans()):
+        return {"p": [[format_poly(_poly(c, x)) for c in row] for row in entries]}
+    alpha, eps = draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1]))
+    s = [[MPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s[i][j] += _poly(entries[i][j][:4], x)
+            s[j][i] += _poly(entries[i][j][:4], MPoly.const(alpha) - x).scale(eps)
+    t = draw(st.integers(-2, 2)) * x + draw(st.integers(-2, 2))
+    i, j = draw(st.permutations(range(n)))[:2]
+    for row in s:  # P = S U with U = 1 + t E_ij: column j gains t times column i
+        row[j] += t * row[i]
+    return {"p": [[format_poly(e) for e in row] for row in s]}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=anti_inv_payloads(), cap=st.integers(0, 3))
+def test_anti_inv_search_envelope_fuzz(payload, cap):
+    code, report = _run_stdin("anti-inv-search", payload, "--degree-cap", str(cap))
+    assert code in (0, 1, 2)
+    assert report["status"] in ("decided", "undecided", "error")
+    if report["status"] == "decided":
+        code, envelope = _run_stdin("verify", report)
+        assert code == 0, envelope
+        assert envelope["result"]["verified"] is True
 
 
 def test_cli_imports_no_private_names():

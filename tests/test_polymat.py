@@ -11,7 +11,6 @@ import pytest
 from confalg.poly import UPoly, upoly_gcd
 from confalg.polymat import (
     PolyMat,
-    congruence_search_bounded,
     congruence_verify,
     det,
     hermite_left_generator,
@@ -231,23 +230,6 @@ class TestCongruence:
             c = random_unimodular(rng, 2)
             out = congruence_verify(a, c, 0)
             assert star(out, 0) == out.scale(-1)
-
-    def test_search_trivial(self):
-        a = PolyMat([[ZERO, ONE], [-ONE, ZERO]])
-        assert congruence_search_bounded(a, a, 0, degree_cap=0) == PolyMat.identity(2)
-
-    def test_search_finds_skew_reduction(self):
-        a = PolyMat([[ZERO, ONE], [-ONE, XX * 2]])
-        target = PolyMat([[ZERO, ONE], [-ONE, ZERO]])
-        c = congruence_search_bounded(a, target, 0, degree_cap=1)
-        assert c is not None
-        assert is_unimodular(c)
-        assert star(c, 0) @ a @ c == target
-
-    def test_search_absent_when_det_degrees_differ(self):
-        a = PolyMat([[XX]])
-        target = PolyMat([[XX * XX]])
-        assert congruence_search_bounded(a, target, 0, degree_cap=1) is None
 
 
 class TestStarForm:

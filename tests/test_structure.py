@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from confalg import structure
 from confalg.cend import (
     AntiInvSpec,
     CendElem,
@@ -16,7 +18,7 @@ from confalg.cend import (
     verify_module_axioms,
 )
 from confalg.poly import MPoly, UPoly
-from confalg.polymat import PolyMat, star
+from confalg.polymat import PolyMat, is_unimodular, star
 from confalg.sampling import random_cend, random_modvec_raw, random_unimodular, random_upoly
 from confalg.structure import (
     DegenerateError,
@@ -223,6 +225,113 @@ class TestAntiInvolutionSearch:
         assert decision.divisors_left != decision.divisors_right
 
 
+def grid_search(p_mat: PolyMat, degree_cap: int) -> AntiInvSpec | None:
+    """Reference model: every unimodular Y with entry degrees <= degree_cap and
+    coefficients in {0, 1, -1}, Y = 1 first, at most 200,000 candidates."""
+    decision = anti_automorphism_exists(p_mat)
+    if not decision.isomorphic:
+        return None
+    alpha, n = decision.alpha, p_mat.n
+    polys = [
+        UPoly(coefs)
+        for deg in range(degree_cap + 1)
+        for coefs in itertools.product((0, 1, -1), repeat=deg + 1)
+        if coefs[deg]
+    ]
+    diag = [ONE, UPoly.zero()] + [q for q in polys if q != ONE]
+    off = [UPoly.zero()] + polys
+    slots = [diag if i == j else off for i in range(n) for j in range(n)]
+    p_star = star(p_mat, alpha)
+    for flat in itertools.islice(itertools.product(*slots), 200_000):
+        y = PolyMat([flat[i * n : (i + 1) * n] for i in range(n)])
+        if not is_unimodular(y):
+            continue
+        lhs = star(y, alpha) @ p_star
+        for eps in (1, -1):
+            if lhs == (p_mat @ y).scale(eps):
+                return AntiInvSpec(p_mat, y, eps, Fraction(alpha))
+    return None
+
+
+def _transvection(rng: random.Random) -> PolyMat:
+    i, j = rng.sample(range(2), 2)
+    rows = [[ONE, UPoly.zero()], [UPoly.zero(), ONE]]
+    rows[i][j] = UPoly((rng.randint(-2, 2), rng.randint(-1, 1)))
+    return PolyMat(rows)
+
+
+def mirrored_scramble(rng: random.Random) -> PolyMat:
+    """A * D * B: D diagonal with entries even or odd about alpha/2, A and B transvections."""
+    alpha, r = rng.randint(-2, 2), rng.randint(-2, 2)
+    even = (XX - r) * (XX - (alpha - r))
+    odd = UPoly((-alpha, 2))
+    d = PolyMat.diagonal([rng.choice([ONE, even, odd]), rng.choice([even, odd, odd * even])])
+    return _transvection(rng) @ d @ _transvection(rng)
+
+
+P_OUTSIDE_GRID = PolyMat([[UPoly((1, 3)), ONE], [UPoly((-1, -2, 1)), UPoly.const(-2)]])
+
+
+class TestAgainstGrid:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finds_whatever_the_grid_finds(self, seed):
+        rng = random.Random(700 + seed)
+        for _ in range(6):
+            p = mirrored_scramble(rng)
+            for cap in (0, 1):
+                reference = grid_search(p, cap)
+                _, spec = anti_involution_search(p, degree_cap=cap)
+                if spec is not None:
+                    assert AntiInvSpec(p, spec.y_mat, spec.epsilon, spec.alpha) == spec
+                if reference is None:
+                    continue
+                assert spec is not None, (p, cap)
+                if reference.y_mat == PolyMat.identity(2):
+                    assert spec == reference
+
+    def test_coefficient_outside_the_grid(self):
+        assert grid_search(P_OUTSIDE_GRID, 1) is None
+        _, spec = anti_involution_search(P_OUTSIDE_GRID, degree_cap=1)
+        assert spec is not None
+        assert Fraction(-1, 3) in {c for row in spec.y_mat.rows for e in row for c in e.coeffs}
+
+    def test_top_degree_cap_ends(self):
+        _, spec = anti_involution_search(P_OUTSIDE_GRID, degree_cap=16)
+        assert spec is not None and spec.alpha == -4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_low_degree_vectors_span_the_low_degree_solutions(self, seed):
+        # reduced echelon forms are unique, so the degree <= c part of the
+        # basis at cap 3 must be the basis at cap c, vector for vector
+        rng = random.Random(800 + seed)
+        for _ in range(3):
+            p = mirrored_scramble(rng)
+            alpha = anti_automorphism_exists(p).alpha
+            for eps in (1, -1):
+                top = solution_basis(p, alpha, eps, 3)
+                assert top
+                assert [degree(y) for y in top] == sorted(degree(y) for y in top)
+                for cap in range(3):
+                    assert [y for y in top if degree(y) <= cap] == solution_basis(p, alpha, eps, cap)
+                for y in top:
+                    assert star(y, alpha) @ star(p, alpha) == (p @ y).scale(eps)
+
+
+def solution_basis(p: PolyMat, alpha: Fraction, eps: int, cap: int) -> list[PolyMat]:
+    """``structure._solution_basis`` as matrices with rational entries."""
+    den, basis = structure._solution_basis(p, star(p, alpha), alpha, eps, cap)
+    n = p.n
+    return [
+        PolyMat([[UPoly(Fraction(c, den) for c in vec[i * n + j :: n * n])
+                  for j in range(n)] for i in range(n)])
+        for vec in basis
+    ]
+
+
+def degree(y: PolyMat) -> int:
+    return max(e.degree() for row in y.rows for e in row)
+
+
 class TestConjugacyVerify:
     def test_same_spec_identity_witness(self):
         spec = AntiInvSpec(P_X, P_1, -1, Fraction(0))
@@ -336,9 +445,11 @@ class TestUnitalProbe:
 
 
 class TestSearchBudgets:
-    def test_candidate_budget_returns_none(self):
+    def test_candidate_budget_returns_none(self, monkeypatch):
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
-        decision, spec = anti_involution_search(p, degree_cap=1, max_candidates=3)
+        assert anti_involution_search(p, degree_cap=1)[1] is not None
+        monkeypatch.setattr(structure, "_MAX_CANDIDATES", 0)
+        decision, spec = anti_involution_search(p, degree_cap=1)
         assert decision.isomorphic and spec is None
 
     def test_searched_spec_is_involutive_to_degree_three(self):
