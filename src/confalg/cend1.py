@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .cend import product_apply
 from .poly import _D, _X, MPoly, UPoly, _dx_content_and_primitive, bipoly_gcd
+from .polymat import DegenerateError
 
 CPARTIAL = "CPARTIAL"
 P_ONLY = "P_ONLY"
@@ -52,7 +53,7 @@ def _witness(polys: Sequence[MPoly]) -> MPoly:
     for p in polys:
         acc = bipoly_gcd(acc, p)
     if acc.is_zero():
-        raise ValueError("all generators are zero")
+        raise DegenerateError("all generators are zero")
     return acc
 
 

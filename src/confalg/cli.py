@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -59,10 +60,9 @@ from .jsonio import (
     upolys_to_json,
 )
 from .poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
-from .polymat import PolyMat, SmithCert, smith_form
+from .polymat import DegenerateError, PolyMat, SmithCert, smith_form
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
-    DegenerateError,
     IdealReport,
     IsoDecision,
     anti_automorphism_exists,
@@ -94,6 +94,7 @@ E_PARSE = "E_PARSE"
 E_DEGENERATE = "E_DEGENERATE"
 E_MISMATCH = "E_MISMATCH"
 E_BUDGET = "E_BUDGET"
+E_INTERNAL = "E_INTERNAL"
 
 
 class AppError(Exception):
@@ -437,10 +438,7 @@ def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
         raise AppError(E_PARSE, f"max_n must be from 0 to {MAX_OC_POWER}, got {max_n}")
     p = polymat_from_json(payload["p"], "p")
     epsilon = _int_field(payload, "epsilon")
-    try:
-        gens = make_oc_spc_generators(n, p, epsilon, max_n)
-    except ValueError as exc:
-        raise AppError(E_MISMATCH, str(exc)) from exc
+    gens = make_oc_spc_generators(n, p, epsilon, max_n)
     spec = AntiInvSpec(p, PolyMat.identity(n), epsilon, Fraction(0))
     all_anti_fixed = all(check_anti_fixed(g.a_part, spec) for g in gens)
     result = {
@@ -624,6 +622,8 @@ def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, st
     try:
         gcd, depth = c1.replay(gens, steps)
         desc = c1.classify_witness(uses_x, gcd)
+    except DegenerateError:
+        raise
     except ValueError as exc:
         return False, str(exc)
     if bipoly_gcd(witness, MPoly.zero()) != gcd:
@@ -795,6 +795,14 @@ def main(argv: list[str] | None = None) -> int:
         envelope["error"] = {"code": E_DEGENERATE, "message": str(exc)}
     except ValueError as exc:
         envelope["error"] = {"code": E_MISMATCH, "message": str(exc)}
+    except Exception as exc:  # a fault no handler classified: one envelope, no traceback
+        import traceback  # only a fault pays for the import
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{frame.name}, {os.path.basename(frame.filename)}:{frame.lineno}"
+        envelope["error"] = {
+            "code": E_INTERNAL, "message": f"{type(exc).__name__}: {exc} (in {where})"
+        }
 
     render = _json_line if json_mode else _pretty_lines
     try:

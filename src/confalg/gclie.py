@@ -31,7 +31,7 @@ from .cend import (
     standard_action,
 )
 from .poly import _D, _L, _M, _X, MPoly, UPoly, mpoly_dot
-from .polymat import PidRowBasis, PolyMat, Row, det, is_unimodular, star
+from .polymat import DegenerateError, PidRowBasis, PolyMat, Row, det, is_unimodular, star
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def make_oc_spc_generators(
     subalgebra attached to a hermitian / skew-hermitian defining matrix."""
     form = ConfBilinearForm(p_mat, epsilon)  # validates the symmetry claim
     if not form.nondegenerate():
-        raise ValueError("defining matrix must be nondegenerate")
+        raise DegenerateError("defining matrix must be nondegenerate")
     if p_mat.n != n:
         raise ValueError("size mismatch")
     gens: list[OcSpcGen] = []
@@ -165,7 +165,7 @@ def invariance_check(form: ConfBilinearForm, a: CendElem) -> AxiomReport:
     holds on the N^2 pairs of unit vectors, which are all that is checked.
     """
     if not form.nondegenerate():
-        raise ValueError("form must be nondegenerate")
+        raise DegenerateError("form must be nondegenerate")
     n = form.p_mat.n
     if a.n != n:
         raise ValueError("size mismatch")

@@ -1,20 +1,28 @@
 """Square matrices over Q[x]: determinants, Smith/Hermite forms, congruence.
 
-Everything is exact and certificate-producing: Smith forms carry the
-unimodular transforms, Hermite generators carry tracked multipliers, and the
-star/congruence operations are plain algebra so callers can re-verify
-independently.
+Everything is exact and certificate-producing.  One Hermite routine,
+``PidRowBasis``, serves both normal forms: Hermite generators carry tracked
+multipliers, and Smith forms alternate Hermite passes over the matrix
+augmented by its transforms, so they carry the unimodular transforms too.
+Smith divisors alone come from the gcds of minors.  The star/congruence
+operations are plain algebra so callers can re-verify independently.
+``DegenerateError`` lives here, the lowest module every decision imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
-from .poly import MPoly, RatLike, UPoly, upoly_xgcd
+from .poly import MPoly, RatLike, UPoly, upoly_gcd, upoly_xgcd
 
 Row = tuple[UPoly, ...]
+
+
+class DegenerateError(ValueError):
+    """A nondegeneracy precondition (det != 0, a nonzero generator) failed."""
 
 
 class PolyMat:
@@ -251,113 +259,83 @@ class SmithCert:
 
 
 def smith_form(mat: PolyMat) -> SmithCert:
-    """Smith normal form over Q[x] by classical gcd elimination.
+    """Smith normal form over Q[x] by alternating Hermite passes.
 
     Returns monic divisors with the divisibility chain, trailing zeros for
     singular input, and unimodular left/right transforms with
-    left @ mat @ right == diag(divisors).
+    left @ mat @ right == diag(divisors).  Each pass is one ``PidRowBasis``
+    over [work | left], then over [work^T | right^T], until work is
+    diagonal; 2x2 xgcd steps then build the chain (README, "How smith
+    computes").
     """
     n = mat.n
     work = [list(r) for r in mat.rows]
-    left = [list(r) for r in PolyMat.identity(n).rows]
-    right = [list(r) for r in PolyMat.identity(n).rows]
-
-    def swap_rows(i, j):
-        if i != j:
-            work[i], work[j] = work[j], work[i]
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in range(n):
-                work[r][i], work[r][j] = work[r][j], work[r][i]
-                right[r][i], right[r][j] = right[r][j], right[r][i]
-
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        for c in range(n):
-            work[i][c] = work[i][c] - q * work[j][c]
-            left[i][c] = left[i][c] - q * left[j][c]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for r in range(n):
-            work[r][i] = work[r][i] - q * work[r][j]
-            right[r][i] = right[r][i] - q * right[r][j]
-
-    t = 0
-    while t < n:
-        # locate a nonzero pivot of minimal degree in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                e = work[i][j]
-                if e.is_zero():
-                    continue
-                key = (e.degree(), i, j)
-                if best is None or key < best:
-                    best = key
-                    pivot = (i, j)
-        if pivot is None:
+    trans = [[list(r) for r in PolyMat.identity(n).rows] for _ in range(2)]  # left, right^T
+    side = 0
+    while True:
+        # trans is unimodular, so [work | trans] has rank n and n rows come
+        # back: a row whose work half is zero keeps its pivot in trans
+        basis = PidRowBasis(2 * n)
+        for w, t in zip(work, trans[side]):
+            basis.add(w + t)
+        work, trans[side] = [r[:n] for r in basis.rows], [r[n:] for r in basis.rows]
+        if all(e.is_zero() for i, r in enumerate(work) for j, e in enumerate(r) if i != j):
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        work, side = [list(c) for c in zip(*work)], 1 - side
+    left, right_t = trans
+    d = [work[i][i] for i in range(n)]  # monic Hermite pivots, then the zeros
+    one = UPoly.const(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = d[i], d[j]
+            if b.is_zero() or a.divides(b):
+                continue
+            g, s, t = upoly_xgcd(a, b)  # diag(a, b) -> diag(g, ab/g)
+            a_g, b_g = a.exact_div(g), b.exact_div(g)
+            d[i], d[j] = g, a_g * b
+            _mix_rows(left, i, j, ((s, t), (-b_g, a_g)))
+            _mix_rows(right_t, i, j, ((one, one), (-t * b_g, s * a_g)))
+    return SmithCert(tuple(d), PolyMat(left), PolyMat(right_t).transpose())
 
-        while True:
-            # clear the pivot column
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, n):
-                    if work[i][t].is_zero():
-                        continue
-                    q = work[i][t] // work[t][t]
-                    row_op(i, t, q)
-                    if not work[i][t].is_zero():
-                        swap_rows(i, t)
-                        dirty = True
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if work[t][j].is_zero():
-                    continue
-                q = work[t][j] // work[t][t]
-                col_op(j, t, q)
-                if not work[t][j].is_zero():
-                    swap_cols(j, t)
-                    break
-            else:
-                break  # row and column are clear
-        # enforce divisibility of the trailing block by the pivot
-        offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                if not work[t][t].divides(work[i][j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, UPoly.const(-1))  # add offending row to pivot row
-            # restart the elimination: the fix strictly lowers the minimal
-            # degree reachable at the pivot, so the restarts end
-            t = 0
-            continue
-        # normalize pivot monic
-        lead = work[t][t].lead()
-        if lead != 1:
-            inv = Fraction(1, 1) / lead
-            for c in range(n):
-                work[t][c] = work[t][c] * inv
-                left[t][c] = left[t][c] * inv
-        t += 1
 
-    divisors = tuple(work[i][i] for i in range(n))
-    return SmithCert(divisors, PolyMat(left), PolyMat(right))
+def _mix_rows(rows: list[list[UPoly]], i: int, j: int, m) -> None:
+    """Replace rows i and j by the 2x2 matrix ``m`` times them."""
+    (a, b), (c, e) = m
+    ri, rj = rows[i], rows[j]
+    rows[i] = [a * p + b * q for p, q in zip(ri, rj)]
+    rows[j] = [c * p + e * q for p, q in zip(ri, rj)]
 
 
 def smith_divisors(mat: PolyMat) -> tuple[UPoly, ...]:
-    return smith_form(mat).divisors
+    """The Smith divisors d_k / d_(k-1), d_k the monic gcd of the k x k minors.
+
+    Each k x k minor is a Laplace expansion along its last row over the
+    nonzero (k-1)-level minors, kept in a dict keyed by (rows, columns).
+    """
+    n = mat.n
+    one = UPoly.const(1)
+    minors, prev = {((), ()): one}, one
+    out: list[UPoly] = []
+    for k in range(1, n + 1):
+        level, g = {}, UPoly.zero()
+        for rows in combinations(range(n), k):
+            last, upper = mat.rows[rows[-1]], rows[:-1]
+            for cols in combinations(range(n), k):
+                acc = UPoly.zero()
+                for pos, c in enumerate(cols):
+                    sub = minors.get((upper, cols[:pos] + cols[pos + 1 :]))
+                    if sub is not None and last[c]:
+                        term = last[c] * sub
+                        acc = acc - term if (k - 1 + pos) % 2 else acc + term
+                if acc:
+                    level[rows, cols] = acc
+                    if g != one:
+                        g = upoly_gcd(g, acc)
+        if not level:  # d_k = 0, and so are all later ones
+            break
+        out.append(g.exact_div(prev))
+        minors, prev = level, g
+    return tuple(out) + (UPoly.zero(),) * (n - len(out))
 
 
 # ---------------------------------------------------------------------------

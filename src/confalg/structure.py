@@ -29,6 +29,7 @@ from .cend import (
 )
 from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
 from .polymat import (
+    DegenerateError,
     PidRowBasis,
     PolyMat,
     det,
@@ -38,10 +39,6 @@ from .polymat import (
     smith_divisors,
     star,
 )
-
-
-class DegenerateError(ValueError):
-    """A nondegeneracy precondition (det != 0) failed."""
 
 
 class MismatchError(ValueError):

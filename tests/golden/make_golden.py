@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from confalg.cli import main
+from confalg.grammar import format_upoly
+from confalg.poly import UPoly
 
 GOLDEN = Path(__file__).resolve().parent
 
@@ -39,6 +42,15 @@ def run_case(verb: str, payload, flags) -> tuple[int, str]:
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue()
+
+
+def dense_4x4(degree: int) -> list[list[str]]:
+    """A dense 4x4 payload matrix: every entry has degree ``degree``, its
+    coefficients drawn from ``random.Random(0).randint(-3, 3)`` row by row,
+    entry by entry, constant term first."""
+    rng = random.Random(0)
+    return [[format_upoly(UPoly(tuple(rng.randint(-3, 3) for _ in range(degree + 1))))
+             for _ in range(4)] for _ in range(4)]
 
 
 # (verb, case name, payload, flags)
@@ -196,6 +208,9 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # x E11 against the symplectic form J: only the mixed unit pairs fail
     ("invariance-check", "symplectic_2x2",
      {"p": [["0", "1"], ["-1", "0"]], "epsilon": -1, "element": [["x", "0"], ["0", "0"]]}, ()),
+    # dense input, whose coefficients a plain Euclidean elimination blows up
+    ("smith", "dense_4x4", {"matrix": dense_4x4(4)}, ()),
+    ("anti-auto", "dense_4x4", {"p": dense_4x4(4)}, ()),
 ]
 
 
@@ -300,6 +315,7 @@ VERIFY_CASES = [
      lambda r: r["certificate"].__setitem__("divisors_left", ["x^7"])),
     ("forged_anti_auto_certificate", ("anti-auto", "rational_exists"),
      lambda r: r["certificate"].__setitem__("divisors_reflected", ["1"])),
+    ("smith_dense_4x4", ("smith", "dense_4x4"), None),
 ]
 
 

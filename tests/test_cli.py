@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from confalg import cli
 from confalg.cend import CendElem
 from confalg.cli import VERBS, main
 from confalg.grammar import format_poly
@@ -128,6 +129,36 @@ def test_degenerate_reported(tmp_path):
     report = json.loads(out)
     assert code == 1
     assert report["error"]["code"] == "E_DEGENERATE"
+
+
+@pytest.mark.parametrize(
+    "verb,payload,flags,message",
+    [
+        ("oc-gens", {"n": 1, "p": [["0"]], "epsilon": 1, "max_n": 1}, [],
+         "defining matrix must be nondegenerate"),
+        ("classify-cend1", ["0"], [], "all generators are zero"),
+        ("iso", {"p": [["x", "0"], ["0", "0"]], "q": [["x", "0"], ["0", "1"]]}, [],
+         "both matrices must be nondegenerate"),
+        ("anti-auto", {"p": [["x", "x"], ["1", "1"]]}, [], "matrix must be nondegenerate"),
+    ],
+)
+def test_degenerate_input_is_degenerate_error(tmp_path, verb, payload, flags, message):
+    code, out = run_cli(tmp_path, verb, payload, *flags)
+    report = json.loads(out)
+    assert code == 1
+    assert report["error"] == {"code": "E_DEGENERATE", "message": message}
+
+
+def test_unclassified_fault_is_internal_error(monkeypatch):
+    def broken(payload, budgets):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._HANDLERS, "product", broken)
+    code, report = _run_stdin("product", {"a": [["x"]], "b": [["1"]]})
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "E_INTERNAL"
+    assert report["error"]["message"].startswith("KeyError: 'missing' (in broken, test_cli.py:")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -493,7 +524,7 @@ def _forge_non_split(report):
         ("classify_pq", lambda r: r["result"].__setitem__("type", "PQR"), "E_PARSE", "PQR"),
         ("classify_p_only_nonsplit_gcd", _forge_non_split, "E_MISMATCH", "does not split"),
         ("classify_pq", lambda r: r["input"].__setitem__("generators", ["0"]),
-         "E_MISMATCH", "all generators are zero"),
+         "E_DEGENERATE", "all generators are zero"),
         ("classify_p_only_nonsplit_gcd",
          lambda r: r["certificate"].update(derivation=[[-1, 0, 2]]),
          "E_MISMATCH", "not a generator"),
@@ -739,6 +770,32 @@ def test_anti_inv_search_envelope_fuzz(payload, cap):
         code, envelope = _run_stdin("verify", report)
         assert code == 0, envelope
         assert envelope["result"]["verified"] is True
+
+
+DENSE_4X4 = json.loads(
+    (ROOT / "tests" / "golden" / "smith" / "dense_4x4.json").read_text(encoding="utf-8")
+)["payload"]["matrix"]
+
+
+@pytest.mark.parametrize(
+    "verb,payload,flags",
+    [
+        ("smith", {"matrix": DENSE_4X4}, []),
+        ("iso", {"p": DENSE_4X4, "q": DENSE_4X4}, []),
+        ("anti-auto", {"p": DENSE_4X4}, []),
+        ("anti-inv-search", {"p": DENSE_4X4}, ["--degree-cap", "2"]),
+    ],
+)
+def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):
+    # every entry dense of degree 4: coefficient growth in the Smith elimination shows here
+    start = time.perf_counter()
+    code, report = _run_stdin(verb, payload, *flags)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert report["status"] == "decided"
+    code, envelope = _run_stdin("verify", report)
+    assert code == 0, envelope
+    assert envelope["result"]["verified"] is True
 
 
 def test_cli_imports_no_private_names():

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confalg.poly import UPoly, upoly_gcd
 from confalg.polymat import (
@@ -132,6 +134,65 @@ class TestSmith:
             u = random_unimodular(rng, 2)
             v = random_unimodular(rng, 2)
             assert smith_divisors(u @ m @ v) == smith_divisors(m)
+
+
+SMALL_POLYS = st.lists(st.integers(-3, 3), max_size=4).map(lambda c: UPoly(tuple(c)))
+
+
+@st.composite
+def random_mats(draw):
+    n = draw(st.integers(1, 3))
+    return PolyMat([[draw(SMALL_POLYS) for _ in range(n)] for _ in range(n)]), None
+
+
+@st.composite
+def scrambled_chains(draw):
+    """U @ diag(chain) @ V for a monic divisor chain, U and V products of
+    elementary row and column operations; returns the chain too."""
+    n = draw(st.integers(1, 3))
+    chain, d = [], ONE
+    for _ in range(draw(st.integers(0, n))):
+        for root in draw(st.lists(st.integers(-2, 2), max_size=2)):
+            d = d * (XX - root)
+        chain.append(d)
+    chain += [ZERO] * (n - len(chain))
+    rows = [list(r) for r in PolyMat.diagonal(chain).rows]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), SMALL_POLYS, st.booleans())
+    for i, j, q, on_rows in draw(st.lists(ops, max_size=6)):
+        if i == j:
+            continue
+        if on_rows:  # row i += q * row j
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        else:  # column i += q * column j
+            for r in rows:
+                r[i] = r[i] + q * r[j]
+    return PolyMat(rows), tuple(chain)
+
+
+@st.composite
+def rank_deficient(draw):
+    m, _ = draw(random_mats())
+    rows = [list(r) for r in m.rows]
+    kind = draw(st.sampled_from(["zero_row", "repeated_row", "zero"]))
+    i = draw(st.integers(0, m.n - 1))
+    if kind == "zero":
+        rows = [[ZERO] * m.n for _ in range(m.n)]
+    elif kind == "repeated_row" and m.n > 1:
+        rows[i] = rows[(i + 1) % m.n]
+    else:
+        rows[i] = [ZERO] * m.n
+    return PolyMat(rows), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(random_mats(), scrambled_chains(), rank_deficient()))
+def test_smith_form_matches_minor_gcds(case):
+    m, chain = case
+    cert = smith_form(m)
+    assert cert.verify(m)
+    assert cert.divisors == smith_divisors(m) == minor_gcd_divisors(m)
+    if chain is not None:
+        assert cert.divisors == chain
 
 
 class TestHermiteLeftGenerator:
