@@ -60,7 +60,7 @@ from .jsonio import (
     upolys_to_json,
 )
 from .poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
-from .polymat import DegenerateError, PolyMat, SmithCert, smith_form
+from .polymat import DegenerateError, PolyMat, SmithCert, det, smith_form
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
     IdealReport,
@@ -174,12 +174,16 @@ def run_series(
     return "decided", {"series": series_to_json(op(a, b))}, None
 
 
-def _axiom_samples(rng: random.Random, n: int, degree: int, count: int):
+def _samples(rng: random.Random, n: int, degree: int, count: int, vec_size: int | None = None):
+    """``count`` triples of two random symbols and a third symbol, or a
+    module vector of length ``vec_size``, drawn in that order."""
     return [
         (
             random_cend(rng, n, degree),
             random_cend(rng, n, degree),
-            random_cend(rng, n, degree),
+            random_cend(rng, n, degree)
+            if vec_size is None
+            else random_modvec_raw(rng, vec_size, degree),
         )
         for _ in range(count)
     ]
@@ -200,9 +204,9 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     rng = random.Random(budgets.seed)
     if kind == "assoc":
-        report = verify_assoc_axioms(_axiom_samples(rng, n, degree, count))
+        report = verify_assoc_axioms(_samples(rng, n, degree, count))
     elif kind == "lie":
-        report = verify_lie_axioms(_axiom_samples(rng, n, degree, count))
+        report = verify_lie_axioms(_samples(rng, n, degree, count))
     elif kind == "module":
         p_mat = (
             polymat_from_json(payload["p"], "p")
@@ -211,6 +215,8 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
         )
         if p_mat.n != n:
             raise AppError(E_MISMATCH, "size mismatch")
+        if det(p_mat).is_zero():  # every action would be zero and "ok" vacuous
+            raise DegenerateError("defining matrix must be nondegenerate")
         raw_alphas = payload.get("alphas", ["0"])
         if not isinstance(raw_alphas, list) or not raw_alphas:
             raise AppError(E_PARSE, "alphas: expected a non-empty array of rationals")
@@ -219,15 +225,7 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
         checked = 0
         for alpha in alphas:
             act = standard_action(p_mat, alpha)
-            samples = [
-                (
-                    random_cend(rng, n, degree),
-                    random_cend(rng, n, degree),
-                    random_modvec_raw(rng, n, degree),
-                )
-                for _ in range(count)
-            ]
-            report = verify_module_axioms(act, samples, p_mat=p_mat)
+            report = verify_module_axioms(act, _samples(rng, n, degree, count, n), p_mat=p_mat)
             checked += report.checked
             failures.extend(
                 f"alpha={fraction_to_str(alpha)}: {f}" for f in report.failures
@@ -394,14 +392,7 @@ def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
     if count < 1:  # no samples would make axioms_ok vacuous
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     n = p.n
-    samples = [
-        (
-            random_cend(rng, n, 2),
-            random_cend(rng, n, 2),
-            random_modvec_raw(rng, module.vector_size, 2),
-        )
-        for _ in range(count)
-    ]
+    samples = _samples(rng, n, 2, count, module.vector_size)
     report = verify_module_axioms(module.action, samples, p_mat=p)
     submodule_ok = True
     if kind == "factorization":
@@ -460,13 +451,7 @@ def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
     p = polymat_from_json(payload["p"], "p")
     epsilon = _int_field(payload, "epsilon")
     elem = cend_from_json(payload["element"], "element")
-    try:
-        form = ConfBilinearForm(p, epsilon)
-    except ValueError as exc:
-        raise AppError(E_MISMATCH, str(exc)) from exc
-    if not form.nondegenerate():
-        raise AppError(E_DEGENERATE, "form matrix must be nondegenerate")
-    report = invariance_check(form, elem)
+    report = invariance_check(ConfBilinearForm(p, epsilon), elem)
     return (
         "decided",
         {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)},

@@ -165,7 +165,7 @@ def invariance_check(form: ConfBilinearForm, a: CendElem) -> AxiomReport:
     holds on the N^2 pairs of unit vectors, which are all that is checked.
     """
     if not form.nondegenerate():
-        raise DegenerateError("form must be nondegenerate")
+        raise DegenerateError("form matrix must be nondegenerate")
     n = form.p_mat.n
     if a.n != n:
         raise ValueError("size mismatch")
@@ -245,6 +245,8 @@ def irreducibility_probe(
         raise ValueError("start vector must be nonzero")
     if len(start) != n or any(g.n != n for g in gens):
         raise ValueError("size mismatch")
+    if det(p_mat).is_zero():  # every action would be zero
+        raise DegenerateError("defining matrix must be nondegenerate")
     std = standard_action(p_mat, alpha)
     acts = [std(g.entries, "l") for g in gens]  # each generator's head, built once
     basis = PidRowBasis(n, var="d")

@@ -4,8 +4,10 @@ Everything is exact and certificate-producing.  One Hermite routine,
 ``PidRowBasis``, serves both normal forms: Hermite generators carry tracked
 multipliers, and Smith forms alternate Hermite passes over the matrix
 augmented by its transforms, so they carry the unimodular transforms too.
-Smith divisors alone come from the gcds of minors.  The star/congruence
-operations are plain algebra so callers can re-verify independently.
+One minor expansion, level by level, serves ``det``, ``adjugate`` and the
+Smith divisors: the first two read one level, the divisors the gcd of each
+level.  The star/congruence operations are plain algebra so callers can
+re-verify independently.
 ``DegenerateError`` lives here, the lowest module every decision imports.
 """
 
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, islice
+from typing import Callable, Iterator, Sequence
 
 from .poly import MPoly, RatLike, UPoly, upoly_gcd, upoly_xgcd
 
@@ -155,33 +157,43 @@ class PolyMat:
         return tuple(tuple(e.to_mpoly("x") for e in row) for row in self.rows)
 
 
-def det(mat: PolyMat) -> UPoly:
-    """Exact determinant by expansion with column-subset memoization."""
+def _minors(mat: PolyMat, leading_rows: bool = False) -> Iterator[dict[tuple, UPoly]]:
+    """Level k = 1..n of the nonzero k x k minors, keyed by (rows, columns).
+
+    Level 1 is the entries; each later level is one Laplace step along its
+    last row over the previous level.  ``leading_rows`` keeps only the rows
+    0..k-1, all that ``det`` needs.  The levels stop after the first empty one.
+    """
     n = mat.n
-    if n == 0:
-        return UPoly.const(1)
-    cache: dict[tuple[int, tuple[int, ...]], UPoly] = {}
+    level = {((i,), (j,)): e for i, r in enumerate(mat.rows[: 1 if leading_rows else n])
+             for j, e in enumerate(r) if e}
+    for k in range(2, n + 1):
+        yield level
+        if not level:
+            return
+        prev, level = level, {}
+        for rows in [tuple(range(k))] if leading_rows else combinations(range(n), k):
+            last, upper = mat.rows[rows[-1]], rows[:-1]
+            for cols in combinations(range(n), k):
+                acc = UPoly.zero()
+                for pos, c in enumerate(cols):
+                    sub = prev.get((upper, cols[:pos] + cols[pos + 1 :]))
+                    if sub is not None and last[c]:
+                        term = last[c] * sub
+                        acc = acc - term if (k - 1 + pos) % 2 else acc + term
+                if acc:
+                    level[rows, cols] = acc
+    yield level
 
-    def minor(row: int, cols: tuple[int, ...]) -> UPoly:
-        if len(cols) == 1:
-            return mat.rows[row][cols[0]]
-        key = (row, cols)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = UPoly.zero()
-        for k, c in enumerate(cols):
-            e = mat.rows[row][c]
-            if e.is_zero():
-                continue
-            rest = cols[:k] + cols[k + 1 :]
-            sub = minor(row + 1, rest)
-            term = e * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
 
-    return minor(0, tuple(range(n)))
+def det(mat: PolyMat) -> UPoly:
+    """Exact determinant, the one minor of the last leading-row level.
+
+    A last-row step for the rows 0..k-1 needs only minors on the rows
+    0..k-2, so each level holds at most C(n, k) minors, not C(n, k)^2.
+    """
+    *_, last = _minors(mat, leading_rows=True)
+    return next(iter(last.values()), UPoly.zero())
 
 
 def is_unimodular(mat: PolyMat) -> bool:
@@ -191,22 +203,15 @@ def is_unimodular(mat: PolyMat) -> bool:
 
 
 def adjugate(mat: PolyMat) -> PolyMat:
+    """The signed (n-1) x (n-1) minors, transposed: adj[j][i] = (-1)^(i+j) M_ij."""
     n = mat.n
     if n == 1:
         return PolyMat([[UPoly.const(1)]])
-    out = [[UPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [mat.rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det(PolyMat(sub))
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
-    return PolyMat(out)
+    minors = next(islice(_minors(mat), n - 2, None), {})  # {} if an earlier level is empty
+    rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    zero = UPoly.zero()
+    return PolyMat([[minors.get((rest[i], rest[j]), zero) * (-1) ** (i + j) for i in range(n)]
+                    for j in range(n)])
 
 
 def inverse_unimodular(mat: PolyMat) -> PolyMat:
@@ -307,35 +312,20 @@ def _mix_rows(rows: list[list[UPoly]], i: int, j: int, m) -> None:
 
 
 def smith_divisors(mat: PolyMat) -> tuple[UPoly, ...]:
-    """The Smith divisors d_k / d_(k-1), d_k the monic gcd of the k x k minors.
-
-    Each k x k minor is a Laplace expansion along its last row over the
-    nonzero (k-1)-level minors, kept in a dict keyed by (rows, columns).
-    """
-    n = mat.n
+    """The Smith divisors d_k / d_(k-1), d_k the monic gcd of the k x k minors."""
     one = UPoly.const(1)
-    minors, prev = {((), ()): one}, one
-    out: list[UPoly] = []
-    for k in range(1, n + 1):
-        level, g = {}, UPoly.zero()
-        for rows in combinations(range(n), k):
-            last, upper = mat.rows[rows[-1]], rows[:-1]
-            for cols in combinations(range(n), k):
-                acc = UPoly.zero()
-                for pos, c in enumerate(cols):
-                    sub = minors.get((upper, cols[:pos] + cols[pos + 1 :]))
-                    if sub is not None and last[c]:
-                        term = last[c] * sub
-                        acc = acc - term if (k - 1 + pos) % 2 else acc + term
-                if acc:
-                    level[rows, cols] = acc
-                    if g != one:
-                        g = upoly_gcd(g, acc)
+    out, prev = [], one
+    for level in _minors(mat):
         if not level:  # d_k = 0, and so are all later ones
             break
+        g = UPoly.zero()
+        for minor in level.values():
+            g = upoly_gcd(g, minor)
+            if g == one:
+                break
         out.append(g.exact_div(prev))
-        minors, prev = level, g
-    return tuple(out) + (UPoly.zero(),) * (n - len(out))
+        prev = g
+    return tuple(out) + (UPoly.zero(),) * (mat.n - len(out))
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,16 @@ class IsoDecision:
     divisors_right: tuple[UPoly, ...]
 
 
-def _root_sum(p: UPoly) -> Fraction:
-    d = p.degree()
-    if d <= 0:
-        return Fraction(0)
-    return -p.coefficient(d - 1) / p.lead()
+def _divisors(mat: PolyMat, message: str) -> tuple[tuple[UPoly, ...], int, Fraction]:
+    """P's Smith divisors, with deg det P and the sum of its roots.
+
+    det P is a constant times the product of the monic divisors, so both
+    are sums over the divisors.  A zero last divisor is det P = 0.
+    """
+    divs = smith_divisors(mat)
+    if divs[-1].is_zero():
+        raise DegenerateError(message)
+    return divs, sum(d.degree() for d in divs), -sum(d.coefficient(d.degree() - 1) for d in divs)
 
 
 def decide_isomorphism(p_mat: PolyMat, q_mat: PolyMat) -> IsoDecision:
@@ -199,40 +204,36 @@ def decide_isomorphism(p_mat: PolyMat, q_mat: PolyMat) -> IsoDecision:
 
     Equal divisor lists force det P(x+alpha) = c det Q(x), which pins the
     root sums, so alpha = (s_P - s_Q)/deg is the only candidate to test.
+    The divisors of P(x+alpha) are P's divisors at x+alpha, since the shift
+    is a ring automorphism of Q[x], so each matrix's divisors are computed once.
     """
-    dp = det(p_mat)
-    dq = det(q_mat)
-    if dp.is_zero() or dq.is_zero():
-        raise DegenerateError("both matrices must be nondegenerate")
-    if p_mat.n != q_mat.n:
-        return IsoDecision(False, None, smith_divisors(p_mat), smith_divisors(q_mat))
-    if dp.is_constant() and dq.is_constant():
-        divs = smith_divisors(p_mat)
-        return IsoDecision(True, Fraction(0), divs, smith_divisors(q_mat))
-    if dp.degree() != dq.degree():
-        return IsoDecision(False, None, smith_divisors(p_mat), smith_divisors(q_mat))
-    alpha = (_root_sum(dp) - _root_sum(dq)) / dp.degree()
-    left = smith_divisors(p_mat.shift(alpha))
-    right = smith_divisors(q_mat)
-    if left == right:
-        return IsoDecision(True, alpha, left, right)
-    return IsoDecision(False, None, smith_divisors(p_mat), right)
+    dp, deg_p, sum_p = _divisors(p_mat, "both matrices must be nondegenerate")
+    dq, deg_q, sum_q = _divisors(q_mat, "both matrices must be nondegenerate")
+    if p_mat.n != q_mat.n or deg_p != deg_q:
+        return IsoDecision(False, None, dp, dq)
+    if deg_p == 0:
+        return IsoDecision(True, Fraction(0), dp, dq)
+    alpha = (sum_p - sum_q) / deg_p
+    shifted = tuple(d.shift(alpha) for d in dp)
+    if shifted == dq:
+        return IsoDecision(True, alpha, shifted, dq)
+    return IsoDecision(False, None, dp, dq)
 
 
 def anti_automorphism_exists(p_mat: PolyMat) -> IsoDecision:
-    """Existence of an anti-automorphism: mirrored divisors at the candidate shift."""
-    dp = det(p_mat)
-    if dp.is_zero():
-        raise DegenerateError("matrix must be nondegenerate")
-    if dp.is_constant():
-        divs = smith_divisors(p_mat)
+    """Existence of an anti-automorphism: mirrored divisors at the candidate shift.
+
+    star(P, alpha) = P(alpha - x)^T, and transposing keeps Smith divisors,
+    so its divisors are P's at alpha - x, made monic: one divisor list.
+    """
+    divs, deg, root_sum = _divisors(p_mat, "matrix must be nondegenerate")
+    if deg == 0:
         return IsoDecision(True, Fraction(0), divs, divs)
-    alpha = 2 * _root_sum(dp) / dp.degree()
-    reflected = smith_divisors(star(p_mat, alpha))
-    plain = smith_divisors(p_mat)
-    if reflected == plain:
-        return IsoDecision(True, alpha, plain, reflected)
-    return IsoDecision(False, None, plain, reflected)
+    alpha = 2 * root_sum / deg
+    reflected = tuple(d.compose(UPoly((alpha, -1))).monic() for d in divs)
+    if reflected == divs:
+        return IsoDecision(True, alpha, divs, reflected)
+    return IsoDecision(False, None, divs, reflected)
 
 
 # the search tests at most this many combinations Y before it answers undecided
@@ -410,6 +411,8 @@ def build_extension(
     alpha: RatLike = 0,
     gamma: RatLike = 0,
 ) -> ExtensionModule:
+    if det(p_mat).is_zero():  # every action would be zero
+        raise DegenerateError("defining matrix must be nondegenerate")
     alpha = Fraction(alpha)
     gamma = Fraction(gamma)
     if kind == "factorization":

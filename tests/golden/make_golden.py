@@ -211,6 +211,13 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # dense input, whose coefficients a plain Euclidean elimination blows up
     ("smith", "dense_4x4", {"matrix": dense_4x4(4)}, ()),
     ("anti-auto", "dense_4x4", {"p": dense_4x4(4)}, ()),
+    # det P = 0: every action is zero, so an answer would be vacuous
+    ("invariance-check", "degenerate", {"p": [["0"]], "epsilon": 1, "element": [["x"]]}, ()),
+    ("check-axioms", "module_degenerate",
+     {"kind": "module", "n": 1, "degree": 1, "p": [["0"]]}, R1),
+    ("extension-build", "degenerate", {"p": [["0"]], "kind": "jordan"}, R1),
+    ("irreducibility-probe", "degenerate",
+     {"p": [["0"]], "gens": [[["1"]]], "start": ["1"]}, ()),
 ]
 
 

@@ -772,9 +772,10 @@ def test_anti_inv_search_envelope_fuzz(payload, cap):
         assert envelope["result"]["verified"] is True
 
 
-DENSE_4X4 = json.loads(
-    (ROOT / "tests" / "golden" / "smith" / "dense_4x4.json").read_text(encoding="utf-8")
-)["payload"]["matrix"]
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+from make_golden import dense_4x4  # noqa: E402
+
+DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
 
 
 @pytest.mark.parametrize(
@@ -784,10 +785,14 @@ DENSE_4X4 = json.loads(
         ("iso", {"p": DENSE_4X4, "q": DENSE_4X4}, []),
         ("anti-auto", {"p": DENSE_4X4}, []),
         ("anti-inv-search", {"p": DENSE_4X4}, ["--degree-cap", "2"]),
+        # degree 16, the input limit; smith (about 5 s) stays out
+        ("iso", {"p": DENSE_4X4_16, "q": DENSE_4X4_16}, []),
+        ("anti-auto", {"p": DENSE_4X4_16}, []),
+        ("anti-inv-search", {"p": DENSE_4X4_16}, ["--degree-cap", "2"]),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):
-    # every entry dense of degree 4: coefficient growth in the Smith elimination shows here
+    # every entry dense: coefficient growth in the Smith elimination shows here
     start = time.perf_counter()
     code, report = _run_stdin(verb, payload, *flags)
     assert time.perf_counter() - start < 10

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from confalg.poly import UPoly, upoly_gcd
 from confalg.polymat import (
     PolyMat,
+    adjugate,
     congruence_verify,
     det,
     hermite_left_generator,
@@ -83,6 +84,41 @@ class TestDet:
             b = random_polymat(rng, 3, 2)
             assert det(a @ b) == det(a) * det(b)
             assert det(a) == leibniz_det(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_leibniz_on_singular_input(self, n):
+        rng = random.Random(20 + n)
+        for m in variants(random_polymat(rng, n, 2)):
+            assert det(m) == leibniz_det(m)
+
+
+def variants(m: PolyMat) -> list[PolyMat]:
+    """m, m with a zero last row, zero, and (n > 1) m with its last row x times its first."""
+    rows = [list(r) for r in m.rows]
+    out = [m, PolyMat(rows[:-1] + [[ZERO] * m.n]), PolyMat.zero(m.n)]
+    if m.n > 1:
+        out.append(PolyMat(rows[:-1] + [[XX * e for e in rows[0]]]))
+    return out
+
+
+def cofactor_adjugate(m: PolyMat) -> PolyMat:
+    """adj[j][i] = (-1)^(i+j) times the Leibniz minor without row i and column j."""
+    n = m.n
+    minor = lambda i, j: leibniz_det(  # noqa: E731
+        PolyMat([[m.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
+    )
+    return PolyMat([[minor(i, j) * (-1) ** (i + j) for i in range(n)] for j in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjugate_times_matrix_is_det(n):
+    rng = random.Random(40 + n)
+    for _ in range(3):
+        for m in variants(random_polymat(rng, n, 2)):
+            adj = adjugate(m)
+            scalar = PolyMat.diagonal([leibniz_det(m)] * n)
+            assert m @ adj == adj @ m == scalar
+            assert adj == cofactor_adjugate(m)
 
 
 class TestUnimodular:

@@ -8,8 +8,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confalg import structure
+from confalg import polymat, structure
 from confalg.cend import (
     AntiInvSpec,
     CendElem,
@@ -18,7 +20,7 @@ from confalg.cend import (
     verify_module_axioms,
 )
 from confalg.poly import MPoly, UPoly
-from confalg.polymat import PolyMat, is_unimodular, star
+from confalg.polymat import PolyMat, is_unimodular, smith_divisors, star
 from confalg.sampling import random_cend, random_modvec_raw, random_unimodular, random_upoly
 from confalg.structure import (
     DegenerateError,
@@ -184,6 +186,70 @@ class TestAntiAutomorphism:
             assert direct.isomorphic == via_iso.isomorphic
             if direct.isomorphic:
                 assert direct.alpha == via_iso.alpha
+
+
+ENTRIES = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: UPoly(tuple(c)))
+
+
+@st.composite
+def small_matrices(draw):
+    n = draw(st.integers(1, 3))
+    return PolyMat([[draw(ENTRIES) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=small_matrices(),
+    alpha=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    seed=st.integers(0, 1000),
+)
+def test_divisors_move_with_the_automorphism(p, alpha, seed):
+    # x -> x + alpha and x -> alpha - x are ring automorphisms of Q[x]
+    divs = smith_divisors(p)
+    assert smith_divisors(p.shift(alpha)) == tuple(d.shift(alpha) for d in divs)
+    mirrored = tuple(d.compose(UPoly((alpha, -1))).monic() for d in divs)
+    assert smith_divisors(star(p, alpha)) == mirrored
+    if divs[-1].is_zero():
+        return
+    rng = random.Random(seed)
+    q = random_unimodular(rng, p.n) @ p.shift(alpha) @ random_unimodular(rng, p.n)
+    decision = decide_isomorphism(p, q)
+    constant_det = all(d.degree() == 0 for d in divs)  # then every shift is an answer
+    assert decision.isomorphic and decision.alpha == (0 if constant_det else alpha)
+
+
+def test_each_matrix_has_its_divisors_computed_once(monkeypatch):
+    calls = {"smith_divisors": 0, "det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(structure, "smith_divisors", counted("smith_divisors", smith_divisors))
+    for module in (structure, polymat):
+        monkeypatch.setattr(module, "det", counted("det", polymat.det))
+    mirrored = PolyMat.diagonal([XX, UPoly((-1, 1))])
+    pairs = [
+        (P_X, PolyMat([[UPoly((5, 1))]])),  # isomorphic
+        (P_X, PolyMat([[UPoly((0, 0, 1))]])),  # degrees differ
+        (P_1, P_X),  # constant det on one side
+        (P_1, PolyMat.identity(2)),  # sizes differ
+        (PolyMat.diagonal([ONE, XX * XX]), PolyMat.diagonal([XX, XX])),  # same det, not isomorphic
+    ]
+    for p, q in pairs:
+        calls.update(smith_divisors=0, det=0)
+        decide_isomorphism(p, q)
+        assert calls == {"smith_divisors": 2, "det": 0}
+    for p in (P_1, P_X, mirrored, PolyMat.diagonal([ONE, UPoly((0, -3, 1)) * XX])):
+        calls.update(smith_divisors=0, det=0)
+        anti_automorphism_exists(p)
+        assert calls == {"smith_divisors": 1, "det": 0}
+    calls.update(smith_divisors=0)
+    anti_involution_search(mirrored, degree_cap=1)
+    assert calls["smith_divisors"] == 1
 
 
 class TestAntiInvolutionSearch:
