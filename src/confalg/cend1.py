@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cend import product_apply
-from .poly import _D, _X, MPoly, UPoly, _dx_content_and_primitive, bipoly_gcd
+from .poly import (
+    MPoly,
+    UPoly,
+    _DxParts,
+    _dx_content_and_primitive,
+    _from_parts,
+    _gcd_parts,
+)
 from .polymat import DegenerateError
 
 CPARTIAL = "CPARTIAL"
@@ -45,16 +52,39 @@ class ClosureState:
     derivation: tuple[tuple[int, int, int], ...]  # steps (a, b, k), as in replay
     gcd_witness: MPoly
     rounds: int  # the derivation depth: 0, or 1 when a product was needed
-    status: str  # "split" | "x_free"
+    status: str  # "split" | "x_free"; a replay may also end "unsplit"
+    split: tuple[UPoly, UPoly] | None  # (p, q) of the witness when "split"
 
 
-def _witness(polys: Sequence[MPoly]) -> MPoly:
-    acc = MPoly.zero()
+def _witness(polys: Sequence[MPoly]) -> _DxParts:
+    acc = _dx_content_and_primitive(MPoly.zero())
     for p in polys:
-        acc = bipoly_gcd(acc, p)
-    if acc.is_zero():
+        acc = _gcd_parts(acc, _dx_content_and_primitive(p))
+    if not acc[1]:
         raise DegenerateError("all generators are zero")
     return acc
+
+
+def _lowers(lowered: _DxParts, witness: _DxParts) -> bool:
+    """Whether a gcd of the witness and something else is a proper divisor.
+
+    It divides the witness, so it is an associate exactly when its content
+    and its primitive part keep their degrees in x and in d.
+    """
+    return lowered[0].degree() < witness[0].degree() or max(lowered[1]) < max(witness[1])
+
+
+def _state(
+    gens: Sequence[MPoly], steps: Sequence[Sequence[int]], witness: _DxParts
+) -> ClosureState:
+    """The state a derivation reaches: its witness split once, unless no
+    generator uses x."""
+    derivation = tuple((a, b, k) for a, b, k in steps)
+    gcd_witness, rounds = _from_parts(witness), 1 if steps else 0
+    if not any(g.uses("x") for g in gens):
+        return ClosureState(derivation, gcd_witness, rounds, "x_free", None)
+    split = _split(witness)
+    return ClosureState(derivation, gcd_witness, rounds, "split" if split else "unsplit", split)
 
 
 def _l_parts(a: MPoly, b: MPoly) -> dict[int, MPoly]:
@@ -74,67 +104,73 @@ def closure(gens: Sequence[MPoly]) -> ClosureState:
     other than d, x raise ``ValueError`` in the gcd.
     """
     witness = _witness(gens)
-    if not any(g.uses("x") for g in gens):
-        return ClosureState((), witness, 0, "x_free")
-    if split_witness(witness) is not None:
-        return ClosureState((), witness, 0, "split")
+    state = _state(gens, (), witness)
+    if state.status != "unsplit":
+        return state
     i = next(i for i, g in enumerate(gens) if not g.is_zero())
     steps: list[tuple[int, int, int]] = []
     for k, part in _l_parts(gens[i], gens[i]).items():
-        lowered = bipoly_gcd(witness, part)
-        if lowered == witness:
+        lowered = _gcd_parts(witness, _dx_content_and_primitive(part))
+        if not _lowers(lowered, witness):
             continue
         steps.append((i, i, k))
         witness = lowered
-        if split_witness(witness) is not None:
-            return ClosureState(tuple(steps), witness, 1, "split")
+        state = _state(gens, steps, witness)
+        if state.status == "split":
+            return state
     raise ValueError("the l-parts of g * g left the gcd unsplit, against the one-product lemma")
 
 
-def replay(gens: Sequence[MPoly], derivation: Sequence[Sequence[int]]) -> tuple[MPoly, int]:
-    """The running gcd after a derivation, and the derivation's depth.
+def replay(gens: Sequence[MPoly], derivation: Sequence[Sequence[int]]) -> ClosureState:
+    """The state a derivation reaches, with its witness split as in ``closure``.
 
     Raises ``ValueError`` unless every step [a, b, k] names two generators
     and its l^k part of gens[a] * gens[b] strictly lowers the gcd; so a
-    replay makes at most deg(gcd of the generators) products.
+    replay makes at most deg(gcd of the generators) products.  A witness
+    that does not split gives the status "unsplit".
     """
     witness = _witness(gens)
     for j, (a, b, k) in enumerate(derivation):
         if not (0 <= a < len(gens) and 0 <= b < len(gens)):
             raise ValueError(f"derivation step {j} names an element that is not a generator")
-        lowered = bipoly_gcd(witness, _l_parts(gens[a], gens[b]).get(k, MPoly.zero()))
-        if lowered == witness:
+        part = _l_parts(gens[a], gens[b]).get(k, MPoly.zero())
+        lowered = _gcd_parts(witness, _dx_content_and_primitive(part))
+        if not _lowers(lowered, witness):
             raise ValueError(f"derivation step {j} does not lower the gcd")
         witness = lowered
-    return witness, 1 if derivation else 0
+    return _state(gens, derivation, witness)
+
+
+def _split(witness: _DxParts) -> tuple[UPoly, UPoly] | None:
+    """Split c * p(x) * pp(d, x), pp primitive over Q[x], as p(x) * q(d + x).
+
+    pp = sum_k c_k(x) d^k is a multiple of some q(d + x) exactly when
+    d pp/dx = d pp/dd, that is c_k' = (k + 1) c_{k+1} for every k: then
+    pp(d, x) = pp(d + x, 0), so q(z) = sum_k c_k(0) z^k.  Conversely q(d + x)
+    is primitive, its d-leading coefficient being lc q, so it is pp up to a
+    constant.  p is the monic content; q comes back monic.
+    """
+    content, primitive = witness
+    if not primitive:
+        return None
+    top = max(primitive)
+    zero = UPoly.zero()
+    for k in range(top + 1):
+        if primitive.get(k, zero).derivative() != primitive.get(k + 1, zero) * (k + 1):
+            return None
+    return content, UPoly([primitive[k].coefficient(0) if k in primitive else 0
+                           for k in range(top + 1)], "z").monic()
 
 
 def split_witness(witness: MPoly) -> tuple[UPoly, UPoly] | None:
     """Split a witness as c * p(x) * q(d + x): monic p in x, monic q in z.
 
-    Put d = z - x.  Then w(z - x, x) = c * p(x) * q(z), so p is its content
-    over Q[x] and q its primitive part, which is free of x exactly when w
-    splits.  None when it does not split (zero included).
+    None when it does not split (zero included).
     """
-    content, primitive = _dx_content_and_primitive(witness.substitute({"d": _D - _X}))
-    if not primitive or any(not c.is_constant() for c in primitive.values()):
-        return None
-    coeffs = [0] * (max(primitive) + 1)
-    for k, c in primitive.items():
-        coeffs[k] = c.constant_value()
-    return content, UPoly(coeffs, "z").monic()
+    return _split(_dx_content_and_primitive(witness))
 
 
-def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
-    """The type of the closure of generators with this gcd witness.
-
-    The closure is CPARTIAL exactly when no generator uses x, since x-free
-    symbols stay x-free under the product; otherwise the split of the
-    witness decides the type.
-    """
-    if not uses_x:
-        return SubalgDescriptor(CPARTIAL)
-    split = split_witness(witness)
+def _descriptor(split: tuple[UPoly, UPoly] | None) -> SubalgDescriptor:
     if split is None:
         raise ValueError("gcd witness does not split as p(x) * q(d+x)")
     p, q = split
@@ -145,9 +181,21 @@ def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
     return SubalgDescriptor(PQ, p=p, q=q)
 
 
+def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
+    """The type of the closure of generators with this gcd witness.
+
+    The closure is CPARTIAL exactly when no generator uses x, since x-free
+    symbols stay x-free under the product; otherwise the split of the
+    witness decides the type.
+    """
+    return _descriptor(split_witness(witness)) if uses_x else SubalgDescriptor(CPARTIAL)
+
+
 def classify(state: ClosureState) -> SubalgDescriptor:
-    """Split the gcd witness as p(x) * q(d + x) and tag the type."""
-    return classify_witness(state.status == "split", state.gcd_witness)
+    """The type of a closure from the split its state carries."""
+    if state.status == "x_free":
+        return SubalgDescriptor(CPARTIAL)
+    return _descriptor(state.split)
 
 
 def irreducible_on_standard(desc: SubalgDescriptor) -> bool:

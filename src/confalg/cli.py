@@ -603,22 +603,21 @@ def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, st
     ):
         raise AppError(E_PARSE, "derivation: expected an array of [a, b, k] integer triples")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
-    uses_x = any(g.uses("x") for g in gens)
     try:
-        gcd, depth = c1.replay(gens, steps)
-        desc = c1.classify_witness(uses_x, gcd)
+        state = c1.replay(gens, steps)
+        desc = c1.classify(state)
     except DegenerateError:
         raise
     except ValueError as exc:
         return False, str(exc)
-    if bipoly_gcd(witness, MPoly.zero()) != gcd:
+    if bipoly_gcd(witness, MPoly.zero()) != state.gcd_witness:
         return False, "witness is not the gcd of the generators and the derivation"
-    expected = _classify_result(desc, "split" if uses_x else "x_free", depth)
+    expected = _classify_result(desc, state.status, state.rounds)
     result = _part(report, "result", *expected)
-    for key, value in expected.items():
-        if not _same_json(result[key], value):
-            return False, f"{key} differs from the replayed derivation"
-    return True, "classification verified"
+    if _same_json({key: result[key] for key in expected}, expected):
+        return True, "classification verified"
+    key = next(k for k, v in expected.items() if not _same_json(result[k], v))
+    return False, f"{key} differs from the replayed derivation"
 
 
 def _verify_recompute(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:

@@ -819,6 +819,10 @@ def _up_add(a: Sequence[int], da: int, b: Sequence[int], db: int, var: str) -> U
     return _make_up(out, den, var)
 
 
+_UP_ZERO = _up((), 1, "x")
+_UP_ONE = _up((1,), 1, "x")
+
+
 def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
     """Read an MPoly that only uses one variable as a UPoly."""
     s = _SHIFTS[_VAR_INDEX[var]]
@@ -862,22 +866,44 @@ def upoly_xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     return r0.monic(), u0 * inv, v0 * inv
 
 
-def _dx_content_and_primitive(p: MPoly) -> tuple[UPoly, dict[int, UPoly]]:
-    """Split p(d, x) as content(x) * primitive-part, d the main variable."""
-    coeffs = {k: upoly_from_mpoly(c, "x") for k, c in p.coefficients_in("d").items()}
-    content = UPoly.zero("x")
+# A polynomial in Q[d, x] as (content, primitive part) over Q[x], d the main
+# variable: the content is monic (zero for the zero polynomial) and the
+# primitive part maps each d-power to its coefficient in Q[x].
+_DxParts = tuple[UPoly, dict[int, UPoly]]
+
+
+def _dx_content_and_primitive(p: MPoly) -> _DxParts:
+    """Split p(d, x) as content(x) * primitive part, read off its packed keys.
+
+    Raises ``ValueError`` when p uses a variable other than d and x.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for key, c in p._num.items():
+        if key & _LM_MASK:
+            extra = sorted(p.variables() - {"d", "x"})
+            raise ValueError(f"bipoly_gcd limited to d, x; found {extra}")
+        rows.setdefault(key >> 48, {})[key >> 32 & _FIELD] = c
+    den = p._den
+    coeffs = {}
+    for k in sorted(rows):
+        row = rows[k]
+        num = [0] * (max(row) + 1)
+        for e, c in row.items():
+            num[e] = c
+        coeffs[k] = _make_up(num, den, "x")
+    return _content_and_primitive(coeffs)
+
+
+def _content_and_primitive(coeffs: dict[int, UPoly]) -> _DxParts:
+    """The monic gcd of the coefficients, and the coefficients divided by it."""
+    if any(len(c._num) == 1 for c in coeffs.values()):
+        return _UP_ONE, coeffs
+    content = _UP_ZERO
     for c in coeffs.values():
         content = upoly_gcd(content, c)
-    primitive = {k: c.exact_div(content) for k, c in coeffs.items()}
-    return content, primitive
-
-
-def _dx_from_coeffs(coeffs: Mapping[int, UPoly]) -> MPoly:
-    acc = MPoly.zero()
-    d = MPoly.var("d")
-    for k, c in coeffs.items():
-        acc = acc + c.to_mpoly("x") * d**k
-    return acc
+        if content.is_constant():
+            return content, coeffs
+    return content, {k: c.exact_div(content) for k, c in coeffs.items()}
 
 
 def _pseudo_rem(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
@@ -898,7 +924,7 @@ def _pseudo_rem(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
         for j, c in b.items():
             if j == db:
                 continue
-            t = new.get(j + dr - db, UPoly.zero("x")) - top * c
+            t = new.get(j + dr - db, _UP_ZERO) - top * c
             if t.is_zero():
                 new.pop(j + dr - db, None)
             else:
@@ -910,51 +936,87 @@ def _pseudo_rem(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
     return rem
 
 
+def _coprime_at_a_point(a: dict[int, UPoly], b: dict[int, UPoly]) -> bool:
+    """Whether a(x0, d) and b(x0, d) are coprime in Q[d], at the least x0 >= 0
+    where neither d-leading coefficient vanishes.
+
+    If they are, the gcd of a and b has d-degree 0: its leading coefficient
+    divides theirs, so at x0 its image keeps its d-degree and divides both
+    images.  A gcd of primitive parts of d-degree 0 is a constant.
+    """
+    la, lb = a[max(a)], b[max(b)]
+    x0 = 0
+    while not la.eval(x0) or not lb.eval(x0):
+        x0 += 1
+    images = [UPoly([p[k].eval(x0) if k in p else 0 for k in range(max(p) + 1)], "d")
+              for p in (a, b)]
+    return upoly_gcd(*images).is_constant()
+
+
+def _primitive_gcd(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
+    """The gcd of two primitive parts, itself primitive, by a subresultant PRS.
+
+    A nonzero remainder of d-degree 0 ends it at 1.  When the first
+    remainder has positive d-degree, one evaluation (``_coprime_at_a_point``)
+    proves most coprime pairs before the sequence grows its coefficients.
+    """
+    if max(a) < max(b):
+        a, b = b, a
+    if max(b) == 0:
+        return {0: _UP_ONE}
+    rem = _pseudo_rem(a, b)
+    if not rem:
+        return b
+    if max(rem) and _coprime_at_a_point(a, b):
+        return {0: _UP_ONE}
+    c0, c1, g, h = a, b, _UP_ONE, _UP_ONE
+    while rem:
+        if not max(rem):
+            return {0: _UP_ONE}
+        delta = max(c0) - max(c1)
+        divisor = g * h**delta
+        c0, c1 = c1, {k: c.exact_div(divisor) for k, c in rem.items()}
+        g = c0[max(c0)]
+        if delta:
+            h = (g**delta).exact_div(h ** (delta - 1))
+        rem = _pseudo_rem(c0, c1)
+    return _content_and_primitive(c1)[1]
+
+
+def _gcd_parts(a: _DxParts, b: _DxParts) -> _DxParts:
+    """The gcd of two polynomials in (content, primitive part) form, in that form."""
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    return upoly_gcd(a[0], b[0]), _primitive_gcd(a[1], b[1])
+
+
+def _from_parts(parts: _DxParts) -> MPoly:
+    """content * primitive part as an MPoly with leading coefficient 1 under
+    graded lex (zero for the zero pair)."""
+    content, primitive = parts
+    if not primitive:
+        return _MP_ZERO
+    coeffs = {k: content * c for k, c in primitive.items()}
+    den = lcm(*(c._den for c in coeffs.values()))
+    num = {}
+    for k, c in coeffs.items():
+        f = den // c._den
+        for e, n in enumerate(c._num):
+            if n:
+                num[k << 48 | e << 32] = n * f
+    lead = num[max(num, key=_grlex)]  # the value is num / den; divide it by lead / den
+    if lead < 0:
+        num = {k: -c for k, c in num.items()}
+    return _make(num, abs(lead))
+
+
 def bipoly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """GCD in Q[d, x] via content/primitive split and a subresultant PRS.
+    """GCD in Q[d, x] via content/primitive split and a subresultant PRS,
+    with a one-point coprimality test after the first pseudo-remainder.
 
     The result is normalized so its leading coefficient under the graded-lex
     term order is 1.
     """
-    for p in (a, b):
-        extra = p.variables() - {"d", "x"}
-        if extra:
-            raise ValueError(f"bipoly_gcd limited to d, x; found {sorted(extra)}")
-    if a.is_zero():
-        return _normalize_leading(b)
-    if b.is_zero():
-        return _normalize_leading(a)
-
-    cont_a, prim_a = _dx_content_and_primitive(a)
-    cont_b, prim_b = _dx_content_and_primitive(b)
-    cont = upoly_gcd(cont_a, cont_b)
-
-    c0, c1 = prim_a, prim_b
-    if max(c0) < max(c1):
-        c0, c1 = c1, c0
-    if max(c1) == 0:
-        # a primitive polynomial of d-degree 0 is a nonzero constant
-        pp_gcd: dict[int, UPoly] = {0: UPoly.const(1, "x")}
-    else:
-        g = UPoly.const(1, "x")
-        h = UPoly.const(1, "x")
-        while c1:
-            delta = max(c0) - max(c1)
-            rem = _pseudo_rem(c0, c1)
-            divisor = g * h**delta
-            c0, c1 = c1, {k: c.exact_div(divisor) for k, c in rem.items()}
-            g = c0[max(c0)]
-            if delta:
-                h = (g**delta).exact_div(h ** (delta - 1))
-        _, pp_gcd = _dx_content_and_primitive(_dx_from_coeffs(c0))
-
-    result = _dx_from_coeffs(pp_gcd) * cont.to_mpoly("x")
-    return _normalize_leading(result)
-
-
-def _normalize_leading(p: MPoly) -> MPoly:
-    if p.is_zero():
-        return p
-    _, lead = p.leading_term()
-    return p.scale(Fraction(1, 1) / lead)
-
+    return _from_parts(_gcd_parts(_dx_content_and_primitive(a), _dx_content_and_primitive(b)))

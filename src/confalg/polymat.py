@@ -6,8 +6,9 @@ multipliers, and Smith forms alternate Hermite passes over the matrix
 augmented by its transforms, so they carry the unimodular transforms too.
 One minor expansion, level by level, serves ``det``, ``adjugate`` and the
 Smith divisors: the first two read one level, the divisors the gcd of each
-level.  The star/congruence operations are plain algebra so callers can
-re-verify independently.
+level; ``adjugate_and_det`` reads det off the adjugate.  The
+star/congruence operations are plain algebra so callers can re-verify
+independently.
 ``DegenerateError`` lives here, the lowest module every decision imports.
 """
 
@@ -212,6 +213,13 @@ def adjugate(mat: PolyMat) -> PolyMat:
     zero = UPoly.zero()
     return PolyMat([[minors.get((rest[i], rest[j]), zero) * (-1) ** (i + j) for i in range(n)]
                     for j in range(n)])
+
+
+def adjugate_and_det(mat: PolyMat) -> tuple[PolyMat, UPoly]:
+    """The adjugate and the determinant from one minor expansion: det is row
+    0 of ``mat`` against column 0 of the adjugate (Laplace)."""
+    adj = adjugate(mat)
+    return adj, sum((e * adj.rows[j][0] for j, e in enumerate(mat.rows[0])), UPoly.zero())
 
 
 def inverse_unimodular(mat: PolyMat) -> PolyMat:
@@ -488,16 +496,6 @@ def hermite_left_generator(mats: Sequence[PolyMat]) -> tuple[PolyMat, list[list[
         rows.append([UPoly.zero()] * n)
     # every history row has one entry per input row: each add pads them all
     return PolyMat(rows), basis.history
-
-
-def right_divide(mat_rows: PolyMat, p_mat: PolyMat) -> PolyMat:
-    """Solve Q @ p_mat == mat_rows exactly; raises if not divisible."""
-    d = det(p_mat)
-    if d.is_zero():
-        raise ValueError("cannot divide by a singular matrix")
-    adj = adjugate(p_mat)
-    num = mat_rows @ adj
-    return num.map_entries(lambda e: e.exact_div(d))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from .polymat import (
     DegenerateError,
     PidRowBasis,
     PolyMat,
+    adjugate_and_det,
     det,
     hermite_left_generator,
     is_unimodular,
-    right_divide,
     smith_divisors,
     star,
 )
@@ -80,7 +80,8 @@ class IdealReport:
         Hermite form itself, so a caller holding a separate right generator
         compares it with ``hermite``.
         """
-        stacked = [row for m in _coefficient_mats(self.side, p_mat, gens) for row in m.rows]
+        mats = _coefficient_mats(self.side, p_mat, det(p_mat), gens)
+        stacked = [row for m in mats for row in m.rows]
         oriented = self.hermite if self.side == "left" else self.hermite.transpose()
         hermite_rows = [row for row in oriented.rows if any(row)]
         basis = PidRowBasis(p_mat.n, "x")
@@ -120,15 +121,18 @@ def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
     return [PolyMat(split[k]) for k in sorted(split)]
 
 
-def _coefficient_mats(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> list[PolyMat]:
+def _coefficient_mats(
+    side: str, p_mat: PolyMat, p_det: UPoly, gens: Sequence[CendElem]
+) -> list[PolyMat]:
     """The coefficient matrices of the elements g * P, rows stacked in order.
 
     Left: the d-coefficients.  Right: the coefficients of the (d+x)-adapted
     expansion sum_i d^i a_i(d+x), which x -> z - d turns into a plain
     d-expansion with coefficients in the shift variable z (carried in the x
-    slot), transposed so that the ideal's generators are rows.
+    slot), transposed so that the ideal's generators are rows.  ``p_det``
+    is det P, which must be nonzero.
     """
-    if det(p_mat).is_zero():
+    if p_det.is_zero():
         raise DegenerateError("defining matrix must be nondegenerate")
     if not gens:
         raise ValueError("need at least one generator")
@@ -146,7 +150,9 @@ def _coefficient_mats(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> li
 
 
 def _ideal_report(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
-    mats = _coefficient_mats(side, p_mat, gens)
+    # the left generator is hermite @ adj P / det P: one minor expansion for both
+    adj, p_det = adjugate_and_det(p_mat) if side == "left" else (None, det(p_mat))
+    mats = _coefficient_mats(side, p_mat, p_det, gens)
     if not mats:  # every generator is zero
         zero = PolyMat.zero(p_mat.n)
         return IdealReport(side, zero, zero, ())
@@ -156,7 +162,7 @@ def _ideal_report(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealR
         generator = hermite.transpose()
         return IdealReport(side, generator, generator, multipliers)
     try:
-        generator = right_divide(hermite, p_mat)
+        generator = (hermite @ adj).map_entries(lambda e: e.exact_div(p_det))
     except ValueError as exc:
         raise MismatchError(
             "saturation did not close on a multiple of the defining matrix"

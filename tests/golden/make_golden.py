@@ -23,8 +23,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from confalg.cli import main
-from confalg.grammar import format_upoly
-from confalg.poly import UPoly
+from confalg.grammar import format_poly, format_upoly
+from confalg.poly import MPoly, UPoly
 
 GOLDEN = Path(__file__).resolve().parent
 
@@ -51,6 +51,15 @@ def dense_4x4(degree: int) -> list[list[str]]:
     rng = random.Random(0)
     return [[format_upoly(UPoly(tuple(rng.randint(-3, 3) for _ in range(degree + 1))))
              for _ in range(4)] for _ in range(4)]
+
+
+def dense_generator(degree: int) -> str:
+    """A dense classify-cend1 generator: every monomial d^i x^j with
+    i + j <= ``degree``, its coefficient drawn from
+    ``random.Random(0).randint(1, 3)`` in order of i, then j."""
+    rng = random.Random(0)
+    return format_poly(MPoly({(i, j, 0, 0): rng.randint(1, 3)
+                              for i in range(degree + 1) for j in range(degree + 1 - i)}))
 
 
 # (verb, case name, payload, flags)
@@ -211,6 +220,9 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # dense input, whose coefficients a plain Euclidean elimination blows up
     ("smith", "dense_4x4", {"matrix": dense_4x4(4)}, ()),
     ("anti-auto", "dense_4x4", {"p": dense_4x4(4)}, ()),
+    # a dense generator of degree 16, the input limit: its gcd with the l^1
+    # part of g * g is 1, which one evaluation at x = 0 proves
+    ("classify-cend1", "dense_16", {"generators": [dense_generator(16)]}, ()),
     # det P = 0: every action is zero, so an answer would be vacuous
     ("invariance-check", "degenerate", {"p": [["0"]], "epsilon": 1, "element": [["x"]]}, ()),
     ("check-axioms", "module_degenerate",
@@ -323,6 +335,7 @@ VERIFY_CASES = [
     ("forged_anti_auto_certificate", ("anti-auto", "rational_exists"),
      lambda r: r["certificate"].__setitem__("divisors_reflected", ["1"])),
     ("smith_dense_4x4", ("smith", "dense_4x4"), None),
+    ("classify_dense_16", ("classify-cend1", "dense_16"), None),
 ]
 
 

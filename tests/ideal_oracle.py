@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
-from confalg.polymat import PidRowBasis, PolyMat, hermite_left_generator, right_divide
+from confalg.polymat import PidRowBasis, PolyMat, adjugate, det, hermite_left_generator
 from confalg.structure import _d_coefficient_mats
 
 _D = MPoly.var("d")
@@ -113,7 +113,7 @@ def brute_left_generator(
     for e in elements:
         mats.extend(_d_coefficient_mats(e))
     hermite, _ = hermite_left_generator(mats)
-    return right_divide(hermite, p_mat)
+    return (hermite @ adjugate(p_mat)).map_entries(lambda e: e.exact_div(det(p_mat)))
 
 
 def brute_right_generator(

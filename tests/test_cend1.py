@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import io
+import json
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confalg import cend1, poly
 from confalg.cend import CendElem, _vec_series, nth_products, product_apply, standard_action
 from confalg.cend1 import (
     CPARTIAL,
@@ -15,7 +21,6 @@ from confalg.cend1 import (
     PQ,
     P_ONLY,
     Q_ONLY,
-    _witness,
     classify,
     classify_witness,
     closure,
@@ -24,7 +29,8 @@ from confalg.cend1 import (
     split_witness,
 )
 from confalg.gclie import ProbeOutcome, irreducibility_probe
-from confalg.grammar import parse_poly
+from confalg.cli import main
+from confalg.grammar import format_poly, parse_poly
 from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly, upoly_gcd
 from confalg.polymat import PidRowBasis, PolyMat
 from confalg.structure import unital_closure_probe
@@ -64,7 +70,7 @@ class TestClosure:
         state = closure(gens)
         assert (state.status, state.rounds, state.derivation) == ("split", 1, ((0, 0, 2),))
         assert state.gcd_witness == X**2 + X
-        assert replay(gens, state.derivation) == (X**2 + X, 1)
+        assert replay(gens, state.derivation) == state
 
     def test_monotone_in_generators(self):
         base = closure([X**2 * (D + X)])
@@ -83,7 +89,7 @@ class TestClosure:
         state = closure(gens)
         assert (state.status, state.rounds, state.derivation) == ("split", 1, ((1, 1, 2),))
         assert state.gcd_witness == X
-        assert replay(gens, state.derivation) == (X, 1)
+        assert replay(gens, state.derivation) == state
 
     @pytest.mark.parametrize(
         "derivation,message",
@@ -103,7 +109,9 @@ class TestClosure:
         # a two-round derivation: step 0 lowers the gcd of 4*d^2 - x^2 to
         # d - x/2, and step 1 multiplies that derived element 1, lowering it to 1
         gens = [D**2 * 4 - X**2]
-        assert replay(gens, [(0, 0, 3)]) == (D - X * Fraction(1, 2), 1)
+        state = replay(gens, [(0, 0, 3)])
+        assert (state.gcd_witness, state.rounds) == (D - X * Fraction(1, 2), 1)
+        assert (state.status, state.split) == ("unsplit", None)
         with pytest.raises(ValueError, match="step 1 names an element that is not a generator"):
             replay(gens, [(0, 0, 3), (1, 0, 1)])
 
@@ -221,6 +229,75 @@ class TestSplitWitness:
         assert (desc.type_tag, desc.p, desc.q) == (PQ, UPoly((0, 1)), UPoly((1, 1), "z"))
 
 
+def substitution_split(witness):
+    """The split by substitution, a reference model for ``split_witness``.
+
+    Put d = z - x (z kept in d).  Then w(z - x, x) = c * p(x) * q(z), so p is
+    its content over Q[x] and q its primitive part, which is free of x
+    exactly when w splits.  None when it does not split (zero included).
+    """
+    if witness.is_zero():
+        return None
+    shifted = witness.substitute({"d": D - X})
+    p = _content(shifted, "d", "x")
+    coeffs = {k: upoly_from_mpoly(c, "x").exact_div(p)
+              for k, c in shifted.coefficients_in("d").items()}
+    if any(not c.is_constant() for c in coeffs.values()):
+        return None
+    q = UPoly([coeffs[k].constant_value() if k in coeffs else 0
+               for k in range(max(coeffs) + 1)], "z")
+    return p, q.monic()
+
+
+@st.composite
+def witnesses(draw):
+    """c * p(x) * q(d + x) with rational coefficients, half of them times a
+    polynomial in d and x, which mostly breaks the split."""
+    p, q, c = draw(_upolys("x")), draw(_upolys("z")), draw(split_coeffs.filter(bool))
+    w = (p.to_mpoly() * _at_shift(q)).scale(c)
+    return w * draw(dx_polys) if draw(st.booleans()) else w
+
+
+class TestDerivativeCriterion:
+    @settings(max_examples=300, deadline=None)
+    @given(witnesses())
+    def test_matches_the_substitution_split(self, witness):
+        assert split_witness(witness) == substitution_split(witness)
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        ["d*x^2 + d*x"],  # one derivation step
+        [format_poly(X * (D + X) * f) for f in (D + 1, X + 2, X * (D * X - 3))],  # a fold
+        ["4*d^2 - x^2"],
+    ],
+)
+def test_each_witness_has_its_content_computed_once_and_is_split_once(monkeypatch, generators):
+    contents, splits = [], []
+
+    def content(coeffs):
+        parts = content_and_primitive(coeffs)
+        contents.append(poly._from_parts(parts))
+        return parts
+
+    def split(witness):
+        splits.append(poly._from_parts(witness))
+        return split_parts(witness)
+
+    content_and_primitive, split_parts = poly._content_and_primitive, cend1._split
+    monkeypatch.setattr(poly, "_content_and_primitive", content)
+    monkeypatch.setattr(cend1, "_split", split)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(generators)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["classify-cend1"]) == 0
+    report = json.loads(out.getvalue())
+    assert len(splits) == len(set(splits)) == 1 + len(report["certificate"]["derivation"])
+    assert format_poly(splits[-1]) == report["certificate"]["gcd_witness"]
+    assert max(Counter(c for c in contents if c).values()) == 1  # the zero start is no witness
+
+
 class TestIrreducibility:
     def test_flags(self):
         assert irreducible_on_standard(classify(closure([X])))
@@ -263,6 +340,10 @@ def _rows_to_polys(basis):
     return tuple(out)
 
 
+def _gcd_of(polys):
+    return reduce(bipoly_gcd, polys, MPoly.zero())
+
+
 def naive_closure(gens, x_degree_cap, rounds):
     """Saturate a capped Q[d]-module basis: (basis, witness, rounds, status)."""
     clean = [g for g in gens if not g.is_zero()]
@@ -270,7 +351,7 @@ def naive_closure(gens, x_degree_cap, rounds):
     for g in clean:
         basis.add(_poly_to_row(g, x_degree_cap))
 
-    witness = _witness(_rows_to_polys(basis))
+    witness = _gcd_of(_rows_to_polys(basis))
     rounds_used = 0
     for round_no in range(1, rounds + 1):
         rounds_used = round_no
@@ -284,7 +365,7 @@ def naive_closure(gens, x_degree_cap, rounds):
                     row = _poly_to_row(part, x_degree_cap)
                     if row is not None and basis.add(row):
                         changed = True
-        new_witness = _witness(_rows_to_polys(basis))
+        new_witness = _gcd_of(_rows_to_polys(basis))
         stable = not changed and new_witness == witness
         witness = new_witness
         if stable:
@@ -450,8 +531,8 @@ class TestSaturationMatchesNaiveLoops:
         basis, witness, _, status = naive_closure(gens, cap, rounds)
         uses_x = any(b.uses("x") for b in basis)
         got = closure(gens)
-        assert len(got.derivation) <= _witness(gens).total_degree()
-        assert replay(gens, got.derivation) == (got.gcd_witness, got.rounds)
+        assert len(got.derivation) <= _gcd_of(gens).total_degree()
+        assert replay(gens, got.derivation) == got
         if status != "stabilized":
             return
         try:

@@ -773,7 +773,7 @@ def test_anti_inv_search_envelope_fuzz(payload, cap):
 
 
 sys.path.insert(0, str(ROOT / "tests" / "golden"))
-from make_golden import dense_4x4  # noqa: E402
+from make_golden import dense_4x4, dense_generator  # noqa: E402
 
 DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
 
@@ -789,6 +789,9 @@ DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
         ("iso", {"p": DENSE_4X4_16, "q": DENSE_4X4_16}, []),
         ("anti-auto", {"p": DENSE_4X4_16}, []),
         ("anti-inv-search", {"p": DENSE_4X4_16}, ["--degree-cap", "2"]),
+        # all 153 monomials of degree <= 16: the gcd with the l^1 part of
+        # g * g is 1, which a pseudo-remainder sequence takes seconds to show
+        ("classify-cend1", {"generators": [dense_generator(16)]}, []),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confalg import poly
 from confalg.poly import (
     MPoly,
     UPoly,
@@ -258,6 +260,54 @@ class TestBipolyGcd:
             if a.is_zero() or b.is_zero():
                 continue
             assert _brute_common_divisor_dx(a, b, g)
+
+
+def _dx_polys(max_deg):
+    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.dictionaries(exps, coeffs, max_size=5).map(
+        lambda terms: MPoly({(i, j, 0, 0): c for (i, j), c in terms.items() if c})
+    )
+
+
+class TestCoprimeShortcut:
+    """One evaluation at the least x0 >= 0 where neither d-leading coefficient
+    vanishes proves coprime primitive parts; otherwise the PRS runs as before."""
+
+    @pytest.mark.parametrize(
+        "a,b,want,answers",
+        [
+            (D**3 + X, D**2 + X * D + 1, MPoly.const(1), [True]),
+            # both images d^2 at x0 = 0: the PRS decides
+            (D**2 + X * D + X, D**2 - X * D + X, MPoly.const(1), [False]),
+            ((D + X) * (D**2 + 1), (D + X) * (D**2 + X), D + X, [False]),
+            # x0 = 0 zeroes the leading coefficient x of a: x0 = 1
+            (X * D**3 + 1, D**2 + X, MPoly.const(1), [True]),
+            # a zero first remainder, and one of d-degree 0, end without it
+            ((D + X) * (D + 1), D + X, D + X, []),
+            (D**2 + X, D + 1, MPoly.const(1), []),
+        ],
+    )
+    def test_cases(self, monkeypatch, a, b, want, answers):
+        calls = []
+
+        def counted(p, q):
+            result = coprime(p, q)
+            calls.append(result)
+            return result
+
+        coprime = poly._coprime_at_a_point
+        monkeypatch.setattr(poly, "_coprime_at_a_point", counted)
+        assert bipoly_gcd(a, b) == want
+        assert calls == answers
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dx_polys(3), _dx_polys(3), _dx_polys(1))
+    def test_matches_the_plain_prs(self, a, b, common):
+        a, b = a * common, b * common
+        with mock.patch.object(poly, "_coprime_at_a_point", lambda p, q: False):
+            want = bipoly_gcd(a, b)
+        assert bipoly_gcd(a, b) == want
 
 
 class TestUPolyFromMPoly:

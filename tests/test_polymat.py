@@ -14,6 +14,7 @@ from confalg.poly import UPoly, upoly_gcd
 from confalg.polymat import (
     PolyMat,
     adjugate,
+    adjugate_and_det,
     congruence_verify,
     det,
     hermite_left_generator,
@@ -119,6 +120,7 @@ def test_adjugate_times_matrix_is_det(n):
             scalar = PolyMat.diagonal([leibniz_det(m)] * n)
             assert m @ adj == adj @ m == scalar
             assert adj == cofactor_adjugate(m)
+            assert adjugate_and_det(m) == (adj, leibniz_det(m))
 
 
 class TestUnimodular:

@@ -40,6 +40,7 @@ from ideal_oracle import brute_left_generator, brute_right_generator
 D = MPoly.var("d")
 X = MPoly.var("x")
 
+ZERO = UPoly.zero()
 ONE = UPoly.const(1)
 XX = UPoly.variable()
 P_X = PolyMat([[XX]])
@@ -68,6 +69,22 @@ class TestLeftIdeal:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateError):
             left_ideal_generator(PolyMat([[UPoly.zero()]]), [scalar(X)])
+
+    def test_expands_the_minors_of_p_once(self, monkeypatch):
+        expansions = []
+
+        def counted(*args, **kwargs):
+            expansions.append(args[0])
+            return minors(*args, **kwargs)
+
+        minors = polymat._minors
+        monkeypatch.setattr(polymat, "_minors", counted)
+        p_mat = PolyMat([[XX, ONE, ZERO], [ZERO, XX, ONE], [ONE, ZERO, XX * XX]])
+        gens = [CendElem([[X * D if i == j else MPoly.const(i) for j in range(3)]
+                          for i in range(3)])]
+        report = left_ideal_generator(p_mat, gens)
+        assert expansions == [p_mat]
+        assert report.generator @ p_mat == report.hermite
 
     def test_oracle_agreement_scalar(self):
         rng = random.Random(51)
