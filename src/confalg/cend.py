@@ -446,8 +446,9 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
 
     def act(a_part: RawMat, param: str) -> VecMap:
         p = _param(param)
-        full = raw_mul(a_part, p_raw)
-        return head_action(raw_subst(full, {"d": -p, "x": p + _D + a_const}), p)
+        # substitution is a ring map, so each factor is substituted on its own
+        bindings = {"d": -p, "x": p + _D + a_const}
+        return head_action(raw_mul(raw_subst(a_part, bindings), raw_subst(p_raw, bindings)), p)
 
     return act
 

@@ -162,14 +162,6 @@ def _split(witness: _DxParts) -> tuple[UPoly, UPoly] | None:
                            for k in range(top + 1)], "z").monic()
 
 
-def split_witness(witness: MPoly) -> tuple[UPoly, UPoly] | None:
-    """Split a witness as c * p(x) * q(d + x): monic p in x, monic q in z.
-
-    None when it does not split (zero included).
-    """
-    return _split(_dx_content_and_primitive(witness))
-
-
 def _descriptor(split: tuple[UPoly, UPoly] | None) -> SubalgDescriptor:
     if split is None:
         raise ValueError("gcd witness does not split as p(x) * q(d+x)")
@@ -179,16 +171,6 @@ def _descriptor(split: tuple[UPoly, UPoly] | None) -> SubalgDescriptor:
     if p.is_constant():
         return SubalgDescriptor(Q_ONLY, q=q)
     return SubalgDescriptor(PQ, p=p, q=q)
-
-
-def classify_witness(uses_x: bool, witness: MPoly) -> SubalgDescriptor:
-    """The type of the closure of generators with this gcd witness.
-
-    The closure is CPARTIAL exactly when no generator uses x, since x-free
-    symbols stay x-free under the product; otherwise the split of the
-    witness decides the type.
-    """
-    return _descriptor(split_witness(witness)) if uses_x else SubalgDescriptor(CPARTIAL)
 
 
 def classify(state: ClosureState) -> SubalgDescriptor:

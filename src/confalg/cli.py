@@ -11,15 +11,15 @@ given budget is validated, echoed and ignored.  Identical invocations
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import cend1 as c1
 from .cend import (
@@ -671,35 +671,129 @@ _HANDLERS: dict[str, Callable[[Any, Budgets], Outcome]] = {
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a rejected command line as E_PARSE instead of exiting with 2,
-    the exit code that means undecided."""
+# --in, --out and the budgets: flag -> (field, type of its value)
+_FLAGS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "--in": ("infile", str),
+    "--out": ("outfile", str),
+    "--seed": ("seed", int),
+    "--degree-cap": ("degree_cap", int),
+    "--rounds": ("rounds", int),
+}
+# the two mode switches: flag -> json_mode
+_MODES = {"--json": True, "--pretty": False}
+# every long flag, in the order an ambiguous prefix lists them
+_LONG = ("--help", *_FLAGS, *_MODES)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message: str):
-        raise AppError(E_PARSE, f"command line: {message}")
+USAGE = (
+    "usage: confalg [-h] VERB [--in FILE] [--out FILE] [--seed N] [--degree-cap N]\n"
+    "               [--rounds N] [--json | --pretty]\n\n"
+    "Exact symbolic kernel for conformal endomorphism algebras.\n\n"
+    "verbs:\n" + "".join(f"  {verb}\n" for verb in sorted(VERBS)) + "\n"
+    "options:\n"
+    "  -h, --help       print this text and exit\n"
+    "  --in FILE        input JSON file, or - for stdin (the default)\n"
+    "  --out FILE       output file, or - for stdout (the default)\n"
+    f"  --seed N         sampling seed (default {DEFAULT_SEED})\n"
+    "  --degree-cap N   degree budget\n"
+    "  --rounds N       rounds budget\n"
+    "  --json           one JSON report, budgets required (the default)\n"
+    "  --pretty         a text summary, budgets defaulted\n"
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="confalg",
-        description="Exact symbolic kernel for conformal endomorphism algebras.",
-    )
-    parser.add_argument("verb", choices=sorted(_HANDLERS))
-    parser.add_argument("--in", dest="infile", default="-", help="input JSON file or -")
-    parser.add_argument("--out", dest="outfile", default="-", help="output file or -")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--degree-cap", dest="degree_cap", type=int, default=None)
-    parser.add_argument("--rounds", type=int, default=None)
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True, dest="json_mode")
-    fmt.add_argument(
-        "--pretty", action="store_false", dest="json_mode", help="human summary"
-    )
-    return parser
+def _rejected(message: str) -> AppError:
+    return AppError(E_PARSE, f"command line: {message}")
 
 
-# built once per process: it depends on nothing in a request
-_PARSER = build_parser()
+def _option(arg: str) -> tuple[str | None, str | None] | None:
+    """How one argument before ``--`` reads: None for a verb or a value, else
+    (the flag it names, None if unknown; its ``=`` text, None if none)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] != "-":  # -h, -hh, ...; otherwise a negative number or unknown
+        if arg[1] == "h":
+            tail = arg[2:]
+            return "--help", tail if tail.strip("h") else None
+        return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
+    name, eq, text = arg.partition("=")
+    matches = [name] if name in _LONG else [f for f in _LONG if f.startswith(name)]
+    if len(matches) > 1:
+        raise _rejected(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], text if eq else None
+    return None if " " in arg else (None, None)
+
+
+def read_command_line(argv: Sequence[str]) -> dict[str, Any] | None:
+    """The fields of a command line, or None when it asks for help.
+
+    argv reads as argparse reads it: a flag's value follows it or its ``=``,
+    a unique prefix names a long flag, a negative number or ``-`` is a value,
+    ``--`` ends the flags, and the last repeat of a flag wins.  Help answers
+    when it is reached, unless an error came first.  Whatever argparse
+    rejects raises ``AppError`` with code E_PARSE.
+    """
+    # per argument: None a verb or value, "--" the end of flags, else _option's pair
+    kinds: list[Any] = []
+    for j, arg in enumerate(argv):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(argv) - j - 1)
+            break
+        kinds.append(_option(arg))
+    fields: dict[str, Any] = {
+        "verb": None, "infile": "-", "outfile": "-", "seed": DEFAULT_SEED,
+        "degree_cap": None, "rounds": None, "json_mode": True,
+    }
+    mode = None
+    extras: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if fields["verb"] is None and kind == "--" and i < len(argv):
+            arg, kind = argv[i], None  # a -- just before the verb goes with it
+            i += 1
+        if fields["verb"] is None and kind is None:
+            if i < len(argv) and kinds[i] == "--":  # as does one just after it
+                i += 1
+            if arg not in VERBS:
+                choices = ", ".join(map(repr, sorted(VERBS)))
+                raise _rejected(f"argument verb: invalid choice: {arg!r} (choose from {choices})")
+            fields["verb"] = arg
+            continue
+        if kind is None or kind == "--" or kind[0] is None:  # a stray value, --, unknown flag
+            extras.append(arg)
+            continue
+        flag, value = kind
+        if flag == "--help" or flag in _MODES:
+            if value is not None:
+                name = "-h/--help" if flag == "--help" else flag
+                raise _rejected(f"argument {name}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                return None
+            if mode not in (None, flag):
+                raise _rejected(f"argument {flag}: not allowed with argument {mode}")
+            mode = flag
+            fields["json_mode"] = _MODES[flag]
+        else:
+            if value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise _rejected(f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            field, convert = _FLAGS[flag]
+            try:
+                fields[field] = convert(value)
+            except ValueError:
+                raise _rejected(
+                    f"argument {flag}: invalid {convert.__name__} value: {value!r}"
+                ) from None
+    if fields["verb"] is None:
+        raise _rejected("the following arguments are required: verb")
+    if extras:
+        raise _rejected(f"unrecognized arguments: {' '.join(extras)}")
+    return fields
 
 
 def _read_payload(path: str) -> Any:
@@ -753,16 +847,19 @@ def main(argv: list[str] | None = None) -> int:
     }
     json_mode, outfile = True, "-"  # what a command line that fails to parse gets
     try:
-        args = _PARSER.parse_args(argv)
-        json_mode, outfile = args.json_mode, args.outfile
-        envelope["verb"] = args.verb
+        args = read_command_line(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h/--help: usage text, no envelope
+            sys.stdout.write(USAGE)
+            return 0
+        json_mode, outfile, verb = args["json_mode"], args["outfile"], args["verb"]
+        envelope["verb"] = verb
         envelope["budgets"] = {
-            "degree_cap": args.degree_cap, "rounds": args.rounds, "seed": args.seed
+            "degree_cap": args["degree_cap"], "rounds": args["rounds"], "seed": args["seed"]
         }
-        payload = _read_payload(args.infile)
+        payload = _read_payload(args["infile"])
         envelope["input"] = payload
-        budgets = _budgets(args.verb, envelope["budgets"], defaults=not json_mode)
-        status, result, certificate = _HANDLERS[args.verb](payload, budgets)
+        budgets = _budgets(verb, envelope["budgets"], defaults=not json_mode)
+        status, result, certificate = _HANDLERS[verb](payload, budgets)
         envelope["status"] = status
         envelope["result"] = result
         envelope["certificate"] = certificate

@@ -22,11 +22,9 @@ from confalg.cend1 import (
     P_ONLY,
     Q_ONLY,
     classify,
-    classify_witness,
     closure,
     irreducible_on_standard,
     replay,
-    split_witness,
 )
 from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.cli import main
@@ -194,6 +192,18 @@ def _upolys(var):
 def _at_shift(q):
     """q(z) as the symbol q(d + x)."""
     return q.retag("x").to_mpoly().substitute({"x": D + X})
+
+
+def split_witness(witness):
+    """The split of a witness as c * p(x) * q(d + x): monic p in x, monic q
+    in z; None when it does not split (zero included)."""
+    return cend1._split(poly._dx_content_and_primitive(witness))
+
+
+def classify_witness(uses_x, witness):
+    """The type of the closure of generators with this gcd witness:
+    CPARTIAL when no generator uses x, else the type of the witness's split."""
+    return cend1._descriptor(split_witness(witness)) if uses_x else cend1.SubalgDescriptor(CPARTIAL)
 
 
 class TestSplitWitness:
