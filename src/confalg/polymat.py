@@ -1,9 +1,10 @@
 """Square matrices over Q[x]: determinants, Smith/Hermite forms, congruence.
 
 Everything is exact and certificate-producing.  One Hermite routine,
-``PidRowBasis``, serves both normal forms: Hermite generators carry tracked
-multipliers, and Smith forms alternate Hermite passes over the matrix
-augmented by its transforms, so they carry the unimodular transforms too.
+``PidRowBasis``, serves both normal forms: Hermite generators carry their
+multipliers in tail columns, and Smith forms alternate Hermite passes over
+the matrix augmented by its transforms, so they carry the unimodular
+transforms too.
 One minor expansion, level by level, serves ``det``, ``adjugate`` and the
 Smith divisors: the first two read one level, the divisors the gcd of each
 level; ``adjugate_and_det`` reads det off the adjugate.  The
@@ -347,41 +348,28 @@ class PidRowBasis:
     Rows are vectors of UPoly in a fixed variable; the basis is kept with
     strictly increasing pivot columns, monic pivots and reduced entries above
     each pivot, so equal row modules produce identical canonical forms.
-    Optionally tracks how each basis row combines the inserted rows.
+    A row may be longer than ``ncols``: its tail columns take no pivot, but
+    every row operation updates them, so a tail seeded with a unit vector
+    records how each basis row combines the inserted rows.
     """
 
-    def __init__(self, ncols: int, var: str = "x", track: bool = False):
+    def __init__(self, ncols: int, var: str = "x"):
         self.ncols = ncols
         self.var = var
         self.rows: list[list[UPoly]] = []
         self.pivots: list[int] = []
-        self.track = track
-        self.history: list[list[UPoly]] = []
-        self._count = 0
-
-    def _zero_row(self, width: int) -> list[UPoly]:
-        return [UPoly.zero(self.var)] * width
 
     def _lead_col(self, row: Sequence[UPoly]) -> int | None:
-        for j, e in enumerate(row):
-            if not e.is_zero():
+        for j in range(self.ncols):
+            if not row[j].is_zero():
                 return j
         return None
 
     def add(self, row: Sequence[UPoly]) -> bool:
         """Insert a row; returns True if the module grew or a pivot changed."""
-        if len(row) != self.ncols:
+        if len(row) < self.ncols:
             raise ValueError("row width mismatch")
         r = list(row)
-        if self.track:
-            # history rows have one entry per row inserted so far
-            for h in self.history:
-                h.append(UPoly.zero(self.var))
-            hist = self._zero_row(self._count + 1)
-            hist[self._count] = UPoly.const(1, self.var)
-            self._count += 1
-        else:
-            hist = []
         changed = False
         idx = 0
         while idx < len(self.rows):
@@ -398,8 +386,6 @@ class PidRowBasis:
             q, rem = r[col].divmod(pivot)
             if not rem:
                 r = _sub_multiple(r, q, self.rows[idx])
-                if self.track:
-                    hist = _sub_multiple(hist, q, self.history[idx])
             else:
                 g, u, v = upoly_xgcd(pivot, r[col])
                 combined = [u * a + v * b for a, b in zip(self.rows[idx], r)]
@@ -407,12 +393,6 @@ class PidRowBasis:
                 qr = r[col].exact_div(g)
                 r = [qp * b - qr * a for a, b in zip(self.rows[idx], r)]
                 self.rows[idx] = combined
-                if self.track:
-                    comb_h = [u * a + v * b for a, b in zip(self.history[idx], hist)]
-                    hist = [
-                        qp * b - qr * a for a, b in zip(self.history[idx], hist)
-                    ]
-                    self.history[idx] = comb_h
                 changed = True
         lead = self._lead_col(r)
         if lead is not None:
@@ -421,8 +401,6 @@ class PidRowBasis:
                 pos += 1
             self.rows.insert(pos, r)
             self.pivots.insert(pos, lead)
-            if self.track:
-                self.history.insert(pos, hist)
             changed = True
         if changed:
             self._normalize()
@@ -435,8 +413,6 @@ class PidRowBasis:
             if lead != 1:
                 inv = Fraction(1, 1) / lead
                 self.rows[i] = [e * inv for e in self.rows[i]]
-                if self.track:
-                    self.history[i] = [e * inv for e in self.history[i]]
         for i in range(len(self.rows) - 1, -1, -1):
             col = self.pivots[i]
             pivot = self.rows[i][col]
@@ -444,10 +420,7 @@ class PidRowBasis:
                 entry = self.rows[k][col]
                 if entry.is_zero() or entry.degree() < pivot.degree():
                     continue
-                q = entry // pivot
-                self.rows[k] = _sub_multiple(self.rows[k], q, self.rows[i])
-                if self.track:
-                    self.history[k] = _sub_multiple(self.history[k], q, self.history[i])
+                self.rows[k] = _sub_multiple(self.rows[k], entry // pivot, self.rows[i])
 
     def reduce(self, row: Sequence[UPoly]) -> list[UPoly]:
         """Remainder of a row modulo the current module."""
@@ -487,15 +460,17 @@ def hermite_left_generator(mats: Sequence[PolyMat]) -> tuple[PolyMat, list[list[
     n = mats[0].n
     if any(m.n != n for m in mats):
         raise ValueError("all matrices must have the same size")
-    basis = PidRowBasis(n, "x", track=True)
-    for m in mats:
-        for row in m.rows:
-            basis.add(row)
-    rows = [list(r) for r in basis.canonical()]
+    stacked = [row for m in mats for row in m.rows]
+    zero, one = UPoly.zero(), UPoly.const(1)
+    basis = PidRowBasis(n, "x")
+    for k, row in enumerate(stacked):
+        # input row k followed by the unit vector e_k: the tail of each
+        # basis row is its multipliers
+        basis.add([*row, *(one if j == k else zero for j in range(len(stacked)))])
+    rows = [r[:n] for r in basis.rows]
     while len(rows) < n:
-        rows.append([UPoly.zero()] * n)
-    # every history row has one entry per input row: each add pads them all
-    return PolyMat(rows), basis.history
+        rows.append([zero] * n)
+    return PolyMat(rows), [r[n:] for r in basis.rows]
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ def _ideal_report(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealR
     if not mats:  # every generator is zero
         zero = PolyMat.zero(p_mat.n)
         return IdealReport(side, zero, zero, ())
-    hermite, history = hermite_left_generator(mats)
-    multipliers = tuple(tuple(row) for row in history)
+    hermite, rows = hermite_left_generator(mats)
+    multipliers = tuple(tuple(row) for row in rows)
     if side == "right":
         generator = hermite.transpose()
         return IdealReport(side, generator, generator, multipliers)
