@@ -407,14 +407,16 @@ class PidRowBasis:
         return changed
 
     def _normalize(self) -> None:
-        # monic pivots, then reduce entries above each pivot
+        # monic pivots, then reduce the entries above each pivot, leftmost
+        # pivot first: row i is zero left of its pivot, so a later step
+        # touches only columns right of its own pivot, and the result is the
+        # Hermite form whatever order the rows came in
         for i, col in enumerate(self.pivots):
             lead = self.rows[i][col].lead()
             if lead != 1:
                 inv = Fraction(1, 1) / lead
                 self.rows[i] = [e * inv for e in self.rows[i]]
-        for i in range(len(self.rows) - 1, -1, -1):
-            col = self.pivots[i]
+        for i, col in enumerate(self.pivots):
             pivot = self.rows[i][col]
             for k in range(i):
                 entry = self.rows[k][col]
