@@ -223,6 +223,11 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     # a dense generator of degree 16, the input limit: its gcd with the l^1
     # part of g * g is 1, which one evaluation at x = 0 proves
     ("classify-cend1", "dense_16", {"generators": [dense_generator(16)]}, ()),
+    # three pivots: a Hermite reduction run from the rightmost pivot leaves
+    # -x^2 above the last one
+    ("ideal", "left_3x3_hermite",
+     {"side": "left", "p": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      "gens": [[["0", "0", "x^2"], ["0", "1", "x"], ["1", "x", "0"]]]}, ()),
     # det P = 0: every action is zero, so an answer would be vacuous
     ("invariance-check", "degenerate", {"p": [["0"]], "epsilon": 1, "element": [["x"]]}, ()),
     ("check-axioms", "module_degenerate",
@@ -336,6 +341,7 @@ VERIFY_CASES = [
      lambda r: r["certificate"].__setitem__("divisors_reflected", ["1"])),
     ("smith_dense_4x4", ("smith", "dense_4x4"), None),
     ("classify_dense_16", ("classify-cend1", "dense_16"), None),
+    ("ideal_left_3x3_hermite", ("ideal", "left_3x3_hermite"), None),
 ]
 
 

@@ -3,14 +3,15 @@
 Independent of the production path: it saturates the generated one-sided
 ideal under lambda-products with a monomial probe set and only then reads
 off the canonical generator, instead of trusting the coefficient-stripping
-argument.
+argument.  The generator is read by ``hermite_form``, a slow
+non-incremental Hermite routine of its own, not by ``PidRowBasis``.
 """
 
 from __future__ import annotations
 
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
-from confalg.polymat import PidRowBasis, PolyMat, adjugate, det, hermite_left_generator
+from confalg.polymat import PidRowBasis, PolyMat, adjugate, det
 from confalg.structure import _d_coefficient_mats
 
 _D = MPoly.var("d")
@@ -42,6 +43,45 @@ def _unflatten(row, n: int, x_cap: int) -> CendElem:
             rr.append(acc)
         entries.append(rr)
     return CendElem(entries)
+
+
+def hermite_form(rows, n: int) -> tuple[tuple[UPoly, ...], ...]:
+    """The nonzero rows of the Hermite form of the module ``rows`` span.
+
+    Column by column, Euclid on the rows not yet taken: the entry of least
+    degree reduces every other one, until one nonzero entry is left; its
+    row, made monic, is the next pivot row.  Then each row is reduced by
+    the pivot rows below it, leftmost pivot first, so that each entry above
+    a pivot has lower degree than the pivot.
+    """
+    rest = [list(r) for r in rows if any(r)]
+    out: list[list[UPoly]] = []
+    for col in range(n):
+        live = [r for r in rest if r[col]]
+        while len(live) > 1:
+            low = min(live, key=lambda r: r[col].degree())
+            for r in live:
+                if r is not low:
+                    q = r[col] // low[col]
+                    r[:] = [a - q * b for a, b in zip(r, low)]
+            live = [r for r in live if r[col]]
+        if live:
+            inv = 1 / live[0][col].lead()
+            out.append([e * inv for e in live[0]])
+            rest = [r for r in rest if r is not live[0]]
+    for k, row in enumerate(out):
+        for pivot_row in out[k + 1 :]:
+            col = next(j for j, e in enumerate(pivot_row) if e)
+            q = row[col] // pivot_row[col]
+            row[:] = [a - q * b for a, b in zip(row, pivot_row)]
+    return tuple(tuple(r) for r in out)
+
+
+def _generator_rows(mats: list[PolyMat]) -> PolyMat:
+    """The Hermite form of the stacked rows of ``mats``, zero rows last."""
+    n = mats[0].n
+    rows = hermite_form([row for m in mats for row in m.rows], n)
+    return PolyMat(rows + ((UPoly.zero(),) * n,) * (n - len(rows)))
 
 
 def _probes(n: int, p_mat: PolyMat, probe_cap: int) -> list[CendElem]:
@@ -112,7 +152,7 @@ def brute_left_generator(
     mats: list[PolyMat] = []
     for e in elements:
         mats.extend(_d_coefficient_mats(e))
-    hermite, _ = hermite_left_generator(mats)
+    hermite = _generator_rows(mats)
     return (hermite @ adjugate(p_mat)).map_entries(lambda e: e.exact_div(det(p_mat)))
 
 
@@ -129,5 +169,4 @@ def brute_right_generator(
         # the (d+x)-adapted expansion: x -> z - d (z in the x slot), then strip d
         shifted = e.substitute({"x": _X - _D})
         mats.extend(m.transpose() for m in _d_coefficient_mats(shifted))
-    hermite_t, _ = hermite_left_generator(mats)
-    return hermite_t.transpose()
+    return _generator_rows(mats).transpose()

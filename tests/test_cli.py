@@ -6,6 +6,7 @@ import ast
 import copy
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -778,6 +779,17 @@ from make_golden import dense_4x4, dense_generator  # noqa: E402
 DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
 
 
+def dense_symbol(degree: int, seed: int) -> list[list[str]]:
+    """A dense 4x4 symbol: each entry holds every monomial d^i x^j with
+    i + j <= ``degree``, in order of i, then j; one
+    ``random.Random(seed).randint(-3, 3)`` draws the coefficients entry by
+    entry, and a draw of 0 is read as 1."""
+    rng = random.Random(seed)
+    return [[format_poly(MPoly({(i, j, 0, 0): rng.randint(-3, 3) or 1
+                                for i in range(degree + 1) for j in range(degree + 1 - i)}))
+             for _ in range(4)] for _ in range(4)]
+
+
 @pytest.mark.parametrize(
     "verb,payload,flags",
     [
@@ -792,6 +804,11 @@ DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
         # all 153 monomials of degree <= 16: the gcd with the l^1 part of
         # g * g is 1, which a pseudo-remainder sequence takes seconds to show
         ("classify-cend1", {"generators": [dense_generator(16)]}, []),
+        # two dense symbols of degree 4 (seeds 3 and 4) under a dense P;
+        # their right ideal takes 2-3 s and stays out until a reduction ahead
+        # of the Hermite basis keeps the degrees down
+        ("ideal", {"side": "left", "p": DENSE_4X4,
+                   "gens": [dense_symbol(4, 3), dense_symbol(4, 4)]}, []),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):

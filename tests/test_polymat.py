@@ -25,6 +25,7 @@ from confalg.polymat import (
     star,
 )
 from confalg.sampling import random_polymat, random_unimodular
+from ideal_oracle import hermite_form
 
 ZERO = UPoly.zero()
 ONE = UPoly.const(1)
@@ -364,7 +365,71 @@ class TestSmithDivisibilityFix:
         assert cert.verify(m)
 
 
+def scrambled_hermite(rng: random.Random, var: str):
+    """A Hermite form H built entry by entry, and rows spanning its module.
+
+    H has n = 3 or 4 columns and any rank: strictly increasing pivot
+    columns, zeros left of each pivot, monic pivots, entries above a pivot
+    of lower degree than it, anything elsewhere.  The rows are U H for a
+    product U of elementary row operations, some of them duplicated, in a
+    random order.  Returns (n, H rows, rows).
+    """
+    n = rng.choice([3, 4])
+    zero = UPoly.zero(var)
+    poly = lambda: UPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))], var)  # noqa: E731
+    pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    heads = []
+    for _ in pivots:
+        head = UPoly.const(1, var)
+        for _ in range(rng.randint(0, 2)):
+            head = head * UPoly((rng.randint(-2, 2), 1), var)
+        heads.append(head)
+    hermite = []
+    for i, col in enumerate(pivots):
+        row = [zero] * col + [heads[i]] + [poly() for _ in range(col + 1, n)]
+        for j in range(i + 1, len(pivots)):
+            row[pivots[j]] = poly().divmod(heads[j])[1]
+        hermite.append(tuple(row))
+    rows = [list(r) for r in hermite] or [[zero] * n]  # a zero row spans the zero module
+    for _ in range(rng.randint(0, 10)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:  # row i *= c
+            c = rng.choice([-2, -1, 3])
+            rows[i] = [c * a for a in rows[i]]
+        else:  # row i += q * row j
+            q = poly()
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    rows += [rows[rng.randrange(len(rows))] for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return n, tuple(hermite), rows
+
+
 class TestPidRowBasisCanonicity:
+    @pytest.mark.parametrize("var", ["x", "d"])
+    def test_canonical_form_is_the_known_hermite_form(self, var):
+        from confalg.polymat import PidRowBasis
+
+        rng = random.Random(var)
+        for _ in range(150):
+            n, hermite, rows = scrambled_hermite(rng, var)
+            basis = PidRowBasis(n, var)
+            for r in rows:
+                basis.add(r)
+            assert basis.canonical() == hermite, rows
+            assert hermite_form(rows, n) == hermite, rows  # the ideal oracle's own routine
+            if var != "x":
+                continue
+            padded = rows + [[ZERO] * n] * (-len(rows) % n)
+            mats = [PolyMat(padded[k : k + n]) for k in range(0, len(padded), n)]
+            gen, multipliers = hermite_left_generator(mats)
+            assert gen.rows == hermite + ((ZERO,) * n,) * (n - len(hermite))
+            assert len(multipliers) == len(hermite)
+            for mult_row, target in zip(multipliers, hermite):
+                combo = [ZERO] * n
+                for coef, source in zip(mult_row, padded):
+                    combo = [a + coef * b for a, b in zip(combo, source)]
+                assert tuple(combo) == target
+
     def test_order_independent_canonical_form(self):
         from confalg.polymat import PidRowBasis
 

@@ -141,6 +141,61 @@ class TestRightIdeal:
             assert fast == brute
 
 
+class TestIdealMetamorphic:
+    """The canonical answer of one ideal under changes that keep the ideal."""
+
+    @staticmethod
+    def _reorder(side: str, g: CendElem) -> CendElem:
+        # a permutation on the left keeps a left ideal, on the right a right one
+        rows = [list(r) for r in g.entries]
+        return CendElem(rows[::-1] if side == "left" else [r[::-1] for r in rows])
+
+    @staticmethod
+    def _member(side: str, report) -> CendElem:
+        # the generator itself, as an a-part: the ideal is (algebra) Q P on
+        # the left, Q(d + x) (algebra) on the right
+        q = CendElem(report.generator.to_mpoly_rows())
+        return q if side == "left" else q.substitute({"x": D + X})
+
+    def test_three_pivots_in_both_row_orders(self):
+        g = CendElem([[MPoly.zero(), MPoly.zero(), X**2], [MPoly.zero(), MPoly.const(1), X],
+                      [MPoly.const(1), X, MPoly.zero()]])
+        hermite = PolyMat([[ONE, ZERO, ZERO], [ZERO, ONE, XX], [ZERO, ZERO, XX * XX]])
+        p_mat = PolyMat.identity(3)
+        for gens in ([g], [self._reorder("left", g)]):
+            report = left_ideal_generator(p_mat, gens)
+            assert report.generator == report.hermite == hermite
+            assert report.verify(p_mat, gens) is None
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reordered_and_redundant_generators(self, side, seed):
+        # generators a h (left) or h(d + x) a (right) for an upper triangular
+        # h with non-unit pivots, so the ideal is proper with three pivots
+        rng = random.Random(70 + seed)
+        p_mat = PolyMat([[XX, ONE, ZERO], [ZERO, ONE, ZERO], [ONE, ZERO, XX]])
+        h = CendElem([[random_upoly(rng, 1 + (i == j and rng.random() < 0.5)).to_mpoly("x")
+                       if i <= j else MPoly.zero() for j in range(3)] for i in range(3)])
+        if side == "right":
+            h = h.substitute({"x": D + X})
+        factors = [random_cend(rng, 3, 1) for _ in range(2)]
+        gens = [a @ h if side == "left" else h @ a for a in factors]
+        build = left_ideal_generator if side == "left" else right_ideal_generator
+        report = build(p_mat, gens)
+        assert any(report.hermite.rows[-1]) and not is_unimodular(report.hermite)
+        assert report.verify(p_mat, gens) is None
+        variants = [
+            [self._reorder(side, g) for g in gens],
+            gens[::-1],
+            gens + [gens[0] + gens[1]],
+            gens + [self._member(side, report)],
+        ]
+        for other in variants:
+            again = build(p_mat, other)
+            assert (again.generator, again.hermite) == (report.generator, report.hermite)
+            assert again.verify(p_mat, other) is None
+
+
 class TestIsomorphism:
     def test_shift_by_five(self):
         decision = decide_isomorphism(P_X, PolyMat([[UPoly((5, 1))]]))
