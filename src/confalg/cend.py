@@ -123,7 +123,7 @@ class CendElem:
             raise ValueError("symbol matrix must be square")
         for row in entries:
             for e in row:
-                if e.uses("l") or e.uses("m"):
+                if any(k & _LM_MASK for k in e._num):
                     raise ValueError("symbol entries must not contain l or m")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))

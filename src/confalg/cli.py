@@ -33,7 +33,7 @@ from .cend import (
     verify_lie_axioms,
     verify_module_axioms,
 )
-from .grammar import ParseError, format_poly, format_upoly, parse_poly
+from .grammar import format_poly, format_upoly
 from .gclie import (
     ConfBilinearForm,
     check_anti_fixed,
@@ -44,7 +44,6 @@ from .gclie import (
 from .jsonio import (
     MAX_MATRIX_N,
     PayloadError,
-    check_degree,
     cend_from_json,
     cend_list_from_json,
     cend_to_json,
@@ -57,9 +56,10 @@ from .jsonio import (
     polymat_to_json,
     polys_from_json,
     series_to_json,
+    upolys_from_json,
     upolys_to_json,
 )
-from .poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly
+from .poly import MPoly, bipoly_gcd
 from .polymat import DegenerateError, PolyMat, SmithCert, det, smith_form
 from .sampling import random_cend, random_modvec_raw
 from .structure import (
@@ -343,18 +343,7 @@ def _cend1_generators(payload: Any) -> list[MPoly]:
         raw_gens = payload["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise AppError(E_PARSE, "generators: expected a non-empty array of strings")
-    gens = []
-    for i, g in enumerate(raw_gens):
-        if not isinstance(g, str):
-            raise AppError(E_PARSE, f"generators[{i}]: expected a string")
-        poly = parse_poly(g)
-        extra = poly.variables() - {"d", "x"}
-        if extra:
-            raise AppError(
-                E_PARSE, f"generators[{i}]: variable(s) {sorted(extra)} not allowed"
-            )
-        gens.append(check_degree(poly, f"generators[{i}]"))
-    return gens
+    return polys_from_json(raw_gens, "generators", {"d", "x"})
 
 
 def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
@@ -505,11 +494,6 @@ def _part(report: dict[str, Any], name: str, *fields: str) -> dict[str, Any]:
     return _expect(report.get(name), *fields, name=name)
 
 
-def _x_polys(data: Any, field: str) -> list[UPoly]:
-    """Output polynomials in x (divisors, multipliers): not degree-bounded."""
-    return [upoly_from_mpoly(p, "x") for p in polys_from_json(data, field, {"x"}, None)]
-
-
 # a decision verifier's answer when the report's status contradicts its result
 _STATUS_MISMATCH = (False, "status does not match the result")
 
@@ -530,7 +514,7 @@ def _verify_smith(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     result = _part(report, "result", "divisors")
     cert = _part(report, "certificate", "left", "right")
     smith = SmithCert(
-        tuple(_x_polys(result["divisors"], "divisors")),
+        upolys_from_json(result["divisors"], "divisors", "x", None),
         polymat_from_json(cert["left"], "left", None),
         polymat_from_json(cert["right"], "right", None),
     )
@@ -574,7 +558,8 @@ def _verify_ideal(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     if not isinstance(cert["multipliers"], list):
         raise AppError(E_PARSE, "multipliers: expected an array of arrays")
     multipliers = tuple(
-        tuple(_x_polys(row, f"multipliers[{i}]")) for i, row in enumerate(cert["multipliers"])
+        upolys_from_json(row, f"multipliers[{i}]", "x", None)
+        for i, row in enumerate(cert["multipliers"])
     )
     if side == "left":
         generator = polymat_from_json(result.get("generator"), "generator", None)
@@ -870,7 +855,7 @@ def main(argv: list[str] | None = None) -> int:
             }
     except AppError as exc:
         envelope["error"] = {"code": exc.code, "message": exc.message}
-    except (PayloadError, ParseError) as exc:
+    except PayloadError as exc:
         envelope["error"] = {"code": E_PARSE, "message": str(exc)}
     except DegenerateError as exc:
         envelope["error"] = {"code": E_DEGENERATE, "message": str(exc)}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from typing import Iterable
 
 from .poly import (
     _FIELD, _GUARD, _SHIFTS, MAX_EXP, VARS, ExponentOverflowError, MPoly, UPoly, _grlex,
@@ -37,6 +38,7 @@ class ParseError(ValueError):
 # str.isdecimal.
 _TOKEN = re.compile(r"(\d+)|(\S)")
 _SHIFT = dict(zip(VARS, _SHIFTS))
+_VAR_SHIFTS = tuple(_SHIFT.items())
 _SIGN = {"+": 1, "-": -1}
 
 
@@ -142,28 +144,17 @@ def parse_poly(text: str) -> MPoly:
         tok = next(tokens, None)
 
 
-def format_poly(p: MPoly, var_map: dict[str, str] | None = None) -> str:
-    """Canonical text form, graded-lex descending term order."""
-    num, den = p._num, p._den
-    if not num:
-        return "0"
-    names = tuple(var_map.get(v, v) for v in VARS) if var_map else VARS
-    fields = tuple(zip(names, _SHIFTS))
+def _join_terms(terms: Iterable[tuple[int, str]], den: int) -> str:
+    """Canonical text of the terms ``c/den * mono``, given in print order."""
     pieces: list[str] = []
-    for key in sorted(num, key=_grlex, reverse=True) if len(num) > 1 else num:
-        c = num[key]
+    for c, mono in terms:
         mag = -c if c < 0 else c
         if den == 1:
             coef = str(mag)
         else:
             g = gcd(mag, den)
             coef = str(mag // g) if g == den else f"{mag // g}/{den // g}"
-        if key:
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, s in fields
-                if (e := key >> s & _FIELD)
-            )
+        if mono:
             body = mono if coef == "1" else f"{coef}*{mono}"
         else:
             body = coef
@@ -171,15 +162,37 @@ def format_poly(p: MPoly, var_map: dict[str, str] | None = None) -> str:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         else:
             pieces.append(body if c > 0 else f"-{body}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
+
+
+def _monomial(key: int) -> str:
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, s in _VAR_SHIFTS if (e := key >> s & _FIELD)
+    )
+
+
+def format_poly(p: MPoly) -> str:
+    """Canonical text form, graded-lex descending term order."""
+    num = p._num
+    keys = sorted(num, key=_grlex, reverse=True) if len(num) > 1 else num
+    return _join_terms(((num[k], _monomial(k)) for k in keys), p._den)
 
 
 def format_upoly(p: UPoly) -> str:
-    """Text form of a univariate polynomial in its own variable tag."""
-    if p.var in VARS:
-        return format_poly(p.to_mpoly())
-    # foreign tag (e.g. z standing for d+x): render via the x slot
-    return format_poly(p.retag("x").to_mpoly(), var_map={"x": p.var})
+    """Text form of a univariate polynomial in its own variable tag, read
+    from its numerators highest power first; the same text as
+    ``format_poly`` of the polynomial, a foreign tag (z for d+x) included."""
+    num, var = p._num, p.var
+    if len(num) > MAX_EXP + 1:  # the text could not be read back
+        _overflow([len(num) - 1])
+    return _join_terms(
+        (
+            (num[e], var if e == 1 else f"{var}^{e}" if e else "")
+            for e in range(len(num) - 1, -1, -1)
+            if num[e]
+        ),
+        p._den,
+    )
 
 
 def parse_upoly(text: str, var: str, out_var: str | None = None) -> UPoly:

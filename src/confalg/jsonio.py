@@ -8,11 +8,13 @@ are maps keyed by "l^n" (or "l^n*m^k") exponent strings.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Any, Sequence
 
 from .cend import CendElem, LambdaSeries, ModVec, modvec
 from .grammar import ParseError, format_poly, format_upoly, parse_poly
-from .poly import MPoly, UPoly, upoly_from_mpoly
+from .poly import _ALL, _FIELD, _SHIFTS, VARS, MPoly, UPoly, _upoly_from_keys
 from .polymat import PolyMat
 
 
@@ -24,6 +26,9 @@ MAX_DEGREE = 16
 # Largest size n of an n x n matrix in a verb's payload; no verb's work is
 # bounded by degree alone (oc-gens at n = 8 takes seconds).
 MAX_MATRIX_N = 4
+
+# the bits of each variable's exponent field in a packed key
+_VAR_FIELDS = {v: _FIELD << s for v, s in zip(VARS, _SHIFTS)}
 
 
 class PayloadError(ValueError):
@@ -61,8 +66,11 @@ def poly_from_json(
         poly = parse_poly(text)
     except ParseError as exc:
         raise PayloadError(f"{field}: {exc}") from exc
-    extra = poly.variables() - allowed
-    if extra:
+    forbidden = _ALL
+    for var in allowed:
+        forbidden ^= _VAR_FIELDS[var]
+    if reduce(or_, poly._num, 0) & forbidden:
+        extra = poly.variables() - allowed
         raise PayloadError(
             f"{field}: variable(s) {sorted(extra)} not allowed here"
         )
@@ -100,7 +108,7 @@ def polymat_from_json(
             raise PayloadError(f"{field}: non-square matrix")
         rows.append(
             [
-                upoly_from_mpoly(
+                _upoly_from_keys(
                     poly_from_json(e, f"{field}[{i}][{j}]", {"x"}, max_degree), "x"
                 )
                 for j, e in enumerate(row)
@@ -139,10 +147,17 @@ def series_to_json(series: LambdaSeries) -> dict[str, list[list[str]]]:
     return out
 
 
+def upolys_from_json(
+    data: Any, field: str, var: str, max_degree: int | None = MAX_DEGREE
+) -> tuple[UPoly, ...]:
+    """An array of polynomial strings in ``var`` alone, as UPolys."""
+    return tuple(_upoly_from_keys(p, var) for p in polys_from_json(data, field, {var}, max_degree))
+
+
 def modvec_from_json(data: Any, field: str = "vector") -> ModVec:
     if not isinstance(data, list) or not data:
         raise PayloadError(f"{field}: expected a non-empty array")
-    return modvec([upoly_from_mpoly(p, "d") for p in polys_from_json(data, field, {"d"})])
+    return modvec(upolys_from_json(data, field, "d"))
 
 
 def modvec_to_json(vec: Sequence[UPoly]) -> list[str]:

@@ -66,9 +66,15 @@ def _unpack(key: int) -> Exponent:
     return (key >> 48, (key >> 32) & _FIELD, (key >> 16) & _FIELD, key & _FIELD)
 
 
-def _grlex(key: int) -> tuple[int, int]:
-    # Graded lexicographic with d > x > l > m.
-    return (sum(_unpack(key)), key)
+def _total(key: int) -> int:
+    """Total degree of a packed key: the sum of its four fields."""
+    return (key >> 48) + (key >> 32 & _FIELD) + (key >> 16 & _FIELD) + (key & _FIELD)
+
+
+def _grlex(key: int) -> int:
+    # Graded lexicographic with d > x > l > m: the total degree above the
+    # key, which is below 2^64.
+    return _total(key) << 64 | key
 
 
 def _degrees(keys: Iterable[int]) -> list[int]:
@@ -185,7 +191,7 @@ class MPoly:
 
     def total_degree(self) -> int:
         """Largest exponent sum of a term; -1 for the zero polynomial."""
-        return max((sum(_unpack(k)) for k in self._num), default=-1)
+        return max(map(_total, self._num), default=-1)
 
     def uses(self, var: str) -> bool:
         mask = _FIELD << _SHIFTS[_VAR_INDEX[var]]
@@ -829,7 +835,13 @@ def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
     if any(k & ~(_FIELD << s) for k in p._num):
         extra = p.variables() - {var}
         raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
-    num = [0] * (p.degree(var) + 1)
+    return _upoly_from_keys(p, var, out_var)
+
+
+def _upoly_from_keys(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
+    """``upoly_from_mpoly`` for an MPoly already known to use only ``var``."""
+    s = _SHIFTS[_VAR_INDEX[var]]
+    num = [0] * ((max(p._num, default=-1) >> s) + 1)  # [] for zero
     for k, c in p._num.items():
         num[k >> s] = c
     return _up(tuple(num), p._den, out_var or var)

@@ -3,16 +3,18 @@
 Independent of the production path: it saturates the generated one-sided
 ideal under lambda-products with a monomial probe set and only then reads
 off the canonical generator, instead of trusting the coefficient-stripping
-argument.  The generator is read by ``hermite_form``, a slow
-non-incremental Hermite routine of its own, not by ``PidRowBasis``.
+argument.  Each closure round and the generator are read by
+``hermite_form``, a slow non-incremental Hermite routine of its own, not by
+``PidRowBasis``; the d-coefficients are split from the terms one by one.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
-from confalg.polymat import PidRowBasis, PolyMat, adjugate, det
-from confalg.structure import _d_coefficient_mats
+from confalg.polymat import PolyMat, adjugate, det
 
 _D = MPoly.var("d")
 _X = MPoly.var("x")
@@ -97,6 +99,23 @@ def _probes(n: int, p_mat: PolyMat, probe_cap: int) -> list[CendElem]:
     return out
 
 
+def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
+    """The matrices a_k over Q[x] of elem = sum_k d^k a_k, for each d-power
+    k that occurs, lowest first."""
+    n = elem.n
+    parts: dict[int, dict[tuple[int, int], list[Fraction]]] = {}
+    for i, row in enumerate(elem.entries):
+        for j, entry in enumerate(row):
+            for (k, e, _, _), c in entry.terms.items():
+                cs = parts.setdefault(k, {}).setdefault((i, j), [])
+                cs.extend([Fraction(0)] * (e + 1 - len(cs)))
+                cs[e] = c
+    return [
+        PolyMat([[UPoly(parts[k].get((i, j), ()), "x") for j in range(n)] for i in range(n)])
+        for k in sorted(parts)
+    ]
+
+
 def _saturate(
     p_mat: PolyMat,
     gens: list[CendElem],
@@ -105,17 +124,21 @@ def _saturate(
     x_cap: int,
     rounds: int,
 ) -> list[CendElem]:
+    """The closure's Hermite rows: each round adds the l-coefficients of
+    every product of a probe with a row, and ends with one Hermite form,
+    until a round leaves the form as it was."""
     n = p_mat.n
-    basis = PidRowBasis(n * n * (x_cap + 1), var="d")
+    width = n * n * (x_cap + 1)
+    rows = []
     for g in gens:
         row = _flatten(g.times_polymat(p_mat), x_cap)
         assert row is not None, "generator exceeds the oracle cap"
-        basis.add(row)
+        rows.append(row)
+    form = hermite_form(rows, width)
     probes = _probes(n, p_mat, probe_cap)
     for _ in range(rounds):
-        changed = False
-        current = [_unflatten(r, n, x_cap) for r in basis.canonical()]
-        for e in current:
+        found = dict.fromkeys(form)
+        for e in [_unflatten(r, n, x_cap) for r in form]:
             for c in probes:
                 if side == "left":
                     raw = product_apply(c.entries, e.entries, "l")
@@ -130,15 +153,14 @@ def _saturate(
                             )
                             grid[i][j] = grid[i][j] + part
                 for grid in coeffs.values():
-                    elem = CendElem(grid)
-                    if elem.is_zero():
-                        continue
-                    row = _flatten(elem, x_cap)
-                    if row is not None and basis.add(row):
-                        changed = True
-        if not changed:
+                    row = _flatten(CendElem(grid), x_cap)
+                    if row is not None:
+                        found[tuple(row)] = None
+        closed = hermite_form(found, width)
+        if closed == form:
             break
-    return [_unflatten(r, n, x_cap) for r in basis.canonical()]
+        form = closed
+    return [_unflatten(r, n, x_cap) for r in form]
 
 
 def brute_left_generator(

@@ -117,6 +117,23 @@ def test_parse_error_reported(tmp_path):
     assert "offset 2" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "generators,message",
+    [
+        (["x", "x +"], "generators[1]: expected term at offset 3"),
+        (["x", 7], "generators[1]: expected a polynomial string"),
+        (["d*l"], "generators[0]: variable(s) ['l'] not allowed here"),
+        ([], "generators: expected a non-empty array of strings"),
+    ],
+    ids=["syntax", "not_a_string", "variable", "empty"],
+)
+def test_classify_generator_errors_name_their_field(tmp_path, generators, message):
+    code, out = run_cli(tmp_path, "classify-cend1", {"generators": generators}, "--rounds", "1")
+    report = json.loads(out)
+    assert code == 1
+    assert report["error"] == {"code": "E_PARSE", "message": message}
+
+
 def test_non_square_matrix_rejected(tmp_path):
     code, out = run_cli(tmp_path, "smith", {"matrix": [["x", "1"]]})
     report = json.loads(out)

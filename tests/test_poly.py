@@ -575,6 +575,29 @@ class TestExponentLimit:
         assert r.substitute({"x": D, "d": D}) == (D**20000).scale(2)
 
 
+# exponents up to the limit in all four variables, small ones drawn often
+_WIDE_EXP = st.one_of(st.integers(0, 3), st.integers(0, poly.MAX_EXP))
+_WIDE_KEYS = st.tuples(*[_WIDE_EXP] * 4).map(poly._pack)
+
+
+def ref_grlex(key: int) -> tuple[int, int]:
+    """Graded lex as a tuple: the total degree from the unpacked fields, then the key."""
+    return (sum(poly._unpack(key)), key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WIDE_KEYS, max_size=8))
+def test_grlex_key_sorts_like_reference(keys):
+    assert sorted(keys, key=poly._grlex) == sorted(keys, key=ref_grlex)
+    for a, b in zip(keys, keys[1:]):
+        assert (poly._grlex(a) < poly._grlex(b)) == (ref_grlex(a) < ref_grlex(b))
+    p = MPoly({poly._unpack(k): Fraction(i + 1) for i, k in enumerate(keys)})
+    assert p.total_degree() == max((sum(e) for e in p.terms), default=-1)
+    if keys:
+        lead = max(p.terms, key=lambda e: (sum(e), e))
+        assert p.leading_term() == (lead, p.terms[lead])
+
+
 # ---------------------------------------------------------------------------
 # UPoly against a Fraction-list reference model
 # ---------------------------------------------------------------------------
