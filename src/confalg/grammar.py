@@ -9,6 +9,11 @@
 Whitespace is insignificant.  Example: ``2*x + d - 1/2*l^2``.  Formatting is
 canonical (graded-lex term order, d > x > l > m), so parse-format round trips
 are stable after one normalization.
+
+Text in the printed form is read by splitting it (``_read_printed``); any
+other text goes through the token parser (``_parse_tokens``), which alone
+raises ParseError with an offset.  Both give the same MPoly for text that
+both read.
 """
 
 from __future__ import annotations
@@ -69,9 +74,88 @@ def _integer(text: str, tok: re.Match[str] | None) -> int:
 def parse_poly(text: str) -> MPoly:
     """Parse the grammar above into a canonical MPoly.
 
-    One pass over the tokens: each term's coefficient and packed exponent
-    key are read directly, and the numerators are summed over one common
-    denominator.
+    Text in the printed form is read by splitting (``_read_printed``); any
+    other text, and every error, goes through the token parser.
+    """
+    try:
+        p = _read_printed(text)
+    except ValueError:  # a literal longer than int() accepts
+        p = None
+    return _parse_tokens(text) if p is None else p
+
+
+def _read_printed(text: str) -> MPoly | None:
+    """Read text in the form that ``format_poly`` and ``format_upoly`` print,
+    or return None when the text is not in that form.
+
+    The form: an optional leading '-', terms joined by ' + ' or ' - ' with
+    single spaces, each term ``c``, ``c/q``, a monomial, or either coefficient
+    '*' a monomial, where a monomial is ``v`` or ``v^e`` factors joined by
+    '*' and every literal is ASCII digits.  A zero denominator, an exponent
+    above MAX_EXP or a key that sets a guard bit also gives None, so that
+    the token parser reports it; int() raises ValueError on a literal
+    longer than it accepts.
+    """
+    if not text.isascii():
+        return None
+    sign = 1
+    if text[:1] == "-":
+        sign = -1
+        text = text[1:]
+    words = text.split(" ")
+    if not len(words) & 1:
+        return None
+    num: dict[int, int] = {}
+    den = 1
+    for i in range(0, len(words), 2):
+        if i:
+            sign = _SIGN.get(words[i - 1])
+            if sign is None:
+                return None
+        factors = words[i].split("*")
+        top, slash, bottom = factors[0].partition("/")
+        if top.isdigit():
+            q = int(bottom) if bottom.isdigit() else 0 if slash else 1
+            if not q:  # a zero or missing denominator
+                return None
+            c = int(top)
+            del factors[0]
+        else:  # a '/' left in a factor fails as a variable or an exponent
+            c = q = 1
+        key = 0
+        for factor in factors:
+            name, caret, power_lit = factor.partition("^")
+            shift = _SHIFT.get(name)
+            if shift is None:
+                return None
+            if not caret:
+                power = 1
+            elif power_lit.isdigit():
+                power = int(power_lit)
+                if power > MAX_EXP:
+                    return None
+            else:
+                return None
+            key += power << shift
+            if key & _GUARD:
+                return None
+        if c:
+            if den % q:
+                scale = q // gcd(den, q)
+                num = {k: v * scale for k, v in num.items()}
+                den *= scale
+            v = num.get(key, 0) + sign * c * (den // q)
+            if v:
+                num[key] = v
+            else:  # the term cancelled one read before it
+                del num[key]
+    return _make(num, den)
+
+
+def _parse_tokens(text: str) -> MPoly:
+    """The token parser: one pass over the tokens, each term's coefficient
+    and packed exponent key read directly, the numerators summed over one
+    common denominator.  It alone raises ParseError, with an offset.
     """
     tokens = _TOKEN.finditer(text)
     tok = next(tokens, None)
@@ -184,7 +268,7 @@ def format_upoly(p: UPoly) -> str:
     ``format_poly`` of the polynomial, a foreign tag (z for d+x) included."""
     num, var = p._num, p.var
     if len(num) > MAX_EXP + 1:  # the text could not be read back
-        _overflow([len(num) - 1])
+        _overflow([len(num) - 1], [var])
     return _join_terms(
         (
             (num[e], var if e == 1 else f"{var}^{e}" if e else "")

@@ -87,8 +87,8 @@ def _degrees(keys: Iterable[int]) -> list[int]:
     return out
 
 
-def _overflow(degrees: Sequence[int]) -> None:
-    for var, e in zip(VARS, degrees):
+def _overflow(degrees: Sequence[int], names: Sequence[str] = VARS) -> None:
+    for var, e in zip(names, degrees):
         if e > MAX_EXP:
             raise ExponentOverflowError(
                 f"exponent {e} of {var} is above the limit {MAX_EXP}"
@@ -758,7 +758,7 @@ class UPoly:
 
     def to_mpoly(self, var: str | None = None) -> MPoly:
         s = _SHIFTS[_VAR_INDEX[var or self.var]]
-        _overflow([self.degree()])
+        _overflow([self.degree()], [self.var])
         num = {k << s: c for k, c in enumerate(self._num) if c}
         return _wrap(num, self._den) if num else _MP_ZERO
 

@@ -6,15 +6,19 @@ off the canonical generator, instead of trusting the coefficient-stripping
 argument.  Each closure round and the generator are read by
 ``hermite_form``, a slow non-incremental Hermite routine of its own, not by
 ``PidRowBasis``; the d-coefficients are split from the terms one by one.
+The left generator divides by det P through ``leibniz_det`` and
+``cofactor_adjugate``, written here too; of confalg's kernel routines only
+``product_apply`` is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from confalg.cend import CendElem, product_apply
 from confalg.poly import MPoly, UPoly, upoly_from_mpoly
-from confalg.polymat import PolyMat, adjugate, det
+from confalg.polymat import PolyMat
 
 _D = MPoly.var("d")
 _X = MPoly.var("x")
@@ -175,7 +179,34 @@ def brute_left_generator(
     for e in elements:
         mats.extend(_d_coefficient_mats(e))
     hermite = _generator_rows(mats)
-    return (hermite @ adjugate(p_mat)).map_entries(lambda e: e.exact_div(det(p_mat)))
+    d = leibniz_det(p_mat)
+    return (hermite @ cofactor_adjugate(p_mat)).map_entries(lambda e: e.exact_div(d))
+
+
+def leibniz_det(mat: PolyMat) -> UPoly:
+    """Permutation-sum determinant (n! terms; meant for n <= 4)."""
+    n = mat.n
+    acc = UPoly.zero()
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = UPoly.const(sign)
+        for i in range(n):
+            term = term * mat.rows[i][perm[i]]
+        acc = acc + term
+    return acc
+
+
+def cofactor_adjugate(m: PolyMat) -> PolyMat:
+    """adj[j][i] = (-1)^(i+j) times the Leibniz minor without row i and column j."""
+    n = m.n
+    minor = lambda i, j: leibniz_det(  # noqa: E731
+        PolyMat([[m.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
+    )
+    return PolyMat([[minor(i, j) * (-1) ** (i + j) for i in range(n)] for j in range(n)])
 
 
 def brute_right_generator(

@@ -547,6 +547,15 @@ class TestExponentLimit:
             MPoly({(0, MAX_EXP + 1, 0, 0): Fraction(1)})
         with pytest.raises(ExponentOverflowError):
             MPoly.monomial((0, 0, -1, 0))
+
+    def test_upoly_overflow_names_its_own_variable(self):
+        from confalg.poly import MAX_EXP, ExponentOverflowError
+
+        p = UPoly((0,) * (MAX_EXP + 1) + (1,), "x")
+        with pytest.raises(ExponentOverflowError) as err:
+            p.to_mpoly()
+        assert str(err.value) == f"exponent {MAX_EXP + 1} of x is above the limit {MAX_EXP}"
+        assert UPoly((0,) * MAX_EXP + (1,), "x").to_mpoly() == X**MAX_EXP
         with pytest.raises(ExponentOverflowError):
             (X ** 20000).substitute({"x": X**2})
         with pytest.raises(ExponentOverflowError):

@@ -25,29 +25,11 @@ from confalg.polymat import (
     star,
 )
 from confalg.sampling import random_polymat, random_unimodular
-from ideal_oracle import hermite_form
+from ideal_oracle import cofactor_adjugate, hermite_form, leibniz_det
 
 ZERO = UPoly.zero()
 ONE = UPoly.const(1)
 XX = UPoly.variable()
-
-
-def leibniz_det(mat: PolyMat) -> UPoly:
-    """Permutation-sum determinant, the independent oracle."""
-    n = mat.n
-    acc = UPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = UPoly.const(sign)
-        for i in range(n):
-            term = term * mat.rows[i][perm[i]]
-        acc = acc + term
-    return acc
 
 
 def minor_gcd_divisors(mat: PolyMat) -> tuple[UPoly, ...]:
@@ -101,15 +83,6 @@ def variants(m: PolyMat) -> list[PolyMat]:
     if m.n > 1:
         out.append(PolyMat(rows[:-1] + [[XX * e for e in rows[0]]]))
     return out
-
-
-def cofactor_adjugate(m: PolyMat) -> PolyMat:
-    """adj[j][i] = (-1)^(i+j) times the Leibniz minor without row i and column j."""
-    n = m.n
-    minor = lambda i, j: leibniz_det(  # noqa: E731
-        PolyMat([[m.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
-    )
-    return PolyMat([[minor(i, j) * (-1) ** (i + j) for i in range(n)] for j in range(n)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
