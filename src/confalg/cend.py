@@ -26,7 +26,8 @@ from .poly import (
     UPoly,
     _make,
     _unpack,
-    mpoly_dot,
+    mpoly_matmul,
+    mpoly_matvec,
     substituter,
     upoly_from_mpoly,
 )
@@ -68,18 +69,19 @@ def raw_neg(a: RawMat) -> RawMat:
     return tuple(tuple(-x for x in ra) for ra in a)
 
 
-def _columns(a: RawMat, b: RawMat) -> list[tuple[MPoly, ...]]:
-    """The columns of b, once every row of a has one entry per row of b."""
+def _width(a: RawMat, b: RawMat) -> int:
+    """The number of columns of b, once every row of a has one entry per row
+    of b and the rows of b have one length."""
     width = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
         raise ValueError("size mismatch")
-    return list(zip(*b))
+    return width
 
 
 def raw_mul(a: RawMat, b: RawMat) -> RawMat:
-    """Matrix product, each entry one dot product."""
-    cols = _columns(a, b)
-    return tuple(tuple(mpoly_dot(zip(row, col)) for col in cols) for row in a)
+    """Matrix product by ``mpoly_matmul``, once the shapes fit."""
+    _width(a, b)
+    return mpoly_matmul(a, b)
 
 
 def raw_subst(a: RawMat, bindings: Mapping[str, MPoly | RatLike]) -> RawMat:
@@ -104,7 +106,7 @@ def raw_vec_subst(v: RawVec, bindings: Mapping[str, MPoly | RatLike]) -> RawVec:
 def raw_mat_vec(a: RawMat, v: RawVec) -> RawVec:
     if any(len(row) != len(v) for row in a):
         raise ValueError("size mismatch")
-    return tuple(mpoly_dot(zip(row, v)) for row in a)
+    return mpoly_matvec(a, v)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def _param(var: str | MPoly) -> MPoly:
 # The product and the bracket are sums of two-factor matrix products.  Each
 # operand's substituted factors are built once by ``left_factors`` (the acting
 # element g) and ``right_factors`` (the element x acted on) and can be reused
-# across calls; ``bracket_of`` combines them, one dot product per entry.
+# across calls; ``bracket_of`` combines them in one matrix product.
 
 Factors = tuple[RawMat, RawMat]
 
@@ -358,18 +360,11 @@ def right_factors(x_raw: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) 
 
 
 def bracket_of(left: Factors, right: Factors) -> RawMat:
-    """head * tail + back_x * back_g, each entry one dot product over 2n pairs."""
+    """head * tail + back_x * back_g, as one product [head | back_x] [tail ; back_g]."""
     (head, back_g), (tail, back_x) = left, right
-    tail_cols, g_cols = _columns(head, tail), _columns(back_x, back_g)
-    if len(head) != len(back_x) or len(tail_cols) != len(g_cols):
+    if len(head) != len(back_x) or _width(head, tail) != _width(back_x, back_g):
         raise ValueError("size mismatch")
-    return tuple(
-        tuple(
-            mpoly_dot([*zip(h_row, t_col), *zip(x_row, g_col)])
-            for t_col, g_col in zip(tail_cols, g_cols)
-        )
-        for h_row, x_row in zip(head, back_x)
-    )
+    return mpoly_matmul([(*h, *x) for h, x in zip(head, back_x)], (*tail, *back_g))
 
 
 def product_apply(

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd, lcm
-from operator import or_
+from operator import attrgetter, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -440,6 +441,154 @@ def mpoly_dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
     return _make({k: c for k, c in out.items() if c}, den)
 
 
+# The work of a matrix product a * b: the sum over k of the terms in column k
+# of a times the terms in row k of b, which is the number of term products the
+# per-entry dots make.  Below it, packing and read-back cost about what they
+# save or more, and ``mpoly_matmul`` runs one ``mpoly_dot`` per entry.
+# Measured on the 2,240 matrix products of ten blocks of the benchmark's
+# ``axioms`` requests (Python 3.11.7, x86-64, one core), packed time over
+# per-entry time by work: 1.31 at 16-63, 1.14 at 128-255, 0.98 at 256-511,
+# 0.77 at 512-1023 and 0.53 from 4096.  Over all of them the products ran
+# x1.51 faster than the dots at a threshold of 128, 256 or 512 alike (the
+# spread between runs was wider than the differences) and x1.32 at 1024.  Of
+# the thresholds that tie, 512 keeps the products of ``ideal``, ``product``
+# and ``bracket`` on the benchmark's ``decide`` input (all below 200) furthest
+# from it.
+MATMUL_PACK_WORK = 512
+
+
+def mpoly_matmul(
+    a: Sequence[Sequence[MPoly]], b: Sequence[Sequence[MPoly]]
+) -> tuple[tuple[MPoly, ...], ...]:
+    """The exact product of an nr x k matrix ``a`` and a k x nc matrix ``b``.
+
+    The caller checks the shapes.  Every entry comes from one accumulation:
+    the numerators of ``a`` are brought over the lcm ``da`` of its
+    denominators, and column k of ``a`` is packed into one integer per
+    exponent key, entry (i, k) in digit i of width w; row k of ``b`` is packed
+    the same way over ``db``, entry (k, j) in digit nr * j.  One dict sums the
+    products of the packed column and row over k, so digit i + nr * j of a
+    key's sum is the numerator of entry (i, j) over da * db at that key.
+
+    With every scaled numerator of ``a`` below 2^abits and of ``b`` below
+    2^bbits in size, an entry's numerator at one key is a sum of at most
+    k * t products, t the smaller of the largest term counts of ``a`` and
+    ``b``, so w = abits + bbits + bitlen(k * t) + 1 gives |c| < 2^(w-1).
+    Adding 2^(w-1) to every digit below the top one makes them nonnegative;
+    each is read with a shift and a mask, the top digit is what the shifts
+    leave, and each entry is reduced to canonical form.
+
+    Below ``MATMUL_PACK_WORK`` term products, or when the OR of the packed
+    keys could set a guard bit, each entry is one ``mpoly_dot`` instead (which
+    raises ``ExponentOverflowError`` when a product's exponent does not fit).
+    So is a product with one entry: its one digit is that dot, and packing it
+    only adds copies.
+    """
+    nr, nk = len(a), len(b)
+    nc = len(b[0]) if b else 0
+    if nr * nc == 1 or _small(a, b):
+        return _matmul_by_dots(a, b)
+    da = lcm(*(e._den for row in a for e in row))
+    db = lcm(*(e._den for row in b for e in row))
+    abits, aterms = _scaled_size(a, da)
+    bbits, bterms = _scaled_size(b, db)
+    w = abits + bbits + (nk * min(aterms, bterms)).bit_length() + 1
+    cols = [_pack_digits([row[k] for row in a], da, w) for k in range(nk)]
+    rows = [_pack_digits(brow, db, w * nr) for brow in b]
+    keys_a = reduce(or_, chain.from_iterable(cols), 0)
+    if (keys_a + reduce(or_, chain.from_iterable(rows), 0)) & _GUARD:
+        return _matmul_by_dots(a, b)
+    out: dict[int, int] = {}
+    get = out.get
+    for col, row in zip(cols, rows):
+        if len(col) > len(row):
+            col, row = row, col
+        for k1, c1 in col.items():
+            for k2, c2 in row.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    nums: list[dict[int, int]] = [{} for _ in range(nr * nc)]
+    *lower, top = nums
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    bias = half * (((1 << (w * len(lower))) - 1) // mask)  # half in each lower digit
+    for key, v in out.items():
+        if v:
+            v += bias
+            for num in lower:
+                c = (v & mask) - half
+                if c:
+                    num[key] = c
+                v >>= w
+            if v:  # the top digit, signed, is what the shifts leave
+                top[key] = v
+    den = da * db
+    return tuple(tuple(_make(nums[i + nr * j], den) for j in range(nc)) for i in range(nr))
+
+
+def mpoly_matvec(a: Sequence[Sequence[MPoly]], v: Sequence[MPoly]) -> tuple[MPoly, ...]:
+    """The product of the matrix ``a`` and the column ``v``: ``mpoly_matmul``
+    of ``a`` and v as a one-column matrix, or, for one row or below
+    ``MATMUL_PACK_WORK``, one ``mpoly_dot`` per row without building that
+    matrix."""
+    if len(a) == 1:
+        return (mpoly_dot(zip(a[0], v)),)
+    terms_a = sum(map(len, map(_NUM, chain.from_iterable(a))))
+    if terms_a * sum(map(len, map(_NUM, v))) < MATMUL_PACK_WORK:  # a bound on the work
+        return tuple(mpoly_dot(zip(row, v)) for row in a)
+    return tuple([row[0] for row in mpoly_matmul(a, [(e,) for e in v])])
+
+
+def _small(a: Sequence[Sequence[MPoly]], b: Sequence[Sequence[MPoly]]) -> bool:
+    """Whether the per-entry dots of a * b make fewer than MATMUL_PACK_WORK
+    term products.  The product of the two total term counts bounds that
+    number from above and is cheaper to count, so most small products stop
+    at it."""
+    terms_a = sum(map(len, map(_NUM, chain.from_iterable(a))))
+    if terms_a * sum(map(len, map(_NUM, chain.from_iterable(b)))) < MATMUL_PACK_WORK:
+        return True
+    work = 0
+    for k, brow in enumerate(b):
+        work += sum([len(row[k]._num) for row in a]) * sum([len(e._num) for e in brow])
+    return work < MATMUL_PACK_WORK
+
+
+def _matmul_by_dots(
+    a: Sequence[Sequence[MPoly]], b: Sequence[Sequence[MPoly]]
+) -> tuple[tuple[MPoly, ...], ...]:
+    cols = list(zip(*b))
+    return tuple([tuple([mpoly_dot(zip(row, col)) for col in cols]) for row in a])
+
+
+def _scaled_size(m: Sequence[Sequence[MPoly]], den: int) -> tuple[int, int]:
+    """Bit length of the largest numerator of ``m`` over ``den``, and the
+    largest term count of an entry."""
+    bits = terms = 0
+    for row in m:
+        for e in row:
+            num = e._num
+            if num:
+                bits = max(bits, (max(map(abs, num.values())) * (den // e._den)).bit_length())
+                terms = max(terms, len(num))
+    return bits, terms
+
+
+def _pack_digits(entries: Iterable[MPoly], den: int, stride: int) -> dict[int, int]:
+    """Entry t's numerators over ``den``, shifted left by t * stride bits and
+    summed into one integer per key."""
+    out: dict[int, int] = {}
+    get = out.get
+    shift = 0
+    for e in entries:
+        num = e._num
+        if num:
+            f = den // e._den
+            for key, c in num.items():
+                out[key] = get(key, 0) + (c * f << shift)
+        shift += stride
+    return out
+
+
 def _check_substitution(
     terms: dict[int, int], keep: int, shifts: Sequence[int], values: Sequence[MPoly]
 ) -> None:
@@ -493,6 +642,7 @@ def _as_mpoly(value: MPoly | RatLike) -> MPoly:
 
 
 _new = object.__new__
+_NUM = attrgetter("_num")
 _MP_ZERO = _wrap({}, 1)
 _MP_ONE = _wrap({0: 1}, 1)
 _MP_VARS = {v: _wrap({1 << s: 1}, 1) for v, s in zip(VARS, _SHIFTS)}

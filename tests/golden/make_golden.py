@@ -20,6 +20,7 @@ import json
 import random
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from confalg.cli import main
@@ -62,6 +63,17 @@ def dense_generator(degree: int) -> str:
                               for i in range(degree + 1) for j in range(degree + 1 - i)}))
 
 
+def rational_3x3(seed: int) -> list[list[str]]:
+    """A 3x3 symbol whose entries hold every monomial d^i x^j with i + j <= 3
+    over a denominator of their own, 2 to 10 in row-major order; the
+    numerators are ``random.Random(seed).randint(-9, 9)`` (0 read as 1) in
+    order of i, then j."""
+    rng = random.Random(seed)
+    return [[format_poly(MPoly({(i, j, 0, 0): Fraction(rng.randint(-9, 9) or 1, 3 * r + c + 2)
+                                for i in range(4) for j in range(4 - i)}))
+             for c in range(3)] for r in range(3)]
+
+
 # (verb, case name, payload, flags)
 CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("product", "scalar_x_one", {"a": [["x"]], "b": [["1"]]}, ()),
@@ -70,6 +82,9 @@ CASES: list[tuple[str, str, object, tuple[str, ...]]] = [
     ("product", "rational_2x2",
      {"a": [["x", "1/3"], ["d - 2", "x^2"]], "b": [["1", "-1/2*x"], ["d*x", "7"]]}, ()),
     ("product", "parse_error", {"a": [["x^"]], "b": [["1"]]}, ()),
+    # 3 x 3 x 3 products of ten-term entries: above the work at which a matrix
+    # product is one packed accumulation instead of one dot per entry
+    ("product", "packed_3x3_rational", {"a": rational_3x3(1), "b": rational_3x3(2)}, ()),
     ("bracket", "virasoro", {"a": [["x"]], "b": [["x"]]}, ()),
     ("bracket", "rational_2x2",
      {"a": [["1/2*x", "d"], ["0", "x - 1/3"]], "b": [["x^2", "1"], ["-2/5", "d + x"]]}, ()),
@@ -270,6 +285,7 @@ VERIFY_CASES = [
     ("forged_check_axioms_module_size", ("check-axioms", "module"),
      lambda r: r["input"].update(n=1)),
     ("product_rational", ("product", "rational_2x2"), None),
+    ("product_packed_3x3_rational", ("product", "packed_3x3_rational"), None),
     ("tampered_smith", ("smith", "poly_3x3"),
      lambda r: r["result"].__setitem__("divisors", ["1", "1", "x^2 + 1"])),
     ("classify_q_rational_root", ("classify-cend1", "q_rational_root"), None),

@@ -7,8 +7,11 @@ argument.  Each closure round and the generator are read by
 ``hermite_form``, a slow non-incremental Hermite routine of its own, not by
 ``PidRowBasis``; the d-coefficients are split from the terms one by one.
 The left generator divides by det P through ``leibniz_det`` and
-``cofactor_adjugate``, written here too; of confalg's kernel routines only
-``product_apply`` is used.
+``cofactor_adjugate``, written here too.  Symbols are n x n lists of
+{exponents: Fraction} dicts, and the lambda-product g(-l, x+l+d) h(l+d, x)
+is a term-by-term substitution and a schoolbook matrix product of its own,
+so nothing is imported from ``confalg.cend``; the generators only need an
+``entries`` attribute of MPoly rows.
 """
 
 from __future__ import annotations
@@ -16,39 +19,116 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from confalg.cend import CendElem, product_apply
-from confalg.poly import MPoly, UPoly, upoly_from_mpoly
+from confalg.poly import UPoly
 from confalg.polymat import PolyMat
 
-_D = MPoly.var("d")
-_X = MPoly.var("x")
+# a polynomial as {exponent tuple: coefficient}: (d, x) in a symbol, (d, x, l)
+# in a lambda-product
+Poly = dict[tuple[int, ...], Fraction]
+Sym = list[list[Poly]]
 
 
-def _flatten(elem: CendElem, x_cap: int) -> list[UPoly] | None:
-    n = elem.n
-    if elem.x_degree() > x_cap:
+def _clean(p: Poly) -> Poly:
+    return {e: c for e, c in p.items() if c}
+
+
+def _mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def _sum(polys) -> Poly:
+    out: Poly = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return _clean(out)
+
+
+def _matmul(a: Sym, b: Sym) -> Sym:
+    """Schoolbook: entry (i, j) is the sum over k of a[i][k] * b[k][j]."""
+    return [[_sum(_mul(row[k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]))]
+            for row in a]
+
+
+def _substitute(p: Poly, d_image: Poly, x_image: Poly) -> Poly:
+    """p(d_image, x_image), term by term, for p in (d, x)."""
+    one = {(0,) * len(next(iter(d_image))): Fraction(1)}
+    out = []
+    for (i, j), c in p.items():
+        term = {e: c * v for e, v in one.items()}
+        for factor, k in ((d_image, i), (x_image, j)):
+            for _ in range(k):
+                term = _mul(term, factor)
+        out.append(term)
+    return _sum(out)
+
+
+def _symbol(elem) -> Sym:
+    return [[{(i, j): c for (i, j, _, _), c in e.terms.items()} for e in row]
+            for row in elem.entries]
+
+
+def _times_polymat(sym: Sym, p_mat: PolyMat) -> Sym:
+    right = [[{(0, k): c for k, c in enumerate(e.coeffs) if c} for e in row] for row in p_mat.rows]
+    return _matmul(sym, right)
+
+
+# the substitutions of the product: g(-l, x + l + d) and h(l + d, x), in (d, x, l)
+_HEAD = ({(0, 0, 1): Fraction(-1)},
+         {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1), (1, 0, 0): Fraction(1)})
+_TAIL = ({(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(1)}, {(0, 1, 0): Fraction(1)})
+# x -> x - d, in (d, x)
+_X_MINUS_D = ({(1, 0): Fraction(1)}, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
+
+
+def _l_parts(g: Sym, h: Sym) -> list[Sym]:
+    """The l-coefficients of the product g(-l, x+l+d) h(l+d, x), as symbols."""
+    head = [[_substitute(e, *_HEAD) for e in row] for row in g]
+    tail = [[_substitute(e, *_TAIL) for e in row] for row in h]
+    n = len(g)
+    parts: dict[int, Sym] = {}
+    for i, row in enumerate(_matmul(head, tail)):
+        for j, entry in enumerate(row):
+            for (dp, xp, lp), c in entry.items():
+                grid = parts.setdefault(lp, [[{} for _ in range(n)] for _ in range(n)])
+                grid[i][j][(dp, xp)] = c
+    return list(parts.values())
+
+
+def _flatten(sym: Sym, x_cap: int) -> list[UPoly] | None:
+    n = len(sym)
+    if max((j for row in sym for e in row for _, j in e), default=-1) > x_cap:
         return None
     row = [UPoly.zero("d")] * (n * n * (x_cap + 1))
     for i in range(n):
         for j in range(n):
-            for k, part in elem.entries[i][j].coefficients_in("x").items():
-                row[(i * n + j) * (x_cap + 1) + k] = upoly_from_mpoly(part, "d")
+            coeffs: dict[int, dict[int, Fraction]] = {}
+            for (dp, xp), c in sym[i][j].items():
+                coeffs.setdefault(xp, {})[dp] = c
+            for k, by_d in coeffs.items():
+                dense = [by_d.get(e, Fraction(0)) for e in range(max(by_d) + 1)]
+                row[(i * n + j) * (x_cap + 1) + k] = UPoly(dense, "d")
     return row
 
 
-def _unflatten(row, n: int, x_cap: int) -> CendElem:
-    entries = []
-    for i in range(n):
-        rr = []
-        for j in range(n):
-            acc = MPoly.zero()
-            for k in range(x_cap + 1):
-                c = row[(i * n + j) * (x_cap + 1) + k]
-                if not c.is_zero():
-                    acc = acc + c.to_mpoly("d") * _X**k
-            rr.append(acc)
-        entries.append(rr)
-    return CendElem(entries)
+def _unflatten(row, n: int, x_cap: int) -> Sym:
+    return [
+        [
+            {
+                (dp, k): c
+                for k in range(x_cap + 1)
+                for dp, c in enumerate(row[(i * n + j) * (x_cap + 1) + k].coeffs)
+                if c
+            }
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def hermite_form(rows, n: int) -> tuple[tuple[UPoly, ...], ...]:
@@ -90,27 +170,27 @@ def _generator_rows(mats: list[PolyMat]) -> PolyMat:
     return PolyMat(rows + ((UPoly.zero(),) * n,) * (n - len(rows)))
 
 
-def _probes(n: int, p_mat: PolyMat, probe_cap: int) -> list[CendElem]:
+def _probes(n: int, p_mat: PolyMat, probe_cap: int) -> list[Sym]:
+    """E_rc d^i x^j P for every matrix unit and monomial of degree <= probe_cap."""
     out = []
     for i in range(probe_cap + 1):
         for j in range(probe_cap + 1 - i):
-            mono = _D**i * _X**j
             for r in range(n):
                 for c in range(n):
-                    out.append(
-                        CendElem.matrix_unit(n, r, c, mono).times_polymat(p_mat)
-                    )
+                    unit: Sym = [[{} for _ in range(n)] for _ in range(n)]
+                    unit[r][c] = {(i, j): Fraction(1)}
+                    out.append(_times_polymat(unit, p_mat))
     return out
 
 
-def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
-    """The matrices a_k over Q[x] of elem = sum_k d^k a_k, for each d-power
+def _d_coefficient_mats(sym: Sym) -> list[PolyMat]:
+    """The matrices a_k over Q[x] of sym = sum_k d^k a_k, for each d-power
     k that occurs, lowest first."""
-    n = elem.n
+    n = len(sym)
     parts: dict[int, dict[tuple[int, int], list[Fraction]]] = {}
-    for i, row in enumerate(elem.entries):
+    for i, row in enumerate(sym):
         for j, entry in enumerate(row):
-            for (k, e, _, _), c in entry.terms.items():
+            for (k, e), c in entry.items():
                 cs = parts.setdefault(k, {}).setdefault((i, j), [])
                 cs.extend([Fraction(0)] * (e + 1 - len(cs)))
                 cs[e] = c
@@ -122,12 +202,12 @@ def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
 
 def _saturate(
     p_mat: PolyMat,
-    gens: list[CendElem],
+    gens: list,
     side: str,
     probe_cap: int,
     x_cap: int,
     rounds: int,
-) -> list[CendElem]:
+) -> list[Sym]:
     """The closure's Hermite rows: each round adds the l-coefficients of
     every product of a probe with a row, and ends with one Hermite form,
     until a round leaves the form as it was."""
@@ -135,7 +215,7 @@ def _saturate(
     width = n * n * (x_cap + 1)
     rows = []
     for g in gens:
-        row = _flatten(g.times_polymat(p_mat), x_cap)
+        row = _flatten(_times_polymat(_symbol(g), p_mat), x_cap)
         assert row is not None, "generator exceeds the oracle cap"
         rows.append(row)
     form = hermite_form(rows, width)
@@ -144,20 +224,8 @@ def _saturate(
         found = dict.fromkeys(form)
         for e in [_unflatten(r, n, x_cap) for r in form]:
             for c in probes:
-                if side == "left":
-                    raw = product_apply(c.entries, e.entries, "l")
-                else:
-                    raw = product_apply(e.entries, c.entries, "l")
-                coeffs: dict[int, list[list[MPoly]]] = {}
-                for i in range(n):
-                    for j in range(n):
-                        for k, part in raw[i][j].coefficients_in("l").items():
-                            grid = coeffs.setdefault(
-                                k, [[MPoly.zero()] * n for _ in range(n)]
-                            )
-                            grid[i][j] = grid[i][j] + part
-                for grid in coeffs.values():
-                    row = _flatten(CendElem(grid), x_cap)
+                for part in _l_parts(c, e) if side == "left" else _l_parts(e, c):
+                    row = _flatten(part, x_cap)
                     if row is not None:
                         found[tuple(row)] = None
         closed = hermite_form(found, width)
@@ -169,7 +237,7 @@ def _saturate(
 
 def brute_left_generator(
     p_mat: PolyMat,
-    gens: list[CendElem],
+    gens: list,
     probe_cap: int = 2,
     x_cap: int = 8,
     rounds: int = 6,
@@ -211,7 +279,7 @@ def cofactor_adjugate(m: PolyMat) -> PolyMat:
 
 def brute_right_generator(
     p_mat: PolyMat,
-    gens: list[CendElem],
+    gens: list,
     probe_cap: int = 2,
     x_cap: int = 8,
     rounds: int = 6,
@@ -220,6 +288,6 @@ def brute_right_generator(
     mats: list[PolyMat] = []
     for e in elements:
         # the (d+x)-adapted expansion: x -> z - d (z in the x slot), then strip d
-        shifted = e.substitute({"x": _X - _D})
+        shifted = [[_substitute(entry, *_X_MINUS_D) for entry in row] for row in e]
         mats.extend(m.transpose() for m in _d_coefficient_mats(shifted))
     return _generator_rows(mats).transpose()

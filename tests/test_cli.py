@@ -21,8 +21,9 @@ from confalg import cli
 from confalg.cend import CendElem
 from confalg.cli import VERBS, main
 from confalg.grammar import format_poly
-from confalg.jsonio import cend_to_json
+from confalg.jsonio import cend_to_json, polymat_from_json, polymat_to_json
 from confalg.poly import MPoly
+from confalg.polymat import star
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_CASES = sorted((ROOT / "tests" / "golden" / "verify").glob("*.json"))
@@ -794,6 +795,7 @@ sys.path.insert(0, str(ROOT / "tests" / "golden"))
 from make_golden import dense_4x4, dense_generator  # noqa: E402
 
 DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
+DENSE_P = polymat_from_json(DENSE_4X4_16)
 
 
 def dense_symbol(degree: int, seed: int) -> list[list[str]]:
@@ -826,6 +828,17 @@ def dense_symbol(degree: int, seed: int) -> list[list[str]]:
         # of the Hermite basis keeps the degrees down
         ("ideal", {"side": "left", "p": DENSE_4X4,
                    "gens": [dense_symbol(4, 3), dense_symbol(4, 4)]}, []),
+        # two dense symbols of degree 16 (seeds 1 and 2), a 1.9 MB report;
+        # each matrix product is one packed accumulation (3-4 s here)
+        ("product", {"a": dense_symbol(16, 1), "b": dense_symbol(16, 2)}, []),
+        ("bracket", {"a": dense_symbol(16, 1), "b": dense_symbol(16, 2)}, []),
+        # the matrix products of the sampled checks under the dense P
+        ("extension-build", {"p": DENSE_4X4_16, "kind": "jordan"}, ["--rounds", "1"]),
+        ("check-axioms", {"kind": "module", "n": 4, "degree": 4, "p": DENSE_4X4_16,
+                          "alphas": ["1"]}, ["--rounds", "1"]),
+        # P + P(-x)^T has the symmetry oc-gens requires
+        ("oc-gens", {"n": 4, "p": polymat_to_json(DENSE_P + star(DENSE_P)), "epsilon": 1,
+                     "max_n": 16}, []),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):

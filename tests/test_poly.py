@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import poly
@@ -17,6 +17,8 @@ from confalg.poly import (
     UPoly,
     bipoly_gcd,
     mpoly_dot,
+    mpoly_matmul,
+    mpoly_matvec,
     substituter,
     upoly_from_mpoly,
     upoly_gcd,
@@ -582,6 +584,185 @@ class TestExponentLimit:
         # the exact per-term check accepts a substitution the coarse bound rejects
         r = X**20000 + D**20000
         assert r.substitute({"x": D, "d": D}) == (D**20000).scale(2)
+
+
+def ref_matmul(a: list[list[Ref]], b: list[list[Ref]]) -> list[list[Ref]]:
+    """Schoolbook matrix product: entry (i, j) is the sum over k of
+    a[i][k] * b[k][j], all in Fraction dicts."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc: Ref = {}
+            for k, brow in enumerate(b):
+                acc = ref_add(acc, ref_mul(row[k], brow[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def ref_work(a: list[list[Ref]], b: list[list[Ref]]) -> int:
+    """The term products of the per-entry dots, which the threshold counts."""
+    return sum(
+        sum(len(row[k]) for row in a) * sum(len(e) for e in brow) for k, brow in enumerate(b)
+    )
+
+
+def _rows(m: list[list[Ref]]) -> list[list[MPoly]]:
+    return [[MPoly(e) for e in row] for row in m]
+
+
+def _terms(m) -> list[list[Ref]]:
+    return [[dict(e.terms) for e in row] for row in m]
+
+
+def _extreme(bits: int, signs: tuple[int, ...], nr: int, nk: int, terms: int):
+    """Every coefficient +-(2^bits - 1): a is nr x nk, all positive; column j
+    of b has sign signs[j].  All entries share the support 1, x, ..., x^(terms-1),
+    so at x^(terms-1) an entry sums nk * terms products of the largest size."""
+    c = 2**bits - 1
+    entry = lambda s: {(0, t, 0, 0): Fraction(s * c) for t in range(terms)}  # noqa: E731
+    return [[entry(1)] * nk for _ in range(nr)], [[entry(s) for s in signs] for _ in range(nk)]
+
+
+# numerators up to 200 bits over denominators up to 2^40, one per term, so
+# each entry has a denominator of its own
+_wide_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-(2**200), 2**200)),
+    st.one_of(st.integers(1, 4), st.integers(1, 2**40)),
+)
+_entries = st.one_of(
+    st.just({}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)),
+        _wide_rationals,
+        max_size=6,
+    ).map(ref_clean),
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    nr, nk, nc = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(_entries) for _ in range(nk)] for _ in range(nr)]
+    b = [[draw(_entries) for _ in range(nc)] for _ in range(nk)]
+    return a, b
+
+
+class TestMatmul:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_pairs())
+    @example(([[{(1, 0, 0, 0): Fraction(1, 2)}]], [[{(0, 1, 0, 0): Fraction(2, 3)}]]))
+    @example(([[{(0, 0, 0, 0): Fraction(1)}], [{}], [{(1, 1, 0, 0): Fraction(-3, 5)}]],
+              [[{(0, 2, 0, 0): Fraction(7, 2), (1, 0, 0, 0): Fraction(1, 9)}]]))
+    @example(_extreme(1, (1, 1, 1), 3, 3, 5))
+    @example(_extreme(64, (1, -1, 1), 3, 3, 5))
+    @example(_extreme(200, (-1, -1, -1, -1), 4, 4, 4))
+    @example(_extreme(200, (-1, 1), 2, 3, 5))
+    def test_matches_schoolbook(self, pair):
+        # both paths: packed whatever the size (one entry aside), and at the
+        # shipped threshold
+        a, b = pair
+        want = ref_matmul(a, b)
+        for threshold in (0, poly.MATMUL_PACK_WORK):
+            with mock.patch.object(poly, "MATMUL_PACK_WORK", threshold):
+                got = mpoly_matmul(_rows(a), _rows(b))
+            assert _terms(got) == want
+            for row in got:
+                for e in row:
+                    assert_canonical(e)
+
+    @pytest.mark.parametrize("bits", [2, 7, 64, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_entry_reaches_the_width_bound(self, bits, sign):
+        # w = abits + bbits + bitlen(k * t) + 1 with k = 3, t = 5; the entry
+        # at x^4 is 15 (2^bits - 1)^2 in size, above 2^(w-2)
+        a, b = _extreme(bits, (sign,) * 3, 3, 3, 5)
+        with mock.patch.object(poly, "MATMUL_PACK_WORK", 0), \
+                mock.patch.object(poly, "mpoly_dot", side_effect=AssertionError):
+            got = mpoly_matmul(_rows(a), _rows(b))
+        w = 2 * bits + (3 * 5).bit_length() + 1
+        top = max(abs(c) for row in got for e in row for c in e._num.values())
+        assert 2 ** (w - 2) <= top < 2 ** (w - 1)
+        assert _terms(got) == ref_matmul(a, b)
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_per_entry_dots_only_below_the_threshold(self, below):
+        # a 2 x 1 column times a 1 x 1 constant: the work is the column's term count
+        work = poly.MATMUL_PACK_WORK - below
+        keys = [(i // 32, i % 32, 0, 0) for i in range(work)]
+        half = work // 2
+        a = [[{e: Fraction(i + 1, 3) for i, e in enumerate(keys[:half])}],
+             [{e: Fraction(-i - 1, 7) for i, e in enumerate(keys[half:])}]]
+        b = [[{(0, 0, 1, 0): Fraction(5, 2)}]]
+        assert ref_work(a, b) == work
+        with mock.patch.object(poly, "mpoly_dot", wraps=mpoly_dot) as dot:
+            got = mpoly_matmul(_rows(a), _rows(b))
+        assert dot.call_count == (2 if below else 0)
+        assert _terms(got) == ref_matmul(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_pairs())
+    def test_matvec_is_the_one_column_product(self, pair):
+        a, b = pair
+        v = [row[0] for row in b]
+        want = [row[0] for row in ref_matmul(a, [[e] for e in v])]
+        for threshold in (0, poly.MATMUL_PACK_WORK):
+            with mock.patch.object(poly, "MATMUL_PACK_WORK", threshold):
+                got = mpoly_matvec(_rows(a), [MPoly(e) for e in v])
+            assert [dict(e.terms) for e in got] == want
+
+    def test_one_entry_is_one_dot(self):
+        # a 1 x 3 row times a 3 x 1 column far above the threshold
+        keys = [(i // 32, i % 32, 0, 0) for i in range(poly.MATMUL_PACK_WORK)]
+        p = {e: Fraction(i + 1, 5) for i, e in enumerate(keys)}
+        a, b = [[p, p, p]], [[{(0, 0, 1, 0): Fraction(1, 2)}], [{}], [p]]
+        assert ref_work(a, b) >= poly.MATMUL_PACK_WORK
+        with mock.patch.object(poly, "mpoly_dot", wraps=mpoly_dot) as dot:
+            got = mpoly_matmul(_rows(a), _rows(b))
+            assert _terms(got) == ref_matmul(a, b)
+            assert mpoly_matvec(_rows(a), [MPoly(row[0]) for row in b]) == got[0]
+        assert dot.call_count == 2
+
+    def test_cancelling_entries_are_canonical_zero(self):
+        p = X.scale(Fraction(1, 3)) + D**2 - L
+        q = (X + Fraction(2, 5)) * D
+        with mock.patch.object(poly, "MATMUL_PACK_WORK", 0):
+            got = mpoly_matmul([[p, p], [p, -p]], [[q, q], [-q, q]])
+        for zero in (got[0][0], got[1][1]):
+            assert zero == MPoly.zero() and zero._den == 1 and not zero._num
+        assert got[0][1] == got[1][0] == (p * q).scale(2)
+
+    def test_overflow_raises_the_per_entry_message(self):
+        from confalg.poly import MAX_EXP, ExponentOverflowError
+
+        pad = {(i, 0, 0, 0): Fraction(1) for i in range(1, 40)}  # above the threshold
+        big = MPoly({(0, MAX_EXP, 0, 0): Fraction(1), **pad})
+        x = MPoly({(0, 1, 0, 0): Fraction(1), **pad})
+        a, b = [[big, x], [x, x]], [[x, x], [x, x]]
+        assert ref_work(_terms(a), _terms(b)) >= poly.MATMUL_PACK_WORK
+        with pytest.raises(ExponentOverflowError) as got:
+            mpoly_matmul(a, b)
+        with pytest.raises(ExponentOverflowError) as want:
+            mpoly_dot(zip(a[0], [x, x]))
+        assert str(got.value) == str(want.value) == (
+            f"exponent {MAX_EXP + 1} of x is above the limit {MAX_EXP}"
+        )
+
+    def test_guard_that_trips_without_overflow_gives_the_product(self):
+        # the OR of a's keys and of b's keys reaches the guard bit of x, but
+        # x^MAX_EXP only ever meets a polynomial in d
+        from confalg.poly import MAX_EXP
+
+        pad = {(i, 0, 0, 0): Fraction(i, 3) for i in range(1, 40)}
+        a = [[{(0, MAX_EXP, 0, 0): Fraction(1), **pad}, {}], [{}, {(0, 1, 0, 0): Fraction(2)}]]
+        b = [[pad, {}], [{}, {(0, 1, 0, 0): Fraction(-1), **pad}]]
+        assert ref_work(a, b) >= poly.MATMUL_PACK_WORK
+        with mock.patch.object(poly, "mpoly_dot", wraps=mpoly_dot) as dot:
+            got = mpoly_matmul(_rows(a), _rows(b))
+        assert dot.call_count == 4
+        assert _terms(got) == ref_matmul(a, b)
 
 
 # exponents up to the limit in all four variables, small ones drawn often
