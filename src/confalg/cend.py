@@ -27,9 +27,8 @@ from .poly import (
     _make,
     _unpack,
     mpoly_matmul,
-    mpoly_matvec,
     substituter,
-    upoly_from_mpoly,
+    upoly_coefficients,
 )
 from .polymat import PolyMat, inverse_unimodular, is_unimodular, star
 
@@ -104,9 +103,8 @@ def raw_vec_subst(v: RawVec, bindings: Mapping[str, MPoly | RatLike]) -> RawVec:
 
 
 def raw_mat_vec(a: RawMat, v: RawVec) -> RawVec:
-    if any(len(row) != len(v) for row in a):
-        raise ValueError("size mismatch")
-    return mpoly_matvec(a, v)
+    """Matrix-vector product: ``raw_mul`` with v as one column."""
+    return tuple([row[0] for row in raw_mul(a, [(e,) for e in v])])
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,6 @@ class CendElem:
 
     def is_zero(self) -> bool:
         return raw_is_zero(self.entries)
-
-    def x_degree(self) -> int:
-        return max((e.degree("x") for row in self.entries for e in row), default=-1)
 
     def d_degree(self) -> int:
         return max((e.degree("d") for row in self.entries for e in row), default=-1)
@@ -474,13 +469,13 @@ def dual_action_raw(a_part: RawMat, param: str) -> VecMap:
 
 
 def _vec_series(raw: RawVec) -> dict[int, ModVec]:
+    """The l-power coefficients of a vector over Q[d, l], ascending; none is zero."""
     out: dict[int, list[UPoly]] = {}
     n = len(raw)
     for i, entry in enumerate(raw):
-        for k, part in entry.coefficients_in("l").items():
-            row = out.setdefault(k, [UPoly.zero("d")] * n)
-            row[i] = row[i] + upoly_from_mpoly(part, "d")
-    return {k: tuple(v) for k, v in sorted(out.items()) if any(e for e in v)}
+        for k, part in upoly_coefficients(entry, "l", "d").items():
+            out.setdefault(k, [UPoly.zero("d")] * n)[i] = part
+    return {k: tuple(v) for k, v in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import cend1 as c1
 from .cend import (
     AntiInvSpec,
+    AxiomReport,
     CendElem,
     LambdaSeries,
     lambda_product,
@@ -131,6 +132,19 @@ def _int_field(payload: dict[str, Any], name: str, default: int | None = None) -
     return value
 
 
+def _epsilon_field(payload: dict[str, Any]) -> int:
+    epsilon = _int_field(payload, "epsilon")
+    if epsilon not in (1, -1):
+        raise AppError(E_PARSE, f"epsilon must be 1 or -1, got {epsilon}")
+    return epsilon
+
+
+def _axiom_outcome(report: AxiomReport) -> Outcome:
+    """The result every axiom check reports."""
+    result = {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)}
+    return "decided", result, None
+
+
 def _budgets(verb: str, given: dict[str, Any], defaults: bool = False) -> Budgets:
     """Budgets for ``verb`` from the command line or a report's ``budgets``.
 
@@ -230,18 +244,10 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
             failures.extend(
                 f"alpha={fraction_to_str(alpha)}: {f}" for f in report.failures
             )
-        return (
-            "decided",
-            {"ok": not failures, "checked": checked, "failures": failures},
-            None,
-        )
+        report = AxiomReport(not failures, checked, tuple(failures))
     else:
         raise AppError(E_PARSE, f"unknown axiom kind {kind!r}")
-    return (
-        "decided",
-        {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)},
-        None,
-    )
+    return _axiom_outcome(report)
 
 
 def run_smith(payload: Any, budgets: Budgets) -> Outcome:
@@ -369,8 +375,12 @@ def _classify_result(desc: c1.SubalgDescriptor, status: str, rounds: int) -> dic
 
 def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "p", "kind")
-    p = polymat_from_json(payload["p"], "p")
     kind = payload["kind"]
+    if kind not in ("factorization", "jordan"):
+        raise AppError(E_PARSE, f"unknown extension kind {kind!r}")
+    if kind == "factorization":
+        _expect(payload, "r", "s")
+    p = polymat_from_json(payload["p"], "p")
     alpha = fraction_from_json(payload.get("alpha", "0"), "alpha")
     gamma = fraction_from_json(payload.get("gamma", "0"), "gamma")
     r_mat = polymat_from_json(payload["r"], "r") if "r" in payload else None
@@ -417,7 +427,7 @@ def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
     if not 0 <= max_n <= MAX_OC_POWER:
         raise AppError(E_PARSE, f"max_n must be from 0 to {MAX_OC_POWER}, got {max_n}")
     p = polymat_from_json(payload["p"], "p")
-    epsilon = _int_field(payload, "epsilon")
+    epsilon = _epsilon_field(payload)
     gens = make_oc_spc_generators(n, p, epsilon, max_n)
     spec = AntiInvSpec(p, PolyMat.identity(n), epsilon, Fraction(0))
     all_anti_fixed = all(check_anti_fixed(g.a_part, spec) for g in gens)
@@ -438,14 +448,9 @@ def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
 def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
     _expect(payload, "p", "epsilon", "element")
     p = polymat_from_json(payload["p"], "p")
-    epsilon = _int_field(payload, "epsilon")
+    epsilon = _epsilon_field(payload)
     elem = cend_from_json(payload["element"], "element")
-    report = invariance_check(ConfBilinearForm(p, epsilon), elem)
-    return (
-        "decided",
-        {"ok": report.ok, "checked": report.checked, "failures": list(report.failures)},
-        None,
-    )
+    return _axiom_outcome(invariance_check(ConfBilinearForm(p, epsilon), elem))
 
 
 def run_irreducibility_probe(payload: Any, budgets: Budgets) -> Outcome:

@@ -249,7 +249,7 @@ def irreducibility_probe(
         raise DegenerateError("defining matrix must be nondegenerate")
     std = standard_action(p_mat, alpha)
     acts = [std(g.entries, "l") for g in gens]  # each generator's head, built once
-    basis = PidRowBasis(n, var="d")
+    basis = PidRowBasis(n)
     basis.add(list(start))
 
     def coefficient_rows(act: VecMap, row: Sequence[UPoly]) -> Iterable[ModVec]:

@@ -279,7 +279,6 @@ def format_upoly(p: UPoly) -> str:
     )
 
 
-def parse_upoly(text: str, var: str, out_var: str | None = None) -> UPoly:
+def parse_upoly(text: str, var: str) -> UPoly:
     """Parse a polynomial that must use only one variable."""
-    p = parse_poly(text)
-    return upoly_from_mpoly(p, var, out_var)
+    return upoly_from_mpoly(parse_poly(text), var)

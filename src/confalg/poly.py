@@ -526,19 +526,6 @@ def mpoly_matmul(
     return tuple(tuple(_make(nums[i + nr * j], den) for j in range(nc)) for i in range(nr))
 
 
-def mpoly_matvec(a: Sequence[Sequence[MPoly]], v: Sequence[MPoly]) -> tuple[MPoly, ...]:
-    """The product of the matrix ``a`` and the column ``v``: ``mpoly_matmul``
-    of ``a`` and v as a one-column matrix, or, for one row or below
-    ``MATMUL_PACK_WORK``, one ``mpoly_dot`` per row without building that
-    matrix."""
-    if len(a) == 1:
-        return (mpoly_dot(zip(a[0], v)),)
-    terms_a = sum(map(len, map(_NUM, chain.from_iterable(a))))
-    if terms_a * sum(map(len, map(_NUM, v))) < MATMUL_PACK_WORK:  # a bound on the work
-        return tuple(mpoly_dot(zip(row, v)) for row in a)
-    return tuple([row[0] for row in mpoly_matmul(a, [(e,) for e in v])])
-
-
 def _small(a: Sequence[Sequence[MPoly]], b: Sequence[Sequence[MPoly]]) -> bool:
     """Whether the per-entry dots of a * b make fewer than MATMUL_PACK_WORK
     term products.  The product of the two total term counts bounds that
@@ -979,22 +966,47 @@ _UP_ZERO = _up((), 1, "x")
 _UP_ONE = _up((1,), 1, "x")
 
 
-def upoly_from_mpoly(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
+def upoly_from_mpoly(p: MPoly, var: str) -> UPoly:
     """Read an MPoly that only uses one variable as a UPoly."""
     s = _SHIFTS[_VAR_INDEX[var]]
     if any(k & ~(_FIELD << s) for k in p._num):
         extra = p.variables() - {var}
         raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
-    return _upoly_from_keys(p, var, out_var)
+    return _upoly_from_keys(p, var)
 
 
-def _upoly_from_keys(p: MPoly, var: str, out_var: str | None = None) -> UPoly:
+def _upoly_from_keys(p: MPoly, var: str) -> UPoly:
     """``upoly_from_mpoly`` for an MPoly already known to use only ``var``."""
     s = _SHIFTS[_VAR_INDEX[var]]
     num = [0] * ((max(p._num, default=-1) >> s) + 1)  # [] for zero
     for k, c in p._num.items():
         num[k >> s] = c
-    return _up(tuple(num), p._den, out_var or var)
+    return _up(tuple(num), p._den, var)
+
+
+def upoly_coefficients(p: MPoly, outer: str, inner: str) -> dict[int, UPoly]:
+    """Split p(outer, inner) as {power of outer: coefficient, a UPoly in
+    inner}, ascending powers, in one pass over the packed keys; {} for zero.
+
+    Raises ``ValueError`` when p uses a variable other than the two.
+    """
+    so, si = _SHIFTS[_VAR_INDEX[outer]], _SHIFTS[_VAR_INDEX[inner]]
+    other = _ALL ^ (_FIELD << so | _FIELD << si)
+    rows: dict[int, dict[int, int]] = {}
+    for key, c in p._num.items():
+        if key & other:
+            extra = sorted(p.variables() - {outer, inner})
+            raise ValueError(f"polynomial uses {extra}, expected only {outer!r} and {inner!r}")
+        rows.setdefault(key >> so & _FIELD, {})[key >> si & _FIELD] = c
+    den = p._den
+    out = {}
+    for k in sorted(rows):
+        row = rows[k]
+        num = [0] * (max(row) + 1)
+        for e, c in row.items():
+            num[e] = c
+        out[k] = _make_up(num, den, inner)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1035,25 +1047,11 @@ _DxParts = tuple[UPoly, dict[int, UPoly]]
 
 
 def _dx_content_and_primitive(p: MPoly) -> _DxParts:
-    """Split p(d, x) as content(x) * primitive part, read off its packed keys.
+    """Split p(d, x) as content(x) * primitive part.
 
     Raises ``ValueError`` when p uses a variable other than d and x.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for key, c in p._num.items():
-        if key & _LM_MASK:
-            extra = sorted(p.variables() - {"d", "x"})
-            raise ValueError(f"bipoly_gcd limited to d, x; found {extra}")
-        rows.setdefault(key >> 48, {})[key >> 32 & _FIELD] = c
-    den = p._den
-    coeffs = {}
-    for k in sorted(rows):
-        row = rows[k]
-        num = [0] * (max(row) + 1)
-        for e, c in row.items():
-            num[e] = c
-        coeffs[k] = _make_up(num, den, "x")
-    return _content_and_primitive(coeffs)
+    return _content_and_primitive(upoly_coefficients(p, "d", "x"))
 
 
 def _content_and_primitive(coeffs: dict[int, UPoly]) -> _DxParts:

@@ -1,10 +1,10 @@
 """Square matrices over Q[x]: determinants, Smith/Hermite forms, congruence.
 
 Everything is exact and certificate-producing.  One Hermite routine,
-``PidRowBasis``, serves both normal forms: Hermite generators carry their
-multipliers in tail columns, and Smith forms alternate Hermite passes over
-the matrix augmented by its transforms, so they carry the unimodular
-transforms too.
+``PidRowBasis``, serves both normal forms: Hermite generators take the
+stacked rows of an ideal's generators and carry their multipliers in tail
+columns, and Smith forms alternate Hermite passes over the matrix augmented
+by its transforms, so they carry the unimodular transforms too.
 One minor expansion, level by level, serves ``det``, ``adjugate`` and the
 Smith divisors: the first two read one level, the divisors the gcd of each
 level; ``adjugate_and_det`` reads det off the adjugate.  The
@@ -353,9 +353,8 @@ class PidRowBasis:
     records how each basis row combines the inserted rows.
     """
 
-    def __init__(self, ncols: int, var: str = "x"):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.var = var
         self.rows: list[list[UPoly]] = []
         self.pivots: list[int] = []
 
@@ -450,29 +449,28 @@ def _sub_multiple(row: Sequence[UPoly], q: UPoly, pivot_row: Sequence[UPoly]) ->
     return [a - q * b if b else a for a, b in zip(row, pivot_row)]
 
 
-def hermite_left_generator(mats: Sequence[PolyMat]) -> tuple[PolyMat, list[list[UPoly]]]:
-    """Canonical generator of the left Mat_N Q[x]-ideal spanned by ``mats``.
+def hermite_left_generator(rows: Sequence[Sequence[UPoly]]) -> tuple[PolyMat, list[list[UPoly]]]:
+    """Canonical generator of the left Mat_N Q[x]-ideal of the matrices whose
+    rows lie in the span of ``rows`` (the stacked rows of its generators).
 
     Returns R with ideal == Mat_N Q[x] * R, rows in Hermite form (monic
     pivots, reduced off-pivot entries, zero rows at the bottom), and, per
-    nonzero row of R, its expression in the stacked input rows.
+    nonzero row of R, its expression in the input rows.
     """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise ValueError("all matrices must have the same size")
-    stacked = [row for m in mats for row in m.rows]
+    if not rows:
+        raise ValueError("need at least one row")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("all rows must have the same width")
     zero, one = UPoly.zero(), UPoly.const(1)
-    basis = PidRowBasis(n, "x")
-    for k, row in enumerate(stacked):
+    basis = PidRowBasis(n)
+    for k, row in enumerate(rows):
         # input row k followed by the unit vector e_k: the tail of each
         # basis row is its multipliers
-        basis.add([*row, *(one if j == k else zero for j in range(len(stacked)))])
-    rows = [r[:n] for r in basis.rows]
-    while len(rows) < n:
-        rows.append([zero] * n)
-    return PolyMat(rows), [r[n:] for r in basis.rows]
+        basis.add([*row, *(one if j == k else zero for j in range(len(rows)))])
+    hermite = [r[:n] for r in basis.rows]
+    hermite += [[zero] * n] * (n - len(hermite))
+    return PolyMat(hermite), [r[n:] for r in basis.rows]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from .poly import MPoly, UPoly
 from .polymat import PolyMat
 
 
-def random_mpoly_dx(rng: random.Random, degree: int, coeff_bound: int = 2) -> MPoly:
-    """Random polynomial in d, x with total degree <= degree."""
+def random_mpoly_dx(rng: random.Random, degree: int) -> MPoly:
+    """Random polynomial in d, x with total degree <= degree, coefficients in -2..2."""
     terms = {}
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-2, 2)
             if c:
                 terms[(i, j, 0, 0)] = Fraction(c)
     return MPoly(terms)

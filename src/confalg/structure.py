@@ -27,7 +27,7 @@ from .cend import (
     raw_subst,
     standard_action,
 )
-from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_from_mpoly
+from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_coefficients
 from .polymat import (
     DegenerateError,
     PidRowBasis,
@@ -80,11 +80,10 @@ class IdealReport:
         Hermite form itself, so a caller holding a separate right generator
         compares it with ``hermite``.
         """
-        mats = _coefficient_mats(self.side, p_mat, det(p_mat), gens)
-        stacked = [row for m in mats for row in m.rows]
+        stacked = _coefficient_rows(self.side, p_mat, det(p_mat), gens)
         oriented = self.hermite if self.side == "left" else self.hermite.transpose()
         hermite_rows = [row for row in oriented.rows if any(row)]
-        basis = PidRowBasis(p_mat.n, "x")
+        basis = PidRowBasis(p_mat.n)
         for row in hermite_rows:
             basis.add(row)
         zero_rows = ((UPoly.zero(),) * p_mat.n,) * (p_mat.n - basis.rank())
@@ -107,23 +106,20 @@ class IdealReport:
         return None
 
 
-def _d_coefficient_mats(elem: CendElem) -> list[PolyMat]:
-    """Matrix coefficients of the d-power expansion, entries over Q[x]."""
+def _d_coefficients(elem: CendElem) -> list[list[list[UPoly]]]:
+    """Matrix coefficients of the d-power expansion as rows over Q[x]."""
     n = elem.n
     split: dict[int, list[list[UPoly]]] = {}
     for i, row in enumerate(elem.entries):
         for j, entry in enumerate(row):
-            for k, part in entry.coefficients_in("d").items():
-                grid = split.setdefault(
-                    k, [[UPoly.zero()] * n for _ in range(n)]
-                )
-                grid[i][j] = grid[i][j] + upoly_from_mpoly(part, "x")
-    return [PolyMat(split[k]) for k in sorted(split)]
+            for k, part in upoly_coefficients(entry, "d", "x").items():
+                split.setdefault(k, [[UPoly.zero()] * n for _ in range(n)])[i][j] = part
+    return [split[k] for k in sorted(split)]
 
 
-def _coefficient_mats(
+def _coefficient_rows(
     side: str, p_mat: PolyMat, p_det: UPoly, gens: Sequence[CendElem]
-) -> list[PolyMat]:
+) -> list[Sequence[UPoly]]:
     """The coefficient matrices of the elements g * P, rows stacked in order.
 
     Left: the d-coefficients.  Right: the coefficients of the (d+x)-adapted
@@ -136,28 +132,28 @@ def _coefficient_mats(
         raise DegenerateError("defining matrix must be nondegenerate")
     if not gens:
         raise ValueError("need at least one generator")
-    mats: list[PolyMat] = []
+    rows: list[Sequence[UPoly]] = []
     for g in gens:
         if g.n != p_mat.n:
             raise ValueError("generator size mismatch")
         full = g.times_polymat(p_mat)
         if side == "left":
-            mats.extend(_d_coefficient_mats(full))
+            rows.extend(row for mat in _d_coefficients(full) for row in mat)
         else:
             shifted = full.substitute({"x": _X - _D})
-            mats.extend(m.transpose() for m in _d_coefficient_mats(shifted))
-    return mats
+            rows.extend(col for mat in _d_coefficients(shifted) for col in zip(*mat))
+    return rows
 
 
 def _ideal_report(side: str, p_mat: PolyMat, gens: Sequence[CendElem]) -> IdealReport:
     # the left generator is hermite @ adj P / det P: one minor expansion for both
     adj, p_det = adjugate_and_det(p_mat) if side == "left" else (None, det(p_mat))
-    mats = _coefficient_mats(side, p_mat, p_det, gens)
-    if not mats:  # every generator is zero
+    rows = _coefficient_rows(side, p_mat, p_det, gens)
+    if not rows:  # every generator is zero
         zero = PolyMat.zero(p_mat.n)
         return IdealReport(side, zero, zero, ())
-    hermite, rows = hermite_left_generator(mats)
-    multipliers = tuple(tuple(row) for row in rows)
+    hermite, mults = hermite_left_generator(rows)
+    multipliers = tuple(tuple(row) for row in mults)
     if side == "right":
         generator = hermite.transpose()
         return IdealReport(side, generator, generator, multipliers)
@@ -511,12 +507,12 @@ def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
     if any(g.uses_x() for g in gens):
         return ClosureOutcome("cend_n", 0)
 
-    def flat(mat: PolyMat) -> list[UPoly]:
-        return [e for row in mat.rows for e in row]
+    def flat(rows: Sequence[Sequence[UPoly]]) -> list[UPoly]:
+        return [e for row in rows for e in row]
 
     basis = PidRowBasis(n * n)
     for g in gens:
-        for mat in _d_coefficient_mats(g):
+        for mat in _d_coefficients(g):
             basis.add(flat(mat))
     grew = True
     while grew:  # a pass that adds a row raises the rank, which is at most N^2
@@ -524,6 +520,6 @@ def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
         grew = False
         for a in mats:
             for b in mats:
-                if basis.add(flat(a @ b)):
+                if basis.add(flat((a @ b).rows)):
                     grew = True
     return ClosureOutcome("cur_n", basis.rank())

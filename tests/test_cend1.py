@@ -30,8 +30,9 @@ from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.cli import main
 from confalg.grammar import format_poly, parse_poly
 from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly, upoly_gcd
-from confalg.polymat import PidRowBasis, PolyMat
+from confalg.polymat import PolyMat
 from confalg.structure import unital_closure_probe
+from ideal_oracle import hermite_form
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -339,9 +340,9 @@ def _poly_to_row(p, cap):
     return row
 
 
-def _rows_to_polys(basis):
+def _rows_to_polys(rows):
     out = []
-    for row in basis.canonical():
+    for row in rows:
         acc = MPoly.zero()
         for k, entry in enumerate(row):
             if not entry.is_zero():
@@ -354,33 +355,38 @@ def _gcd_of(polys):
     return reduce(bipoly_gcd, polys, MPoly.zero())
 
 
+# The reference models keep each span as the Hermite form of the ideal
+# oracle, recomputed from all its rows, so they share no code with the
+# PidRowBasis the probes under test use: a span grew in a round when its
+# Hermite form changed, and it holds a row when adding the row leaves its
+# Hermite form as it was.
+
+
 def naive_closure(gens, x_degree_cap, rounds):
     """Saturate a capped Q[d]-module basis: (basis, witness, rounds, status)."""
-    clean = [g for g in gens if not g.is_zero()]
-    basis = PidRowBasis(x_degree_cap + 1, var="d")
-    for g in clean:
-        basis.add(_poly_to_row(g, x_degree_cap))
-
-    witness = _gcd_of(_rows_to_polys(basis))
+    width = x_degree_cap + 1
+    span = hermite_form([_poly_to_row(g, x_degree_cap) for g in gens if not g.is_zero()], width)
+    witness = _gcd_of(_rows_to_polys(span))
     rounds_used = 0
     for round_no in range(1, rounds + 1):
         rounds_used = round_no
-        current = _rows_to_polys(basis)
-        changed = False
+        current = _rows_to_polys(span)
+        offered = []
         for a in current:
             ar = ((a,),)
             for b in current:
                 product = product_apply(ar, ((b,),), "l")[0][0]
                 for part in product.coefficients_in("l").values():
                     row = _poly_to_row(part, x_degree_cap)
-                    if row is not None and basis.add(row):
-                        changed = True
-        new_witness = _gcd_of(_rows_to_polys(basis))
-        stable = not changed and new_witness == witness
-        witness = new_witness
+                    if row is not None:
+                        offered.append(row)
+        grown = hermite_form([*span, *offered], width)
+        new_witness = _gcd_of(_rows_to_polys(grown))
+        stable = grown == span and new_witness == witness
+        span, witness = grown, new_witness
         if stable:
-            return _rows_to_polys(basis), witness, rounds_used, "stabilized"
-    return _rows_to_polys(basis), witness, rounds_used, "budget_exhausted"
+            return _rows_to_polys(span), witness, rounds_used, "stabilized"
+    return _rows_to_polys(span), witness, rounds_used, "budget_exhausted"
 
 
 def naive_unital_closure_probe(gens, degree_cap, rounds):
@@ -389,101 +395,67 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
     if any(g.uses_x() for g in gens):
         return "cend_n", 0
 
-    basis = PidRowBasis(n * n, var="d")
-
     def to_row(elem):
-        row = []
-        for i in range(n):
-            for j in range(n):
-                row.append(upoly_from_mpoly(elem.entries[i][j], "d"))
-        return row
+        return [upoly_from_mpoly(elem.entries[i][j], "d") for i in range(n) for j in range(n)]
 
     def from_row(row):
-        rows = [
-            [row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)
-        ]
-        return CendElem(rows)
+        return CendElem([[row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)])
 
-    for g in gens:
-        basis.add(to_row(g))
+    span = hermite_form([to_row(g) for g in gens], n * n)
     for _ in range(rounds):
-        current = [from_row(r) for r in basis.canonical()]
-        changed = False
+        current = [from_row(r) for r in span]
+        offered = []
         for a in current:
             for b in current:
                 for coeff in nth_products(a, b):
                     if coeff.is_zero():
                         continue
                     if coeff.uses_x():
-                        return "cend_n", basis.rank()
-                    if coeff.d_degree() > degree_cap:
-                        continue
-                    if basis.add(to_row(coeff)):
-                        changed = True
-        if not changed:
-            return "cur_n", basis.rank()
-    return "undecided", basis.rank()
+                        return "cend_n", len(span)
+                    if coeff.d_degree() <= degree_cap:
+                        offered.append(to_row(coeff))
+        grown = hermite_form([*span, *offered], n * n)
+        if grown == span:
+            return "cur_n", len(span)
+        span = grown
+    return "undecided", len(span)
+
+
+def _acted_rows(act, gens, rows):
+    """Every coefficient row of every generator acting on every row."""
+    vecs = [tuple(e.to_mpoly("d") for e in row) for row in rows]
+    return [r for gen in gens for v in vecs for r in _vec_series(act(gen.entries, "l")(v)).values()]
 
 
 def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
     n = p_mat.n
     act = standard_action(p_mat, alpha)
-    basis = PidRowBasis(n, var="d")
-    basis.add(list(start))
-
-    def coefficient_rows(gen, row):
-        vec = tuple(e.to_mpoly("d") for e in row)
-        return _vec_series(act(gen.entries, "l")(vec)).values()
-
-    def is_full():
-        return basis.rank() == n and all(
-            basis.rows[i][basis.pivots[i]] == UPoly.const(1, "d")
-            for i in range(n)
-        )
-
+    span = hermite_form([start], n)
+    one = UPoly.const(1, "d")
     rounds_used = 0
     for round_no in range(1, rounds + 1):
         rounds_used = round_no
-        changed = False
-        snapshot = [list(r) for r in basis.canonical()]
-        for gen in gens:
-            for row in snapshot:
-                for new_row in coefficient_rows(gen, row):
-                    if max(e.degree() for e in new_row) > degree_cap:
-                        continue
-                    if basis.add(new_row):
-                        changed = True
-        if is_full():
-            return ProbeOutcome("irreducible", basis.rank(), rounds_used, basis.canonical())
+        offered = [
+            r for r in _acted_rows(act, gens, span)
+            if max(e.degree() for e in r) <= degree_cap
+        ]
+        grown = hermite_form([*span, *offered], n)
+        changed, span = grown != span, grown
+        if len(span) == n and all(row[i] == one for i, row in enumerate(span)):
+            return ProbeOutcome("irreducible", n, rounds_used, span)
         if not changed:
             # stabilized strictly below the full span: verify invariance
-            for gen in gens:
-                for row in basis.canonical():
-                    for new_row in coefficient_rows(gen, row):
-                        if not basis.contains(new_row):
-                            return ProbeOutcome(
-                                "undecided", basis.rank(), rounds_used, basis.canonical()
-                            )
-            return ProbeOutcome(
-                "proper_invariant_detected",
-                basis.rank(),
-                rounds_used,
-                basis.canonical(),
-            )
-    return ProbeOutcome("undecided", basis.rank(), rounds_used, basis.canonical())
+            if hermite_form([*span, *_acted_rows(act, gens, span)], n) != span:
+                return ProbeOutcome("undecided", len(span), rounds_used, span)
+            return ProbeOutcome("proper_invariant_detected", len(span), rounds_used, span)
+    return ProbeOutcome("undecided", len(span), rounds_used, span)
 
 
 def _assert_invariant(gens, p_mat, alpha, rows):
     """Every coefficient row of every generator on every row lies in their span."""
-    basis = PidRowBasis(p_mat.n, var="d")
-    for row in rows:
-        basis.add(list(row))
-    act = standard_action(p_mat, alpha)
-    for gen in gens:
-        for row in rows:
-            vec = tuple(e.to_mpoly("d") for e in row)
-            for new_row in _vec_series(act(gen.entries, "l")(vec)).values():
-                assert basis.contains(new_row)
+    span = hermite_form(rows, p_mat.n)
+    acted = _acted_rows(standard_action(p_mat, alpha), gens, rows)
+    assert hermite_form([*span, *acted], p_mat.n) == span
 
 
 small_coeffs = st.one_of(

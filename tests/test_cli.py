@@ -168,6 +168,18 @@ def test_degenerate_input_is_degenerate_error(tmp_path, verb, payload, flags, me
     assert report["error"] == {"code": "E_DEGENERATE", "message": message}
 
 
+@pytest.mark.parametrize("verb", ["oc-gens", "invariance-check"])
+def test_matrix_without_the_claimed_symmetry_is_a_mismatch(tmp_path, verb):
+    # epsilon is well formed; P = x is not symmetric: x -> -x changes it
+    payload = {"n": 1, "p": [["x"]], "epsilon": 1, "max_n": 1, "element": [["x"]]}
+    code, out = run_cli(tmp_path, verb, payload)
+    report = json.loads(out)
+    assert code == 1
+    assert report["error"] == {
+        "code": "E_MISMATCH", "message": "matrix does not have the claimed symmetry"
+    }
+
+
 def test_unclassified_fault_is_internal_error(monkeypatch):
     def broken(payload, budgets):
         return {}["missing"]
@@ -390,6 +402,15 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
         ("verify", "smith", {"degree_cap": 40, "rounds": -5}, "degree_cap must be"),
         ("verify", "ideal_right", {"rounds": -5}, "rounds must be"),
         ("verify", "anti_inv_search", {"degree_cap": 17}, "degree_cap must be"),
+        ("extension-build", {"p": [["1"]], "kind": "bogus"}, ("--rounds", "1"),
+         "unknown extension kind 'bogus'"),
+        ("extension-build", {"p": [["x^2"]], "kind": "factorization", "s": [["x"]]},
+         ("--rounds", "1"), "field 'r'"),
+        ("extension-build", {"p": [["x^2"]], "kind": "factorization", "r": [["x"]]},
+         ("--rounds", "1"), "field 's'"),
+        ("oc-gens", {"n": 1, "p": [["1"]], "epsilon": 2, "max_n": 1}, (), "epsilon must be"),
+        ("invariance-check", {"p": [["1"]], "epsilon": 0, "element": [["x"]]}, (),
+         "epsilon must be"),
     ],
     ids=["product_x32767", "product_d9x8", "bracket", "smith", "classify", "unital_probe",
          "irreducibility_start", "axioms_n", "axioms_degree", "oc_gens_max_n",
@@ -397,7 +418,8 @@ def test_check_axioms_rejects_vacuous_checks(tmp_path, payload, flags):
          "classify_cap_17", "classify_negative_cap", "classify_negative_rounds",
          "unital_probe_cap_40", "verify_undecided_cap_40", "verify_negative_rounds",
          "verify_decided_cap_40", "verify_smith_cap_40", "verify_ideal_negative_rounds",
-         "verify_anti_inv_found_cap_17"],
+         "verify_anti_inv_found_cap_17", "extension_unknown_kind", "extension_factorization_no_r",
+         "extension_factorization_no_s", "oc_gens_epsilon", "invariance_epsilon"],
 )
 def test_oversized_input_is_parse_error(tmp_path, verb, payload, flags, field):
     if verb == "verify":  # a golden report with its recorded budgets edited

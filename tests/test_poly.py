@@ -12,14 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import poly
+from confalg.cend import raw_mat_vec
 from confalg.poly import (
     MPoly,
     UPoly,
     bipoly_gcd,
     mpoly_dot,
     mpoly_matmul,
-    mpoly_matvec,
     substituter,
+    upoly_coefficients,
     upoly_from_mpoly,
     upoly_gcd,
     upoly_xgcd,
@@ -318,7 +319,7 @@ class TestUPolyFromMPoly:
             upoly_from_mpoly(D + X, "x")
 
     def test_retags(self):
-        p = upoly_from_mpoly(X**2 + X * 2, "x", out_var="z")
+        p = upoly_from_mpoly(X**2 + X * 2, "x").retag("z")
         assert p.var == "z"
         assert p.coeffs == (Fraction(0), Fraction(2), Fraction(1))
 
@@ -494,6 +495,41 @@ class TestMPolyModel:
         assert {k: dict(q.terms) for k, q in parts.items()} == ref_coefficients_in(a, i)
         for q in parts.values():
             assert_canonical(q)
+
+
+class TestUpolyCoefficients:
+    """The two-variable reader against ``coefficients_in`` then
+    ``upoly_from_mpoly`` on each part, the split it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref_strategy, st.permutations(("d", "x", "l", "m")), st.booleans())
+    def test_matches_split_then_read(self, a, names, project):
+        from confalg.poly import VARS
+
+        outer, inner = names[:2]
+        if project:  # keep only the exponents of outer and inner
+            keep = [v in (outer, inner) for v in VARS]
+            a = {tuple(e if k else 0 for e, k in zip(exp, keep)): c for exp, c in a.items()}
+        p = MPoly(a)
+        try:
+            want = {k: upoly_from_mpoly(q, inner) for k, q in p.coefficients_in(outer).items()}
+        except ValueError:  # a third variable
+            with pytest.raises(ValueError, match="expected only"):
+                upoly_coefficients(p, outer, inner)
+            return
+        got = upoly_coefficients(p, outer, inner)
+        assert list(got) == list(want)  # ascending powers
+        assert got == want  # with the variable tags
+        for q in got.values():
+            assert q and q.var == inner
+            assert_canonical_up(q)
+
+    def test_zero_gives_no_coefficients(self):
+        assert upoly_coefficients(MPoly.zero(), "d", "x") == {}
+
+    def test_third_variable_raises(self):
+        with pytest.raises(ValueError, match=r"uses \['l'\], expected only 'd' and 'x'"):
+            upoly_coefficients(D * X + L, "d", "x")
 
 
 class TestCanonicalForm:
@@ -705,12 +741,15 @@ class TestMatmul:
     @settings(max_examples=60, deadline=None)
     @given(matrix_pairs())
     def test_matvec_is_the_one_column_product(self, pair):
+        # cend.raw_mat_vec is mpoly_matmul with the vector as one column,
+        # on the packed path and on the per-entry dots alike
         a, b = pair
         v = [row[0] for row in b]
         want = [row[0] for row in ref_matmul(a, [[e] for e in v])]
         for threshold in (0, poly.MATMUL_PACK_WORK):
             with mock.patch.object(poly, "MATMUL_PACK_WORK", threshold):
-                got = mpoly_matvec(_rows(a), [MPoly(e) for e in v])
+                got = raw_mat_vec(_rows(a), [MPoly(e) for e in v])
+                assert got == tuple(row[0] for row in mpoly_matmul(_rows(a), _rows(b)))
             assert [dict(e.terms) for e in got] == want
 
     def test_one_entry_is_one_dot(self):
@@ -722,7 +761,8 @@ class TestMatmul:
         with mock.patch.object(poly, "mpoly_dot", wraps=mpoly_dot) as dot:
             got = mpoly_matmul(_rows(a), _rows(b))
             assert _terms(got) == ref_matmul(a, b)
-            assert mpoly_matvec(_rows(a), [MPoly(row[0]) for row in b]) == got[0]
+            # a one-row matrix times a vector is one dot as well
+            assert raw_mat_vec(_rows(a), [MPoly(row[0]) for row in b]) == got[0]
         assert dot.call_count == 2
 
     def test_cancelling_entries_are_canonical_zero(self):
@@ -969,7 +1009,7 @@ class TestUPolyModel:
         p = UPoly(a, "d")
         m = p.to_mpoly()
         assert dict(m.terms) == {(k, 0, 0, 0): c for k, c in enumerate(a) if c}
-        assert_model(upoly_from_mpoly(m, "d", out_var="z"), a, "z")
+        assert_model(upoly_from_mpoly(m, "d").retag("z"), a, "z")
         assert p.to_mpoly("x") == m.substitute({"d": X})
 
 

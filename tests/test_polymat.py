@@ -211,24 +211,30 @@ class TestHermiteLeftGenerator:
     def test_scalar_gcd(self):
         a = PolyMat([[UPoly((0, 1, 1))]])  # x^2 + x
         b = PolyMat([[UPoly((-1, 0, 1))]])  # x^2 - 1
-        gen, _ = hermite_left_generator([a, b])
+        gen, _ = hermite_left_generator([*a.rows, *b.rows])
         assert gen == PolyMat([[UPoly((1, 1))]])
 
     def test_unimodular_gives_identity(self):
         rng = random.Random(4)
         u = random_unimodular(rng, 2)
-        gen, _ = hermite_left_generator([u])
+        gen, _ = hermite_left_generator(u.rows)
         assert gen == PolyMat.identity(2)
 
     def test_zero_ideal(self):
-        gen, _ = hermite_left_generator([PolyMat.zero(2)])
+        gen, _ = hermite_left_generator(PolyMat.zero(2).rows)
         assert gen == PolyMat.zero(2)
+
+    def test_refuses_no_rows_and_ragged_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            hermite_left_generator([])
+        with pytest.raises(ValueError, match="same width"):
+            hermite_left_generator([(ONE, ZERO), (ONE,)])
 
     def test_membership_and_multipliers(self):
         rng = random.Random(41)
         mats = [random_polymat(rng, 2, 2) for _ in range(3)]
-        gen, history = hermite_left_generator(mats)
         stacked = [row for m in mats for row in m.rows]
+        gen, history = hermite_left_generator(stacked)
         nonzero_rows = [r for r in gen.rows if any(not e.is_zero() for e in r)]
         assert len(history) == len(nonzero_rows)
         assert all(len(h) == len(stacked) for h in history)
@@ -241,7 +247,7 @@ class TestHermiteLeftGenerator:
         # each input matrix is a left Q[x]-matrix multiple of the generator
         from confalg.polymat import PidRowBasis
 
-        basis = PidRowBasis(2, "x")
+        basis = PidRowBasis(2)
         for r in nonzero_rows:
             basis.add(r)
         for m in mats:
@@ -385,21 +391,19 @@ class TestPidRowBasisCanonicity:
         rng = random.Random(var)
         for _ in range(150):
             n, hermite, rows = scrambled_hermite(rng, var)
-            basis = PidRowBasis(n, var)
+            basis = PidRowBasis(n)
             for r in rows:
                 basis.add(r)
             assert basis.canonical() == hermite, rows
             assert hermite_form(rows, n) == hermite, rows  # the ideal oracle's own routine
             if var != "x":
                 continue
-            padded = rows + [[ZERO] * n] * (-len(rows) % n)
-            mats = [PolyMat(padded[k : k + n]) for k in range(0, len(padded), n)]
-            gen, multipliers = hermite_left_generator(mats)
+            gen, multipliers = hermite_left_generator(rows)
             assert gen.rows == hermite + ((ZERO,) * n,) * (n - len(hermite))
             assert len(multipliers) == len(hermite)
             for mult_row, target in zip(multipliers, hermite):
                 combo = [ZERO] * n
-                for coef, source in zip(mult_row, padded):
+                for coef, source in zip(mult_row, rows):
                     combo = [a + coef * b for a, b in zip(combo, source)]
                 assert tuple(combo) == target
 
@@ -411,10 +415,10 @@ class TestPidRowBasisCanonicity:
             [random_polymat(rng, 1, 2).rows[0][0] for _ in range(3)]
             for _ in range(5)
         ]
-        first = PidRowBasis(3, "x")
+        first = PidRowBasis(3)
         for r in rows:
             first.add(r)
-        second = PidRowBasis(3, "x")
+        second = PidRowBasis(3)
         for r in reversed(rows):
             second.add(r)
         assert first.canonical() == second.canonical()
