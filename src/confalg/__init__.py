@@ -7,20 +7,12 @@ them (ideals, isomorphism, anti-involutions, subalgebra classification).
 
 from .cend import (
     AntiInvSpec,
-    AutoSpec,
     CendElem,
     LambdaSeries,
     apply_antiinv,
-    conjugate,
-    cur_n,
-    dual_action,
-    homomorphism_image,
     lambda_product,
     lie_bracket,
     modvec,
-    module_action,
-    nth_products,
-    nth_products_divided,
     standard_action,
     verify_assoc_axioms,
     verify_lie_axioms,
@@ -30,21 +22,16 @@ from .cend1 import ClosureState, SubalgDescriptor, classify, closure, irreducibl
 from .gclie import (
     ConfBilinearForm,
     OcSpcGen,
-    bracket_closure_check,
     check_anti_fixed,
-    family_conjugacy_verify,
     invariance_check,
     irreducibility_probe,
     make_oc_spc_generators,
-    phi_equivariance_spotcheck,
 )
-from .grammar import ParseError, format_poly, format_upoly, parse_poly, parse_upoly
+from .grammar import ParseError, format_poly, format_upoly, parse_poly
 from .poly import MPoly, UPoly, bipoly_gcd, upoly_gcd
 from .polymat import (
     PolyMat,
     SmithCert,
-    StarForm,
-    congruence_verify,
     det,
     hermite_left_generator,
     inverse_unimodular,
@@ -58,7 +45,6 @@ from .structure import (
     IsoDecision,
     anti_automorphism_exists,
     anti_involution_search,
-    antiinv_conjugacy_verify,
     build_extension,
     decide_isomorphism,
     left_ideal_generator,

@@ -151,10 +151,6 @@ class CendElem:
         rows[i][j] = MPoly.const(p) if not isinstance(p, MPoly) else p
         return CendElem(rows)
 
-    @staticmethod
-    def from_constant_matrix(rows: Sequence[Sequence[RatLike]]) -> CendElem:
-        return CendElem([[MPoly.const(e) for e in row] for row in rows])
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: CendElem) -> CendElem:
@@ -181,10 +177,6 @@ class CendElem:
             raise ValueError("size mismatch")
         return CendElem(raw_mul(self.entries, p.to_mpoly_rows()))
 
-    def d_mult(self) -> CendElem:
-        """Multiplication by the derivation symbol d."""
-        return CendElem(raw_scale(self.entries, _D))
-
     def transpose(self) -> CendElem:
         return CendElem(raw_transpose(self.entries))
 
@@ -193,9 +185,6 @@ class CendElem:
 
     def is_zero(self) -> bool:
         return raw_is_zero(self.entries)
-
-    def d_degree(self) -> int:
-        return max((e.degree("d") for row in self.entries for e in row), default=-1)
 
     def uses_x(self) -> bool:
         return any(e.uses("x") for row in self.entries for e in row)
@@ -270,15 +259,6 @@ class LambdaSeries:
             if key == (l_power, m_power):
                 return val
         return CendElem.zero(self.n)
-
-    def as_list(self) -> list[CendElem]:
-        """Plain l-power coefficient list [c_0, c_1, ...]; [] for zero."""
-        if any(key[1] for key, _ in self.coefficients):
-            raise ValueError("series involves the second parameter")
-        if not self.coefficients:
-            return []
-        top = max(key[0] for key, _ in self.coefficients)
-        return [self.coeff(k) for k in range(top + 1)]
 
     def map_coefficients(self, fn: Callable[[CendElem], CendElem]) -> LambdaSeries:
         return LambdaSeries(
@@ -387,22 +367,6 @@ def lambda_product(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
     return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu))
 
 
-def nth_products(a: CendElem, b: CendElem) -> list[CendElem]:
-    """Plain l-power coefficients [c_0, c_1, ...] of the product series."""
-    return lambda_product(a, b).as_list()
-
-
-def nth_products_divided(a: CendElem, b: CendElem) -> list[CendElem]:
-    """Coefficients in the divided-power convention (l^n / n!)."""
-    fact = 1
-    out = []
-    for k, c in enumerate(nth_products(a, b)):
-        if k:
-            fact *= k
-        out.append(c.scale(fact))
-    return out
-
-
 def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
     """Commutator bracket of two symbols, collected by l-powers."""
     a._same_size(b)
@@ -443,24 +407,6 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
     return act
 
 
-def module_action(
-    a: CendElem, p_mat: PolyMat, alpha: RatLike, vec: ModVec
-) -> dict[int, ModVec]:
-    """Standard action of the element a*P on a vector, split by l-powers."""
-    if p_mat.n != a.n or len(vec) != a.n:
-        raise ValueError("size mismatch")
-    act = standard_action(p_mat, alpha)(a.entries, "l")
-    return _vec_series(act(tuple(v.to_mpoly("d") for v in vec)))
-
-
-def dual_action(a: CendElem, vec: ModVec) -> dict[int, ModVec]:
-    """Contragredient action: -a^t(-l, -d) v(l+d), split by l-powers."""
-    if len(vec) != a.n:
-        raise ValueError("size mismatch")
-    act = dual_action_raw(a.entries, "l")
-    return _vec_series(act(tuple(v.to_mpoly("d") for v in vec)))
-
-
 def dual_action_raw(a_part: RawMat, param: str) -> VecMap:
     """The contragredient action as a staged action closure."""
     p = _param(param)
@@ -479,30 +425,8 @@ def _vec_series(raw: RawVec) -> dict[int, ModVec]:
 
 
 # ---------------------------------------------------------------------------
-# Conjugation and anti-involutions
+# Anti-involutions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AutoSpec:
-    """Automorphism data: unimodular C and a rational shift alpha."""
-
-    c_mat: PolyMat
-    alpha: Fraction
-
-    def __post_init__(self):
-        if not is_unimodular(self.c_mat):
-            raise ValueError("automorphism matrix must be unimodular")
-
-
-def conjugate(a: CendElem, spec: AutoSpec) -> CendElem:
-    """C(d+x) a(d, x+alpha) C(x)^{-1}."""
-    if spec.c_mat.n != a.n:
-        raise ValueError("size mismatch")
-    c_outer = raw_subst(spec.c_mat.to_mpoly_rows(), {"x": _D + _X})
-    middle = raw_subst(a.entries, {"x": _X + MPoly.const(spec.alpha)})
-    c_inner = inverse_unimodular(spec.c_mat).to_mpoly_rows()
-    return CendElem(raw_mul(raw_mul(c_outer, middle), c_inner))
 
 
 @dataclass(frozen=True)
@@ -540,34 +464,6 @@ def apply_antiinv(a: CendElem, spec: AntiInvSpec) -> CendElem:
     return CendElem(
         raw_scale(raw_mul(raw_mul(y_outer, middle), y_inner), spec.epsilon)
     )
-
-
-# ---------------------------------------------------------------------------
-# Generators and homomorphisms
-# ---------------------------------------------------------------------------
-
-
-def cur_n(n: int) -> list[CendElem]:
-    """Matrix-unit generators of the current subalgebra (x-free symbols)."""
-    return [CendElem.matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-
-
-def homomorphism_image(
-    a: CendElem,
-    r_mat: PolyMat,
-    s_mat: PolyMat,
-    alpha: RatLike = 0,
-    p_mat: PolyMat | None = None,
-) -> CendElem:
-    """Image S(d+x) a(d, x+alpha) R(x) of the element a*P, P(x+alpha) = R S."""
-    if r_mat.n != a.n or s_mat.n != a.n:
-        raise ValueError("size mismatch")
-    if p_mat is not None and p_mat.shift(alpha) != r_mat @ s_mat:
-        raise ValueError("factorization does not match: P(x+alpha) != R(x) S(x)")
-    s_outer = raw_subst(s_mat.to_mpoly_rows(), {"x": _D + _X})
-    middle = raw_subst(a.entries, {"x": _X + MPoly.const(alpha)})
-    r_inner = r_mat.to_mpoly_rows()
-    return CendElem(raw_mul(raw_mul(s_outer, middle), r_inner))
 
 
 # ---------------------------------------------------------------------------

@@ -8,30 +8,24 @@ parameters, and irreducibility is probed by growing Q[d]-module spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cend import (
     AntiInvSpec,
     AxiomReport,
     CendElem,
-    LambdaSeries,
     ModVec,
-    RawMat,
     RawVec,
     VecMap,
     _vec_series,
     apply_antiinv,
-    bracket_apply,
     raw_mat_vec,
-    raw_mul,
     raw_subst,
-    raw_transpose,
     raw_vec_subst,
     standard_action,
 )
 from .poly import _D, _L, _M, _X, MPoly, UPoly, mpoly_dot
-from .polymat import DegenerateError, PidRowBasis, PolyMat, Row, det, is_unimodular, star
+from .polymat import DegenerateError, PidRowBasis, PolyMat, Row, det, star
 
 
 # ---------------------------------------------------------------------------
@@ -110,47 +104,6 @@ def check_anti_fixed(a: CendElem, spec: AntiInvSpec) -> bool:
     return apply_antiinv(a, spec) == -a
 
 
-def sigma_star(a: CendElem) -> CendElem:
-    """The transpose-reflection a^t(d, -d-x) (plain defining matrix)."""
-    return a.transpose().substitute({"x": -_D - _X})
-
-
-def anti_fixed_part(a: CendElem) -> CendElem:
-    return (a - sigma_star(a)).scale(Fraction(1, 2))
-
-
-def fixed_part(a: CendElem) -> CendElem:
-    return (a + sigma_star(a)).scale(Fraction(1, 2))
-
-
-def family_conjugacy_verify(
-    p_mat: PolyMat,
-    q_mat: PolyMat,
-    witness: PolyMat,
-    epsilon: int,
-    scale: Fraction | int = 1,
-) -> bool:
-    """Certificate check that two defining matrices are congruent forms.
-
-    Both matrices must carry the same symmetry sign and the witness must be
-    unimodular with star(witness) @ p_mat @ witness == scale * q_mat (a
-    nonzero rational scale is absorbed by rescaling the form).  Conjugacy of
-    the attached subalgebra families reduces to exactly this congruence; no
-    search is attempted here.
-    """
-    scale = Fraction(scale)
-    if not scale:
-        return False
-    for m in (p_mat, q_mat):
-        if star(m, 0) != m.scale(epsilon):
-            return False
-        if det(m).is_zero():
-            return False
-    if not is_unimodular(witness):
-        return False
-    return star(witness, 0) @ p_mat @ witness == q_mat.scale(scale)
-
-
 # ---------------------------------------------------------------------------
 # Invariance of the pairing
 # ---------------------------------------------------------------------------
@@ -181,39 +134,6 @@ def invariance_check(form: ConfBilinearForm, a: CendElem) -> AxiomReport:
         ).is_zero()
     ]
     return AxiomReport(not failures, n * n, tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Bracket closure
-# ---------------------------------------------------------------------------
-
-
-def bracket_closure_check(
-    gens: Sequence[CendElem],
-    p_mat: PolyMat | None,
-    membership: Callable[[CendElem], bool],
-) -> AxiomReport:
-    """Check that bracket coefficients of generator pairs satisfy a predicate.
-
-    Generators and the coefficients handed to the predicate are a-parts
-    relative to p_mat (pass None for the plain algebra).
-    """
-    failures: list[str] = []
-    checked = 0
-    for ia, a in enumerate(gens):
-        for ib, b in enumerate(gens):
-            checked += 1
-            series = LambdaSeries.from_raw(
-                bracket_apply(a.entries, b.entries, "l", p_mat)
-            )
-            for (kl, _), coeff in series.coefficients:
-                if coeff.is_zero():
-                    continue
-                if not membership(coeff):
-                    failures.append(
-                        f"pair ({ia}, {ib}): coefficient of l^{kl} escapes"
-                    )
-    return AxiomReport(not failures, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -281,48 +201,3 @@ def irreducibility_probe(
             return ProbeOutcome("irreducible", basis.rank(), rounds_used, basis.canonical())
         if not any(grew):
             return ProbeOutcome("proper_invariant_detected", basis.rank(), rounds_used, snapshot)
-
-
-# ---------------------------------------------------------------------------
-# Tensor-square equivariance spot check
-# ---------------------------------------------------------------------------
-
-
-def tensor_action(gen: CendElem, tensor: RawMat) -> RawMat:
-    """Diagonal action on V (x) V; slot one lives in d, slot two in x."""
-    head1 = raw_subst(gen.entries, {"d": -_L, "x": _L + _D})
-    term1 = raw_mul(head1, raw_subst(tensor, {"d": _L + _D}))
-    head2 = raw_subst(gen.entries, {"d": -_L, "x": _L + _X})
-    term2 = raw_mul(raw_subst(tensor, {"x": _L + _X}), raw_transpose(head2))
-    return tuple(
-        tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(term1, term2)
-    )
-
-
-def tensor_to_symbol(tensor: RawMat) -> RawMat:
-    """p(d) e_i (x) q(d) e_j  ->  p(-x) q(x+d) E_ji."""
-    return raw_transpose(raw_subst(tensor, {"d": -_X, "x": _X + _D}))
-
-
-def phi_equivariance_spotcheck(
-    n: int, samples: Sequence[tuple[UPoly, UPoly, int, int, CendElem]]
-) -> AxiomReport:
-    """Verify that the tensor-to-symbol map intertwines the two actions.
-
-    Samples are (p, q, i, j, generator); p, q are polynomials in d and the
-    generator is a plain (defining matrix = identity) anti-fixed symbol.
-    """
-    failures: list[str] = []
-    checked = 0
-    for idx, (p, q, i, j, gen) in enumerate(samples):
-        checked += 1
-        if gen.n != n:
-            raise ValueError("generator size mismatch")
-        tensor = [[MPoly.zero()] * n for _ in range(n)]
-        tensor[i][j] = p.to_mpoly("d") * q.retag("x").to_mpoly()
-        tensor_t: RawMat = tuple(tuple(r) for r in tensor)
-        lhs = tensor_to_symbol(tensor_action(gen, tensor_t))
-        rhs = bracket_apply(gen.entries, tensor_to_symbol(tensor_t), "l")
-        if lhs != rhs:
-            failures.append(f"sample {idx}: equivariance fails")
-    return AxiomReport(not failures, checked, tuple(failures))

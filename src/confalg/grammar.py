@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .poly import (
     _FIELD, _GUARD, _SHIFTS, MAX_EXP, VARS, ExponentOverflowError, MPoly, UPoly, _grlex,
-    _make, _overflow, _unpack, upoly_from_mpoly,
+    _make, _overflow, _unpack,
 )
 
 
@@ -277,8 +277,3 @@ def format_upoly(p: UPoly) -> str:
         ),
         p._den,
     )
-
-
-def parse_upoly(text: str, var: str) -> UPoly:
-    """Parse a polynomial that must use only one variable."""
-    return upoly_from_mpoly(parse_poly(text), var)

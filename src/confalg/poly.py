@@ -202,13 +202,6 @@ class MPoly:
         bits = reduce(or_, self._num, 0)
         return {v for v, s in zip(VARS, _SHIFTS) if bits >> s & _FIELD}
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
-        """Leading (exponent, coefficient) under graded lex d > x > l > m."""
-        if not self._num:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self._num, key=_grlex)
-        return _unpack(key), Fraction(self._num[key], self._den)
-
     def coefficient(self, exp: Exponent) -> Fraction:
         return Fraction(self._num.get(_pack(exp), 0), self._den)
 

@@ -1,4 +1,4 @@
-"""Square matrices over Q[x]: determinants, Smith/Hermite forms, congruence.
+"""Square matrices over Q[x]: determinants, Smith/Hermite forms, star.
 
 Everything is exact and certificate-producing.  One Hermite routine,
 ``PidRowBasis``, serves both normal forms: Hermite generators take the
@@ -7,9 +7,7 @@ columns, and Smith forms alternate Hermite passes over the matrix augmented
 by its transforms, so they carry the unimodular transforms too.
 One minor expansion, level by level, serves ``det``, ``adjugate`` and the
 Smith divisors: the first two read one level, the divisors the gcd of each
-level; ``adjugate_and_det`` reads det off the adjugate.  The
-star/congruence operations are plain algebra so callers can re-verify
-independently.
+level; ``adjugate_and_det`` reads det off the adjugate.
 ``DegenerateError`` lives here, the lowest module every decision imports.
 """
 
@@ -471,29 +469,3 @@ def hermite_left_generator(rows: Sequence[Sequence[UPoly]]) -> tuple[PolyMat, li
     hermite = [r[:n] for r in basis.rows]
     hermite += [[zero] * n] * (n - len(hermite))
     return PolyMat(hermite), [r[n:] for r in basis.rows]
-
-
-# ---------------------------------------------------------------------------
-# Star-congruence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StarForm:
-    """A claim base^t(-x+alpha) == sign * base, checked on demand."""
-
-    base: PolyMat
-    alpha: Fraction
-    sign: int
-
-    def holds(self) -> bool:
-        if self.sign not in (1, -1):
-            return False
-        return star(self.base, self.alpha) == self.base.scale(self.sign)
-
-
-def congruence_verify(a_mat: PolyMat, c_mat: PolyMat, alpha: RatLike = 0) -> PolyMat:
-    """Return star(C, alpha) @ A @ C for unimodular C."""
-    if not is_unimodular(c_mat):
-        raise ValueError("congruence transform must be unimodular")
-    return star(c_mat, alpha) @ a_mat @ c_mat

@@ -35,7 +35,6 @@ from .polymat import (
     adjugate_and_det,
     det,
     hermite_left_generator,
-    is_unimodular,
     smith_divisors,
     star,
 )
@@ -357,22 +356,6 @@ def _integer_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[int
         kernel.append((vec[free], vec))
     den = lcm(*(lead for lead, _ in kernel))
     return den, [[c * (den // lead) for c in vec] for lead, vec in kernel]
-
-
-def antiinv_conjugacy_verify(
-    spec1: AntiInvSpec, spec2: AntiInvSpec, witness: PolyMat
-) -> bool:
-    """Check a conjugacy witness between two anti-involutions over the same P."""
-    if spec1.p_mat != spec2.p_mat:
-        raise ValueError("specs must share the defining matrix")
-    if spec1.epsilon != spec2.epsilon:
-        return False
-    if not is_unimodular(witness):
-        return False
-    delta = (spec2.alpha - spec1.alpha) / 2
-    target = (spec2.p_mat @ spec2.y_mat).shift(delta)
-    base = spec1.p_mat @ spec1.y_mat
-    return star(witness, spec1.alpha) @ base @ witness == target
 
 
 # ---------------------------------------------------------------------------

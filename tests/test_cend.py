@@ -1,4 +1,4 @@
-"""Kernel: products, brackets, actions, conjugation, axiom verifiers."""
+"""Kernel: products, brackets, actions, anti-involutions, axiom verifiers."""
 
 from __future__ import annotations
 
@@ -12,23 +12,15 @@ from hypothesis import strategies as st
 import confalg.cend as cend
 from confalg.cend import (
     AntiInvSpec,
-    AutoSpec,
     CendElem,
     LambdaSeries,
     apply_antiinv,
     bracket_apply,
     bracket_of,
-    conjugate,
-    cur_n,
-    dual_action,
     dual_action_raw,
-    homomorphism_image,
     lambda_product,
     lie_bracket,
     modvec,
-    module_action,
-    nth_products,
-    nth_products_divided,
     left_factors,
     product_apply,
     raw_mat_vec,
@@ -59,6 +51,11 @@ def scalar(p: MPoly) -> CendElem:
     return CendElem.scalar(p)
 
 
+def split_action(act, a: CendElem, vec) -> dict:
+    """The l-power coefficients of the staged action ``act`` of ``a`` on ``vec``."""
+    return cend._vec_series(act(a.entries, "l")(tuple(v.to_mpoly("d") for v in vec)))
+
+
 class TestLambdaProduct:
     def test_constant_times_x(self):
         series = lambda_product(ONE1, scalar(X))
@@ -82,24 +79,17 @@ class TestLambdaProduct:
 
 
 class TestNthProducts:
+    """The n-th products are the l-power coefficients of the product series."""
+
     def test_simple(self):
-        assert nth_products(ONE1, scalar(X)) == [scalar(X)]
+        assert lambda_product(ONE1, scalar(X)).coefficients == (((0, 0), scalar(X)),)
 
     def test_x_times_one(self):
-        assert nth_products(scalar(X), ONE1) == [scalar(X + D), ONE1]
+        series = lambda_product(scalar(X), ONE1)
+        assert series.coefficients == (((0, 0), scalar(X + D)), ((1, 0), ONE1))
 
     def test_zero(self):
-        assert nth_products(CendElem.zero(1), scalar(X)) == []
-
-    def test_divided_powers_view(self):
-        a = scalar(X**2)
-        plain = nth_products(a, ONE1)
-        divided = nth_products_divided(a, ONE1)
-        fact = 1
-        for k, (p, q) in enumerate(zip(plain, divided)):
-            if k:
-                fact *= k
-            assert q == p.scale(fact)
+        assert lambda_product(CendElem.zero(1), scalar(X)).coefficients == ()
 
 
 class TestLieBracket:
@@ -111,12 +101,8 @@ class TestLieBracket:
         rng = random.Random(14)
         n = 2
         for _ in range(6):
-            a = CendElem.from_constant_matrix(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            )
-            b = CendElem.from_constant_matrix(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            )
+            a = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+            b = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
             series = lie_bracket(a, b)
             assert series.coeff(0) == a @ b - b @ a
             assert series.coeff(1).is_zero()
@@ -130,15 +116,16 @@ class TestLieBracket:
 
 class TestModuleAction:
     def test_identity_on_one(self):
-        out = module_action(ONE1, PolyMat.identity(1), 0, modvec([1]))
+        out = split_action(standard_action(PolyMat.identity(1), 0), ONE1, modvec([1]))
         assert out == {0: modvec([1])}
 
     def test_defining_matrix_shift(self):
-        out = module_action(ONE1, P_X, 0, modvec([1]))
+        out = split_action(standard_action(P_X, 0), ONE1, modvec([1]))
         assert out == {0: modvec([UPoly((0, 1), "d")]), 1: modvec([1])}
 
     def test_x_on_d(self):
-        out = module_action(scalar(X), PolyMat.identity(1), 0, modvec([UPoly((0, 1), "d")]))
+        act = standard_action(PolyMat.identity(1), 0)
+        out = split_action(act, scalar(X), modvec([UPoly((0, 1), "d")]))
         # (l+d)^2 = d^2 + 2 l d + l^2
         assert out == {
             0: modvec([UPoly((0, 0, 1), "d")]),
@@ -147,49 +134,12 @@ class TestModuleAction:
         }
 
     def test_alpha_twist(self):
-        out = module_action(ONE1, P_X, Fraction(1, 2), modvec([1]))
+        out = split_action(standard_action(P_X, Fraction(1, 2)), ONE1, modvec([1]))
         # P evaluated at l + d + 1/2
         assert out == {
             0: modvec([UPoly((Fraction(1, 2), 1), "d")]),
             1: modvec([1]),
         }
-
-
-class TestConjugate:
-    def test_identity_spec(self):
-        rng = random.Random(15)
-        a = random_cend(rng, 2, 2)
-        spec = AutoSpec(PolyMat.identity(2), Fraction(0))
-        assert conjugate(a, spec) == a
-
-    def test_pure_shift(self):
-        spec = AutoSpec(PolyMat.identity(1), Fraction(1))
-        assert conjugate(scalar(X), spec) == scalar(X + 1)
-
-    def test_matrix_sandwich(self):
-        c = PolyMat([[UPoly.const(1), UPoly.variable()], [UPoly.zero(), UPoly.const(1)]])
-        spec = AutoSpec(c, Fraction(0))
-        e11 = CendElem.matrix_unit(2, 0, 0)
-        # c(d+x) @ E11 @ c(x)^{-1} computed by hand
-        expected = CendElem(
-            [
-                [MPoly.const(1), -X],
-                [MPoly.zero(), MPoly.zero()],
-            ]
-        )
-        assert conjugate(e11, spec) == expected
-
-    def test_multiplicative_on_series(self):
-        rng = random.Random(16)
-        for _ in range(4):
-            a = random_cend(rng, 2, 1)
-            b = random_cend(rng, 2, 1)
-            from confalg.sampling import random_unimodular
-
-            spec = AutoSpec(random_unimodular(rng, 2), Fraction(rng.randint(-2, 2)))
-            lhs = lambda_product(a, b).map_coefficients(lambda c: conjugate(c, spec))
-            rhs = lambda_product(conjugate(a, spec), conjugate(b, spec))
-            assert lhs.to_raw() == rhs.to_raw()
 
 
 class TestAntiInvolution:
@@ -251,7 +201,7 @@ class TestAxiomVerifiers:
         for _ in range(5):
             a = random_cend(rng, 1, 2)
             b = random_cend(rng, 1, 2)
-            lhs = product_apply(a.d_mult().entries, b.entries, "l")
+            lhs = product_apply(a.scale(D).entries, b.entries, "l")
             rhs = product_apply(a.entries, b.entries, "l")
             assert tuple(
                 tuple(p + q * L for p, q in zip(r1, r2)) for r1, r2 in zip(lhs, rhs)
@@ -322,7 +272,7 @@ class TestAxiomVerifiers:
 
 class TestDualAction:
     def test_identity(self):
-        out = dual_action(CendElem.identity(2), modvec([UPoly((0, 1), "d"), 0]))
+        out = split_action(dual_action_raw, CendElem.identity(2), modvec([UPoly((0, 1), "d"), 0]))
         # -v(l+d) with v = d e1
         assert out == {
             0: modvec([UPoly((0, -1), "d"), 0]),
@@ -331,7 +281,7 @@ class TestDualAction:
 
     def test_x_matrix_unit(self):
         a = CendElem.matrix_unit(2, 0, 1, X)
-        out = dual_action(a, modvec([1, 0]))
+        out = split_action(dual_action_raw, a, modvec([1, 0]))
         assert out == {0: modvec([0, UPoly((0, 1), "d")])}
 
     def test_lie_module_axioms(self):
@@ -346,39 +296,6 @@ class TestDualAction:
         ]
         report = verify_module_axioms(dual_action_raw, samples, p_mat=None, lie=True)
         assert report.ok, report.failures
-
-
-class TestCurAndHomomorphism:
-    def test_cur_generators(self):
-        gens = cur_n(2)
-        assert len(gens) == 4
-        assert all(not g.uses_x() for g in gens)
-        assert gens[0] == CendElem.matrix_unit(2, 0, 0)
-
-    def test_factorized_image(self):
-        r = P_X
-        s = P_X
-        p2 = PolyMat([[UPoly((0, 0, 1))]])
-        img = homomorphism_image(ONE1, r, s, 0, p_mat=p2)
-        assert img == scalar((D + X) * X)
-
-    def test_factorization_mismatch(self):
-        with pytest.raises(ValueError):
-            homomorphism_image(ONE1, P_X, P_X, 0, p_mat=PolyMat([[UPoly((0, 1))]]))
-
-    def test_homomorphism_property(self):
-        rng = random.Random(24)
-        p2 = PolyMat([[UPoly((0, 0, 1))]])
-        for _ in range(5):
-            a = random_cend(rng, 1, 2)
-            b = random_cend(rng, 1, 2)
-            lhs = LambdaSeries.from_raw(
-                product_apply(a.entries, b.entries, "l", p2)
-            ).map_coefficients(lambda c: homomorphism_image(c, P_X, P_X, 0))
-            rhs = lambda_product(
-                homomorphism_image(a, P_X, P_X, 0), homomorphism_image(b, P_X, P_X, 0)
-            )
-            assert lhs.to_raw() == rhs.to_raw()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg import cend1, poly
-from confalg.cend import CendElem, _vec_series, nth_products, product_apply, standard_action
+from confalg.cend import CendElem, _vec_series, lambda_product, product_apply, standard_action
 from confalg.cend1 import (
     CPARTIAL,
     FULL,
@@ -407,12 +407,12 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
         offered = []
         for a in current:
             for b in current:
-                for coeff in nth_products(a, b):
+                for _, coeff in lambda_product(a, b).coefficients:
                     if coeff.is_zero():
                         continue
                     if coeff.uses_x():
                         return "cend_n", len(span)
-                    if coeff.d_degree() <= degree_cap:
+                    if max(e.degree("d") for row in coeff.entries for e in row) <= degree_cap:
                         offered.append(to_row(coeff))
         grown = hermite_form([*span, *offered], n * n)
         if grown == span:

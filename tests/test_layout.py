@@ -1,0 +1,83 @@
+"""Layout guards over the source tree.
+
+Every public top-level function or class in ``src/confalg`` must be named by
+something that needs it: another library module, the acceptance suite or the
+benchmark.  A name that only its own unit tests and the package re-exports
+reach serves no verb and no acceptance criterion.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "confalg"
+
+# Kept although only unit tests reach them, each for the reason given.
+KEPT_FOR_TESTS = {
+    "cend.dual_action_raw": "a second module action for verify_module_axioms",
+    "poly.upoly_from_mpoly": "the reference that the poly and jsonio tests compare against",
+    "sampling.random_upoly": "a sampler beside those the acceptance suite imports",
+}
+
+# a string such as "cend1.closure" or "MPoly.__mul__" names each dotted part
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _public_defs(tree: ast.Module) -> list[ast.AST]:
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier that ``node`` names, leaving out the subtree ``skip``."""
+    out: set[str] = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            out.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            out.add(cur.attr)
+        elif isinstance(cur, ast.alias):
+            out.add(cur.name.rsplit(".", 1)[-1])
+        elif isinstance(cur, ast.Constant) and isinstance(cur.value, str):
+            if _DOTTED.fullmatch(cur.value):
+                out.update(cur.value.split("."))
+        stack.extend(ast.iter_child_nodes(cur))
+    return out
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_public_name_has_a_caller():
+    modules = {p: _parse(p) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    named_outside: set[str] = set()
+    for path in outside:
+        named_outside |= _names(_parse(path))
+    unreached = []
+    for path, tree in modules.items():
+        for node in _public_defs(tree):
+            if node.name in named_outside:
+                continue
+            if any(
+                node.name in _names(other, skip=node)
+                for other in modules.values()
+            ):
+                continue
+            unreached.append(f"{path.stem}.{node.name}")
+    extra = sorted(set(unreached) - KEPT_FOR_TESTS.keys())
+    assert not extra, f"public names nothing reaches: {extra}"
+    stale = sorted(KEPT_FOR_TESTS.keys() - set(unreached))
+    assert not stale, f"reached names need no exemption: {stale}"

@@ -1,4 +1,4 @@
-"""Polynomial matrices: determinants, Smith/Hermite certificates, congruence."""
+"""Polynomial matrices: determinants, Smith/Hermite certificates, star."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from confalg.polymat import (
     PolyMat,
     adjugate,
     adjugate_and_det,
-    congruence_verify,
     det,
     hermite_left_generator,
     inverse_unimodular,
@@ -276,52 +275,6 @@ class TestStar:
         alpha = Fraction(1, 2)
         assert star(a @ b, alpha) == star(b, alpha) @ star(a, alpha)
         assert star(a, alpha) + star(b, alpha) == star(a + b, alpha)
-
-
-class TestCongruence:
-    def test_identity_transform(self):
-        rng = random.Random(8)
-        a = random_polymat(rng, 2, 2)
-        assert congruence_verify(a, PolyMat.identity(2), 0) == a
-
-    def test_skew_block_normalization(self):
-        a = PolyMat([[ZERO, ONE], [-ONE, XX * 2]])
-        c = PolyMat([[ONE, XX], [ZERO, ONE]])
-        target = PolyMat([[ZERO, ONE], [-ONE, ZERO]])
-        assert congruence_verify(a, c, 0) == target
-
-    def test_scaling(self):
-        rng = random.Random(81)
-        a = random_polymat(rng, 2, 1)
-        c = PolyMat.identity(2).scale(2)
-        assert congruence_verify(a, c, 0) == a.scale(4)
-
-    def test_rejects_non_unimodular(self):
-        a = PolyMat.identity(2)
-        with pytest.raises(ValueError):
-            congruence_verify(a, PolyMat.diagonal([XX, ONE]), 0)
-
-    def test_preserves_skew_symmetry(self):
-        a = PolyMat([[ZERO, ONE], [-ONE, XX * 2]])
-        assert star(a, 0) == a.scale(-1)
-        rng = random.Random(82)
-        for _ in range(5):
-            c = random_unimodular(rng, 2)
-            out = congruence_verify(a, c, 0)
-            assert star(out, 0) == out.scale(-1)
-
-
-class TestStarForm:
-    def test_claim_is_checked_not_assumed(self):
-        from confalg.polymat import StarForm
-
-        skew = PolyMat([[ZERO, ONE], [-ONE, XX * 2]])
-        assert StarForm(skew, Fraction(0), -1).holds()
-        assert not StarForm(skew, Fraction(0), 1).holds()
-        hermitian = PolyMat([[ZERO, XX], [-XX, ZERO]])
-        assert StarForm(hermitian, Fraction(0), 1).holds()
-        assert not StarForm(hermitian, Fraction(1), 1).holds()
-        assert not StarForm(hermitian, Fraction(0), 2).holds()
 
 
 class TestSmithDivisibilityFix:

@@ -27,7 +27,6 @@ from confalg.structure import (
     MismatchError,
     anti_automorphism_exists,
     anti_involution_search,
-    antiinv_conjugacy_verify,
     build_extension,
     decide_isomorphism,
     embedded_standard_witness,
@@ -468,25 +467,6 @@ def solution_basis(p: PolyMat, alpha: Fraction, eps: int, cap: int) -> list[Poly
 
 def degree(y: PolyMat) -> int:
     return max(e.degree() for row in y.rows for e in row)
-
-
-class TestConjugacyVerify:
-    def test_same_spec_identity_witness(self):
-        spec = AntiInvSpec(P_X, P_1, -1, Fraction(0))
-        assert antiinv_conjugacy_verify(spec, spec, P_1)
-
-    def test_epsilon_mismatch(self):
-        p = PolyMat.identity(2)
-        skew = PolyMat([[UPoly.zero(), ONE], [-ONE, UPoly.zero()]])
-        spec1 = AntiInvSpec(p, PolyMat.identity(2), 1, Fraction(0))
-        spec2 = AntiInvSpec(p, skew, -1, Fraction(0))
-        assert not antiinv_conjugacy_verify(spec1, spec2, PolyMat.identity(2))
-
-    def test_scaled_witness(self):
-        spec1 = AntiInvSpec(P_X, P_1, -1, Fraction(0))
-        spec2 = AntiInvSpec(P_X, PolyMat([[UPoly.const(4)]]), -1, Fraction(0))
-        witness = PolyMat([[UPoly.const(2)]])
-        assert antiinv_conjugacy_verify(spec1, spec2, witness)
 
 
 class TestExtensions:
