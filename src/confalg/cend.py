@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import (
@@ -254,12 +255,6 @@ class LambdaSeries:
         )
         return LambdaSeries(n, coeffs)
 
-    def coeff(self, l_power: int, m_power: int = 0) -> CendElem:
-        for key, val in self.coefficients:
-            if key == (l_power, m_power):
-                return val
-        return CendElem.zero(self.n)
-
     def map_coefficients(self, fn: Callable[[CendElem], CendElem]) -> LambdaSeries:
         return LambdaSeries(
             self.n, tuple((key, fn(val)) for key, val in self.coefficients)
@@ -299,7 +294,7 @@ def _param(var: str | MPoly) -> MPoly:
 # The product and the bracket are sums of two-factor matrix products.  Each
 # operand's substituted factors are built once by ``left_factors`` (the acting
 # element g) and ``right_factors`` (the element x acted on) and can be reused
-# across calls; ``bracket_of`` combines them in one matrix product.
+# across calls; ``bracket_of`` combines them in one stacked product.
 
 Factors = tuple[RawMat, RawMat]
 
@@ -334,12 +329,35 @@ def right_factors(x_raw: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) 
     return product_tail(x_raw, p), back
 
 
+def _beside(mats: Sequence[RawMat]) -> RawMat:
+    """The matrices side by side: [m_1 | m_2 | ...]."""
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+
+
+def _above(mats: Sequence[RawMat]) -> RawMat:
+    """The matrices stacked: [m_1 ; m_2 ; ...]."""
+    return tuple(chain.from_iterable(mats))
+
+
+def stacked_product(pairs: Sequence[tuple[RawMat, RawMat]]) -> RawMat:
+    """The sum of a * b over the pairs, as one product [a_1 | a_2 | ...] [b_1 ; b_2 ; ...].
+
+    Every a has the rows of a_1 and every b the columns of b_1.  An identity
+    whose two sides are such sums is checked by one stacked product of left
+    minus right: the terms cancel inside one accumulation.
+    """
+    lefts, rights = zip(*pairs)
+    rows, width = len(lefts[0]), _width(lefts[0], rights[0])
+    for a, b in pairs[1:]:
+        if len(a) != rows or _width(a, b) != width:
+            raise ValueError("size mismatch")
+    return mpoly_matmul(_beside(lefts), _above(rights))
+
+
 def bracket_of(left: Factors, right: Factors) -> RawMat:
-    """head * tail + back_x * back_g, as one product [head | back_x] [tail ; back_g]."""
+    """head * tail + back_x * back_g, as one stacked product."""
     (head, back_g), (tail, back_x) = left, right
-    if len(head) != len(back_x) or _width(head, tail) != _width(back_x, back_g):
-        raise ValueError("size mismatch")
-    return mpoly_matmul([(*h, *x) for h, x in zip(head, back_x)], (*tail, *back_g))
+    return stacked_product(((head, tail), (back_x, back_g)))
 
 
 def product_apply(
@@ -378,8 +396,11 @@ def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
 # ---------------------------------------------------------------------------
 
 # An action is staged: (a-part, parameter name) -> (vector -> vector).  The
-# first stage builds the element's matrix once; the second applies it to
-# vectors of polynomials in d (and the parameters).
+# name is l or m, read by ``_param``.  The first stage builds the element's
+# matrix once; the second applies it to vectors of polynomials in d (and the
+# parameters).  A composite acts at m, and m -> l + m is substituted into the
+# resulting vector: that costs less than acting at l + m, whose substitution
+# expands powers of a trinomial in every entry of the element's matrix.
 VecMap = Callable[[RawVec], RawVec]
 ActionClosure = Callable[[RawMat, str], VecMap]
 
@@ -405,13 +426,6 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
         return head_action(raw_mul(raw_subst(a_part, bindings), raw_subst(p_raw, bindings)), p)
 
     return act
-
-
-def dual_action_raw(a_part: RawMat, param: str) -> VecMap:
-    """The contragredient action as a staged action closure."""
-    p = _param(param)
-    head = raw_subst(raw_transpose(a_part), {"d": -p, "x": -_D})
-    return head_action(raw_neg(head), p)
 
 
 def _vec_series(raw: RawVec) -> dict[int, ModVec]:
@@ -481,6 +495,29 @@ class AxiomReport:
         return self.ok
 
 
+# Each identity is checked as one cancelling product: its left side minus its
+# right side is summed in one matrix product and tested for zero.  Every side
+# is bilinear in the factors, so a sesquilinearity check is one product of a
+# factor difference, and a sum of products or brackets is one stacked product.
+
+
+def _plus_scaled(f: Factors, g: Factors, c: MPoly) -> Factors:
+    """Factor by factor, f + c * g."""
+    return raw_add(f[0], raw_scale(g[0], c)), raw_add(f[1], raw_scale(g[1], c))
+
+
+def _bracket_sum(*terms: tuple[Factors, Factors]) -> RawMat:
+    """The sum of the brackets of (left, right) factor pairs, as one bracket.
+
+    The bracket is bilinear, so it is one ``bracket_of`` with the heads and
+    the back_x factors side by side and the tails and back_g factors stacked.
+    """
+    lefts, rights = zip(*terms)
+    heads, back_gs = zip(*lefts)
+    tails, back_xs = zip(*rights)
+    return bracket_of((_beside(heads), _above(back_gs)), (_above(tails), _beside(back_xs)))
+
+
 def verify_assoc_axioms(
     samples: Iterable[tuple[CendElem, CendElem, CendElem]],
 ) -> AxiomReport:
@@ -492,13 +529,20 @@ def verify_assoc_axioms(
         ar, br, cr = a.entries, b.entries, c.entries
         head_a = product_head(ar, _L)
         tail_b = product_tail(br, _L)
-        prod_ab = raw_mul(head_a, tail_b)
-        if raw_mul(product_head(raw_scale(ar, _D), _L), tail_b) != raw_scale(prod_ab, -_L):
+        # (da)_l b + l a_l b
+        head_diff = raw_add(product_head(raw_scale(ar, _D), _L), raw_scale(head_a, _L))
+        if not raw_is_zero(raw_mul(head_diff, tail_b)):
             failures.append(f"sample {idx}: sesquilinearity fails in the left slot")
-        if raw_mul(head_a, product_tail(raw_scale(br, _D), _L)) != raw_scale(prod_ab, _L + _D):
+        # a_l (db) - (l + d) a_l b
+        tail_diff = raw_sub(product_tail(raw_scale(br, _D), _L), raw_scale(tail_b, _L + _D))
+        if not raw_is_zero(raw_mul(head_a, tail_diff)):
             failures.append(f"sample {idx}: sesquilinearity fails in the right slot")
-        lhs = raw_mul(head_a, product_tail(product_apply(br, cr, _M), _L))
-        if lhs != product_apply(prod_ab, cr, _L + _M):
+        # a_l (b_m c) - (a_l b)_{l+m} c, the second product taken with -c
+        cancel = stacked_product((
+            (head_a, product_tail(product_apply(br, cr, _M), _L)),
+            (product_head(raw_mul(head_a, tail_b), _L + _M), product_tail(raw_neg(cr), _L + _M)),
+        ))
+        if not raw_is_zero(cancel):
             failures.append(f"sample {idx}: associativity fails")
     return AxiomReport(not failures, count, tuple(failures))
 
@@ -512,21 +556,30 @@ def verify_lie_axioms(
     for idx, (a, b, c) in enumerate(samples):
         count += 1
         ar, br, cr = a.entries, b.entries, c.entries
+        neg_c = raw_neg(cr)
         left_a = left_factors(ar, _L)  # a_l acting, in four of the brackets
         left_b = left_factors(br, _M)  # b_m acting, in three
         right_b = right_factors(br, _L)
         br_ab = bracket_of(left_a, right_b)
-        if bracket_of(left_factors(raw_scale(ar, _D), _L), right_b) != raw_scale(br_ab, -_L):
+        # [(da)_l b] + l [a_l b]
+        left_diff = _plus_scaled(left_factors(raw_scale(ar, _D), _L), left_a, _L)
+        if not raw_is_zero(bracket_of(left_diff, right_b)):
             failures.append(f"sample {idx}: bracket sesquilinearity fails (left)")
-        if bracket_of(left_a, right_factors(raw_scale(br, _D), _L)) != raw_scale(br_ab, _L + _D):
+        # [a_l (db)] - (l + d) [a_l b]
+        right_diff = _plus_scaled(right_factors(raw_scale(br, _D), _L), right_b, -_L - _D)
+        if not raw_is_zero(bracket_of(left_a, right_diff)):
             failures.append(f"sample {idx}: bracket sesquilinearity fails (right)")
         flipped = bracket_of(left_b, right_factors(ar, _M))
         if br_ab != raw_neg(raw_subst(flipped, {"m": -_D - _L})):
             failures.append(f"sample {idx}: skew-symmetry fails")
-        lhs = bracket_of(left_a, right_factors(bracket_of(left_b, right_factors(cr, _M)), _L))
-        term1 = bracket_apply(br_ab, cr, _L + _M)
-        term2 = bracket_of(left_b, right_factors(bracket_of(left_a, right_factors(cr, _L)), _M))
-        if lhs != raw_add(term1, term2):
+        # [a_l [b_m c]] - [[a_l b]_{l+m} c] - [b_m [a_l c]], the last two
+        # brackets taken with -c
+        cancel = _bracket_sum(
+            (left_a, right_factors(bracket_of(left_b, right_factors(cr, _M)), _L)),
+            (left_factors(br_ab, _L + _M), right_factors(neg_c, _L + _M)),
+            (left_b, right_factors(bracket_of(left_a, right_factors(neg_c, _L)), _M)),
+        )
+        if not raw_is_zero(cancel):
             failures.append(f"sample {idx}: Jacobi identity fails")
     return AxiomReport(not failures, count, tuple(failures))
 

@@ -6,19 +6,22 @@ import random
 from fractions import Fraction
 
 from .cend import CendElem
-from .poly import MPoly, UPoly
+from .poly import _SHIFTS, MPoly, UPoly, _make
 from .polymat import PolyMat
+
+# the samplers write integer numerators under packed exponent keys directly
+_D_SHIFT, _X_SHIFT = _SHIFTS[:2]
 
 
 def random_mpoly_dx(rng: random.Random, degree: int) -> MPoly:
     """Random polynomial in d, x with total degree <= degree, coefficients in -2..2."""
-    terms = {}
+    num = {}
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
             c = rng.randint(-2, 2)
             if c:
-                terms[(i, j, 0, 0)] = Fraction(c)
-    return MPoly(terms)
+                num[i << _D_SHIFT | j << _X_SHIFT] = c
+    return _make(num, 1)
 
 
 def random_cend(rng: random.Random, n: int, degree: int) -> CendElem:
@@ -78,10 +81,10 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 4) -> PolyMat:
 def random_modvec_raw(rng: random.Random, n: int, degree: int) -> tuple[MPoly, ...]:
     out = []
     for _ in range(n):
-        terms = {}
+        num = {}
         for k in range(degree + 1):
             c = rng.randint(-2, 2)
             if c:
-                terms[(k, 0, 0, 0)] = Fraction(c)
-        out.append(MPoly(terms))
+                num[k << _D_SHIFT] = c
+        out.append(_make(num, 1))
     return tuple(out)

@@ -21,6 +21,7 @@ from .cend import (
     RawMat,
     RawVec,
     VecMap,
+    _param,
     head_action,
     raw_mat_vec,
     raw_mul,
@@ -368,7 +369,7 @@ class ExtensionModule:
     """A module built from a factorization or a Jordan-block twist.
 
     ``action`` follows the verifier contract, in two stages: (a-part,
-    parameter name) -> (vector of polynomials in d -> vector).  The first
+    parameter name l or m) -> (vector of polynomials in d -> vector).  The first
     stage builds the element's matrix once, so one element acts on many
     vectors at the cost of a matrix-vector product each.  For the
     factorization kind the vector length is N; for the Jordan kind it is 2N
@@ -410,7 +411,7 @@ def build_extension(
         a_const = MPoly.const(alpha)
 
         def act(a_part: RawMat, param: str) -> VecMap:
-            p = MPoly.var(param)
+            p = _param(param)
             head = raw_subst(a_part, {"d": -p, "x": p + _D + a_const})
             r_shift = raw_subst(r_raw, {"x": p + _D})
             return head_action(raw_mul(raw_mul(s_in_d, head), r_shift), p)
@@ -423,7 +424,7 @@ def build_extension(
         n = p_mat.n
 
         def act_jordan(a_part: RawMat, param: str) -> VecMap:
-            p = MPoly.var(param)
+            p = _param(param)
             full = raw_mul(a_part, p_raw)
             bindings = {"d": -p, "x": p + _D + g_const}
             head0 = raw_subst(full, bindings)

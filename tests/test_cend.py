@@ -12,20 +12,25 @@ from hypothesis import strategies as st
 import confalg.cend as cend
 from confalg.cend import (
     AntiInvSpec,
+    AxiomReport,
     CendElem,
     LambdaSeries,
     apply_antiinv,
     bracket_apply,
     bracket_of,
-    dual_action_raw,
+    head_action,
     lambda_product,
     lie_bracket,
     modvec,
     left_factors,
     product_apply,
+    raw_add,
     raw_mat_vec,
     raw_mul,
+    raw_neg,
+    raw_scale,
     raw_subst,
+    raw_transpose,
     raw_vec_subst,
     right_factors,
     standard_action,
@@ -56,16 +61,29 @@ def split_action(act, a: CendElem, vec) -> dict:
     return cend._vec_series(act(a.entries, "l")(tuple(v.to_mpoly("d") for v in vec)))
 
 
+def coeff(series: LambdaSeries, l_power: int, m_power: int = 0) -> CendElem:
+    """The coefficient of l^l_power m^m_power in ``series``, zero when absent."""
+    return dict(series.coefficients).get((l_power, m_power), CendElem.zero(series.n))
+
+
+def dual_action_raw(a_part, param):
+    """The contragredient action as a staged action closure, parameter name
+    l or m: v -> -a^t(-p, -d) v(p + d)."""
+    p = cend._param(param)
+    head = raw_subst(raw_transpose(a_part), {"d": -p, "x": -D})
+    return head_action(raw_neg(head), p)
+
+
 class TestLambdaProduct:
     def test_constant_times_x(self):
         series = lambda_product(ONE1, scalar(X))
-        assert series.coeff(0) == scalar(X)
-        assert series.coeff(1).is_zero()
+        assert coeff(series, 0) == scalar(X)
+        assert coeff(series, 1).is_zero()
 
     def test_x_times_constant(self):
         series = lambda_product(scalar(X), ONE1)
-        assert series.coeff(0) == scalar(X + D)
-        assert series.coeff(1) == ONE1
+        assert coeff(series, 0) == scalar(X + D)
+        assert coeff(series, 1) == ONE1
 
     def test_p_times_p_equals_shifted_product(self):
         p = X**2
@@ -104,8 +122,8 @@ class TestLieBracket:
             a = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
             b = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
             series = lie_bracket(a, b)
-            assert series.coeff(0) == a @ b - b @ a
-            assert series.coeff(1).is_zero()
+            assert coeff(series, 0) == a @ b - b @ a
+            assert coeff(series, 1).is_zero()
 
     def test_degree_one_self_bracket(self):
         a = scalar(X * 2 + D)
@@ -182,6 +200,52 @@ class TestAntiInvolution:
             assert lhs.to_raw() == rhs_raw
 
 
+# ---------------------------------------------------------------------------
+# Faults injected into the kernel, each of which some verifier must catch
+# ---------------------------------------------------------------------------
+
+
+def wrong_head(g, nu, p_mat=None):
+    """A head built with d -> p instead of d -> -p, and without P."""
+    p = cend._param(nu)
+    return raw_subst(g, {"d": p, "x": X + p + D})
+
+
+def product_term_only(left, right):
+    """The bracket reduced to its product term."""
+    return raw_mul(left[0], right[0])
+
+
+def carries_lm(raw) -> bool:
+    return any(e.uses("l") or e.uses("m") for row in raw for e in row)
+
+
+_right_factors = cend.right_factors
+_product_tail = cend.product_tail
+
+
+def right_factors_doubled_on_lm(x_raw, nu, p_mat=None):
+    """Right factors whose tail is doubled when the operand carries l or m."""
+    tail, back = _right_factors(x_raw, nu, p_mat)
+    return (raw_scale(tail, 2) if carries_lm(x_raw) else tail), back
+
+
+def product_tail_doubled_on_lm(x_raw, nu):
+    """A product tail doubled when the operand carries l or m."""
+    tail = _product_tail(x_raw, nu)
+    return raw_scale(tail, 2) if carries_lm(x_raw) else tail
+
+
+# each entry: the kernel functions that the fault replaces
+KERNEL_FAULTS = {
+    "none": {},
+    "wrong_head": {"product_head": wrong_head},
+    "product_term_only": {"bracket_of": product_term_only},
+    "right_factors_doubled_on_lm": {"right_factors": right_factors_doubled_on_lm},
+    "product_tail_doubled_on_lm": {"product_tail": product_tail_doubled_on_lm},
+}
+
+
 class TestAxiomVerifiers:
     def test_assoc_axioms_hold(self):
         rng = random.Random(18)
@@ -246,13 +310,7 @@ class TestAxiomVerifiers:
         report = verify_module_axioms(broken, samples, p_mat=p_mat)
         assert not report.ok
 
-
     def test_assoc_verifier_catches_wrong_head(self, monkeypatch):
-        # a head built with d -> p instead of d -> -p
-        def wrong_head(g, nu, p_mat=None):
-            p = cend._param(nu)
-            return raw_subst(g, {"d": p, "x": X + p + D})
-
         monkeypatch.setattr(cend, "product_head", wrong_head)
         rng = random.Random(18)
         samples = [(random_cend(rng, 2, 2), random_cend(rng, 2, 2), random_cend(rng, 2, 2))]
@@ -261,13 +319,31 @@ class TestAxiomVerifiers:
         assert "sample 0: sesquilinearity fails in the left slot" in report.failures
 
     def test_lie_verifier_catches_bracket_without_back_term(self, monkeypatch):
-        # the bracket reduced to its product term
-        monkeypatch.setattr(cend, "bracket_of", lambda left, right: raw_mul(left[0], right[0]))
+        monkeypatch.setattr(cend, "bracket_of", product_term_only)
         rng = random.Random(19)
         samples = [(random_cend(rng, 2, 2), random_cend(rng, 2, 2), random_cend(rng, 2, 2))]
         report = verify_lie_axioms(samples)
         assert not report.ok and report.checked == 1
         assert "sample 0: skew-symmetry fails" in report.failures
+
+    # Each fault below changes only operands that carry l or m.  Only the
+    # nested operands of one fused identity do, so that identity alone fails.
+
+    def test_lie_verifier_catches_right_factors_wrong_on_parameters(self, monkeypatch):
+        monkeypatch.setattr(cend, "right_factors", right_factors_doubled_on_lm)
+        rng = random.Random(20)
+        samples = [tuple(random_cend(rng, 2, 2) for _ in range(3)) for _ in range(2)]
+        assert verify_lie_axioms(samples) == AxiomReport(
+            False, 2, ("sample 0: Jacobi identity fails", "sample 1: Jacobi identity fails")
+        )
+
+    def test_assoc_verifier_catches_product_tail_wrong_on_parameters(self, monkeypatch):
+        monkeypatch.setattr(cend, "product_tail", product_tail_doubled_on_lm)
+        rng = random.Random(18)
+        samples = [tuple(random_cend(rng, 2, 2) for _ in range(3)) for _ in range(2)]
+        assert verify_assoc_axioms(samples) == AxiomReport(
+            False, 2, ("sample 0: associativity fails", "sample 1: associativity fails")
+        )
 
 
 class TestDualAction:
@@ -296,6 +372,70 @@ class TestDualAction:
         ]
         report = verify_module_axioms(dual_action_raw, samples, p_mat=None, lie=True)
         assert report.ok, report.failures
+
+
+# ---------------------------------------------------------------------------
+# The cancelling verifiers against compare-both-sides references
+# ---------------------------------------------------------------------------
+
+# Each reference builds both sides of an identity and compares them.  It
+# reaches the kernel through the module, so an injected fault reaches it too.
+
+
+def ref_verify_assoc(samples) -> AxiomReport:
+    failures = []
+    for idx, (a, b, c) in enumerate(samples):
+        ar, br, cr = a.entries, b.entries, c.entries
+        head_a = cend.product_head(ar, L)
+        tail_b = cend.product_tail(br, L)
+        prod_ab = raw_mul(head_a, tail_b)
+        if raw_mul(cend.product_head(raw_scale(ar, D), L), tail_b) != raw_scale(prod_ab, -L):
+            failures.append(f"sample {idx}: sesquilinearity fails in the left slot")
+        if raw_mul(head_a, cend.product_tail(raw_scale(br, D), L)) != raw_scale(prod_ab, L + D):
+            failures.append(f"sample {idx}: sesquilinearity fails in the right slot")
+        lhs = raw_mul(head_a, cend.product_tail(cend.product_apply(br, cr, M), L))
+        if lhs != cend.product_apply(prod_ab, cr, L + M):
+            failures.append(f"sample {idx}: associativity fails")
+    return AxiomReport(not failures, len(samples), tuple(failures))
+
+
+def ref_verify_lie(samples) -> AxiomReport:
+    bracket, left, right = cend.bracket_of, cend.left_factors, cend.right_factors
+    failures = []
+    for idx, (a, b, c) in enumerate(samples):
+        ar, br, cr = a.entries, b.entries, c.entries
+        left_a = left(ar, L)
+        left_b = left(br, M)
+        right_b = right(br, L)
+        br_ab = bracket(left_a, right_b)
+        if bracket(left(raw_scale(ar, D), L), right_b) != raw_scale(br_ab, -L):
+            failures.append(f"sample {idx}: bracket sesquilinearity fails (left)")
+        if bracket(left_a, right(raw_scale(br, D), L)) != raw_scale(br_ab, L + D):
+            failures.append(f"sample {idx}: bracket sesquilinearity fails (right)")
+        flipped = bracket(left_b, right(ar, M))
+        if br_ab != raw_neg(raw_subst(flipped, {"m": -D - L})):
+            failures.append(f"sample {idx}: skew-symmetry fails")
+        lhs = bracket(left_a, right(bracket(left_b, right(cr, M)), L))
+        term1 = cend.bracket_apply(br_ab, cr, L + M)
+        term2 = bracket(left_b, right(bracket(left_a, right(cr, L)), M))
+        if lhs != raw_add(term1, term2):
+            failures.append(f"sample {idx}: Jacobi identity fails")
+    return AxiomReport(not failures, len(samples), tuple(failures))
+
+
+class TestCancellingVerifiers:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reports_match_the_reference(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        for n in (1, 2, 3):
+            for degree in (0, 1, 2):
+                triples = [tuple(random_cend(rng, n, degree) for _ in range(3)) for _ in range(2)]
+                for fault in KERNEL_FAULTS.values():
+                    with monkeypatch.context() as patch:
+                        for name, fn in fault.items():
+                            patch.setattr(cend, name, fn)
+                        assert verify_assoc_axioms(triples) == ref_verify_assoc(triples)
+                        assert verify_lie_axioms(triples) == ref_verify_lie(triples)
 
 
 # ---------------------------------------------------------------------------

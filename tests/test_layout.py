@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "confalg"
 
 # Kept although only unit tests reach them, each for the reason given.
 KEPT_FOR_TESTS = {
-    "cend.dual_action_raw": "a second module action for verify_module_axioms",
     "poly.upoly_from_mpoly": "the reference that the poly and jsonio tests compare against",
     "sampling.random_upoly": "a sampler beside those the acceptance suite imports",
 }
