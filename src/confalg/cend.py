@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import (
@@ -85,9 +85,9 @@ def raw_mul(a: RawMat, b: RawMat) -> RawMat:
 
 
 def raw_subst(a: RawMat, bindings: Mapping[str, MPoly | RatLike]) -> RawMat:
-    """Substitute into every entry; the power tables are built once."""
-    sub = substituter(bindings)
-    return tuple(tuple(map(sub, row)) for row in a)
+    """Substitute into every entry, in one pass over the matrix."""
+    entries = iter(substituter(bindings).apply(list(chain.from_iterable(a))))
+    return tuple(tuple(islice(entries, len(row))) for row in a)
 
 
 def raw_transpose(a: RawMat) -> RawMat:
@@ -100,7 +100,7 @@ def raw_is_zero(a: RawMat) -> bool:
 
 
 def raw_vec_subst(v: RawVec, bindings: Mapping[str, MPoly | RatLike]) -> RawVec:
-    return tuple(map(substituter(bindings), v))
+    return tuple(substituter(bindings).apply(v))
 
 
 def raw_mat_vec(a: RawMat, v: RawVec) -> RawVec:
@@ -407,8 +407,8 @@ ActionClosure = Callable[[RawMat, str], VecMap]
 
 def head_action(head: RawMat, p: MPoly) -> VecMap:
     """v -> head * v(p + d)."""
-    shift = substituter({"d": p + _D})
-    return lambda vec: raw_mat_vec(head, tuple(map(shift, vec)))
+    shift = substituter({"d": p + _D}).apply
+    return lambda vec: raw_mat_vec(head, shift(vec))
 
 
 def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:

@@ -18,12 +18,12 @@ Two layers live here:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 VARS: tuple[str, ...] = ("d", "x", "l", "m")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -323,82 +323,142 @@ class MPoly:
         return f"MPoly({format_poly(self)!r})"
 
 
-def substituter(bindings: Mapping[str, MPoly | RatLike]) -> Callable[[MPoly], MPoly]:
+# The number of substitutions ``substituter`` keeps for the whole process,
+# least recently used dropped first.  A dropped one is only built again, so
+# the size bounds memory, never a result.  Over ten blocks of the benchmark's
+# requests, ``axioms`` substitutes with 32 distinct sets of bindings (14 of
+# them from the module twists -3..3), ``closure`` with 8 and ``decide`` with 5.
+SUBSTITUTER_CACHE = 64
+
+
+def substituter(bindings: Mapping[str, MPoly | RatLike]) -> _Substitution:
     """Simultaneous substitution of ``bindings``, as a function of the polynomial.
 
-    The powers of each bound value are built once, as numerator dicts, and
-    shared by every polynomial the function is applied to; each term's image
-    is added straight into one output dict over the common denominator.
+    One substitution is kept per set of bindings, for the last
+    ``SUBSTITUTER_CACHE`` distinct sets: its power tables and images serve
+    every later call with equal bindings, whatever the polynomials.
     """
-    shifts: list[int] = []
-    values: list[MPoly] = []
-    keep = _ALL  # fields of the variables left in place
-    for name, val in bindings.items():
-        if name not in _VAR_INDEX:
-            raise KeyError(f"unknown variable {name!r}")
-        s = _SHIFTS[_VAR_INDEX[name]]
-        shifts.append(s)
-        values.append(_as_mpoly(val))
-        keep &= ~(_FIELD << s)
-    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in values]
-    den_powers: list[list[int]] = [[1] for _ in values]
-    tables = list(zip(shifts, values, powers, den_powers))
+    return _substitution(tuple(sorted((name, _as_mpoly(val)) for name, val in bindings.items())))
 
-    def subst(p: MPoly) -> MPoly:
-        terms = p._num
-        if not terms:
-            return p
-        den = p._den
-        bound = []  # (shift, powers, denominator lift by exponent or None)
-        for s, val, cache, dcache in tables:
-            top = max((k >> s) & _FIELD for k in terms)
-            if not top:
-                continue
-            while len(cache) <= top:
-                cache.append(_dict_mul(val._num, cache[-1]))
-            vd = val._den
-            if vd == 1:
-                bound.append((s, cache, None))
+
+class _Substitution:
+    """A simultaneous substitution with its memo of images.
+
+    A variable bound to a monomial (d -> -l) folds into each term: exponent k
+    adds k times the monomial's key to the term's key and multiplies the
+    coefficient by the monomial's numerator to the k.  For the other bound
+    variables the image of each bound part of a key (the product of their
+    values' powers, as numerators) is built once, on first use, and kept; a
+    term then costs one lookup and one loop over its image.  A value with a
+    denominator brings the polynomials over its denominator to the largest
+    exponent of its variable.
+    """
+
+    __slots__ = ("_keep", "_bound", "_spread", "_folds", "_lifts", "_powers",
+                 "_images", "_shifts", "_values", "_value_bits")
+
+    def __init__(self, bindings: tuple[tuple[str, MPoly], ...]):
+        self._keep = _ALL  # fields of the variables left in place
+        self._spread = 0  # fields of the variables whose images are memoised
+        self._folds: list[tuple[int, int, int]] = []  # (shift, key, numerator)
+        self._lifts: list[tuple[int, int]] = []  # (shift, denominator)
+        self._powers: list[tuple[int, dict[int, int], list[dict[int, int]]]] = []
+        self._shifts: list[int] = []
+        self._values: list[MPoly] = []
+        for name, val in bindings:
+            if name not in _VAR_INDEX:
+                raise KeyError(f"unknown variable {name!r}")
+            s = _SHIFTS[_VAR_INDEX[name]]
+            self._shifts.append(s)
+            self._values.append(val)
+            self._keep &= ~(_FIELD << s)
+            num = val._num
+            if len(num) == 1:
+                [(k, c)] = num.items()
+                self._folds.append((s, k, c))
             else:
-                while len(dcache) <= top:
-                    dcache.append(dcache[-1] * vd)
-                # a term with exponent k is brought to den * vd**top by vd**(top-k)
-                den *= dcache[top]
-                bound.append((s, cache, dcache[top::-1]))
-        if not bound:
-            return p
-        _check_substitution(terms, keep, shifts, values)
+                self._spread |= _FIELD << s
+                self._powers.append((s, num, [{0: 1}]))
+            if val._den != 1:
+                self._lifts.append((s, val._den))
+        self._bound = _ALL ^ self._keep
+        self._value_bits = reduce(or_, chain.from_iterable(map(_NUM, self._values)), 0)
+        self._images: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in terms.items():
-            base = key & keep
-            factors = []
-            for s, cache, dpw in bound:
-                k = (key >> s) & _FIELD
-                if dpw is not None:
-                    c *= dpw[k]
-                if k:
-                    f = cache[k]
-                    if len(f) == 1:  # a power of a monomial folds into the term
-                        [(fk, fc)] = f.items()
-                        base += fk
-                        c *= fc
-                    else:
-                        factors.append(f)
-            if not factors:
-                out[base] = get(base, 0) + c
+    def __call__(self, p: MPoly) -> MPoly:
+        return self.apply((p,))[0]
+
+    def apply(self, polys: Sequence[MPoly]) -> list[MPoly]:
+        """Each polynomial substituted, in one pass over all of them.
+
+        The exponent guard and the denominator lift are computed once for all
+        of them.  Only when an exponent or a value's exponent may be above 63
+        is each polynomial checked exactly, in order, before any is
+        substituted; the first whose image does not fit raises.
+        """
+        ors = [reduce(or_, p._num, 0) for p in polys]
+        bits = reduce(or_, ors, 0)
+        bound = self._bound
+        if not bits & bound:
+            return list(polys)
+        if (bits | self._value_bits) & _ABOVE_63:
+            for p in polys:
+                if p._num:
+                    _check_substitution(p._num, self._keep, self._shifts, self._values)
+        lift = 1
+        scales = []  # (shift, lift by exponent): vd**(top - k) at k
+        for s, vd in self._lifts:
+            if bits >> s & _FIELD:
+                top = max(k >> s & _FIELD for p in polys for k in p._num)
+                lift *= vd**top
+                scales.append((s, [vd**e for e in range(top, -1, -1)]))
+        keep, spread, folds = self._keep, self._spread, self._folds
+        images = self._images
+        out_polys = []
+        for p, b in zip(polys, ors):
+            if not b & bound:
+                out_polys.append(p)
                 continue
-            piece = {base: c}
-            for f in factors[:-1]:
-                piece = _dict_mul(piece, f)
-            for k1, c1 in piece.items():
-                for k2, c2 in factors[-1].items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        return _make({k: c for k, c in out.items() if c}, den)
+            out: dict[int, int] = {}
+            get = out.get
+            for key, c in p._num.items():
+                base = key & keep
+                for s, fk, fc in folds:
+                    k = key >> s & _FIELD
+                    if k:
+                        base += k * fk
+                        if fc != 1:
+                            c *= fc**k
+                for s, dpw in scales:
+                    c *= dpw[key >> s & _FIELD]
+                image = images.get(key & spread)
+                if image is None:
+                    image = self._image(key & spread)
+                for k, c2 in image.items():
+                    k += base
+                    out[k] = get(k, 0) + c * c2
+            out_polys.append(_make({k: c for k, c in out.items() if c}, p._den * lift))
+        return out_polys
 
-    return subst
+    def _image(self, pattern: int) -> dict[int, int]:
+        """The numerators of the product of the bound values' powers that
+        ``pattern`` holds, kept once built."""
+        image = None
+        for s, num, table in self._powers:
+            k = pattern >> s & _FIELD
+            if k:
+                while len(table) <= k:
+                    table.append(_dict_mul(num, table[-1]))
+                f = table[k]
+                if image is None:
+                    image = f
+                else:
+                    image = _dict_mul(f, image) if len(f) < len(image) else _dict_mul(image, f)
+        self._images[pattern] = image
+        return image
+
+
+_substitution = lru_cache(maxsize=SUBSTITUTER_CACHE)(_Substitution)
 
 
 def mpoly_dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
@@ -959,17 +1019,8 @@ _UP_ZERO = _up((), 1, "x")
 _UP_ONE = _up((1,), 1, "x")
 
 
-def upoly_from_mpoly(p: MPoly, var: str) -> UPoly:
-    """Read an MPoly that only uses one variable as a UPoly."""
-    s = _SHIFTS[_VAR_INDEX[var]]
-    if any(k & ~(_FIELD << s) for k in p._num):
-        extra = p.variables() - {var}
-        raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
-    return _upoly_from_keys(p, var)
-
-
 def _upoly_from_keys(p: MPoly, var: str) -> UPoly:
-    """``upoly_from_mpoly`` for an MPoly already known to use only ``var``."""
+    """An MPoly already known to use only ``var``, read as a UPoly."""
     s = _SHIFTS[_VAR_INDEX[var]]
     num = [0] * ((max(p._num, default=-1) >> s) + 1)  # [] for zero
     for k, c in p._num.items():

@@ -30,12 +30,6 @@ def random_cend(rng: random.Random, n: int, degree: int) -> CendElem:
     )
 
 
-def random_upoly(rng: random.Random, degree: int, var: str = "x") -> UPoly:
-    coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(degree)]
-    coeffs.append(Fraction(rng.choice([1, 2, -1, -2, 3])))
-    return UPoly(coeffs, var)
-
-
 def random_polymat(rng: random.Random, n: int, degree: int) -> PolyMat:
     rows = []
     for _ in range(n):

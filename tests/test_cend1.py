@@ -29,10 +29,11 @@ from confalg.cend1 import (
 from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.cli import main
 from confalg.grammar import format_poly, parse_poly
-from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_from_mpoly, upoly_gcd
+from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_gcd
 from confalg.polymat import PolyMat
 from confalg.structure import unital_closure_probe
 from ideal_oracle import hermite_form
+from poly_helpers import upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")

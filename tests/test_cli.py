@@ -6,8 +6,10 @@ import ast
 import copy
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from confalg import cli
+from confalg import cli, poly
 from confalg.cend import CendElem
 from confalg.cli import VERBS, main
 from confalg.grammar import format_poly
@@ -197,6 +199,54 @@ def test_determinism_byte_identical(tmp_path):
     _, first = run_cli(tmp_path, "iso", payload)
     _, second = run_cli(tmp_path, "iso", payload)
     assert first == second
+
+
+# the request kinds of the benchmark's axioms workload; the module check's
+# twist 1/2 takes a substitution with a denominator
+AXIOM_REQUESTS = [
+    ("check-axioms", {"kind": "lie", "n": 2, "degree": 2}, ["--rounds", "2", "--seed", "5"]),
+    ("check-axioms", {"kind": "assoc", "n": 2, "degree": 2}, ["--rounds", "2", "--seed", "6"]),
+    ("check-axioms", {"kind": "module", "n": 2, "degree": 2, "p": [["x - 1", "0"], ["0", "x + 2"]],
+                      "alphas": ["0", "1/2"]}, ["--rounds", "2", "--seed", "7"]),
+    ("extension-build", {"kind": "factorization", "p": [["x^2 - 1"]], "r": [["x + 1"]],
+                         "s": [["x - 1"]], "alpha": "0"}, ["--rounds", "2", "--seed", "8"]),
+    ("extension-build", {"kind": "jordan", "p": [["x^2 + 1"]], "gamma": "2"},
+     ["--rounds", "2", "--seed", "9"]),
+]
+
+
+def _envelope_text(verb, payload, flags):
+    """The envelope line of one in-process CLI call with ``payload`` on stdin."""
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out):
+            main([verb, *flags])
+    finally:
+        sys.stdin = stdin
+    return out.getvalue()
+
+
+def test_axiom_reports_do_not_depend_on_cached_substitutions():
+    """Substitutions are kept between calls in one process: a cold call, a
+    warm one and a fresh process give the same bytes, and a report made cold
+    verifies warm."""
+    poly._substitution.cache_clear()
+    cold = [_envelope_text(*request) for request in AXIOM_REQUESTS]
+    warm = [_envelope_text(*request) for request in AXIOM_REQUESTS]
+    assert warm == cold
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    for (verb, payload, flags), text in zip(AXIOM_REQUESTS, cold):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "confalg.cli", verb, *flags], input=json.dumps(payload),
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert fresh.stdout == text
+        result = json.loads(text)["result"]
+        assert result.get("ok", result.get("axioms_ok")) is True
+    for text in cold:
+        envelope = json.loads(_envelope_text("verify", json.loads(text), []))
+        assert envelope["result"]["verified"] is True, envelope
 
 
 def test_anti_inv_search_undecided_exit(tmp_path):

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from confalg import grammar
 from confalg.grammar import ParseError, format_poly, format_upoly, parse_poly
-from confalg.poly import (
-    MAX_EXP, VARS, Exponent, ExponentOverflowError, MPoly, UPoly, upoly_from_mpoly,
-)
+from confalg.poly import MAX_EXP, VARS, Exponent, ExponentOverflowError, MPoly, UPoly
+from poly_helpers import upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")

@@ -1,6 +1,7 @@
 """Wire layer: payload polynomial checks and one-variable reads against the
-reference code they replaced (variable sets, unpacked total degrees, a
-coefficient-by-coefficient UPoly)."""
+reference code they replaced (variable sets, unpacked total degrees, and
+``poly_helpers.upoly_from_mpoly``, which reads a UPoly coefficient by
+coefficient)."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from confalg.jsonio import (
     polymat_from_json,
     upolys_from_json,
 )
-from confalg.poly import MAX_EXP, VARS, MPoly, UPoly, _upoly_from_keys, upoly_from_mpoly
+from confalg.poly import MAX_EXP, VARS, MPoly, _upoly_from_keys
+from poly_helpers import upoly_from_mpoly
 
 
 def ref_poly_from_json(text, field, allowed, max_degree=MAX_DEGREE):
@@ -32,16 +34,6 @@ def ref_poly_from_json(text, field, allowed, max_degree=MAX_DEGREE):
     if max_degree is not None and degree > max_degree:
         raise PayloadError(f"{field}: total degree {degree} is above the limit {max_degree}")
     return poly
-
-
-def ref_upoly(p: MPoly, var: str) -> UPoly:
-    """p, which uses only ``var``, read coefficient by coefficient."""
-    assert p.variables() <= {var}
-    i = VARS.index(var)
-    coeffs = [Fraction(0)] * (p.degree(var) + 1)
-    for exp, c in p.terms.items():
-        coeffs[exp[i]] = c
-    return UPoly(coeffs, var)
 
 
 def _outcome(fn, *args):
@@ -80,9 +72,7 @@ def test_payload_checks_match_reference(p, allowed, max_degree):
 @given(st.sampled_from(VARS).flatmap(lambda v: st.tuples(st.just(v), _mpolys(st.just({v})))))
 def test_direct_upoly_read_matches_reference(var_poly):
     var, p = var_poly
-    want = ref_upoly(p, var)
-    assert _upoly_from_keys(p, var) == want
-    assert upoly_from_mpoly(p, var) == want
+    assert _upoly_from_keys(p, var) == upoly_from_mpoly(p, var)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,5 +87,5 @@ def test_payload_upolys_match_reference(p):
         (lambda: upolys_from_json([text], "divisors", "x", None)[0], "divisors[0]", "x", None),
     ]
     for read, field, var, limit in readers:
-        want = _outcome(lambda: ref_upoly(ref_poly_from_json(text, field, {var}, limit), var))
+        want = _outcome(lambda: upoly_from_mpoly(ref_poly_from_json(text, field, {var}, limit), var))
         assert _outcome(read) == want

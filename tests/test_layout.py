@@ -16,10 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "confalg"
 
 # Kept although only unit tests reach them, each for the reason given.
-KEPT_FOR_TESTS = {
-    "poly.upoly_from_mpoly": "the reference that the poly and jsonio tests compare against",
-    "sampling.random_upoly": "a sampler beside those the acceptance suite imports",
-}
+KEPT_FOR_TESTS: dict[str, str] = {}
 
 # a string such as "cend1.closure" or "MPoly.__mul__" names each dotted part
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import poly
-from confalg.cend import raw_mat_vec
+from confalg.cend import raw_mat_vec, raw_subst, raw_vec_subst
 from confalg.poly import (
     MPoly,
     UPoly,
@@ -21,10 +21,10 @@ from confalg.poly import (
     mpoly_matmul,
     substituter,
     upoly_coefficients,
-    upoly_from_mpoly,
     upoly_gcd,
     upoly_xgcd,
 )
+from poly_helpers import upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -444,9 +444,12 @@ class TestMPolyModel:
     @settings(max_examples=80, deadline=None)
     @given(ref_strategy, st.dictionaries(var_names, ref_strategy, max_size=3))
     def test_substitute(self, a, bindings):
-        got = MPoly(a).substitute({v: MPoly(t) for v, t in bindings.items()})
-        assert dict(got.terms) == ref_subst(a, bindings)
-        assert_canonical(got)
+        # first with no substitution cached, then with this one warm
+        poly._substitution.cache_clear()
+        for _ in range(2):
+            got = MPoly(a).substitute({v: MPoly(t) for v, t in bindings.items()})
+            assert dict(got.terms) == ref_subst(a, bindings)
+            assert_canonical(got)
 
     @settings(max_examples=40, deadline=None)
     @given(ref_strategy, st.dictionaries(var_names, rationals, min_size=1, max_size=4))
@@ -812,6 +815,119 @@ class TestMatmul:
 
 
 # exponents up to the limit in all four variables, small ones drawn often
+# ---------------------------------------------------------------------------
+# Cached substitutions: whole matrices and vectors against the reference
+# ---------------------------------------------------------------------------
+
+# values with terms in several variables (rational coefficients among them),
+# rational constants, which bring the result over their denominators, and zero
+_binding_values = st.one_of(
+    ref_strategy,
+    rationals.map(lambda c: ref_clean({(0, 0, 0, 0): c})),
+    st.just({}),
+)
+_bindings = st.dictionaries(var_names, _binding_values, min_size=1, max_size=3)
+_ref_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(ref_strategy, min_size=n, max_size=n), min_size=1, max_size=3)
+)
+
+# the kernel's own bindings, each value using the variable it replaces or not,
+# and rational, zero and constant ones
+_L_D = {(1, 0, 0, 0): Fraction(1), (0, 0, 1, 0): Fraction(1)}
+_KERNEL_BINDINGS = [
+    {"d": {(0, 0, 1, 0): Fraction(-1)}, "x": {(0, 1, 0, 0): Fraction(1), **_L_D}},
+    {"d": _L_D, "x": {(0, 1, 0, 0): Fraction(1), (0, 0, 1, 0): Fraction(-1)}},
+    {"m": {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(1)}},
+    {"d": {(0, 0, 1, 0): Fraction(-1, 2)}, "x": {**_L_D, (0, 0, 0, 0): Fraction(1, 2)}},
+    {"x": {(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 5)}},
+    {"x": {}, "l": {(0, 0, 0, 0): Fraction(-3, 2)}},
+]
+
+
+def _values(bindings: dict[str, Ref]) -> dict[str, MPoly]:
+    return {v: MPoly(t) for v, t in bindings.items()}
+
+
+class TestCachedSubstitution:
+    @settings(max_examples=80, deadline=None)
+    @given(_ref_matrices, _bindings)
+    @example([[{(2, 1, 0, 0): Fraction(3)}, {(0, 2, 1, 0): Fraction(-1, 2)}]],
+             {"x": {(0, 0, 0, 0): Fraction(1, 2)}, "d": {(0, 1, 0, 0): Fraction(2, 3)}})
+    @example([[{(1, 1, 0, 0): Fraction(1)}]], {"x": {}})
+    def test_matrix_entries_match_reference(self, rows, bindings):
+        got = raw_subst(_rows(rows), _values(bindings))
+        assert _terms(got) == [[ref_subst(e, bindings) for e in row] for row in rows]
+        for e in itertools.chain.from_iterable(got):
+            assert_canonical(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ref_strategy, max_size=4), _bindings)
+    def test_vector_entries_match_reference(self, vec, bindings):
+        got = raw_vec_subst(tuple(map(MPoly, vec)), _values(bindings))
+        assert [dict(e.terms) for e in got] == [ref_subst(e, bindings) for e in vec]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ref_matrices)
+    def test_kernel_bindings_match_reference(self, rows):
+        # the same substitutions serve every matrix, so their images are warm
+        for bindings in _KERNEL_BINDINGS:
+            got = raw_subst(_rows(rows), _values(bindings))
+            assert _terms(got) == [[ref_subst(e, bindings) for e in row] for row in rows]
+
+    def test_binding_reused_after_eviction(self):
+        bindings = _values(_KERNEL_BINDINGS[3])
+        rows = [[D**3 * X**2 - L, X * 3], [MPoly.zero(), D * X + Fraction(1, 7)]]
+        want = [[ref_subst(dict(e.terms), _KERNEL_BINDINGS[3]) for e in row] for row in rows]
+        assert _terms(raw_subst(rows, bindings)) == want
+        first = substituter(bindings)
+        for k in range(poly.SUBSTITUTER_CACHE + 1):  # distinct bindings push it out
+            raw_subst(rows, {"x": X + k + 1})
+        assert substituter(bindings) is not first
+        assert _terms(raw_subst(rows, bindings)) == want
+        assert substituter(bindings) is substituter(dict(reversed(bindings.items())))
+
+
+class TestSubstitutionOverflow:
+    """An image that does not fit raises the message of its entry, the first
+    such entry in entry order, on every call, and leaves no image behind."""
+
+    # x^100 has an exponent above 63, and its image fits; the images of
+    # x^20000 d and of x^17000 do not
+    FITS = X**100 + D
+    OVER = X**20000 * D + X
+    ALSO_OVER = X**17000
+
+    @pytest.mark.parametrize(
+        "value,message,also",
+        [
+            # memoised images: x^40000 in both
+            (X**2 + L, "exponent 40000 of x is above the limit 32767",
+             "exponent 34000 of x is above the limit 32767"),
+            # a folded monomial: d^40001 from the image of x^20000 times d
+            (D**2, "exponent 40001 of d is above the limit 32767",
+             "exponent 34000 of d is above the limit 32767"),
+        ],
+    )
+    def test_overflow_message_is_stable(self, value, message, also):
+        from confalg.poly import ExponentOverflowError
+
+        bindings = {"x": value}
+        for _ in range(2):
+            for rows, want in (
+                ([[self.FITS, self.OVER]], message),
+                ([[self.FITS], [self.OVER], [self.ALSO_OVER]], message),
+                ([[self.ALSO_OVER, self.OVER]], also),
+            ):
+                with pytest.raises(ExponentOverflowError) as err:
+                    raw_subst(rows, bindings)
+                assert str(err.value) == want
+            with pytest.raises(ExponentOverflowError) as err:
+                self.OVER.substitute(bindings)
+            assert str(err.value) == message
+        # what fits still substitutes, by the same cached function
+        assert raw_subst([[self.FITS]], bindings) == ((naive_substitute(self.FITS, bindings),),)
+
+
 _WIDE_EXP = st.one_of(st.integers(0, 3), st.integers(0, poly.MAX_EXP))
 _WIDE_KEYS = st.tuples(*[_WIDE_EXP] * 4).map(poly._pack)
 

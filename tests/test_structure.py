@@ -21,7 +21,7 @@ from confalg.cend import (
 )
 from confalg.poly import MPoly, UPoly
 from confalg.polymat import PolyMat, is_unimodular, smith_divisors, star
-from confalg.sampling import random_cend, random_modvec_raw, random_unimodular, random_upoly
+from confalg.sampling import random_cend, random_modvec_raw, random_unimodular
 from confalg.structure import (
     DegenerateError,
     MismatchError,
@@ -35,6 +35,7 @@ from confalg.structure import (
     unital_closure_probe,
 )
 from ideal_oracle import brute_left_generator, brute_right_generator
+from poly_helpers import random_upoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
