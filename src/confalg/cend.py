@@ -25,8 +25,6 @@ from .poly import (
     MPoly,
     RatLike,
     UPoly,
-    _make,
-    _unpack,
     mpoly_matmul,
     substituter,
     upoly_coefficients,
@@ -233,31 +231,31 @@ def modvec(entries: Iterable[UPoly | RatLike]) -> ModVec:
 
 @dataclass(frozen=True)
 class LambdaSeries:
-    """Finite series sum_{n,k} l^n m^k * coefficient, coefficients CendElem."""
+    """Finite series sum_k l^k * coefficient, coefficients CendElem."""
 
     n: int
-    coefficients: tuple[tuple[tuple[int, int], CendElem], ...]
+    coefficients: tuple[tuple[int, CendElem], ...]
 
     @staticmethod
     def from_raw(raw: RawMat) -> LambdaSeries:
         n = len(raw)
-        buckets: dict[tuple[int, int], list[list[MPoly]]] = {}
+        buckets: dict[int, list[list[MPoly]]] = {}
         for i, row in enumerate(raw):
             for j, entry in enumerate(row):
-                for (kl, km), part in _split_lm(entry).items():
-                    grid = buckets.get((kl, km))
+                for k, part in entry.coefficients_in("l").items():
+                    grid = buckets.get(k)
                     if grid is None:
                         grid = [[MPoly.zero()] * n for _ in range(n)]
-                        buckets[(kl, km)] = grid
-                    grid[i][j] = grid[i][j] + part
+                        buckets[k] = grid
+                    grid[i][j] = part
         coeffs = tuple(
-            (key, CendElem(grid)) for key, grid in sorted(buckets.items())
+            (k, CendElem(grid)) for k, grid in sorted(buckets.items())
         )
         return LambdaSeries(n, coeffs)
 
     def map_coefficients(self, fn: Callable[[CendElem], CendElem]) -> LambdaSeries:
         return LambdaSeries(
-            self.n, tuple((key, fn(val)) for key, val in self.coefficients)
+            self.n, tuple((k, fn(val)) for k, val in self.coefficients)
         )
 
     def is_zero(self) -> bool:
@@ -265,17 +263,9 @@ class LambdaSeries:
 
     def to_raw(self) -> RawMat:
         acc = raw_zero(self.n)
-        for (kl, km), val in self.coefficients:
-            mono = MPoly.monomial((0, 0, kl, km))
-            acc = raw_add(acc, raw_scale(val.entries, mono))
+        for k, val in self.coefficients:
+            acc = raw_add(acc, raw_scale(val.entries, _L**k))
         return acc
-
-
-def _split_lm(p: MPoly) -> dict[tuple[int, int], MPoly]:
-    out: dict[int, dict[int, int]] = {}
-    for key, c in p._num.items():
-        out.setdefault(key & _LM_MASK, {})[key & ~_LM_MASK] = c
-    return {_unpack(lm)[2:]: _make(t, p._den) for lm, t in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +369,16 @@ def bracket_apply(
     return bracket_of(left_factors(g, nu, p_mat), right_factors(x_raw, nu, p_mat))
 
 
-def lambda_product(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
+def lambda_product(a: CendElem, b: CendElem) -> LambdaSeries:
     """The associative product of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(product_apply(a.entries, b.entries, nu))
+    return LambdaSeries.from_raw(product_apply(a.entries, b.entries))
 
 
-def lie_bracket(a: CendElem, b: CendElem, nu: str = "l") -> LambdaSeries:
+def lie_bracket(a: CendElem, b: CendElem) -> LambdaSeries:
     """Commutator bracket of two symbols, collected by l-powers."""
     a._same_size(b)
-    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries, nu))
+    return LambdaSeries.from_raw(bracket_apply(a.entries, b.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every polynomial that crosses the CLI boundary uses the text grammar from
 :mod:`confalg.grammar`; matrices are arrays of arrays of such strings, series
-are maps keyed by "l^n" (or "l^n*m^k") exponent strings.
+are maps keyed by "l^n" exponent strings.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .cend import CendElem, LambdaSeries, ModVec, modvec
 from .grammar import ParseError, format_poly, format_upoly, parse_poly
@@ -98,23 +98,27 @@ def _matrix_size(data: Any, field: str, bounded: bool) -> int:
     return n
 
 
-def polymat_from_json(
-    data: Any, field: str = "matrix", max_degree: int | None = MAX_DEGREE
-) -> PolyMat:
-    n = _matrix_size(data, field, max_degree is not None)
+def _square_from_json(
+    data: Any, field: str, bounded: bool, entry: Callable[[Any, str], Any]
+) -> list[list[Any]]:
+    """The rows of a square matrix, each entry read by ``entry(text, field of
+    the entry)``."""
+    n = _matrix_size(data, field, bounded)
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise PayloadError(f"{field}: non-square matrix")
-        rows.append(
-            [
-                _upoly_from_keys(
-                    poly_from_json(e, f"{field}[{i}][{j}]", {"x"}, max_degree), "x"
-                )
-                for j, e in enumerate(row)
-            ]
-        )
-    return PolyMat(rows)
+        rows.append([entry(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)])
+    return rows
+
+
+def polymat_from_json(
+    data: Any, field: str = "matrix", max_degree: int | None = MAX_DEGREE
+) -> PolyMat:
+    return PolyMat(_square_from_json(
+        data, field, max_degree is not None,
+        lambda e, at: _upoly_from_keys(poly_from_json(e, at, {"x"}, max_degree), "x"),
+    ))
 
 
 def polymat_to_json(mat: PolyMat) -> list[list[str]]:
@@ -122,15 +126,9 @@ def polymat_to_json(mat: PolyMat) -> list[list[str]]:
 
 
 def cend_from_json(data: Any, field: str = "symbol") -> CendElem:
-    n = _matrix_size(data, field, True)
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise PayloadError(f"{field}: non-square matrix")
-        rows.append(
-            [poly_from_json(e, f"{field}[{i}][{j}]", {"d", "x"}) for j, e in enumerate(row)]
-        )
-    return CendElem(rows)
+    return CendElem(
+        _square_from_json(data, field, True, lambda e, at: poly_from_json(e, at, {"d", "x"}))
+    )
 
 
 def cend_to_json(elem: CendElem) -> list[list[str]]:
@@ -138,13 +136,7 @@ def cend_to_json(elem: CendElem) -> list[list[str]]:
 
 
 def series_to_json(series: LambdaSeries) -> dict[str, list[list[str]]]:
-    out = {}
-    for (kl, km), coeff in series.coefficients:
-        if coeff.is_zero():
-            continue
-        key = f"l^{kl}" if not km else f"l^{kl}*m^{km}"
-        out[key] = cend_to_json(coeff)
-    return out
+    return {f"l^{k}": cend_to_json(c) for k, c in series.coefficients if not c.is_zero()}
 
 
 def upolys_from_json(

@@ -326,8 +326,9 @@ class MPoly:
 # The number of substitutions ``substituter`` keeps for the whole process,
 # least recently used dropped first.  A dropped one is only built again, so
 # the size bounds memory, never a result.  Over ten blocks of the benchmark's
-# requests, ``axioms`` substitutes with 32 distinct sets of bindings (14 of
-# them from the module twists -3..3), ``closure`` with 8 and ``decide`` with 5.
+# requests (two seeds), ``axioms`` substitutes with 30-32 distinct sets of
+# bindings (up to 14 of them from the module twists -3..3), ``closure`` with 6-8
+# and ``decide`` with 5.
 SUBSTITUTER_CACHE = 64
 
 
@@ -335,7 +336,7 @@ def substituter(bindings: Mapping[str, MPoly | RatLike]) -> _Substitution:
     """Simultaneous substitution of ``bindings``, as a function of the polynomial.
 
     One substitution is kept per set of bindings, for the last
-    ``SUBSTITUTER_CACHE`` distinct sets: its power tables and images serve
+    ``SUBSTITUTER_CACHE`` distinct sets: its images serve
     every later call with equal bindings, whatever the polynomials.
     """
     return _substitution(tuple(sorted((name, _as_mpoly(val)) for name, val in bindings.items())))
@@ -344,45 +345,32 @@ def substituter(bindings: Mapping[str, MPoly | RatLike]) -> _Substitution:
 class _Substitution:
     """A simultaneous substitution with its memo of images.
 
-    A variable bound to a monomial (d -> -l) folds into each term: exponent k
-    adds k times the monomial's key to the term's key and multiplies the
-    coefficient by the monomial's numerator to the k.  For the other bound
-    variables the image of each bound part of a key (the product of their
-    values' powers, as numerators) is built once, on first use, and kept; a
-    term then costs one lookup and one loop over its image.  A value with a
-    denominator brings the polynomials over its denominator to the largest
-    exponent of its variable.
+    One rule builds every image: the image of a bound exponent pattern is
+    the value of the first bound variable in the pattern times the image of
+    the pattern with one power of that variable fewer.  Each image is built
+    once, on first use, and kept, so a term costs one lookup and one loop
+    over its image.  Variables bound to monomials (d -> -l) come last, so
+    their powers build single terms below the other values' powers rather
+    than copies of those above them.  A value with a denominator brings the
+    polynomials over its denominator to the largest exponent of its variable.
     """
 
-    __slots__ = ("_keep", "_bound", "_spread", "_folds", "_lifts", "_powers",
-                 "_images", "_shifts", "_values", "_value_bits")
+    __slots__ = ("_keep", "_bound", "_bindings", "_lifts", "_images", "_value_bits")
 
     def __init__(self, bindings: tuple[tuple[str, MPoly], ...]):
         self._keep = _ALL  # fields of the variables left in place
-        self._spread = 0  # fields of the variables whose images are memoised
-        self._folds: list[tuple[int, int, int]] = []  # (shift, key, numerator)
+        self._bindings: list[tuple[int, dict[int, int]]] = []  # (shift, numerators)
         self._lifts: list[tuple[int, int]] = []  # (shift, denominator)
-        self._powers: list[tuple[int, dict[int, int], list[dict[int, int]]]] = []
-        self._shifts: list[int] = []
-        self._values: list[MPoly] = []
-        for name, val in bindings:
+        for name, val in sorted(bindings, key=lambda b: len(b[1]._num) == 1):
             if name not in _VAR_INDEX:
                 raise KeyError(f"unknown variable {name!r}")
             s = _SHIFTS[_VAR_INDEX[name]]
-            self._shifts.append(s)
-            self._values.append(val)
             self._keep &= ~(_FIELD << s)
-            num = val._num
-            if len(num) == 1:
-                [(k, c)] = num.items()
-                self._folds.append((s, k, c))
-            else:
-                self._spread |= _FIELD << s
-                self._powers.append((s, num, [{0: 1}]))
+            self._bindings.append((s, val._num))
             if val._den != 1:
                 self._lifts.append((s, val._den))
         self._bound = _ALL ^ self._keep
-        self._value_bits = reduce(or_, chain.from_iterable(map(_NUM, self._values)), 0)
+        self._value_bits = reduce(or_, chain.from_iterable(num for _, num in self._bindings), 0)
         self._images: dict[int, dict[int, int]] = {0: {0: 1}}
 
     def __call__(self, p: MPoly) -> MPoly:
@@ -398,13 +386,13 @@ class _Substitution:
         """
         ors = [reduce(or_, p._num, 0) for p in polys]
         bits = reduce(or_, ors, 0)
-        bound = self._bound
+        keep, bound = self._keep, self._bound
         if not bits & bound:
             return list(polys)
         if (bits | self._value_bits) & _ABOVE_63:
             for p in polys:
                 if p._num:
-                    _check_substitution(p._num, self._keep, self._shifts, self._values)
+                    _check_substitution(p._num, keep, self._bindings)
         lift = 1
         scales = []  # (shift, lift by exponent): vd**(top - k) at k
         for s, vd in self._lifts:
@@ -412,7 +400,6 @@ class _Substitution:
                 top = max(k >> s & _FIELD for p in polys for k in p._num)
                 lift *= vd**top
                 scales.append((s, [vd**e for e in range(top, -1, -1)]))
-        keep, spread, folds = self._keep, self._spread, self._folds
         images = self._images
         out_polys = []
         for p, b in zip(polys, ors):
@@ -423,17 +410,11 @@ class _Substitution:
             get = out.get
             for key, c in p._num.items():
                 base = key & keep
-                for s, fk, fc in folds:
-                    k = key >> s & _FIELD
-                    if k:
-                        base += k * fk
-                        if fc != 1:
-                            c *= fc**k
                 for s, dpw in scales:
                     c *= dpw[key >> s & _FIELD]
-                image = images.get(key & spread)
+                image = images.get(key & bound)
                 if image is None:
-                    image = self._image(key & spread)
+                    image = self._image(key & bound)
                 for k, c2 in image.items():
                     k += base
                     out[k] = get(k, 0) + c * c2
@@ -441,20 +422,18 @@ class _Substitution:
         return out_polys
 
     def _image(self, pattern: int) -> dict[int, int]:
-        """The numerators of the product of the bound values' powers that
-        ``pattern`` holds, kept once built."""
-        image = None
-        for s, num, table in self._powers:
-            k = pattern >> s & _FIELD
-            if k:
-                while len(table) <= k:
-                    table.append(_dict_mul(num, table[-1]))
-                f = table[k]
-                if image is None:
-                    image = f
-                else:
-                    image = _dict_mul(f, image) if len(f) < len(image) else _dict_mul(image, f)
-        self._images[pattern] = image
+        """The numerators of the image of ``pattern``, with every missing
+        image below it on the way down built and kept."""
+        images = self._images
+        missing = []  # (pattern, value of its first bound variable)
+        while pattern not in images:
+            s, num = next(b for b in self._bindings if pattern >> b[0] & _FIELD)
+            missing.append((pattern, num))
+            pattern -= 1 << s
+        image = images[pattern]
+        for pattern, num in reversed(missing):
+            image = _dict_mul(num, image) if len(num) < len(image) else _dict_mul(image, num)
+            images[pattern] = image
         return image
 
 
@@ -630,18 +609,18 @@ def _pack_digits(entries: Iterable[MPoly], den: int, stride: int) -> dict[int, i
 
 
 def _check_substitution(
-    terms: dict[int, int], keep: int, shifts: Sequence[int], values: Sequence[MPoly]
+    terms: dict[int, int], keep: int, bindings: Sequence[tuple[int, dict[int, int]]]
 ) -> None:
     """Raise unless every term's image has all exponents within MAX_EXP."""
     bits = reduce(or_, terms)
-    for v in values:
-        bits = reduce(or_, v._num, bits)
+    for _, num in bindings:
+        bits = reduce(or_, num, bits)
     if not bits & _ABOVE_63:
         return  # each image exponent is at most 63 + 4 * 63 * 63 <= MAX_EXP
-    degs = [_degrees(v._num) for v in values]
+    degs = [(s, _degrees(num)) for s, num in bindings]
     for key in terms:
         out = list(_unpack(key & keep))
-        for s, d in zip(shifts, degs):
+        for s, d in degs:
             k = (key >> s) & _FIELD
             for i in range(4):
                 out[i] += k * d[i]

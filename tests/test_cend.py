@@ -61,9 +61,9 @@ def split_action(act, a: CendElem, vec) -> dict:
     return cend._vec_series(act(a.entries, "l")(tuple(v.to_mpoly("d") for v in vec)))
 
 
-def coeff(series: LambdaSeries, l_power: int, m_power: int = 0) -> CendElem:
-    """The coefficient of l^l_power m^m_power in ``series``, zero when absent."""
-    return dict(series.coefficients).get((l_power, m_power), CendElem.zero(series.n))
+def coeff(series: LambdaSeries, l_power: int) -> CendElem:
+    """The coefficient of l^l_power in ``series``, zero when absent."""
+    return dict(series.coefficients).get(l_power, CendElem.zero(series.n))
 
 
 def dual_action_raw(a_part, param):
@@ -100,11 +100,11 @@ class TestNthProducts:
     """The n-th products are the l-power coefficients of the product series."""
 
     def test_simple(self):
-        assert lambda_product(ONE1, scalar(X)).coefficients == (((0, 0), scalar(X)),)
+        assert lambda_product(ONE1, scalar(X)).coefficients == ((0, scalar(X)),)
 
     def test_x_times_one(self):
         series = lambda_product(scalar(X), ONE1)
-        assert series.coefficients == (((0, 0), scalar(X + D)), ((1, 0), ONE1))
+        assert series.coefficients == ((0, scalar(X + D)), (1, ONE1))
 
     def test_zero(self):
         assert lambda_product(CendElem.zero(1), scalar(X)).coefficients == ()

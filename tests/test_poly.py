@@ -465,7 +465,7 @@ class TestMPolyModel:
         st.dictionaries(var_names, ref_strategy, max_size=3),
     )
     def test_substituter_shares_tables_across_polys(self, polys, bindings):
-        # the power tables grow with the first polynomial and serve the rest
+        # the images built for the first polynomial serve the rest
         sub = substituter({v: MPoly(t) for v, t in bindings.items()})
         for a in polys:
             got = sub(MPoly(a))
@@ -848,9 +848,26 @@ def _values(bindings: dict[str, Ref]) -> dict[str, MPoly]:
     return {v: MPoly(t) for v, t in bindings.items()}
 
 
+# a monomial value with a coefficient other than +-1 beside a multi-term value
+# and a rational constant, at high exponents; bound to no other example, so
+# its first run builds every image and its second reads them back
+_HIGH_ROWS = [
+    [{(300, 50, 0, 0): Fraction(5, 7), (299, 3, 0, 0): Fraction(1), (0, 1, 1, 2): Fraction(-1)},
+     {(2, 1, 0, 0): Fraction(1), (0, 0, 0, 1): Fraction(2)}],
+    [{(0, 50, 0, 0): Fraction(-3)}, {(300, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): Fraction(4)}],
+]
+_HIGH_BINDINGS = {
+    "d": {(0, 0, 1, 0): Fraction(-2, 3)},
+    "x": {(0, 1, 0, 0): Fraction(1, 3), (0, 0, 1, 0): Fraction(1)},
+    "m": {(0, 0, 0, 0): Fraction(3, 2)},
+}
+
+
 class TestCachedSubstitution:
     @settings(max_examples=80, deadline=None)
     @given(_ref_matrices, _bindings)
+    @example(_HIGH_ROWS, _HIGH_BINDINGS)  # cold
+    @example(_HIGH_ROWS, _HIGH_BINDINGS)  # warm
     @example([[{(2, 1, 0, 0): Fraction(3)}, {(0, 2, 1, 0): Fraction(-1, 2)}]],
              {"x": {(0, 0, 0, 0): Fraction(1, 2)}, "d": {(0, 1, 0, 0): Fraction(2, 3)}})
     @example([[{(1, 1, 0, 0): Fraction(1)}]], {"x": {}})
@@ -903,7 +920,7 @@ class TestSubstitutionOverflow:
             # memoised images: x^40000 in both
             (X**2 + L, "exponent 40000 of x is above the limit 32767",
              "exponent 34000 of x is above the limit 32767"),
-            # a folded monomial: d^40001 from the image of x^20000 times d
+            # a monomial value: d^40001 from the image of x^20000 times d
             (D**2, "exponent 40001 of d is above the limit 32767",
              "exponent 34000 of d is above the limit 32767"),
         ],
