@@ -15,16 +15,15 @@ from .cend import (
     AxiomReport,
     CendElem,
     ModVec,
-    RawVec,
     VecMap,
     _vec_series,
     apply_antiinv,
-    raw_mat_vec,
     raw_subst,
-    raw_vec_subst,
+    raw_transpose,
+    stacked_product,
     standard_action,
 )
-from .poly import _D, _L, _M, _X, MPoly, UPoly, mpoly_dot
+from .poly import _D, _L, _M, _X, UPoly
 from .polymat import DegenerateError, PidRowBasis, PolyMat, Row, det, star
 
 
@@ -48,16 +47,6 @@ class ConfBilinearForm:
 
     def nondegenerate(self) -> bool:
         return not det(self.p_mat).is_zero()
-
-    def pair(self, v: RawVec, w: RawVec, at: MPoly | None = None) -> MPoly:
-        """Evaluate the pairing with the series slot at ``at`` (default l)."""
-        if len(v) != len(w):
-            raise ValueError("size mismatch")
-        lam = at if at is not None else _L
-        p_at = raw_subst(self.p_mat.to_mpoly_rows(), {"x": lam})
-        v_neg = raw_vec_subst(v, {"d": -lam})
-        pw = raw_mat_vec(p_at, raw_vec_subst(w, {"d": lam}))  # w must fit P
-        return mpoly_dot(zip(v_neg, pw))
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +101,31 @@ def check_anti_fixed(a: CendElem, spec: AntiInvSpec) -> bool:
 def invariance_check(form: ConfBilinearForm, a: CendElem) -> AxiomReport:
     """Verify <a_m v, w>_l + <v, a_m w>_{l-m} == 0 on all of Q[d]^N.
 
-    ``a`` is the full symbol of the acting element.  Both terms are
-    sesquilinear, so the defect at (d^k v, d^j w) is (m - l)^k l^j times the
-    defect at (v, w): the identity holds on the whole module exactly when it
-    holds on the N^2 pairs of unit vectors, which are all that is checked.
+    ``a`` is the full symbol of the acting element, and a_m e = H e with
+    H = a(-m, m + d).  Both terms are sesquilinear, so the defect at
+    (d^k v, d^j w) is (m - l)^k l^j times the defect at (v, w): the identity
+    holds on the whole module exactly when it holds on the N^2 pairs of unit
+    vectors.  The defect at (e_i, e_j) is entry (i, j) of
+    D = H(d -> -l)^T P(l) + P(l - m) H(d -> l - m), one stacked product
+    (README, "How invariance is decided").
     """
     if not form.nondegenerate():
         raise DegenerateError("form matrix must be nondegenerate")
     n = form.p_mat.n
     if a.n != n:
         raise ValueError("size mismatch")
-    head = raw_subst(a.entries, {"d": -_M, "x": _M + _D})  # a_m e = head * e
-    units = [tuple(MPoly.const(int(i == k)) for k in range(n)) for i in range(n)]
-    acted = [raw_mat_vec(head, e) for e in units]
+    p_rows = form.p_mat.to_mpoly_rows()
+    head_left = raw_subst(a.entries, {"d": -_M, "x": _M - _L})  # H(d -> -l)
+    head_right = raw_subst(a.entries, {"d": -_M, "x": _L})  # H(d -> l - m)
+    defect = stacked_product((
+        (raw_transpose(head_left), raw_subst(p_rows, {"x": _L})),
+        (raw_subst(p_rows, {"x": _L - _M}), head_right),
+    ))
     failures = [
         f"defect at v=e{i + 1}, w=e{j + 1}"
-        for i in range(n)
-        for j in range(n)
-        if not (
-            form.pair(acted[i], units[j], at=_L) + form.pair(units[i], acted[j], at=_L - _M)
-        ).is_zero()
+        for i, row in enumerate(defect)
+        for j, entry in enumerate(row)
+        if not entry.is_zero()
     ]
     return AxiomReport(not failures, n * n, tuple(failures))
 

@@ -881,6 +881,18 @@ def dense_symbol(degree: int, seed: int) -> list[list[str]]:
              for _ in range(4)] for _ in range(4)]
 
 
+def dense_d_symbol(degree: int, seed: int) -> list[list[str]]:
+    """A dense 4x4 symbol in d alone: each entry holds every d^i with
+    i <= ``degree``, its coefficients drawn as in ``dense_symbol``."""
+    rng = random.Random(seed)
+    return [[format_poly(MPoly({(i, 0, 0, 0): rng.randint(-3, 3) or 1
+                                for i in range(degree + 1)}))
+             for _ in range(4)] for _ in range(4)]
+
+
+IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+
 @pytest.mark.parametrize(
     "verb,payload,flags",
     [
@@ -911,6 +923,18 @@ def dense_symbol(degree: int, seed: int) -> list[list[str]]:
         # P + P(-x)^T has the symmetry oc-gens requires
         ("oc-gens", {"n": 4, "p": polymat_to_json(DENSE_P + star(DENSE_P)), "epsilon": 1,
                      "max_n": 16}, []),
+        # the defect matrix of a dense degree-16 symbol under that P
+        ("invariance-check", {"p": polymat_to_json(DENSE_P + star(DENSE_P)), "epsilon": 1,
+                              "element": dense_symbol(16, 3)}, []),
+        ("irreducibility-probe", {"p": DENSE_4X4_16,
+                                  "gens": [dense_symbol(16, 1), dense_symbol(16, 2)],
+                                  "start": ["1", "0", "0", "d"], "alpha": "0"}, []),
+        ("check-axioms", {"kind": "lie", "n": 4, "degree": 4}, ["--rounds", "1"]),
+        ("check-axioms", {"kind": "assoc", "n": 4, "degree": 4}, ["--rounds", "1"]),
+        ("unital-probe", {"gens": [IDENTITY_4X4, dense_d_symbol(16, 1),
+                                   dense_d_symbol(16, 2)]}, []),
+        ("extension-build", {"p": DENSE_4X4_16, "kind": "factorization", "r": DENSE_4X4_16,
+                             "s": IDENTITY_4X4, "alpha": "0"}, ["--rounds", "1"]),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):

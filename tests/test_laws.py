@@ -10,7 +10,9 @@ at most 5), with unimodular U and V from ``sampling.random_unimodular``:
   by -2a;
 * ``classify-cend1`` is unchanged when the generators are reversed, when the
   sum of two generators is added and when d times a generator is added;
-* ``unital-probe`` does not depend on generator order.
+* ``unital-probe`` does not depend on generator order;
+* ``irreducibility-probe`` gives the same result and certificate when the
+  generators are reversed and when one generator is repeated.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from confalg.cend import CendElem
 from confalg.cli import main
 from confalg.grammar import format_poly
 from confalg.jsonio import cend_to_json, fraction_to_str, polymat_to_json
-from confalg.poly import MPoly
-from confalg.polymat import det
+from confalg.poly import MPoly, UPoly
+from confalg.polymat import PolyMat, det
 from confalg.sampling import (
     random_cend,
     random_modvec_raw,
@@ -42,6 +44,11 @@ from confalg.sampling import (
 
 def _run(verb: str, payload) -> dict:
     """The result of one decided in-process call of ``verb`` on ``payload``."""
+    return _decided(verb, payload)["result"]
+
+
+def _decided(verb: str, payload) -> dict:
+    """The envelope of one decided in-process call of ``verb`` on ``payload``."""
     out = io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
     try:
@@ -52,7 +59,7 @@ def _run(verb: str, payload) -> dict:
     [line] = out.getvalue().splitlines()
     envelope = json.loads(line)
     assert code == 0 and envelope["status"] == "decided", envelope
-    return envelope["result"]
+    return envelope
 
 
 def _nondegenerate(rng: random.Random, n: int):
@@ -61,6 +68,11 @@ def _nondegenerate(rng: random.Random, n: int):
         p = random_polymat(rng, n, rng.randint(1, 2))
         if not det(p).is_zero():
             return p
+
+
+def _upper(rows, zero):
+    """The rows with every entry below the diagonal replaced by ``zero``."""
+    return [[e if j >= i else zero for j, e in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def _scrambled(rng: random.Random, p, a: int):
@@ -131,8 +143,7 @@ def test_unital_probe_does_not_depend_on_generator_order(seed, n):
     for _ in range(2):
         rows = [random_modvec_raw(rng, n, rng.randint(1, 2)) for _ in range(n)]
         if seed % 4 < 2:  # upper triangular: a proper subalgebra for n > 1
-            rows = [[e if j >= i else MPoly.zero() for j, e in enumerate(row)]
-                    for i, row in enumerate(rows)]
+            rows = _upper(rows, MPoly.zero())
         gens.append(CendElem(rows))
     if seed % 2:
         gens.append(random_cend(rng, n, 1))
@@ -140,3 +151,38 @@ def test_unital_probe_does_not_depend_on_generator_order(seed, n):
     want = _run("unital-probe", {"gens": gens})
     assert _run("unital-probe", {"gens": gens[::-1]}) == want
     assert _run("unital-probe", {"gens": [*gens[1:], gens[0]]}) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(16))
+def test_irreducibility_probe_depends_only_on_the_generator_set(seed, n):
+    # one to three generators of degree 0-2 under a nondegenerate P and an
+    # integer alpha; on half the seeds P and the generators are upper
+    # triangular and the start is on e_1, whose Q[d]-line is then invariant
+    rng = random.Random(seed * 10 + n)
+    triangular = seed % 4 < 2
+    while True:
+        p = random_polymat(rng, n, rng.randint(1, 2))
+        if triangular:
+            p = PolyMat(_upper(p.rows, UPoly.zero()))
+        if not det(p).is_zero():
+            break
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        rows = random_cend(rng, n, rng.randint(0, 2)).entries
+        gens.append(cend_to_json(CendElem(_upper(rows, MPoly.zero()) if triangular else rows)))
+    start: tuple[MPoly, ...] = ()
+    while all(e.is_zero() for e in start):
+        start = random_modvec_raw(rng, n, rng.randint(0, 1))
+        if triangular:
+            start = (start[0],) + (MPoly.zero(),) * (n - 1)
+    payload = {"p": polymat_to_json(p), "start": [format_poly(e) for e in start],
+               "alpha": str(rng.randint(-2, 2))}
+
+    def probe(gens):
+        envelope = _decided("irreducibility-probe", {**payload, "gens": gens})
+        return envelope["result"], envelope["certificate"]
+
+    want = probe(gens)
+    assert probe(gens[::-1]) == want
+    assert probe([*gens, gens[rng.randrange(len(gens))]]) == want

@@ -2,8 +2,9 @@
 
 Every public top-level function or class in ``src/confalg`` must be named by
 something that needs it: another library module, the acceptance suite or the
-benchmark.  A name that only its own unit tests and the package re-exports
-reach serves no verb and no acceptance criterion.
+benchmark.  A name that only its own unit tests reach serves no verb and no
+acceptance criterion.  The package root re-exports nothing, so it holds its
+docstring alone.
 """
 
 from __future__ import annotations
@@ -81,3 +82,11 @@ def test_every_public_name_has_a_caller():
     assert not extra, f"public names nothing reaches: {extra}"
     stale = sorted(KEPT_FOR_TESTS.keys() - set(unreached))
     assert not stale, f"reached names need no exemption: {stale}"
+
+
+def test_package_root_is_its_docstring():
+    # every name is imported from its module; a re-export table at the root
+    # would have to follow each rename and deletion by hand
+    tree = _parse(SRC / "__init__.py")
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, "src/confalg/__init__.py holds more than its docstring"
