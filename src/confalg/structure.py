@@ -330,22 +330,12 @@ def _integer_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[int
     """The kernel of a rational matrix: den, and one vector per free column f.
 
     The vector for f is den at f and 0 at the other free columns and after f:
-    reduced echelon form for the columns read last to first.  Fraction-free
-    elimination with primitive rows, then back substitution in integers.
+    reduced echelon form for the columns read last to first.  The rows go
+    into an echelon by `_echelon_add`, then back substitution in integers.
     """
-    echelon: dict[int, list[int]] = {}  # pivot column -> its row, zero before it
+    echelon: dict[int, list[int]] = {}
     for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
-        lead = next((j for j, c in enumerate(ints) if c), None)
-        while lead in echelon:
-            a, b = echelon[lead][lead], ints[lead]
-            tail = [a * c - b * q for c, q in zip(ints[lead + 1 :], echelon[lead][lead + 1 :])]
-            g = gcd(*tail) or 1
-            ints = [0] * (lead + 1) + [c // g for c in tail]
-            lead = next((j for j in range(lead + 1, ncols) if ints[j]), None)
-        if lead is not None:
-            echelon[lead] = ints
+        _echelon_add(echelon, row)
     kernel = []
     for free in (f for f in range(ncols) if f not in echelon):
         vec = [0] * free + [1] + [0] * (ncols - free - 1)
@@ -357,6 +347,27 @@ def _integer_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[int
         kernel.append((vec[free], vec))
     den = lcm(*(lead for lead, _ in kernel))
     return den, [[c * (den // lead) for c in vec] for lead, vec in kernel]
+
+
+def _echelon_add(echelon: dict[int, list[int]], row: Sequence[RatLike]) -> bool:
+    """Reduce a rational row against the echelon; keep a nonzero remainder.
+
+    The echelon maps each pivot column to a primitive integer row, zero
+    before the pivot.  The row is cleared of denominators and reduced
+    fraction-free; the answer is whether the rank rose.
+    """
+    den = lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    lead = next((j for j, c in enumerate(ints) if c), None)
+    while lead in echelon:
+        a, b = echelon[lead][lead], ints[lead]
+        ints = [a * c - b * q for c, q in zip(ints, echelon[lead])]
+        lead = next((j for j in range(lead + 1, len(ints)) if ints[j]), None)
+    if lead is None:
+        return False
+    g = gcd(*ints)
+    echelon[lead] = [c // g for c in ints]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +488,9 @@ def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
     generator gives the full algebra, ``cend_n``.  Otherwise the Q[d]-span of
     the closure is Q[d] (x) A, where A is the unital Q-algebra generated by
     the generators' d-coefficient matrices (README), so the outcome is
-    ``cur_n`` and ``basis_rank`` is dim_Q A: the coefficient matrices are put
-    into an echelon basis as constant rows, and the products of basis pairs
-    are added until a pass adds nothing.
+    ``cur_n`` and ``basis_rank`` is dim_Q A, the rank of an `_echelon_add`
+    echelon of flat N^2-rows: the matrices, then each kept row times a basis
+    of their span on the left, until no row is left or the rank is N^2.
     """
     if not gens:
         raise ValueError("need generators")
@@ -490,20 +501,18 @@ def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
         raise ValueError("identity symbol must be among the generators")
     if any(g.uses_x() for g in gens):
         return ClosureOutcome("cend_n", 0)
-
-    def flat(rows: Sequence[Sequence[UPoly]]) -> list[UPoly]:
-        return [e for row in rows for e in row]
-
-    basis = PidRowBasis(n * n)
+    echelon: dict[int, list[int]] = {}
     for g in gens:
         for mat in _d_coefficients(g):
-            basis.add(flat(mat))
-    grew = True
-    while grew:  # a pass that adds a row raises the rank, which is at most N^2
-        mats = [PolyMat([r[i * n : (i + 1) * n] for i in range(n)]) for r in basis.canonical()]
-        grew = False
-        for a in mats:
-            for b in mats:
-                if basis.add(flat((a @ b).rows)):
-                    grew = True
-    return ClosureOutcome("cur_n", basis.rank())
+            _echelon_add(echelon, [e.coefficient(0) for row in mat for e in row])
+    letters = list(echelon.values())
+    words = list(letters)
+    for word in words:  # grows while it is read
+        for letter in letters:
+            if len(echelon) == n * n:
+                return ClosureOutcome("cur_n", n * n)
+            product = [sum(letter[i + k] * word[k * n + j] for k in range(n))
+                       for i in range(0, n * n, n) for j in range(n)]
+            if _echelon_add(echelon, product):
+                words.append(product)
+    return ClosureOutcome("cur_n", len(echelon))

@@ -360,19 +360,6 @@ class TestDualAction:
         out = split_action(dual_action_raw, a, modvec([1, 0]))
         assert out == {0: modvec([0, UPoly((0, 1), "d")])}
 
-    def test_lie_module_axioms(self):
-        rng = random.Random(23)
-        samples = [
-            (
-                random_cend(rng, 2, 1),
-                random_cend(rng, 2, 1),
-                random_modvec_raw(rng, 2, 1),
-            )
-            for _ in range(4)
-        ]
-        report = verify_module_axioms(dual_action_raw, samples, p_mat=None, lie=True)
-        assert report.ok, report.failures
-
 
 # ---------------------------------------------------------------------------
 # The cancelling verifiers against compare-both-sides references

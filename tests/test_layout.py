@@ -1,7 +1,8 @@
 """Layout guards over the source tree.
 
-Every public top-level function or class in ``src/confalg`` must be named by
-something that needs it: another library module, the acceptance suite or the
+Every public top-level function or class in ``src/confalg``, and every public
+method of a public class, must be named outside its own definition by
+something that needs it: library code, the acceptance suite or the
 benchmark.  A name that only its own unit tests reach serves no verb and no
 acceptance criterion.  The package root re-exports nothing, so it holds its
 docstring alone.
@@ -27,13 +28,23 @@ KEPT_FOR_TESTS: dict[str, str] = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
-def _public_defs(tree: ast.Module) -> list[ast.AST]:
+def _public_defs(tree: ast.Module | ast.ClassDef) -> list[ast.AST]:
     return [
         node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     ]
+
+
+def _guarded(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(label, node) for each public top-level name and public class method."""
+    out = []
+    for node in _public_defs(tree):
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item) for item in _public_defs(node)]
+    return out
 
 
 def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -69,7 +80,7 @@ def test_every_public_name_has_a_caller():
         named_outside |= _names(_parse(path))
     unreached = []
     for path, tree in modules.items():
-        for node in _public_defs(tree):
+        for label, node in _guarded(tree):
             if node.name in named_outside:
                 continue
             if any(
@@ -77,7 +88,7 @@ def test_every_public_name_has_a_caller():
                 for other in modules.values()
             ):
                 continue
-            unreached.append(f"{path.stem}.{node.name}")
+            unreached.append(f"{path.stem}.{label}")
     extra = sorted(set(unreached) - KEPT_FOR_TESTS.keys())
     assert not extra, f"public names nothing reaches: {extra}"
     stale = sorted(KEPT_FOR_TESTS.keys() - set(unreached))

@@ -903,6 +903,18 @@ class TestCachedSubstitution:
         assert _terms(raw_subst(rows, bindings)) == want
         assert substituter(bindings) is substituter(dict(reversed(bindings.items())))
 
+    def test_memo_past_its_bound_keeps_results(self, monkeypatch):
+        key = tuple(sorted(_values(_KERNEL_BINDINGS[0]).items()))
+        polys = [D**9 * X**7 - L**5, X**6 * 3, D**4 * X**8 + D * X + Fraction(1, 7)]
+        unbounded = poly._Substitution(key)
+        want = unbounded.apply(polys)
+        assert sum(map(len, unbounded._images.values())) > 40
+        monkeypatch.setattr(poly, "SUBSTITUTION_TERMS", 40)
+        bounded = poly._Substitution(key)
+        for _ in range(2):  # cold, then warm with what was kept
+            assert bounded.apply(polys) == want
+            assert sum(map(len, bounded._images.values())) <= 40
+
 
 class TestSubstitutionOverflow:
     """An image that does not fit raises the message of its entry, the first

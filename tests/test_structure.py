@@ -558,6 +558,37 @@ class TestUnitalProbe:
         outcome = unital_closure_probe([CendElem.identity(3), shift])
         assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 9)
 
+    def test_rotation_generates_a_field(self):
+        # J = [[0, 1], [-1, 0]] has J^2 = -1, so A = Q[J] has dimension 2
+        one = MPoly.const(1)
+        j = CendElem([[MPoly.zero(), one], [-one, MPoly.zero()]])
+        outcome = unital_closure_probe([CendElem.identity(2), j])
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 2)
+
+    def test_coefficients_with_different_denominators(self):
+        # E_11 / 2 at d^1, E_12 / 3 and E_22 * 5/6 at d^0: rescaled, they span
+        # the upper triangular algebra as E_11 and E_12 alone would
+        c = MPoly.const
+        g = CendElem([[D * Fraction(1, 2), c(Fraction(1, 3))], [MPoly.zero(), c(Fraction(5, 6))]])
+        outcome = unital_closure_probe([CendElem.identity(2), g])
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 3)
+
+    def test_stops_at_all_of_mat_n(self, monkeypatch):
+        # I, the cyclic shift C and E_11 need products to reach rank 9; the
+        # product that reaches it is the last row tried
+        add, kept = structure._echelon_add, []
+
+        def recording(echelon, row):
+            kept.append(add(echelon, row))
+            return kept[-1]
+
+        monkeypatch.setattr(structure, "_echelon_add", recording)
+        zero, one = MPoly.zero(), MPoly.const(1)
+        shift = CendElem([[D, one, zero], [zero, zero, one], [one, zero, zero]])
+        outcome = unital_closure_probe([CendElem.identity(3), shift])
+        assert (outcome.outcome, outcome.basis_rank) == ("cur_n", 9)
+        assert sum(kept) == 9 and kept[-1]
+
     def test_requires_identity(self):
         with pytest.raises(ValueError):
             unital_closure_probe([CendElem.matrix_unit(2, 0, 0)])
