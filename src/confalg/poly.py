@@ -41,6 +41,8 @@ _SHIFTS = (48, 32, 16, 0)
 _FIELD = (1 << _BITS) - 1
 _ALL = (1 << (4 * _BITS)) - 1
 _LM_MASK = (1 << (2 * _BITS)) - 1  # the l and m fields
+_X_SHIFT = _SHIFTS[1]
+_X_FIELD = _FIELD << _X_SHIFT
 _GUARD = sum(1 << (s + _BITS - 1) for s in _SHIFTS)
 MAX_EXP = (1 << (_BITS - 1)) - 1
 _ABOVE_63 = sum((_FIELD ^ 63) << s for s in _SHIFTS)
@@ -501,6 +503,28 @@ def mpoly_dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
 MATMUL_PACK_WORK = 512
 
 
+# The fold of x into the digits: each matrix entry then takes one digit per x
+# power of the product, ne * (ea + eb + 1) digits in all for an nr x nc
+# product (ne = nr * nc) whose factors reach x^ea and x^eb.  Folding trades
+# dict entries for longer integers, which pays only while the packed integers
+# stay short: ``mpoly_matmul`` folds while those digits take fewer bits than
+# this.  Measured (Python 3.11.7, x86-64, a shared 2-core machine) on the
+# dense 4 x 4, degree-16 gate cases, whose products need 16 * 33 digits of 60
+# bits or more (wall time of one request, median of 3 runs alternating the
+# limits), and on the benchmark's ``axioms`` workload (latency_p90_ms, median
+# of 10 runs of 30 s; the first row is the layout with x in every key):
+#
+#     limit         product  bracket  oc-gens  axioms p90
+#     0 (no fold)   1.69 s   2.63 s   0.82 s   9.47 ms
+#     4096          1.68 s   2.34 s   0.72 s   8.31 ms
+#     unlimited     2.42 s   2.79 s   1.03 s
+#
+# The packed products of sampled axiom checks at n = 2 fold: they take at
+# most 936 bits at degree 2 and 2,788 at degree 4.  The dense products stay
+# above the limit and keep x in their keys.
+MATMUL_FOLD_BITS = 4096
+
+
 def mpoly_matmul(
     a: Sequence[Sequence[MPoly]], b: Sequence[Sequence[MPoly]]
 ) -> tuple[tuple[MPoly, ...], ...]:
@@ -509,36 +533,49 @@ def mpoly_matmul(
     The caller checks the shapes.  Every entry comes from one accumulation:
     the numerators of ``a`` are brought over the lcm ``da`` of its
     denominators, and column k of ``a`` is packed into one integer per
-    exponent key, entry (i, k) in digit i of width w; row k of ``b`` is packed
-    the same way over ``db``, entry (k, j) in digit nr * j.  One dict sums the
-    products of the packed column and row over k, so digit i + nr * j of a
-    key's sum is the numerator of entry (i, j) over da * db at that key.
+    x-free exponent key, the x^e part of entry (i, k) in digit i + ne * e of
+    width w, with ne = nr * nc; row k of ``b`` is packed the same way over
+    ``db``, the x^e part of entry (k, j) in digit nr * j + ne * e.  One dict
+    sums the products of the packed column and row over k, so digit
+    i + nr * j + ne * e of a key's sum is the numerator of entry (i, j) over
+    da * db at that key times x^e.  This is a Kronecker substitution in x,
+    the one variable every symbol carries, beside the entry index.
 
     With every scaled numerator of ``a`` below 2^abits and of ``b`` below
-    2^bbits in size, an entry's numerator at one key is a sum of at most
-    k * t products, t the smaller of the largest term counts of ``a`` and
-    ``b``, so w = abits + bbits + bitlen(k * t) + 1 gives |c| < 2^(w-1).
-    Adding 2^(w-1) to every digit below the top one makes them nonnegative;
-    each is read with a shift and a mask, the top digit is what the shifts
-    leave, and each entry is reduced to canonical form.
+    2^bbits in size, an entry's numerator at one key and x power is a sum of
+    at most k * t products (each term of a_ik meets at most one term of b_kj
+    there), t the smaller of the largest term counts of ``a`` and ``b``, so
+    w = abits + bbits + bitlen(k * t) + 1 gives |c| < 2^(w-1).  Adding
+    2^(w-1) to every digit below the top one makes them nonnegative; each is
+    read with a shift and a mask, the top digit is what the shifts leave, and
+    each entry is reduced to canonical form.
 
-    Below ``MATMUL_PACK_WORK`` term products, or when the OR of the packed
-    keys could set a guard bit, each entry is one ``mpoly_dot`` instead (which
-    raises ``ExponentOverflowError`` when a product's exponent does not fit).
-    So is a product with one entry: its one digit is that dot, and packing it
-    only adds copies.
+    x stays in the keys, with one digit per entry, when the largest x
+    exponents of ``a`` and ``b`` sum above MAX_EXP (the guard bits do not see
+    folded exponents) or when the digits would take ``MATMUL_FOLD_BITS`` or
+    more.  Below ``MATMUL_PACK_WORK`` term products, or when the OR of the
+    packed keys could set a guard bit, each entry is one ``mpoly_dot``
+    instead (which raises ``ExponentOverflowError`` when a product's exponent
+    does not fit).  So is a product with one entry: its one digit is that
+    dot, and packing it only adds copies.
     """
     nr, nk = len(a), len(b)
     nc = len(b[0]) if b else 0
-    if nr * nc == 1 or _small(a, b):
+    ne = nr * nc
+    if ne == 1 or _small(a, b):
         return _matmul_by_dots(a, b)
     da = lcm(*(e._den for row in a for e in row))
     db = lcm(*(e._den for row in b for e in row))
-    abits, aterms = _scaled_size(a, da)
-    bbits, bterms = _scaled_size(b, db)
+    abits, aterms, ax = _scaled_size(a, da)
+    bbits, bterms, bx = _scaled_size(b, db)
     w = abits + bbits + (nk * min(aterms, bterms)).bit_length() + 1
-    cols = [_pack_digits([row[k] for row in a], da, w) for k in range(nk)]
-    rows = [_pack_digits(brow, db, w * nr) for brow in b]
+    nx = ax + bx + 1  # x powers of the product, one digit per entry each
+    if nx > MAX_EXP + 1 or ne * nx * w >= MATMUL_FOLD_BITS:
+        ax = bx = 0
+        nx = 1
+    xw = ne * w  # the x stride of the folded digits
+    cols = [_pack_digits([row[k] for row in a], da, w, xw if ax else 0) for k in range(nk)]
+    rows = [_pack_digits(brow, db, w * nr, xw if bx else 0) for brow in b]
     keys_a = reduce(or_, chain.from_iterable(cols), 0)
     if (keys_a + reduce(or_, chain.from_iterable(rows), 0)) & _GUARD:
         return _matmul_by_dots(a, b)
@@ -551,21 +588,22 @@ def mpoly_matmul(
             for k2, c2 in row.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-    nums: list[dict[int, int]] = [{} for _ in range(nr * nc)]
-    *lower, top = nums
+    nums: list[dict[int, int]] = [{} for _ in range(ne)]
+    # digit t is entry t mod ne at x^(t div ne)
+    *lower, (top, top_x) = [(num, e << _X_SHIFT) for e in range(nx) for num in nums]
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     bias = half * (((1 << (w * len(lower))) - 1) // mask)  # half in each lower digit
     for key, v in out.items():
         if v:
             v += bias
-            for num in lower:
+            for num, x in lower:
                 c = (v & mask) - half
                 if c:
-                    num[key] = c
+                    num[key | x] = c
                 v >>= w
             if v:  # the top digit, signed, is what the shifts leave
-                top[key] = v
+                top[key | top_x] = v
     den = da * db
     return tuple(tuple(_make(nums[i + nr * j], den) for j in range(nc)) for i in range(nr))
 
@@ -591,22 +629,26 @@ def _matmul_by_dots(
     return tuple([tuple([mpoly_dot(zip(row, col)) for col in cols]) for row in a])
 
 
-def _scaled_size(m: Sequence[Sequence[MPoly]], den: int) -> tuple[int, int]:
-    """Bit length of the largest numerator of ``m`` over ``den``, and the
-    largest term count of an entry."""
-    bits = terms = 0
+def _scaled_size(m: Sequence[Sequence[MPoly]], den: int) -> tuple[int, int, int]:
+    """Bit length of the largest numerator of ``m`` over ``den``, the
+    largest term count of an entry, and the largest exponent of x."""
+    bits = terms = xs = 0
     for row in m:
         for e in row:
             num = e._num
             if num:
                 bits = max(bits, (max(map(abs, num.values())) * (den // e._den)).bit_length())
                 terms = max(terms, len(num))
-    return bits, terms
+                xs = max(xs, max(map(_X_FIELD.__and__, num)))
+    return bits, terms, xs >> _X_SHIFT
 
 
-def _pack_digits(entries: Iterable[MPoly], den: int, stride: int) -> dict[int, int]:
+def _pack_digits(
+    entries: Iterable[MPoly], den: int, stride: int, xstride: int
+) -> dict[int, int]:
     """Entry t's numerators over ``den``, shifted left by t * stride bits and
-    summed into one integer per key."""
+    summed into one integer per key.  With ``xstride``, each term's x^e
+    leaves its key and shifts it a further e * xstride bits."""
     out: dict[int, int] = {}
     get = out.get
     shift = 0
@@ -614,8 +656,14 @@ def _pack_digits(entries: Iterable[MPoly], den: int, stride: int) -> dict[int, i
         num = e._num
         if num:
             f = den // e._den
-            for key, c in num.items():
-                out[key] = get(key, 0) + (c * f << shift)
+            if xstride:
+                for key, c in num.items():
+                    x = key & _X_FIELD
+                    key ^= x
+                    out[key] = get(key, 0) + (c * f << shift + (x >> _X_SHIFT) * xstride)
+            else:
+                for key, c in num.items():
+                    out[key] = get(key, 0) + (c * f << shift)
         shift += stride
     return out
 

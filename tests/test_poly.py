@@ -695,6 +695,34 @@ def matrix_pairs(draw):
     return a, b
 
 
+# fold limits: never fold, the shipped limit, and above every case here
+_FOLD_LIMITS = (0, poly.MATMUL_FOLD_BITS, 1 << 62)
+
+
+def _folds(pack) -> list[bool]:
+    """Whether each call of a wrapped ``_pack_digits`` folded x into the digits."""
+    return [bool(call.args[3]) for call in pack.call_args_list]
+
+
+# x exponents up to 12, rational throughout, x in both factors
+_X12_A = [
+    [{(0, 12, 0, 0): Fraction(1, 3), (1, 5, 0, 0): Fraction(-2, 7), (0, 0, 0, 0): Fraction(5)},
+     {(0, 7, 1, 0): Fraction(3, 4), (2, 0, 0, 0): Fraction(-1, 6)}],
+    [{}, {(0, i, 0, 0): Fraction(i + 1, 5) for i in range(13)}],
+]
+_X12_B = [
+    [{(0, i, 0, 1): Fraction(-1, i + 2) for i in range(0, 13, 2)},
+     {(1, 11, 0, 0): Fraction(9, 2)}],
+    [{(0, 12, 0, 0): Fraction(2, 9), (3, 0, 0, 0): Fraction(1)},
+     {(0, i, 1, 0): Fraction(2 * i - 13, 7) for i in range(13)}],
+]
+# an x-free factor on either side of a factor with x up to 12
+_X_FREE = [
+    [{(2, 0, 0, 0): Fraction(3, 2), (0, 0, 1, 0): Fraction(-1)}, {(0, 0, 0, 0): Fraction(1, 11)}],
+    [{(1, 0, 0, 1): Fraction(-4, 3)}, {(3, 0, 0, 0): Fraction(2), (0, 0, 0, 0): Fraction(-1, 2)}],
+]
+
+
 class TestMatmul:
     @settings(max_examples=150, deadline=None)
     @given(matrix_pairs())
@@ -705,13 +733,18 @@ class TestMatmul:
     @example(_extreme(64, (1, -1, 1), 3, 3, 5))
     @example(_extreme(200, (-1, -1, -1, -1), 4, 4, 4))
     @example(_extreme(200, (-1, 1), 2, 3, 5))
+    @example((_X12_A, _X12_B))
+    @example((_X12_A, _X_FREE))
+    @example((_X_FREE, _X12_B))
     def test_matches_schoolbook(self, pair):
         # both paths: packed whatever the size (one entry aside), and at the
-        # shipped threshold
+        # shipped threshold; the packed path with x never folded, folded
+        # below the shipped limit, and always folded
         a, b = pair
         want = ref_matmul(a, b)
-        for threshold in (0, poly.MATMUL_PACK_WORK):
-            with mock.patch.object(poly, "MATMUL_PACK_WORK", threshold):
+        for threshold, limit in itertools.product((0, poly.MATMUL_PACK_WORK), _FOLD_LIMITS):
+            with mock.patch.object(poly, "MATMUL_PACK_WORK", threshold), \
+                    mock.patch.object(poly, "MATMUL_FOLD_BITS", limit):
                 got = mpoly_matmul(_rows(a), _rows(b))
             assert _terms(got) == want
             for row in got:
@@ -722,14 +755,34 @@ class TestMatmul:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_an_entry_reaches_the_width_bound(self, bits, sign):
         # w = abits + bbits + bitlen(k * t) + 1 with k = 3, t = 5; the entry
-        # at x^4 is 15 (2^bits - 1)^2 in size, above 2^(w-2)
+        # at x^4 is 15 (2^bits - 1)^2 in size, above 2^(w-2); folded, it is
+        # the digit of x^4, one of 9 x powers of each of the 9 entries
         a, b = _extreme(bits, (sign,) * 3, 3, 3, 5)
-        with mock.patch.object(poly, "MATMUL_PACK_WORK", 0), \
+        w = 2 * bits + (3 * 5).bit_length() + 1
+        for limit in _FOLD_LIMITS:
+            with mock.patch.object(poly, "MATMUL_PACK_WORK", 0), \
+                    mock.patch.object(poly, "MATMUL_FOLD_BITS", limit), \
+                    mock.patch.object(poly, "_pack_digits", wraps=poly._pack_digits) as pack, \
+                    mock.patch.object(poly, "mpoly_dot", side_effect=AssertionError):
+                got = mpoly_matmul(_rows(a), _rows(b))
+            assert set(_folds(pack)) == {9 * 9 * w < limit}
+            top = max(abs(c) for row in got for e in row for c in e._num.values())
+            assert 2 ** (w - 2) <= top < 2 ** (w - 1)
+            assert _terms(got) == ref_matmul(a, b)
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_fold_only_below_the_size_limit(self, over):
+        # 3 x 3 times 3 x 3, x^0..x^4 in both: 9 entries of 9 x powers each,
+        # w = 7 + 7 + bitlen(3 * 5) + 1 = 19; at the limit x stays in the keys
+        a, b = _extreme(7, (1, -1, 1), 3, 3, 5)
+        size = 9 * 9 * 19
+        with mock.patch.object(poly, "MATMUL_FOLD_BITS", size + 1 - over), \
+                mock.patch.object(poly, "_pack_digits", wraps=poly._pack_digits) as pack, \
+                mock.patch.object(poly, "_matmul_by_dots", side_effect=AssertionError), \
                 mock.patch.object(poly, "mpoly_dot", side_effect=AssertionError):
             got = mpoly_matmul(_rows(a), _rows(b))
-        w = 2 * bits + (3 * 5).bit_length() + 1
-        top = max(abs(c) for row in got for e in row for c in e._num.values())
-        assert 2 ** (w - 2) <= top < 2 ** (w - 1)
+            assert ref_work(a, b) >= poly.MATMUL_PACK_WORK
+        assert _folds(pack) == [not over] * 6
         assert _terms(got) == ref_matmul(a, b)
 
     @pytest.mark.parametrize("below", [True, False])
@@ -784,6 +837,8 @@ class TestMatmul:
         assert got[0][1] == got[1][0] == (p * q).scale(2)
 
     def test_overflow_raises_the_per_entry_message(self):
+        # x^MAX_EXP times x: x exponents that sum to MAX_EXP + 1 are never
+        # folded, whatever the size limit, so the guard sees them
         from confalg.poly import MAX_EXP, ExponentOverflowError
 
         pad = {(i, 0, 0, 0): Fraction(1) for i in range(1, 40)}  # above the threshold
@@ -791,13 +846,31 @@ class TestMatmul:
         x = MPoly({(0, 1, 0, 0): Fraction(1), **pad})
         a, b = [[big, x], [x, x]], [[x, x], [x, x]]
         assert ref_work(_terms(a), _terms(b)) >= poly.MATMUL_PACK_WORK
-        with pytest.raises(ExponentOverflowError) as got:
-            mpoly_matmul(a, b)
         with pytest.raises(ExponentOverflowError) as want:
             mpoly_dot(zip(a[0], [x, x]))
-        assert str(got.value) == str(want.value) == (
-            f"exponent {MAX_EXP + 1} of x is above the limit {MAX_EXP}"
-        )
+        assert str(want.value) == f"exponent {MAX_EXP + 1} of x is above the limit {MAX_EXP}"
+        for limit in _FOLD_LIMITS:
+            with mock.patch.object(poly, "MATMUL_FOLD_BITS", limit), \
+                    mock.patch.object(poly, "_pack_digits", wraps=poly._pack_digits) as pack, \
+                    pytest.raises(ExponentOverflowError) as got:
+                mpoly_matmul(a, b)
+            assert not any(_folds(pack))
+            assert str(got.value) == str(want.value)
+
+    def test_overflow_in_d_raises_while_x_folds(self):
+        # every entry x^0..x^15, one term d^MAX_EXP in a and d in b: small
+        # enough to fold at the shipped limit, and the guard still sees d
+        from confalg.poly import MAX_EXP, ExponentOverflowError
+
+        xs = {(0, j, 0, 0): Fraction(j + 1, 2) for j in range(16)}
+        a = [[MPoly({(MAX_EXP, 0, 0, 0): Fraction(1), **xs}), MPoly(xs)], [MPoly(xs)] * 2]
+        b = [[MPoly({(1, 3, 0, 0): Fraction(-1, 3), **xs}), MPoly(xs)], [MPoly(xs)] * 2]
+        assert ref_work(_terms(a), _terms(b)) >= poly.MATMUL_PACK_WORK
+        with mock.patch.object(poly, "_pack_digits", wraps=poly._pack_digits) as pack, \
+                pytest.raises(ExponentOverflowError) as got:
+            mpoly_matmul(a, b)
+        assert _folds(pack) and all(_folds(pack))
+        assert str(got.value) == f"exponent {MAX_EXP + 1} of d is above the limit {MAX_EXP}"
 
     def test_guard_that_trips_without_overflow_gives_the_product(self):
         # the OR of a's keys and of b's keys reaches the guard bit of x, but
