@@ -137,10 +137,6 @@ class CendElem:
         return CendElem(raw_identity(n))
 
     @staticmethod
-    def zero(n: int) -> CendElem:
-        return CendElem(raw_zero(n))
-
-    @staticmethod
     def scalar(p: MPoly) -> CendElem:
         return CendElem(((p,),))
 
@@ -152,10 +148,6 @@ class CendElem:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: CendElem) -> CendElem:
-        self._same_size(other)
-        return CendElem(raw_add(self.entries, other.entries))
-
     def __sub__(self, other: CendElem) -> CendElem:
         self._same_size(other)
         return CendElem(raw_sub(self.entries, other.entries))
@@ -166,18 +158,11 @@ class CendElem:
     def scale(self, c: MPoly | RatLike) -> CendElem:
         return CendElem(raw_scale(self.entries, c))
 
-    def __matmul__(self, other: CendElem) -> CendElem:
-        self._same_size(other)
-        return CendElem(raw_mul(self.entries, other.entries))
-
     def times_polymat(self, p: PolyMat) -> CendElem:
         """Right multiplication by a matrix over Q[x]."""
         if p.n != self.n:
             raise ValueError("size mismatch")
         return CendElem(raw_mul(self.entries, p.to_mpoly_rows()))
-
-    def transpose(self) -> CendElem:
-        return CendElem(raw_transpose(self.entries))
 
     def substitute(self, bindings: Mapping[str, MPoly | RatLike]) -> CendElem:
         return CendElem(raw_subst(self.entries, bindings))
@@ -257,9 +242,6 @@ class LambdaSeries:
         return LambdaSeries(
             self.n, tuple((k, fn(val)) for k, val in self.coefficients)
         )
-
-    def is_zero(self) -> bool:
-        return all(val.is_zero() for _, val in self.coefficients)
 
     def to_raw(self) -> RawMat:
         acc = raw_zero(self.n)
@@ -577,12 +559,15 @@ def verify_lie_axioms(
 def verify_module_axioms(
     action: ActionClosure,
     samples: Iterable[tuple[CendElem, CendElem, RawVec]],
-    p_mat: PolyMat | None = None,
+    p_mat: PolyMat,
 ) -> AxiomReport:
     """Exact check of the module axioms for an abstract action closure.
 
-    Samples are (a, b, v) with a, b given by their a-parts relative to p_mat
-    and v a vector of parameter-free polynomials in d.
+    Samples are (a, b, v): a and b are a-parts, whose full symbols are a*P
+    and b*P for the defining matrix ``p_mat``, and v is a vector of
+    parameter-free polynomials in d.  The composition axiom acts with the
+    product of a and b taken as a-parts, P once mid-product
+    (``product_apply``).
     """
     failures: list[str] = []
     count = 0

@@ -175,16 +175,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_constant(self) -> bool:
-        return not any(self._num)
-
-    def constant_value(self) -> Fraction:
-        if not self._num:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(self._num[0], self._den)
-
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         s = _SHIFTS[_VAR_INDEX[var]]
@@ -203,9 +193,6 @@ class MPoly:
     def variables(self) -> set[str]:
         bits = reduce(or_, self._num, 0)
         return {v for v, s in zip(VARS, _SHIFTS) if bits >> s & _FIELD}
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return Fraction(self._num.get(_pack(exp), 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -242,9 +229,6 @@ class MPoly:
 
     def __sub__(self, other: MPoly | RatLike) -> MPoly:
         return self + (-_as_mpoly(other))
-
-    def __rsub__(self, other: MPoly | RatLike) -> MPoly:
-        return _as_mpoly(other) + (-self)
 
     def __mul__(self, other: MPoly | RatLike) -> MPoly:
         if not isinstance(other, MPoly):
@@ -826,9 +810,6 @@ class UPoly:
             return self._add_scalar(-_rat(other))
         self._check(other)
         return _up_add(self._num, self._den, [-c for c in other._num], other._den, self.var)
-
-    def __rsub__(self, other: UPoly | RatLike) -> UPoly:
-        return (-self)._add_scalar(_rat(other))
 
     def _add_scalar(self, c: Fraction) -> UPoly:
         n, d = c.numerator, c.denominator

@@ -71,15 +71,6 @@ class PolyMat:
     def __getitem__(self, ij: tuple[int, int]) -> UPoly:
         return self.rows[ij[0]][ij[1]]
 
-    def __add__(self, other: PolyMat) -> PolyMat:
-        self._same_size(other)
-        return PolyMat(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
     def __sub__(self, other: PolyMat) -> PolyMat:
         self._same_size(other)
         return PolyMat(
@@ -88,9 +79,6 @@ class PolyMat:
                 for i in range(self.n)
             ]
         )
-
-    def __neg__(self) -> PolyMat:
-        return PolyMat([[-e for e in r] for r in self.rows])
 
     def __matmul__(self, other: PolyMat) -> PolyMat:
         self._same_size(other)
@@ -128,9 +116,6 @@ class PolyMat:
     def compose(self, inner: UPoly) -> PolyMat:
         return self.map_entries(lambda e: e.compose(inner))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.rows for e in r)
-
     def _same_size(self, other: PolyMat) -> None:
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
@@ -139,9 +124,6 @@ class PolyMat:
         if not isinstance(other, PolyMat):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         from .grammar import format_upoly

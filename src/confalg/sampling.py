@@ -41,12 +41,12 @@ def random_polymat(rng: random.Random, n: int, degree: int) -> PolyMat:
     return PolyMat(rows)
 
 
-def random_unimodular(rng: random.Random, n: int, ops: int = 4) -> PolyMat:
-    """Product of random transvections, sign flips and swaps."""
+def random_unimodular(rng: random.Random, n: int) -> PolyMat:
+    """Product of four random transvections, sign flips and swaps."""
     mat = PolyMat.identity(n)
     if n == 1:
         return mat.scale(rng.choice([1, -1, 2, Fraction(1, 2)]))
-    for _ in range(ops):
+    for _ in range(4):
         kind = rng.randrange(3)
         if kind == 0:
             i, j = rng.sample(range(n), 2)

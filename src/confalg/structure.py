@@ -1,8 +1,9 @@
 """Decision procedures: ideals, isomorphism, anti-involutions, extensions.
 
 Every decision returns enough certificate data (transforms, witnesses,
-divisor lists) for an independent re-verification pass; searches carry
-explicit budgets and report honest three-valued outcomes.
+divisor lists) for an independent re-verification pass.  The one search,
+``anti_involution_search``, carries a degree cap and reports a three-valued
+outcome; the other procedures have no budget and always decide.
 """
 
 from __future__ import annotations
@@ -390,9 +391,7 @@ class ExtensionModule:
     kind: str
     p_mat: PolyMat
     alpha: Fraction
-    r_mat: PolyMat | None
     s_mat: PolyMat | None
-    gamma: Fraction
     action: ActionClosure = field(compare=False)
 
     @property
@@ -427,7 +426,7 @@ def build_extension(
             r_shift = raw_subst(r_raw, {"x": p + _D})
             return head_action(raw_mul(raw_mul(s_in_d, head), r_shift), p)
 
-        return ExtensionModule("factorization", p_mat, alpha, r_mat, s_mat, gamma, act)
+        return ExtensionModule("factorization", p_mat, alpha, s_mat, act)
 
     if kind == "jordan":
         p_raw = p_mat.to_mpoly_rows()
@@ -446,7 +445,7 @@ def build_extension(
             block = tuple(r0 + r1 for r0, r1 in zip(head0, head1))
             return head_action(block + tuple(zero + r0 for r0 in head0), p)
 
-        return ExtensionModule("jordan", p_mat, alpha, None, None, gamma, act_jordan)
+        return ExtensionModule("jordan", p_mat, alpha, None, act_jordan)
 
     raise ValueError(f"unknown extension kind {kind!r}")
 

@@ -29,9 +29,11 @@ from confalg.cend import (
     raw_mul,
     raw_neg,
     raw_scale,
+    raw_sub,
     raw_subst,
     raw_transpose,
     raw_vec_subst,
+    raw_zero,
     right_factors,
     standard_action,
     verify_assoc_axioms,
@@ -63,7 +65,7 @@ def split_action(act, a: CendElem, vec) -> dict:
 
 def coeff(series: LambdaSeries, l_power: int) -> CendElem:
     """The coefficient of l^l_power in ``series``, zero when absent."""
-    return dict(series.coefficients).get(l_power, CendElem.zero(series.n))
+    return dict(series.coefficients).get(l_power, CendElem(raw_zero(series.n)))
 
 
 def dual_action_raw(a_part, param):
@@ -107,7 +109,7 @@ class TestNthProducts:
         assert series.coefficients == ((0, scalar(X + D)), (1, ONE1))
 
     def test_zero(self):
-        assert lambda_product(CendElem.zero(1), scalar(X)).coefficients == ()
+        assert lambda_product(CendElem(raw_zero(1)), scalar(X)).coefficients == ()
 
 
 class TestLieBracket:
@@ -122,7 +124,9 @@ class TestLieBracket:
             a = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
             b = CendElem([[MPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
             series = lie_bracket(a, b)
-            assert coeff(series, 0) == a @ b - b @ a
+            assert coeff(series, 0).entries == raw_sub(
+                raw_mul(a.entries, b.entries), raw_mul(b.entries, a.entries)
+            )
             assert coeff(series, 1).is_zero()
 
     def test_degree_one_self_bracket(self):

@@ -10,11 +10,11 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import cend1, poly
-from confalg.cend import CendElem, _vec_series, lambda_product, product_apply, standard_action
+from confalg.cend import CendElem, lambda_product, product_apply
 from confalg.cend1 import (
     CPARTIAL,
     FULL,
@@ -37,6 +37,7 @@ from poly_helpers import upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
+L = MPoly.var("l")
 
 
 class TestClosure:
@@ -422,22 +423,38 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
     return "undecided", len(span)
 
 
-def _acted_rows(act, gens, rows):
-    """Every coefficient row of every generator acting on every row."""
-    vecs = [tuple(e.to_mpoly("d") for e in row) for row in rows]
-    return [r for gen in gens for v in vecs for r in _vec_series(act(gen.entries, "l")(v)).values()]
+def _acted_rows(gens, p_mat, alpha, rows):
+    """Every l-coefficient row of every generator acting on every row, summed
+    here entry by entry from the definition: the full symbol E = a P acts on
+    v by E(-l, l + d + alpha) v(l + d)."""
+    n = p_mat.n
+    p = [[e.to_mpoly("x") for e in row] for row in p_mat.rows]
+    twist = {"d": -L, "x": L + D + alpha}
+    out = []
+    for gen in gens:
+        a = gen.entries
+        head = [[sum((a[i][k] * p[k][j] for k in range(n)), MPoly.zero()).substitute(twist)
+                 for j in range(n)] for i in range(n)]
+        for row in rows:
+            v = [c.to_mpoly("d").substitute({"d": L + D}) for c in row]
+            series = {}
+            for i in range(n):
+                acted = sum((head[i][j] * v[j] for j in range(n)), MPoly.zero())
+                for k, c in acted.coefficients_in("l").items():
+                    series.setdefault(k, [UPoly.zero("d")] * n)[i] = upoly_from_mpoly(c, "d")
+            out.extend(series.values())
+    return out
 
 
 def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
     n = p_mat.n
-    act = standard_action(p_mat, alpha)
     span = hermite_form([start], n)
     one = UPoly.const(1, "d")
     rounds_used = 0
     for round_no in range(1, rounds + 1):
         rounds_used = round_no
         offered = [
-            r for r in _acted_rows(act, gens, span)
+            r for r in _acted_rows(gens, p_mat, alpha, span)
             if max(e.degree() for e in r) <= degree_cap
         ]
         grown = hermite_form([*span, *offered], n)
@@ -446,7 +463,7 @@ def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
             return ProbeOutcome("irreducible", n, rounds_used, span)
         if not changed:
             # stabilized strictly below the full span: verify invariance
-            if hermite_form([*span, *_acted_rows(act, gens, span)], n) != span:
+            if hermite_form([*span, *_acted_rows(gens, p_mat, alpha, span)], n) != span:
                 return ProbeOutcome("undecided", len(span), rounds_used, span)
             return ProbeOutcome("proper_invariant_detected", len(span), rounds_used, span)
     return ProbeOutcome("undecided", len(span), rounds_used, span)
@@ -455,7 +472,7 @@ def naive_irreducibility_probe(gens, p_mat, alpha, start, degree_cap, rounds):
 def _assert_invariant(gens, p_mat, alpha, rows):
     """Every coefficient row of every generator on every row lies in their span."""
     span = hermite_form(rows, p_mat.n)
-    acted = _acted_rows(standard_action(p_mat, alpha), gens, rows)
+    acted = _acted_rows(gens, p_mat, alpha, rows)
     assert hermite_form([*span, *acted], p_mat.n) == span
 
 
@@ -534,6 +551,12 @@ class TestSaturationMatchesNaiveLoops:
 
     @settings(max_examples=80, deadline=None)
     @given(probe_inputs(), st.integers(1, 5), st.integers(1, 4))
+    # d + x acts as d + alpha, so the multiples of d + alpha are invariant
+    @example(
+        ([CendElem([[D + X]])], PolyMat([[UPoly((0, 1))]]), Fraction(1), (UPoly((1, 1), "d"),)),
+        2,
+        2,
+    )
     def test_irreducibility_probe(self, case, cap, rounds):
         gens, p_mat, alpha, start = case
         got = irreducibility_probe(gens, p_mat, alpha, start)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from confalg import cli, poly
-from confalg.cend import CendElem
+from confalg.cend import CendElem, raw_mul
 from confalg.cli import VERBS, main
 from confalg.grammar import format_poly
 from confalg.jsonio import cend_to_json, polymat_from_json, polymat_to_json
@@ -792,9 +792,9 @@ def ideal_payloads(draw):
     assume(q[0][1] != q[1][0])
     gens = []
     for _ in range(draw(st.integers(1, 2))):
-        b = CendElem([[draw(small) * MPoly.var("d") + draw(small) * MPoly.var("x") + draw(small)
-                       for _ in range(2)] for _ in range(2)])
-        gens.append(cend_to_json(CendElem(q) @ b))
+        b = [[draw(small) * MPoly.var("d") + draw(small) * MPoly.var("x") + draw(small)
+              for _ in range(2)] for _ in range(2)]
+        gens.append(cend_to_json(CendElem(raw_mul(q, b))))
     return {"side": side, "p": draw(st.sampled_from(IDEAL_P)), "gens": gens}
 
 
@@ -868,6 +868,7 @@ from make_golden import dense_4x4, dense_generator  # noqa: E402
 
 DENSE_4X4, DENSE_4X4_16 = dense_4x4(4), dense_4x4(16)
 DENSE_P = polymat_from_json(DENSE_4X4_16)
+DENSE_P_SYM = polymat_to_json(DENSE_P - star(DENSE_P).scale(-1))  # P + P(-x)^T
 
 
 def dense_symbol(degree: int, seed: int) -> list[list[str]]:
@@ -921,10 +922,9 @@ IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
         ("check-axioms", {"kind": "module", "n": 4, "degree": 4, "p": DENSE_4X4_16,
                           "alphas": ["1"]}, ["--rounds", "1"]),
         # P + P(-x)^T has the symmetry oc-gens requires
-        ("oc-gens", {"n": 4, "p": polymat_to_json(DENSE_P + star(DENSE_P)), "epsilon": 1,
-                     "max_n": 16}, []),
+        ("oc-gens", {"n": 4, "p": DENSE_P_SYM, "epsilon": 1, "max_n": 16}, []),
         # the defect matrix of a dense degree-16 symbol under that P
-        ("invariance-check", {"p": polymat_to_json(DENSE_P + star(DENSE_P)), "epsilon": 1,
+        ("invariance-check", {"p": DENSE_P_SYM, "epsilon": 1,
                               "element": dense_symbol(16, 3)}, []),
         ("irreducibility-probe", {"p": DENSE_4X4_16,
                                   "gens": [dense_symbol(16, 1), dense_symbol(16, 2)],

@@ -274,7 +274,7 @@ class TestStar:
         b = random_polymat(rng, 2, 2)
         alpha = Fraction(1, 2)
         assert star(a @ b, alpha) == star(b, alpha) @ star(a, alpha)
-        assert star(a, alpha) + star(b, alpha) == star(a + b, alpha)
+        assert star(a, alpha) - star(b, alpha) == star(a - b, alpha)
 
 
 class TestSmithDivisibilityFix:
