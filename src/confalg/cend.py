@@ -209,6 +209,21 @@ def modvec(entries: Iterable[UPoly | RatLike]) -> ModVec:
     return tuple(out)
 
 
+def _coefficient_grids(rows: Sequence[Sequence], split: Callable, zero) -> dict[int, list[list]]:
+    """The grid ``rows`` split by the powers of one variable: {power: grid of
+    coefficients}, ascending.  ``split`` maps an entry to {power: coefficient};
+    a coefficient it leaves out is ``zero``."""
+    grids: dict[int, list[list]] = {}
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            for k, part in split(entry).items():
+                grid = grids.get(k)
+                if grid is None:
+                    grid = grids[k] = [[zero] * len(r) for r in rows]
+                grid[i][j] = part
+    return {k: grids[k] for k in sorted(grids)}
+
+
 # ---------------------------------------------------------------------------
 # Lambda series
 # ---------------------------------------------------------------------------
@@ -223,20 +238,8 @@ class LambdaSeries:
 
     @staticmethod
     def from_raw(raw: RawMat) -> LambdaSeries:
-        n = len(raw)
-        buckets: dict[int, list[list[MPoly]]] = {}
-        for i, row in enumerate(raw):
-            for j, entry in enumerate(row):
-                for k, part in entry.coefficients_in("l").items():
-                    grid = buckets.get(k)
-                    if grid is None:
-                        grid = [[MPoly.zero()] * n for _ in range(n)]
-                        buckets[k] = grid
-                    grid[i][j] = part
-        coeffs = tuple(
-            (k, CendElem(grid)) for k, grid in sorted(buckets.items())
-        )
-        return LambdaSeries(n, coeffs)
+        grids = _coefficient_grids(raw, lambda e: e.coefficients_in("l"), MPoly.zero())
+        return LambdaSeries(len(raw), tuple((k, CendElem(g)) for k, g in grids.items()))
 
     def map_coefficients(self, fn: Callable[[CendElem], CendElem]) -> LambdaSeries:
         return LambdaSeries(
@@ -255,14 +258,6 @@ class LambdaSeries:
 # ---------------------------------------------------------------------------
 
 
-def _param(var: str | MPoly) -> MPoly:
-    if isinstance(var, MPoly):
-        return var
-    if var not in ("l", "m"):
-        raise ValueError("series parameter must be l or m")
-    return MPoly.var(var)
-
-
 # The product and the bracket are sums of two-factor matrix products.  Each
 # operand's substituted factors are built once by ``left_factors`` (the acting
 # element g) and ``right_factors`` (the element x acted on) and can be reused
@@ -271,30 +266,33 @@ def _param(var: str | MPoly) -> MPoly:
 Factors = tuple[RawMat, RawMat]
 
 
-def product_head(g: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> RawMat:
+def _twist(p: MPoly, shift: MPoly | RatLike) -> dict[str, MPoly]:
+    """The bindings of E(-p, p + d + shift): d -> -p, x -> p + d + shift."""
+    return {"d": -p, "x": p + _D + shift}
+
+
+def product_head(g: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> RawMat:
     """The left factor of the product: g(-p, x + p + d), times P(x + p + d)."""
-    p = _param(nu)
-    head = raw_subst(g, {"d": -p, "x": _X + p + _D})
+    twist = _twist(p, _X)
+    head = raw_subst(g, twist)
     if p_mat is not None:
-        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": _X + p + _D}))
+        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": twist["x"]}))
     return head
 
 
-def product_tail(x_raw: RawMat, nu: str | MPoly) -> RawMat:
+def product_tail(x_raw: RawMat, p: MPoly) -> RawMat:
     """The right factor of the product: x(p + d, x)."""
-    return raw_subst(x_raw, {"d": _param(nu) + _D})
+    return raw_subst(x_raw, {"d": p + _D})
 
 
-def left_factors(g: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> Factors:
+def left_factors(g: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> Factors:
     """g's factors in the bracket: (g(-p, x+p+d) [P(x+p+d)], -g(-p, x))."""
-    p = _param(nu)
     back = raw_subst(g, {"d": -p})
     return product_head(g, p, p_mat), raw_neg(back)
 
 
-def right_factors(x_raw: RawMat, nu: str | MPoly, p_mat: PolyMat | None = None) -> Factors:
+def right_factors(x_raw: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> Factors:
     """x's factors in the bracket: (x(p+d, x), x(p+d, x-p) [P(x-p)])."""
-    p = _param(nu)
     back = raw_subst(x_raw, {"d": p + _D, "x": _X - p})
     if p_mat is not None:
         back = raw_mul(back, raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p}))
@@ -332,23 +330,19 @@ def bracket_of(left: Factors, right: Factors) -> RawMat:
     return stacked_product(((head, tail), (back_x, back_g)))
 
 
-def product_apply(
-    g: RawMat, x_raw: RawMat, nu: str | MPoly = "l", p_mat: PolyMat | None = None
-) -> RawMat:
-    """g acting on the left of x by the associative product, parameter nu.
+def product_apply(g: RawMat, x_raw: RawMat, p: MPoly = _L, p_mat: PolyMat | None = None) -> RawMat:
+    """g acting on the left of x by the associative product, parameter p.
 
     With ``p_mat`` the operands are the a-parts of g*P and x*P, and so is the
     result c: (gP) prod (xP) = c * P.  No division is performed; the defining
     matrix appears once, mid-product.
     """
-    return raw_mul(product_head(g, nu, p_mat), product_tail(x_raw, nu))
+    return raw_mul(product_head(g, p, p_mat), product_tail(x_raw, p))
 
 
-def bracket_apply(
-    g: RawMat, x_raw: RawMat, nu: str | MPoly = "l", p_mat: PolyMat | None = None
-) -> RawMat:
-    """g acting on x by the commutator bracket, parameter nu; a-parts with ``p_mat``."""
-    return bracket_of(left_factors(g, nu, p_mat), right_factors(x_raw, nu, p_mat))
+def bracket_apply(g: RawMat, x_raw: RawMat, p: MPoly = _L, p_mat: PolyMat | None = None) -> RawMat:
+    """g acting on x by the commutator bracket, parameter p; a-parts with ``p_mat``."""
+    return bracket_of(left_factors(g, p, p_mat), right_factors(x_raw, p, p_mat))
 
 
 def lambda_product(a: CendElem, b: CendElem) -> LambdaSeries:
@@ -367,14 +361,14 @@ def lie_bracket(a: CendElem, b: CendElem) -> LambdaSeries:
 # Module actions
 # ---------------------------------------------------------------------------
 
-# An action is staged: (a-part, parameter name) -> (vector -> vector).  The
-# name is l or m, read by ``_param``.  The first stage builds the element's
+# An action is staged: (a-part, parameter p) -> (vector -> vector), p a
+# polynomial such as l, m or l + m.  The first stage builds the element's
 # matrix once; the second applies it to vectors of polynomials in d (and the
 # parameters).  A composite acts at m, and m -> l + m is substituted into the
 # resulting vector: that costs less than acting at l + m, whose substitution
 # expands powers of a trinomial in every entry of the element's matrix.
 VecMap = Callable[[RawVec], RawVec]
-ActionClosure = Callable[[RawMat, str], VecMap]
+ActionClosure = Callable[[RawMat, MPoly], VecMap]
 
 
 def head_action(head: RawMat, p: MPoly) -> VecMap:
@@ -386,28 +380,22 @@ def head_action(head: RawMat, p: MPoly) -> VecMap:
 def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
     """Action of elements a*P on column vectors over Q[d], twisted by alpha.
 
-    The full symbol E = a*P acts by E(-nu, nu+d+alpha) v(nu+d).
+    The full symbol E = a*P acts by E(-p, p+d+alpha) v(p+d).
     """
     p_raw = p_mat.to_mpoly_rows()
-    a_const = MPoly.const(alpha)
 
-    def act(a_part: RawMat, param: str) -> VecMap:
-        p = _param(param)
+    def act(a_part: RawMat, p: MPoly) -> VecMap:
         # substitution is a ring map, so each factor is substituted on its own
-        bindings = {"d": -p, "x": p + _D + a_const}
-        return head_action(raw_mul(raw_subst(a_part, bindings), raw_subst(p_raw, bindings)), p)
+        twist = _twist(p, alpha)
+        return head_action(raw_mul(raw_subst(a_part, twist), raw_subst(p_raw, twist)), p)
 
     return act
 
 
 def _vec_series(raw: RawVec) -> dict[int, ModVec]:
     """The l-power coefficients of a vector over Q[d, l], ascending; none is zero."""
-    out: dict[int, list[UPoly]] = {}
-    n = len(raw)
-    for i, entry in enumerate(raw):
-        for k, part in upoly_coefficients(entry, "l", "d").items():
-            out.setdefault(k, [UPoly.zero("d")] * n)[i] = part
-    return {k: tuple(v) for k, v in sorted(out.items())}
+    grids = _coefficient_grids((raw,), lambda e: upoly_coefficients(e, "l", "d"), UPoly.zero("d"))
+    return {k: tuple(grid[0]) for k, grid in grids.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +562,16 @@ def verify_module_axioms(
     for idx, (a, b, vec) in enumerate(samples):
         count += 1
         ar, br = a.entries, b.entries
-        act_a = action(ar, "l")
+        act_a = action(ar, _L)
         av = act_a(vec)
         minus_l_av = tuple(e * (-_L) for e in av)
         shifted = act_a(tuple(e * _D for e in vec))
         if minus_l_av != tuple(e * _D - t for e, t in zip(av, shifted)):
             failures.append(f"sample {idx}: derivation compatibility fails")
-        if action(raw_scale(ar, _D), "l")(vec) != minus_l_av:
+        if action(raw_scale(ar, _D), _L)(vec) != minus_l_av:
             failures.append(f"sample {idx}: sesquilinearity of the action fails")
-        composite = product_apply(ar, br, "l", p_mat)
-        rhs = raw_vec_subst(action(composite, "m")(vec), {"m": _L + _M})
-        if act_a(action(br, "m")(vec)) != rhs:
+        composite = product_apply(ar, br, _L, p_mat)
+        rhs = raw_vec_subst(action(composite, _M)(vec), {"m": _L + _M})
+        if act_a(action(br, _M)(vec)) != rhs:
             failures.append(f"sample {idx}: composition axiom fails")
     return AxiomReport(not failures, count, tuple(failures))

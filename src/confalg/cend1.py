@@ -89,7 +89,7 @@ def _state(
 
 def _l_parts(a: MPoly, b: MPoly) -> dict[int, MPoly]:
     """The nonzero l-coefficients of a(-l, x+l+d) * b(l+d, x), by power."""
-    return product_apply(((a,),), ((b,),), "l")[0][0].coefficients_in("l")
+    return product_apply(((a,),), ((b,),))[0][0].coefficients_in("l")
 
 
 def closure(gens: Sequence[MPoly]) -> ClosureState:

@@ -162,7 +162,7 @@ def irreducibility_probe(
     if det(p_mat).is_zero():  # every action would be zero
         raise DegenerateError("defining matrix must be nondegenerate")
     std = standard_action(p_mat, alpha)
-    acts = [std(g.entries, "l") for g in gens]  # each generator's head, built once
+    acts = [std(g.entries, _L) for g in gens]  # each generator's head, built once
     basis = PidRowBasis(n)
     basis.add(list(start))
 

@@ -175,13 +175,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def degree(self, var: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        s = _SHIFTS[_VAR_INDEX[var]]
-        if not self._num:
-            return -1
-        return max((k >> s) & _FIELD for k in self._num)
-
     def total_degree(self) -> int:
         """Largest exponent sum of a term; -1 for the zero polynomial."""
         return max(map(_total, self._num), default=-1)
@@ -244,17 +237,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = _MP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, _MP_ONE)
 
     def scale(self, c: RatLike) -> MPoly:
         if not c:
@@ -698,6 +681,20 @@ def _from_rationals(terms: Mapping[int, RatLike]) -> MPoly:
     return _make({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
 
+def _power(base, n: int, one):
+    """base ** n by squaring and multiplying, from ``one``."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _as_mpoly(value: MPoly | RatLike) -> MPoly:
     if isinstance(value, MPoly):
         return value
@@ -851,17 +848,7 @@ class UPoly:
         return _make_up(out, self._den * c.denominator, self.var)
 
     def __pow__(self, n: int) -> UPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = _up((1,), 1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, _up((1,), 1, self.var))
 
     def divmod(self, other: UPoly) -> tuple[UPoly, UPoly]:
         """Polynomial division with remainder over Q.

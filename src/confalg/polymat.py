@@ -205,11 +205,10 @@ def adjugate_and_det(mat: PolyMat) -> tuple[PolyMat, UPoly]:
 
 def inverse_unimodular(mat: PolyMat) -> PolyMat:
     """Inverse over Q[x]; requires a nonzero constant determinant."""
-    d = det(mat)
+    adj, d = adjugate_and_det(mat)
     if not d.is_constant() or d.is_zero():
         raise ValueError("matrix is not unimodular")
-    c = Fraction(1, 1) / d.constant_value()
-    return adjugate(mat).scale(c)
+    return adj.scale(1 / d.constant_value())
 
 
 def star(mat: PolyMat, alpha: RatLike = 0) -> PolyMat:

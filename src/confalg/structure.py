@@ -22,14 +22,15 @@ from .cend import (
     RawMat,
     RawVec,
     VecMap,
-    _param,
+    _coefficient_grids,
+    _twist,
     head_action,
     raw_mat_vec,
     raw_mul,
     raw_subst,
     standard_action,
 )
-from .poly import _D, _X, MPoly, RatLike, UPoly, upoly_coefficients
+from .poly import _D, _L, _X, MPoly, RatLike, UPoly, upoly_coefficients
 from .polymat import (
     DegenerateError,
     PidRowBasis,
@@ -107,17 +108,6 @@ class IdealReport:
         return None
 
 
-def _d_coefficients(elem: CendElem) -> list[list[list[UPoly]]]:
-    """Matrix coefficients of the d-power expansion as rows over Q[x]."""
-    n = elem.n
-    split: dict[int, list[list[UPoly]]] = {}
-    for i, row in enumerate(elem.entries):
-        for j, entry in enumerate(row):
-            for k, part in upoly_coefficients(entry, "d", "x").items():
-                split.setdefault(k, [[UPoly.zero()] * n for _ in range(n)])[i][j] = part
-    return [split[k] for k in sorted(split)]
-
-
 def _coefficient_rows(
     side: str, p_mat: PolyMat, p_det: UPoly, gens: Sequence[CendElem]
 ) -> list[Sequence[UPoly]]:
@@ -138,11 +128,12 @@ def _coefficient_rows(
         if g.n != p_mat.n:
             raise ValueError("generator size mismatch")
         full = g.times_polymat(p_mat)
-        if side == "left":
-            rows.extend(row for mat in _d_coefficients(full) for row in mat)
-        else:
-            shifted = full.substitute({"x": _X - _D})
-            rows.extend(col for mat in _d_coefficients(shifted) for col in zip(*mat))
+        if side == "right":
+            full = full.substitute({"x": _X - _D})
+        in_d = _coefficient_grids(full.entries, lambda e: upoly_coefficients(e, "d", "x"),
+                                  UPoly.zero())
+        for mat in in_d.values():
+            rows.extend(mat if side == "left" else zip(*mat))
     return rows
 
 
@@ -381,7 +372,7 @@ class ExtensionModule:
     """A module built from a factorization or a Jordan-block twist.
 
     ``action`` follows the verifier contract, in two stages: (a-part,
-    parameter name l or m) -> (vector of polynomials in d -> vector).  The first
+    parameter p, a polynomial) -> (vector of polynomials in d -> vector).  The first
     stage builds the element's matrix once, so one element acts on many
     vectors at the cost of a matrix-vector product each.  For the
     factorization kind the vector length is N; for the Jordan kind it is 2N
@@ -418,11 +409,9 @@ def build_extension(
             raise MismatchError("factors do not multiply to the shifted matrix")
         s_in_d = raw_subst(s_mat.to_mpoly_rows(), {"x": _D})
         r_raw = r_mat.to_mpoly_rows()
-        a_const = MPoly.const(alpha)
 
-        def act(a_part: RawMat, param: str) -> VecMap:
-            p = _param(param)
-            head = raw_subst(a_part, {"d": -p, "x": p + _D + a_const})
+        def act(a_part: RawMat, p: MPoly) -> VecMap:
+            head = raw_subst(a_part, _twist(p, alpha))
             r_shift = raw_subst(r_raw, {"x": p + _D})
             return head_action(raw_mul(raw_mul(s_in_d, head), r_shift), p)
 
@@ -430,16 +419,14 @@ def build_extension(
 
     if kind == "jordan":
         p_raw = p_mat.to_mpoly_rows()
-        g_const = MPoly.const(gamma)
         n = p_mat.n
 
-        def act_jordan(a_part: RawMat, param: str) -> VecMap:
-            p = _param(param)
+        def act_jordan(a_part: RawMat, p: MPoly) -> VecMap:
             full = raw_mul(a_part, p_raw)
-            bindings = {"d": -p, "x": p + _D + g_const}
-            head0 = raw_subst(full, bindings)
+            twist = _twist(p, gamma)
+            head0 = raw_subst(full, twist)
             deriv = tuple(tuple(e.derivative("x") for e in row) for row in full)
-            head1 = raw_subst(deriv, bindings)
+            head1 = raw_subst(deriv, twist)
             # [[head0, head1], [0, head0]] acting on the two stacked blocks
             zero = (MPoly.zero(),) * n
             block = tuple(r0 + r1 for r0, r1 in zip(head0, head1))
@@ -463,8 +450,8 @@ def embedded_standard_witness(
     assert module.s_mat is not None
     s_in_d = raw_subst(module.s_mat.to_mpoly_rows(), {"x": _D})
     embedded = raw_mat_vec(s_in_d, vec)
-    lhs = module.action(a.entries, "l")(embedded)
-    std = standard_action(module.p_mat, module.alpha)(a.entries, "l")
+    lhs = module.action(a.entries, _L)(embedded)
+    std = standard_action(module.p_mat, module.alpha)(a.entries, _L)
     rhs = raw_mat_vec(s_in_d, std(vec))
     return lhs, rhs
 
@@ -502,7 +489,9 @@ def unital_closure_probe(gens: Sequence[CendElem]) -> ClosureOutcome:
         return ClosureOutcome("cend_n", 0)
     echelon: dict[int, list[int]] = {}
     for g in gens:
-        for mat in _d_coefficients(g):
+        in_d = _coefficient_grids(g.entries, lambda e: upoly_coefficients(e, "d", "x"),
+                                  UPoly.zero())
+        for mat in in_d.values():
             _echelon_add(echelon, [e.coefficient(0) for row in mat for e in row])
     letters = list(echelon.values())
     words = list(letters)

@@ -19,7 +19,7 @@ def upoly_from_mpoly(p: MPoly, var: str) -> UPoly:
     if extra:
         raise ValueError(f"polynomial uses {sorted(extra)}, expected only {var!r}")
     i = VARS.index(var)
-    coeffs = [Fraction(0)] * (p.degree(var) + 1)
+    coeffs = [Fraction(0)] * (max((exp[i] for exp in p.terms), default=-1) + 1)
     for exp, c in p.terms.items():
         coeffs[exp[i]] = c
     return UPoly(coeffs, var)

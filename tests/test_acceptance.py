@@ -49,6 +49,7 @@ SEED = 20020529
 D = MPoly.var("d")
 X = MPoly.var("x")
 L = MPoly.var("l")
+M = MPoly.var("m")
 
 ONE = UPoly.const(1)
 XX = UPoly.variable()
@@ -150,12 +151,12 @@ def test_criterion_05_scalar_x_anti_involution():
         a = random_cend(rng, 1, 2)
         b = random_cend(rng, 1, 2)
         lhs = LambdaSeries.from_raw(
-            product_apply(a.entries, b.entries, "l", P_X)
+            product_apply(a.entries, b.entries, L, P_X)
         ).map_coefficients(lambda c: apply_antiinv(c, spec))
         sa = apply_antiinv(a, spec)
         sb = apply_antiinv(b, spec)
         rhs = raw_subst(
-            product_apply(sb.entries, sa.entries, "m", P_X), {"m": -D - L}
+            product_apply(sb.entries, sa.entries, M, P_X), {"m": -D - L}
         )
         assert lhs.to_raw() == rhs
     for i in range(5):

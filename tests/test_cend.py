@@ -60,7 +60,7 @@ def scalar(p: MPoly) -> CendElem:
 
 def split_action(act, a: CendElem, vec) -> dict:
     """The l-power coefficients of the staged action ``act`` of ``a`` on ``vec``."""
-    return cend._vec_series(act(a.entries, "l")(tuple(v.to_mpoly("d") for v in vec)))
+    return cend._vec_series(act(a.entries, L)(tuple(v.to_mpoly("d") for v in vec)))
 
 
 def coeff(series: LambdaSeries, l_power: int) -> CendElem:
@@ -68,10 +68,9 @@ def coeff(series: LambdaSeries, l_power: int) -> CendElem:
     return dict(series.coefficients).get(l_power, CendElem(raw_zero(series.n)))
 
 
-def dual_action_raw(a_part, param):
-    """The contragredient action as a staged action closure, parameter name
-    l or m: v -> -a^t(-p, -d) v(p + d)."""
-    p = cend._param(param)
+def dual_action_raw(a_part, p):
+    """The contragredient action as a staged action closure, parameter p:
+    v -> -a^t(-p, -d) v(p + d)."""
     head = raw_subst(raw_transpose(a_part), {"d": -p, "x": -D})
     return head_action(raw_neg(head), p)
 
@@ -194,12 +193,12 @@ class TestAntiInvolution:
             a = random_cend(rng, 1, 2)
             b = random_cend(rng, 1, 2)
             lhs = LambdaSeries.from_raw(
-                product_apply(a.entries, b.entries, "l", P_X)
+                product_apply(a.entries, b.entries, L, P_X)
             ).map_coefficients(lambda c: apply_antiinv(c, spec))
             sa = apply_antiinv(a, spec)
             sb = apply_antiinv(b, spec)
             rhs_raw = raw_subst(
-                product_apply(sb.entries, sa.entries, "m", P_X), {"m": -D - L}
+                product_apply(sb.entries, sa.entries, M, P_X), {"m": -D - L}
             )
             assert lhs.to_raw() == rhs_raw
 
@@ -209,9 +208,8 @@ class TestAntiInvolution:
 # ---------------------------------------------------------------------------
 
 
-def wrong_head(g, nu, p_mat=None):
+def wrong_head(g, p, p_mat=None):
     """A head built with d -> p instead of d -> -p, and without P."""
-    p = cend._param(nu)
     return raw_subst(g, {"d": p, "x": X + p + D})
 
 
@@ -228,15 +226,15 @@ _right_factors = cend.right_factors
 _product_tail = cend.product_tail
 
 
-def right_factors_doubled_on_lm(x_raw, nu, p_mat=None):
+def right_factors_doubled_on_lm(x_raw, p, p_mat=None):
     """Right factors whose tail is doubled when the operand carries l or m."""
-    tail, back = _right_factors(x_raw, nu, p_mat)
+    tail, back = _right_factors(x_raw, p, p_mat)
     return (raw_scale(tail, 2) if carries_lm(x_raw) else tail), back
 
 
-def product_tail_doubled_on_lm(x_raw, nu):
+def product_tail_doubled_on_lm(x_raw, p):
     """A product tail doubled when the operand carries l or m."""
-    tail = _product_tail(x_raw, nu)
+    tail = _product_tail(x_raw, p)
     return raw_scale(tail, 2) if carries_lm(x_raw) else tail
 
 
@@ -248,6 +246,33 @@ KERNEL_FAULTS = {
     "right_factors_doubled_on_lm": {"right_factors": right_factors_doubled_on_lm},
     "product_tail_doubled_on_lm": {"product_tail": product_tail_doubled_on_lm},
 }
+
+
+def tail_without_d(x_raw, p):
+    """A product tail x(p, x): the shift by d left out."""
+    return raw_subst(x_raw, {"d": p})
+
+
+def right_factors_without_d(x_raw, p, p_mat=None):
+    """Right factors whose tail leaves out the shift by d."""
+    return tail_without_d(x_raw, p), _right_factors(x_raw, p, p_mat)[1]
+
+
+P_DIAG = PolyMat.diagonal([UPoly.const(1), UPoly.variable()])
+
+
+def action_without_shift(a_part, p):
+    """The standard action of a-parts over ``P_DIAG`` with v(p + d) left as v(d)."""
+    twist = {"d": -p, "x": p + D}
+    head = raw_mul(raw_subst(a_part, twist), raw_subst(P_DIAG.to_mpoly_rows(), twist))
+    return lambda vec: raw_mat_vec(head, vec)
+
+
+def action_without_d_substitution(a_part, p):
+    """The standard action of a-parts over ``P_DIAG`` with d -> -p left out."""
+    twist = {"x": p + D}
+    head = raw_mul(raw_subst(a_part, twist), raw_subst(P_DIAG.to_mpoly_rows(), twist))
+    return head_action(head, p)
 
 
 class TestAxiomVerifiers:
@@ -269,8 +294,8 @@ class TestAxiomVerifiers:
         for _ in range(5):
             a = random_cend(rng, 1, 2)
             b = random_cend(rng, 1, 2)
-            lhs = product_apply(a.scale(D).entries, b.entries, "l")
-            rhs = product_apply(a.entries, b.entries, "l")
+            lhs = product_apply(a.scale(D).entries, b.entries, L)
+            rhs = product_apply(a.entries, b.entries, L)
             assert tuple(
                 tuple(p + q * L for p, q in zip(r1, r2)) for r1, r2 in zip(lhs, rhs)
             ) == ((MPoly.zero(),),)
@@ -339,6 +364,40 @@ class TestAxiomVerifiers:
         samples = [tuple(random_cend(rng, 2, 2) for _ in range(3)) for _ in range(2)]
         assert verify_lie_axioms(samples) == AxiomReport(
             False, 2, ("sample 0: Jacobi identity fails", "sample 1: Jacobi identity fails")
+        )
+
+    # Each fault below leaves the shift by d out of the acted-on factor or
+    # vector; the check that reads that shift fails, with what it breaks.
+
+    def test_assoc_verifier_catches_tail_without_shift(self, monkeypatch):
+        monkeypatch.setattr(cend, "product_tail", tail_without_d)
+        rng = random.Random(18)
+        samples = [tuple(random_cend(rng, 2, 2) for _ in range(3))]
+        assert verify_assoc_axioms(samples) == AxiomReport(
+            False, 1,
+            ("sample 0: sesquilinearity fails in the right slot", "sample 0: associativity fails"),
+        )
+
+    def test_lie_verifier_catches_right_tail_without_shift(self, monkeypatch):
+        monkeypatch.setattr(cend, "right_factors", right_factors_without_d)
+        rng = random.Random(20)
+        samples = [tuple(random_cend(rng, 2, 2) for _ in range(3))]
+        assert verify_lie_axioms(samples) == AxiomReport(False, 1, (
+            "sample 0: bracket sesquilinearity fails (right)",
+            "sample 0: skew-symmetry fails",
+            "sample 0: Jacobi identity fails",
+        ))
+
+    @pytest.mark.parametrize("action,failure", [
+        (action_without_shift, "derivation compatibility fails"),
+        (action_without_d_substitution, "sesquilinearity of the action fails"),
+    ])
+    def test_module_verifier_catches_action_without_twist_part(self, action, failure):
+        rng = random.Random(21)
+        samples = [(random_cend(rng, 2, 2), random_cend(rng, 2, 2), random_modvec_raw(rng, 2, 2))]
+        assert verify_module_axioms(standard_action(P_DIAG), samples, p_mat=P_DIAG).ok
+        assert verify_module_axioms(action, samples, p_mat=P_DIAG) == AxiomReport(
+            False, 1, (f"sample 0: {failure}", "sample 0: composition axiom fails")
         )
 
     def test_assoc_verifier_catches_product_tail_wrong_on_parameters(self, monkeypatch):
@@ -514,9 +573,9 @@ class TestFusedKernel:
         a = rational_cend(rng, n, 2).entries
         p_mat = random_polymat(rng, n, 1)
         vecs = [random_modvec_raw(rng, n, 2) for _ in range(3)]
-        for param, p in (("l", L), ("m", M)):
-            std = standard_action(p_mat, alpha)(a, param)
-            dual = dual_action_raw(a, param)
+        for p in (L, M):
+            std = standard_action(p_mat, alpha)(a, p)
+            dual = dual_action_raw(a, p)
             full = ref_mul(a, p_mat.to_mpoly_rows())
             std_head = ref_subst(full, {"d": -p, "x": p + D + MPoly.const(alpha)})
             dual_head = ref_subst(tuple(zip(*a)), {"d": -p, "x": -D})
@@ -541,13 +600,13 @@ class TestFusedKernel:
         r_shift = ref_subst(r_mat.to_mpoly_rows(), {"x": L + D})
         shifted = tuple(e.substitute({"d": L + D}) for e in vec)
         want = ref_mat_vec(ref_mul(ref_mul(s_in_d, head), r_shift), shifted[:1])
-        assert factor.action(a, "l")(vec[:1]) == want
+        assert factor.action(a, L)(vec[:1]) == want
         full = ref_mul(a, p_mat.to_mpoly_rows())
         bind = {"d": -L, "x": L + D + MPoly.const(shift)}
         head0 = ref_subst(full, bind)
         head1 = ref_subst(tuple(tuple(e.derivative("x") for e in r) for r in full), bind)
         first = ref_mat_vec(head0, shifted[:1])[0] + ref_mat_vec(head1, shifted[1:])[0]
-        assert jordan.action(a, "l")(vec) == (first, ref_mat_vec(head0, shifted[1:])[0])
+        assert jordan.action(a, L)(vec) == (first, ref_mat_vec(head0, shifted[1:])[0])
 
     def test_shapes_that_do_not_match_raise(self):
         one = ((MPoly.const(1),),)
@@ -562,4 +621,4 @@ class TestFusedKernel:
         with pytest.raises(ValueError, match="size mismatch"):
             bracket_of(left_factors(two, L), right_factors(one, L))
         with pytest.raises(ValueError, match="size mismatch"):
-            standard_action(PolyMat.identity(1))(two, "l")
+            standard_action(PolyMat.identity(1))(two, L)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import cend1, poly
-from confalg.cend import CendElem, lambda_product, product_apply
+from confalg.cend import CendElem, product_apply
 from confalg.cend1 import (
     CPARTIAL,
     FULL,
@@ -334,10 +334,11 @@ class TestIrreducibility:
 
 
 def _poly_to_row(p, cap):
-    if p.degree("x") > cap:
+    parts = p.coefficients_in("x")
+    if max(parts, default=-1) > cap:
         return None
     row = [UPoly.zero("d")] * (cap + 1)
-    for k, part in p.coefficients_in("x").items():
+    for k, part in parts.items():
         row[k] = upoly_from_mpoly(part, "d")
     return row
 
@@ -357,11 +358,27 @@ def _gcd_of(polys):
     return reduce(bipoly_gcd, polys, MPoly.zero())
 
 
+def _product_parts(a, b):
+    """The l-coefficient matrices of the product a_l b, summed here entry by
+    entry from the definition a(-l, x + l + d) b(l + d, x): {power: matrix}."""
+    n = len(a)
+    head = [[e.substitute({"d": -L, "x": X + L + D}) for e in row] for row in a]
+    tail = [[e.substitute({"d": L + D}) for e in row] for row in b]
+    parts = {}
+    for i in range(n):
+        for j in range(n):
+            entry = sum((head[i][k] * tail[k][j] for k in range(n)), MPoly.zero())
+            for k, c in entry.coefficients_in("l").items():
+                parts.setdefault(k, [[MPoly.zero()] * n for _ in range(n)])[i][j] = c
+    return parts
+
+
 # The reference models keep each span as the Hermite form of the ideal
 # oracle, recomputed from all its rows, so they share no code with the
 # PidRowBasis the probes under test use: a span grew in a round when its
 # Hermite form changed, and it holds a row when adding the row leaves its
-# Hermite form as it was.
+# Hermite form as it was.  They form products and actions by substituting
+# into each entry (``_product_parts``, ``_acted_rows``), not through ``cend``.
 
 
 def naive_closure(gens, x_degree_cap, rounds):
@@ -375,10 +392,8 @@ def naive_closure(gens, x_degree_cap, rounds):
         current = _rows_to_polys(span)
         offered = []
         for a in current:
-            ar = ((a,),)
             for b in current:
-                product = product_apply(ar, ((b,),), "l")[0][0]
-                for part in product.coefficients_in("l").values():
+                for (part,), in _product_parts(((a,),), ((b,),)).values():
                     row = _poly_to_row(part, x_degree_cap)
                     if row is not None:
                         offered.append(row)
@@ -397,24 +412,23 @@ def naive_unital_closure_probe(gens, degree_cap, rounds):
     if any(g.uses_x() for g in gens):
         return "cend_n", 0
 
-    def to_row(elem):
-        return [upoly_from_mpoly(elem.entries[i][j], "d") for i in range(n) for j in range(n)]
+    def to_row(entries):
+        return [upoly_from_mpoly(entries[i][j], "d") for i in range(n) for j in range(n)]
 
     def from_row(row):
-        return CendElem([[row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)])
+        return [[row[i * n + j].to_mpoly("d") for j in range(n)] for i in range(n)]
 
-    span = hermite_form([to_row(g) for g in gens], n * n)
+    span = hermite_form([to_row(g.entries) for g in gens], n * n)
     for _ in range(rounds):
         current = [from_row(r) for r in span]
         offered = []
         for a in current:
             for b in current:
-                for _, coeff in lambda_product(a, b).coefficients:
-                    if coeff.is_zero():
-                        continue
-                    if coeff.uses_x():
+                for coeff in _product_parts(a, b).values():
+                    entries = [e for row in coeff for e in row]
+                    if any(e.uses("x") for e in entries):
                         return "cend_n", len(span)
-                    if max(e.degree("d") for row in coeff.entries for e in row) <= degree_cap:
+                    if max(max(e.coefficients_in("d"), default=-1) for e in entries) <= degree_cap:
                         offered.append(to_row(coeff))
         grown = hermite_form([*span, *offered], n * n)
         if grown == span:
@@ -533,6 +547,15 @@ class TestSaturationMatchesNaiveLoops:
         got = closure(gens)
         assert len(got.derivation) <= _gcd_of(gens).total_degree()
         assert replay(gens, got.derivation) == got
+        # the derivation replayed from the definition: each step's l-part
+        # properly lowers the gcd, down to the reported witness
+        lowered = _gcd_of(gens)
+        for a, b, k in got.derivation:
+            (part,), = _product_parts(((gens[a],),), ((gens[b],),)).get(k, ((MPoly.zero(),),))
+            step = bipoly_gcd(lowered, part)
+            assert step != lowered
+            lowered = step
+        assert lowered == got.gcd_witness
         if status != "stabilized":
             return
         try:
@@ -601,7 +624,7 @@ class TestProductPreservesSplitDivisibility:
     def test_l_parts_stay_divisible(self, p, q, f, g):
         w = p.to_mpoly() * _at_shift(q)
         monic_w = bipoly_gcd(w, MPoly.zero())
-        product = product_apply(((w * f,),), ((w * g,),), "l")[0][0]
+        product = product_apply(((w * f,),), ((w * g,),), L)[0][0]
         for part in product.coefficients_in("l").values():
             assert bipoly_gcd(part, w) == monic_w
 

@@ -382,6 +382,48 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     assert code == 1
 
 
+I2 = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "matrix,left,right,divisors",
+    [
+        ([["1"]], [["x"]], [["1"]], ["x"]),
+        ([["x"]], [["2"]], [["1"]], ["2*x"]),
+        ([["0", "0"], ["0", "1"]], I2, I2, ["0", "1"]),
+        ([["x", "0"], ["0", "1"]], I2, I2, ["x", "1"]),
+    ],
+    ids=["transform_not_unimodular", "divisor_not_monic", "divisor_after_zero",
+         "broken_divisor_chain"],
+)
+def test_verify_rejects_forged_smith_certificate(matrix, left, right, divisors):
+    # left @ matrix @ right is diag(divisors) in every case, so each report
+    # fails one of the other checks of SmithCert.verify
+    report = {"verb": "smith", "input": {"matrix": matrix}, "result": {"divisors": divisors},
+              "certificate": {"left": left, "right": right}, "status": "decided",
+              "budgets": {"degree_cap": None, "rounds": None, "seed": 101}}
+    code, envelope = _run_stdin("verify", report)
+    assert code == 1
+    assert envelope["error"] == {
+        "code": "E_MISMATCH",
+        "message": "certificate for 'smith' failed: transform identity or divisor chain failed",
+    }
+
+
+def test_extension_build_reports_a_failed_submodule_witness(monkeypatch):
+    # a witness whose two sides differ: the axioms still hold, the submodule does not
+    monkeypatch.setattr(
+        cli, "embedded_standard_witness", lambda module, a, vec: ((MPoly.const(1),), (MPoly.zero(),))
+    )
+    payload = {"p": [["x^2"]], "kind": "factorization", "r": [["x"]], "s": [["x"]]}
+    code, report = _run_stdin("extension-build", payload, "--rounds", "2")
+    assert code == 0
+    assert report["result"] == {
+        "kind": "factorization", "axioms_ok": True, "checked": 2, "submodule_ok": False,
+        "failures": [],
+    }
+
+
 @pytest.mark.parametrize(
     "entry,offset",
     [("x^99999999", 2), ("d*x^20000 * x^20000", 12), ("x^32768", 2)],

@@ -222,7 +222,7 @@ def bracket_escapes(gens, p_mat, spec):
         for ia, a in enumerate(gens)
         for ib, b in enumerate(gens)
         for kl, c in LambdaSeries.from_raw(
-            bracket_apply(a.entries, b.entries, "l", p_mat)
+            bracket_apply(a.entries, b.entries, L, p_mat)
         ).coefficients
         if not c.is_zero() and not check_anti_fixed(c, spec)
     ]

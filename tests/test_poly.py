@@ -575,7 +575,7 @@ class TestExponentLimit:
         from confalg.poly import MAX_EXP
 
         top = MPoly.monomial((MAX_EXP, MAX_EXP, MAX_EXP, MAX_EXP))
-        assert top.degree("d") == MAX_EXP and top.degree("m") == MAX_EXP
+        assert max(top.coefficients_in("d")) == MAX_EXP and max(top.coefficients_in("m")) == MAX_EXP
         assert (X ** (MAX_EXP - 1)) * X == X**MAX_EXP
         assert dict((top * 2).terms) == {(MAX_EXP,) * 4: Fraction(2)}
 

@@ -112,6 +112,10 @@ class TestUnimodular:
             u = random_unimodular(rng, 2)
             assert u @ inverse_unimodular(u) == PolyMat.identity(2)
 
+    def test_inverse_rejects_nonconstant_det(self):
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            inverse_unimodular(PolyMat([[XX]]))
+
 
 class TestSmith:
     def test_diag_x_xminus1(self):

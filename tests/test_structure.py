@@ -43,6 +43,8 @@ from poly_helpers import random_upoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
+L = MPoly.var("l")
+M = MPoly.var("m")
 
 ZERO = UPoly.zero()
 ONE = UPoly.const(1)
@@ -505,7 +507,7 @@ class TestExtensions:
         for _ in range(4):
             a = random_cend(rng, 1, 2)
             vec = random_modvec_raw(rng, 1, 2)
-            assert module.action(a.entries, "l")(vec) == act(a.entries, "l")(vec)
+            assert module.action(a.entries, L)(vec) == act(a.entries, L)(vec)
 
     def test_factorization_mismatch(self):
         with pytest.raises(MismatchError):
@@ -528,7 +530,7 @@ class TestExtensions:
 
     def test_jordan_mixes_blocks(self):
         module = build_extension(P_1, "jordan")
-        out = module.action(scalar(X).entries, "l")((MPoly.zero(), MPoly.const(1)))
+        out = module.action(scalar(X).entries, L)((MPoly.zero(), MPoly.const(1)))
         # x evaluated at l + d + nilpotent: the second block leaks into the first
         assert out[0] == MPoly.const(1)
         assert out[1] == MPoly.var("l") + D
@@ -691,9 +693,7 @@ class TestIdealReportVerify:
 class TestShiftedAntiInvolutionLaw:
     def test_product_reversal_at_nonzero_shift(self):
         from confalg.cend import LambdaSeries, product_apply, raw_subst
-        from confalg.poly import MPoly
 
-        lam = MPoly.var("l")
         p = PolyMat.diagonal([XX, UPoly((-1, 1))])
         _, spec = anti_involution_search(p, degree_cap=1)
         assert spec is not None and spec.alpha == 1
@@ -702,11 +702,11 @@ class TestShiftedAntiInvolutionLaw:
             a = random_cend(rng, 2, 1)
             b = random_cend(rng, 2, 1)
             lhs = LambdaSeries.from_raw(
-                product_apply(a.entries, b.entries, "l", p)
+                product_apply(a.entries, b.entries, L, p)
             ).map_coefficients(lambda c: apply_antiinv(c, spec))
             sa = apply_antiinv(a, spec)
             sb = apply_antiinv(b, spec)
             rhs = raw_subst(
-                product_apply(sb.entries, sa.entries, "m", p), {"m": -D - lam}
+                product_apply(sb.entries, sa.entries, M, p), {"m": -D - L}
             )
             assert lhs.to_raw() == rhs
