@@ -271,13 +271,20 @@ def _twist(p: MPoly, shift: MPoly | RatLike) -> dict[str, MPoly]:
     return {"d": -p, "x": p + _D + shift}
 
 
-def product_head(g: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> RawMat:
-    """The left factor of the product: g(-p, x + p + d), times P(x + p + d)."""
-    twist = _twist(p, _X)
-    head = raw_subst(g, twist)
+def _subst_times_p(m: RawMat, bindings: dict[str, MPoly], p_mat: PolyMat | None) -> RawMat:
+    """m times P (when given), each under the same bindings: P has no d."""
+    out = raw_subst(m, bindings)
     if p_mat is not None:
-        head = raw_mul(head, raw_subst(p_mat.to_mpoly_rows(), {"x": twist["x"]}))
-    return head
+        out = raw_mul(out, raw_subst(p_mat.to_mpoly_rows(), bindings))
+    return out
+
+
+def product_head(
+    g: RawMat, p: MPoly, p_mat: PolyMat | None = None, shift: MPoly | RatLike = _X
+) -> RawMat:
+    """g(-p, p + d + shift), times P(p + d + shift): the left factor of the
+    product (shift x), or the matrix of the action twisted by alpha (shift alpha)."""
+    return _subst_times_p(g, _twist(p, shift), p_mat)
 
 
 def product_tail(x_raw: RawMat, p: MPoly) -> RawMat:
@@ -293,10 +300,7 @@ def left_factors(g: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> Factors:
 
 def right_factors(x_raw: RawMat, p: MPoly, p_mat: PolyMat | None = None) -> Factors:
     """x's factors in the bracket: (x(p+d, x), x(p+d, x-p) [P(x-p)])."""
-    back = raw_subst(x_raw, {"d": p + _D, "x": _X - p})
-    if p_mat is not None:
-        back = raw_mul(back, raw_subst(p_mat.to_mpoly_rows(), {"x": _X - p}))
-    return product_tail(x_raw, p), back
+    return product_tail(x_raw, p), _subst_times_p(x_raw, {"d": p + _D, "x": _X - p}, p_mat)
 
 
 def _beside(mats: Sequence[RawMat]) -> RawMat:
@@ -382,14 +386,7 @@ def standard_action(p_mat: PolyMat, alpha: RatLike = 0) -> ActionClosure:
 
     The full symbol E = a*P acts by E(-p, p+d+alpha) v(p+d).
     """
-    p_raw = p_mat.to_mpoly_rows()
-
-    def act(a_part: RawMat, p: MPoly) -> VecMap:
-        # substitution is a ring map, so each factor is substituted on its own
-        twist = _twist(p, alpha)
-        return head_action(raw_mul(raw_subst(a_part, twist), raw_subst(p_raw, twist)), p)
-
-    return act
+    return lambda a_part, p: head_action(product_head(a_part, p, p_mat, alpha), p)
 
 
 def _vec_series(raw: RawVec) -> dict[int, ModVec]:

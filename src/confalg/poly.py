@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm
 from operator import attrgetter, or_
 from types import MappingProxyType
@@ -1118,19 +1118,15 @@ def _content_and_primitive(coeffs: dict[int, UPoly]) -> _DxParts:
 
 
 def _pseudo_rem(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, main variable d.
-
-    Coefficient arithmetic stays in Q[x]; no coefficient divisions occur.
-    """
-    da = max(a)
+    """A pseudo-remainder lc(b)^k * a mod b, k >= 0, main variable d, with no
+    coefficient divisions.  It is zero exactly when b divides lc(b)^k * a: for
+    b primitive, when b divides a (Gauss's lemma)."""
     db = max(b)
     lb = b[db]
     rem = dict(a)
-    steps = da - db + 1
     while rem and max(rem) >= db:
         dr = max(rem)
         top = rem[dr]
-        steps -= 1
         new = {i: c * lb for i, c in rem.items() if i != dr}
         for j, c in b.items():
             if j == db:
@@ -1141,35 +1137,20 @@ def _pseudo_rem(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
             else:
                 new[j + dr - db] = t
         rem = new
-    if steps > 0 and rem:
-        scale = lb**steps
-        rem = {i: c * scale for i, c in rem.items()}
     return rem
 
 
-def _coprime_at_a_point(a: dict[int, UPoly], b: dict[int, UPoly]) -> bool:
-    """Whether a(x0, d) and b(x0, d) are coprime in Q[d], at the least x0 >= 0
-    where neither d-leading coefficient vanishes.
-
-    If they are, the gcd of a and b has d-degree 0: its leading coefficient
-    divides theirs, so at x0 its image keeps its d-degree and divides both
-    images.  A gcd of primitive parts of d-degree 0 is a constant.
-    """
-    la, lb = a[max(a)], b[max(b)]
-    x0 = 0
-    while not la.eval(x0) or not lb.eval(x0):
-        x0 += 1
-    images = [UPoly([p[k].eval(x0) if k in p else 0 for k in range(max(p) + 1)], "d")
-              for p in (a, b)]
-    return upoly_gcd(*images).is_constant()
-
-
 def _primitive_gcd(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]:
-    """The gcd of two primitive parts, itself primitive, by a subresultant PRS.
+    """The gcd g of two primitive parts, itself primitive.
 
-    A nonzero remainder of d-degree 0 ends it at 1.  When the first
-    remainder has positive d-degree, one evaluation (``_coprime_at_a_point``)
-    proves most coprime pairs before the sequence grows its coefficients.
+    After two exact exits (b when it divides a, 1 when the first
+    pseudo-remainder is nonzero of d-degree 0), g is interpolated in x from
+    its images at x0 = 0, 1, ... and proved by trial division (Brown, J. ACM
+    18, 1971; README).  An image is the monic gcd in Q[d] where neither
+    d-leading coefficient vanishes, times gamma(x0), gamma the gcd of those
+    coefficients.  Its degree is at least deg_d g: a constant proves the
+    parts coprime, one above the kept images' marks an unlucky point, and
+    one below discards them.
     """
     if max(a) < max(b):
         a, b = b, a
@@ -1178,20 +1159,36 @@ def _primitive_gcd(a: dict[int, UPoly], b: dict[int, UPoly]) -> dict[int, UPoly]
     rem = _pseudo_rem(a, b)
     if not rem:
         return b
-    if max(rem) and _coprime_at_a_point(a, b):
+    if not max(rem):
         return {0: _UP_ONE}
-    c0, c1, g, h = a, b, _UP_ONE, _UP_ONE
-    while rem:
-        if not max(rem):
+    la, lb = a[max(a)], b[max(b)]
+    gamma = upoly_gcd(la, lb)
+    # gamma / lc(g) * g has x-degree below this
+    needed = gamma.degree() + min(max(c.degree() for c in p.values()) for p in (a, b)) + 1
+    degree, kept = max(b), 0
+    for x0 in count():
+        if not la.eval(x0) or not lb.eval(x0):
+            continue
+        image = upoly_gcd(*(UPoly([p.get(k, _UP_ZERO).eval(x0) for k in range(max(p) + 1)], "d")
+                            for p in (a, b)))
+        if image.is_constant():
             return {0: _UP_ONE}
-        delta = max(c0) - max(c1)
-        divisor = g * h**delta
-        c0, c1 = c1, {k: c.exact_div(divisor) for k, c in rem.items()}
-        g = c0[max(c0)]
-        if delta:
-            h = (g**delta).exact_div(h ** (delta - 1))
-        rem = _pseudo_rem(c0, c1)
-    return _content_and_primitive(c1)[1]
+        if image.degree() > degree:
+            continue
+        if image.degree() < degree or not kept:
+            degree, kept, interpolant, modulus = image.degree(), 0, {}, _UP_ONE
+        # Newton's step: add modulus times the residue at x0, over modulus(x0)
+        scale, inverse = gamma.eval(x0), 1 / modulus.eval(x0)
+        for k in range(degree + 1):
+            c = interpolant.get(k, _UP_ZERO)
+            if residue := image.coefficient(k) * scale - c.eval(x0):
+                interpolant[k] = c + modulus * (residue * inverse)
+        modulus, kept = modulus * _up((-x0, 1), 1, "x"), kept + 1
+        if kept == needed:
+            g = _content_and_primitive(interpolant)[1]
+            if not _pseudo_rem(a, g) and not _pseudo_rem(b, g):
+                return g
+            degree, kept = degree - 1, 0  # so the kept points were unlucky
 
 
 def _gcd_parts(a: _DxParts, b: _DxParts) -> _DxParts:
@@ -1224,8 +1221,9 @@ def _from_parts(parts: _DxParts) -> MPoly:
 
 
 def bipoly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """GCD in Q[d, x] via content/primitive split and a subresultant PRS,
-    with a one-point coprimality test after the first pseudo-remainder.
+    """GCD in Q[d, x]: the gcd of the contents over Q[x], times the gcd of the
+    primitive parts by evaluation and interpolation in x, checked by trial
+    division.
 
     The result is normalized so its leading coefficient under the graded-lex
     term order is 1.

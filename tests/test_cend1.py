@@ -33,7 +33,7 @@ from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_gcd
 from confalg.polymat import PolyMat
 from confalg.structure import unital_closure_probe
 from ideal_oracle import hermite_form
-from poly_helpers import upoly_from_mpoly
+from poly_helpers import prs_gcd, upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -355,7 +355,7 @@ def _rows_to_polys(rows):
 
 
 def _gcd_of(polys):
-    return reduce(bipoly_gcd, polys, MPoly.zero())
+    return reduce(prs_gcd, polys, MPoly.zero())
 
 
 def _product_parts(a, b):
@@ -552,7 +552,7 @@ class TestSaturationMatchesNaiveLoops:
         lowered = _gcd_of(gens)
         for a, b, k in got.derivation:
             (part,), = _product_parts(((gens[a],),), ((gens[b],),)).get(k, ((MPoly.zero(),),))
-            step = bipoly_gcd(lowered, part)
+            step = prs_gcd(lowered, part)
             assert step != lowered
             lowered = step
         assert lowered == got.gcd_witness
@@ -676,7 +676,7 @@ class TestOneProductSplits:
         if got.status == "x_free":
             assert not any(g.uses("x") for g in gens)
             return
-        assert got.gcd_witness == bipoly_gcd(_split_parts(gens), MPoly.zero())
+        assert got.gcd_witness == prs_gcd(_split_parts(gens), MPoly.zero())
         first = next(i for i, g in enumerate(gens) if not g.is_zero())
         assert all((a, b) == (first, first) for a, b, _ in got.derivation)
         assert got.rounds == (1 if got.derivation else 0)

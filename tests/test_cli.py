@@ -933,6 +933,16 @@ def dense_d_symbol(degree: int, seed: int) -> list[list[str]]:
              for _ in range(4)] for _ in range(4)]
 
 
+def common_factor_generator(degree: int, seed: int) -> str:
+    """(d + x + 1) * h, h holding every monomial d^i x^j with i + j <=
+    ``degree``, in order of i, then j, with coefficients drawn from
+    ``random.Random(seed).randint(1, 3)``."""
+    rng = random.Random(seed)
+    h = MPoly({(i, j, 0, 0): rng.randint(1, 3)
+               for i in range(degree + 1) for j in range(degree + 1 - i)})
+    return format_poly((MPoly.var("d") + MPoly.var("x") + 1) * h)
+
+
 IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
 
 
@@ -948,7 +958,7 @@ IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
         ("anti-auto", {"p": DENSE_4X4_16}, []),
         ("anti-inv-search", {"p": DENSE_4X4_16}, ["--degree-cap", "2"]),
         # all 153 monomials of degree <= 16: the gcd with the l^1 part of
-        # g * g is 1, which a pseudo-remainder sequence takes seconds to show
+        # g * g is 1, which one constant image gcd at x = 0 proves
         ("classify-cend1", {"generators": [dense_generator(16)]}, []),
         # two dense symbols of degree 4 (seeds 3 and 4) under a dense P;
         # their right ideal takes 2-3 s and stays out until a reduction ahead
@@ -977,6 +987,10 @@ IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
                                    dense_d_symbol(16, 2)]}, []),
         ("extension-build", {"p": DENSE_4X4_16, "kind": "factorization", "r": DENSE_4X4_16,
                              "s": IDENTITY_4X4, "alpha": "0"}, ["--rounds", "1"]),
+        # a common factor at the input limit: the gcd d + x + 1 of the
+        # generator and its l^1 part is interpolated from images at 17 points
+        # and checked by trial division
+        ("classify-cend1", {"generators": [common_factor_generator(15, 1)]}, []),
     ],
 )
 def test_dense_4x4_ends_in_one_verified_envelope(verb, payload, flags):

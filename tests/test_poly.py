@@ -24,7 +24,7 @@ from confalg.poly import (
     upoly_gcd,
     upoly_xgcd,
 )
-from poly_helpers import upoly_from_mpoly
+from poly_helpers import prs_gcd, upoly_from_mpoly
 
 D = MPoly.var("d")
 X = MPoly.var("x")
@@ -279,44 +279,58 @@ def _dx_polys(max_deg):
     )
 
 
+_T = X * (X - 1) * (X - 2)
+
+
 class TestCoprimeShortcut:
-    """One evaluation at the least x0 >= 0 where neither d-leading coefficient
-    vanishes proves coprime primitive parts; otherwise the PRS runs as before."""
+    """The gcd matches the subresultant PRS of ``poly_helpers``.  After its
+    two exact exits it evaluates at x0 = 0, 1, ..., skipping points where a
+    d-leading coefficient vanishes: a constant image gcd proves the parts
+    coprime, and an image of higher degree than the gcd (an unlucky point)
+    is skipped or discarded.  ``answers`` lists the d-degree of the image gcd
+    at each point the loop reaches."""
 
     @pytest.mark.parametrize(
         "a,b,want,answers",
         [
-            (D**3 + X, D**2 + X * D + 1, MPoly.const(1), [True]),
-            # both images d^2 at x0 = 0: the PRS decides
-            (D**2 + X * D + X, D**2 - X * D + X, MPoly.const(1), [False]),
-            ((D + X) * (D**2 + 1), (D + X) * (D**2 + X), D + X, [False]),
+            (D**3 + X, D**2 + X * D + 1, MPoly.const(1), [0]),
+            # both images d^2 at x0 = 0
+            (D**2 + X * D + X, D**2 - X * D + X, MPoly.const(1), [2, 0]),
+            # both images (d + 1)(d^2 + 1) at x0 = 1
+            ((D + X) * (D**2 + 1), (D + X) * (D**2 + X), D + X, [1, 3, 1]),
             # x0 = 0 zeroes the leading coefficient x of a: x0 = 1
-            (X * D**3 + 1, D**2 + X, MPoly.const(1), [True]),
+            (X * D**3 + 1, D**2 + X, MPoly.const(1), [0]),
             # a zero first remainder, and one of d-degree 0, end without it
             ((D + X) * (D + 1), D + X, D + X, []),
             (D**2 + X, D + 1, MPoly.const(1), []),
+            # images d^3 and d^2 at x0 = 0, 1, 2, where t vanishes
+            (D**3 + _T * D + _T, D**2 + _T * D + _T, MPoly.const(1), [2, 2, 2, 0]),
+            # the same times d + x: five points of degree 1 follow three unlucky ones
+            ((D**3 + _T * D + _T) * (D + X), (D**2 + _T * D + _T) * (D + X), D + X,
+             [3, 3, 3, 1, 1, 1, 1, 1]),
+            # one point is all the bound asks for, and x0 = 0 is unlucky: its
+            # image fails the trial division, so degree 2 is skipped after it
+            ((D - 1) * (D - X * 2 - 1), (D - 1) ** 2, D - 1, [2, 1]),
         ],
     )
     def test_cases(self, monkeypatch, a, b, want, answers):
-        calls = []
+        degrees = []
 
-        def counted(p, q):
-            result = coprime(p, q)
-            calls.append(result)
-            return result
+        def recorded(p, q):
+            g = upoly_gcd(p, q)
+            if g.var == "d":
+                degrees.append(g.degree())
+            return g
 
-        coprime = poly._coprime_at_a_point
-        monkeypatch.setattr(poly, "_coprime_at_a_point", counted)
-        assert bipoly_gcd(a, b) == want
-        assert calls == answers
+        monkeypatch.setattr(poly, "upoly_gcd", recorded)
+        assert bipoly_gcd(a, b) == want == prs_gcd(a, b)
+        assert degrees == answers
 
     @settings(max_examples=150, deadline=None)
     @given(_dx_polys(3), _dx_polys(3), _dx_polys(1))
     def test_matches_the_plain_prs(self, a, b, common):
         a, b = a * common, b * common
-        with mock.patch.object(poly, "_coprime_at_a_point", lambda p, q: False):
-            want = bipoly_gcd(a, b)
-        assert bipoly_gcd(a, b) == want
+        assert bipoly_gcd(a, b) == prs_gcd(a, b)
 
 
 class TestUPolyFromMPoly:
