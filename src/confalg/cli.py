@@ -27,6 +27,7 @@ from .cend import (
     AxiomReport,
     CendElem,
     LambdaSeries,
+    ModVec,
     lambda_product,
     lie_bracket,
     standard_action,
@@ -78,11 +79,11 @@ from .structure import (
 
 DEFAULT_SEED = 101
 
-# check-axioms samples n x n symbols of this degree; one round at n = 4,
-# degree 4 takes about 0.08 s for assoc and 0.17-0.19 s for lie (in-process
-# CPU time, medians of 16 seeds, one core of a 2-core machine; the same with
-# no substitution cached), and the cost grows fast in both
-MAX_AXIOM_N = 4
+# check-axioms samples n x n symbols (n up to jsonio.MAX_MATRIX_N) of this
+# degree; one round at n = 4, degree 4 takes about 0.08 s for assoc and
+# 0.17-0.19 s for lie (in-process CPU time, medians of 16 seeds, one core of
+# a 2-core machine; the same with no substitution cached), and the cost grows
+# fast in both
 MAX_AXIOM_DEGREE = 4
 # oc-gens builds n*n generators for each power 0..max_n; n = 4 with
 # max_n = 16 takes about half a second, n = 8 with max_n = 16 six seconds
@@ -113,8 +114,8 @@ class Budgets:
     seed: int
 
 
-Outcome = tuple[str, dict[str, Any], dict[str, Any] | None]
-# (status, result, certificate)
+Outcome = tuple[str, dict[str, Any], dict[str, Any] | None]  # (status, result, certificate)
+Args = dict[str, Any]  # a verb's arguments by name, as its reader returns them
 
 
 def _expect(payload: Any, *fields: str, name: str = "payload") -> dict[str, Any]:
@@ -126,18 +127,10 @@ def _expect(payload: Any, *fields: str, name: str = "payload") -> dict[str, Any]
     return payload
 
 
-def _int_field(payload: dict[str, Any], name: str, default: int | None = None) -> int:
-    value = payload.get(name, default)
+def _integer(value: Any, field: str) -> int:
     if type(value) is not int:  # bool is an int subclass, and int() truncates 1.7
-        raise AppError(E_PARSE, f"{name}: expected an integer, got {value!r}")
+        raise AppError(E_PARSE, f"{field}: expected an integer, got {value!r}")
     return value
-
-
-def _epsilon_field(payload: dict[str, Any]) -> int:
-    epsilon = _int_field(payload, "epsilon")
-    if epsilon not in (1, -1):
-        raise AppError(E_PARSE, f"epsilon must be 1 or -1, got {epsilon}")
-    return epsilon
 
 
 def _axiom_outcome(report: AxiomReport) -> Outcome:
@@ -156,7 +149,7 @@ def _budgets(verb: str, given: dict[str, Any], defaults: bool = False) -> Budget
     values: dict[str, int | None] = {}
     for key in ("degree_cap", "rounds"):
         if given.get(key) is not None:
-            values[key] = _int_field(given, key)
+            values[key] = _integer(given[key], key)
         elif key not in required:
             values[key] = None
         elif defaults:
@@ -169,21 +162,109 @@ def _budgets(verb: str, given: dict[str, Any], defaults: bool = False) -> Budget
         raise AppError(E_PARSE, f"degree_cap must be from 0 to {MAX_DEGREE_CAP}, got {cap}")
     if rounds is not None and rounds < 0:
         raise AppError(E_PARSE, f"rounds must be at least 0, got {rounds}")
-    return Budgets(seed=_int_field(given, "seed"), **values)
+    return Budgets(seed=_integer(given.get("seed"), "seed"), **values)
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers
+# Payload readers and verb handlers
 # ---------------------------------------------------------------------------
+
+
+# integer payload fields: name -> (least, greatest)
+_RANGES = {"n": (1, MAX_MATRIX_N), "degree": (0, MAX_AXIOM_DEGREE), "max_n": (0, MAX_OC_POWER)}
+
+
+def _in_range(value: Any, field: str) -> int:
+    low, high = _RANGES[field]
+    if not low <= _integer(value, field) <= high:
+        raise AppError(E_PARSE, f"{field} must be from {low} to {high}, got {value}")
+    return value
+
+
+def _epsilon(value: Any, field: str) -> int:
+    if _integer(value, field) not in (1, -1):
+        raise AppError(E_PARSE, f"epsilon must be 1 or -1, got {value}")
+    return value
+
+
+def _side(value: Any, field: str) -> str:
+    if value not in ("left", "right"):
+        raise AppError(E_PARSE, f"unknown ideal side {value!r}")
+    return value
+
+
+def _alphas(value: Any, field: str) -> list[Fraction]:
+    if not isinstance(value, list) or not value:
+        raise AppError(E_PARSE, f"{field}: expected a non-empty array of rationals")
+    return [fraction_from_json(a, field) for a in value]
+
+
+def _generators(value: Any, field: str) -> list[MPoly]:
+    if not isinstance(value, list) or not value:
+        raise AppError(E_PARSE, f"{field}: expected a non-empty array of strings")
+    return polys_from_json(value, field, {"d", "x"})
+
+
+# Every payload field is read one way, whichever verb it comes in:
+# field name -> reader(JSON value, field name), which raises E_PARSE
+_FIELDS: dict[str, Callable[[Any, str], Any]] = {
+    **dict.fromkeys(("a", "b", "element"), cend_from_json),  # symbols over d, x
+    **dict.fromkeys(("matrix", "p", "q", "r", "s"), polymat_from_json),  # over Q[x]
+    **dict.fromkeys(("alpha", "gamma"), fraction_from_json),
+    "gens": cend_list_from_json,
+    "start": modvec_from_json,
+    "alphas": _alphas,
+    "generators": _generators,
+    **dict.fromkeys(_RANGES, _in_range),
+    "epsilon": _epsilon,
+    "side": _side,
+    "kind": lambda value, field: value,  # each verb that reads it checks its own kinds
+}
+
+
+def _fields(*required: str, **optional: Any) -> Callable[[Any], Args]:
+    """A payload reader: the payload is an object holding every ``required``
+    field, an ``optional`` one that it lacks takes its default, and each is
+    read in that order by its ``_FIELDS`` reader."""
+
+    def read(payload: Any) -> Args:
+        _expect(payload, *required)
+        args = {f: _FIELDS[f](payload[f], f) for f in required}
+        for f, default in optional.items():
+            args[f] = _FIELDS[f](payload[f], f) if f in payload else default
+        return args
+
+    return read
+
+
+def read_check_axioms(payload: Any) -> Args:
+    """``kind``, ``n`` and ``degree``, and ``p`` and ``alphas`` for the one
+    kind that reads them, ``module``."""
+    args = _fields("kind", "n", degree=2)(payload)
+    if args["kind"] == "module":
+        args.update(_fields(p=None, alphas=[Fraction(0)])(payload))
+    return args
+
+
+def read_extension_build(payload: Any) -> Args:
+    """The kind is checked first; a factorization needs both factors."""
+    kind = _expect(payload, "p", "kind")["kind"]
+    if kind not in ("factorization", "jordan"):
+        raise AppError(E_PARSE, f"unknown extension kind {kind!r}")
+    if kind == "factorization":
+        _expect(payload, "r", "s")
+    return _fields("p", "kind", alpha=Fraction(0), gamma=Fraction(0), r=None, s=None)(payload)
+
+
+def read_classify(payload: Any) -> Args:
+    """The generators: a list of them, or an object holding it as ``generators``."""
+    return _fields("generators")({"generators": payload} if isinstance(payload, list) else payload)
 
 
 def run_series(
-    op: Callable[[CendElem, CendElem], LambdaSeries], payload: Any, budgets: Budgets
+    op: Callable[[CendElem, CendElem], LambdaSeries], budgets: Budgets, a: CendElem, b: CendElem
 ) -> Outcome:
     """``product`` and ``bracket``: the series of ``op`` on two symbols."""
-    _expect(payload, "a", "b")
-    a = cend_from_json(payload["a"], "a")
-    b = cend_from_json(payload["b"], "b")
     if a.n != b.n:
         raise AppError(E_MISMATCH, "operand sizes differ")
     return "decided", {"series": series_to_json(op(a, b))}, None
@@ -204,18 +285,12 @@ def _samples(rng: random.Random, n: int, degree: int, count: int, vec_size: int 
     ]
 
 
-def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "kind", "n")
-    kind = payload["kind"]
-    n = _int_field(payload, "n")
-    degree = _int_field(payload, "degree", 2)
+def run_check_axioms(
+    budgets: Budgets, kind: Any, n: int, degree: int, p: PolyMat | None = None,
+    alphas: Sequence[Fraction] = (),
+) -> Outcome:
     count = budgets.rounds
-    # each of these would make every sample set empty and "ok" vacuous
-    if not 1 <= n <= MAX_AXIOM_N:
-        raise AppError(E_PARSE, f"n must be from 1 to {MAX_AXIOM_N}, got {n}")
-    if not 0 <= degree <= MAX_AXIOM_DEGREE:
-        raise AppError(E_PARSE, f"degree must be from 0 to {MAX_AXIOM_DEGREE}, got {degree}")
-    if count < 1:
+    if count < 1:  # no samples would make "ok" vacuous
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
     rng = random.Random(budgets.seed)
     if kind == "assoc":
@@ -223,52 +298,34 @@ def run_check_axioms(payload: Any, budgets: Budgets) -> Outcome:
     elif kind == "lie":
         report = verify_lie_axioms(_samples(rng, n, degree, count))
     elif kind == "module":
-        p_mat = (
-            polymat_from_json(payload["p"], "p")
-            if "p" in payload
-            else PolyMat.identity(n)
-        )
+        p_mat = PolyMat.identity(n) if p is None else p
         if p_mat.n != n:
             raise AppError(E_MISMATCH, "size mismatch")
         if det(p_mat).is_zero():  # every action would be zero and "ok" vacuous
             raise DegenerateError("defining matrix must be nondegenerate")
-        raw_alphas = payload.get("alphas", ["0"])
-        if not isinstance(raw_alphas, list) or not raw_alphas:
-            raise AppError(E_PARSE, "alphas: expected a non-empty array of rationals")
-        alphas = [fraction_from_json(a, "alphas") for a in raw_alphas]
         failures: list[str] = []
         checked = 0
         for alpha in alphas:
             act = standard_action(p_mat, alpha)
             report = verify_module_axioms(act, _samples(rng, n, degree, count, n), p_mat=p_mat)
             checked += report.checked
-            failures.extend(
-                f"alpha={fraction_to_str(alpha)}: {f}" for f in report.failures
-            )
+            failures.extend(f"alpha={fraction_to_str(alpha)}: {f}" for f in report.failures)
         report = AxiomReport(not failures, checked, tuple(failures))
     else:
         raise AppError(E_PARSE, f"unknown axiom kind {kind!r}")
     return _axiom_outcome(report)
 
 
-def run_smith(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "matrix")
-    mat = polymat_from_json(payload["matrix"], "matrix")
-    cert = smith_form(mat)
-    if not cert.verify(mat):
+def run_smith(budgets: Budgets, matrix: PolyMat) -> Outcome:
+    cert = smith_form(matrix)
+    if not cert.verify(matrix):
         raise AppError(E_MISMATCH, "internal: certificate failed self-check")
     result = {"divisors": upolys_to_json(cert.divisors)}
-    certificate = {
-        "left": polymat_to_json(cert.left),
-        "right": polymat_to_json(cert.right),
-    }
+    certificate = {"left": polymat_to_json(cert.left), "right": polymat_to_json(cert.right)}
     return "decided", result, certificate
 
 
-def run_iso(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p", "q")
-    p = polymat_from_json(payload["p"], "p")
-    q = polymat_from_json(payload["q"], "q")
+def run_iso(budgets: Budgets, p: PolyMat, q: PolyMat) -> Outcome:
     decision = decide_isomorphism(p, q)
     result = {
         "isomorphic": decision.isomorphic,
@@ -281,9 +338,7 @@ def run_iso(payload: Any, budgets: Budgets) -> Outcome:
     return "decided", result, certificate
 
 
-def run_anti_auto(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p")
-    p = polymat_from_json(payload["p"], "p")
+def run_anti_auto(budgets: Budgets, p: PolyMat) -> Outcome:
     decision = anti_automorphism_exists(p)
     result = {
         "exists": decision.isomorphic,
@@ -299,9 +354,7 @@ def _anti_auto_certificate(decision: IsoDecision) -> dict[str, Any]:
     }
 
 
-def run_anti_inv_search(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p")
-    p = polymat_from_json(payload["p"], "p")
+def run_anti_inv_search(budgets: Budgets, p: PolyMat) -> Outcome:
     decision, spec = anti_involution_search(p, degree_cap=budgets.degree_cap)
     if not decision.isomorphic:  # no anti-automorphism, so no anti-involution
         return "decided", {"found": False}, _anti_auto_certificate(decision)
@@ -318,17 +371,8 @@ def _generator_json(side: str, generator: PolyMat) -> list[list[str]]:
     return [[format_upoly(e.retag("z")) for e in row] for row in generator.rows]
 
 
-def run_ideal(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "side", "p", "gens")
-    side = payload["side"]
-    p = polymat_from_json(payload["p"], "p")
-    gens = cend_list_from_json(payload["gens"], "gens")
-    if side == "left":
-        report = left_ideal_generator(p, gens)
-    elif side == "right":
-        report = right_ideal_generator(p, gens)
-    else:
-        raise AppError(E_PARSE, f"unknown ideal side {side!r}")
+def run_ideal(budgets: Budgets, p: PolyMat, gens: list[CendElem], side: str) -> Outcome:
+    report = (left_ideal_generator if side == "left" else right_ideal_generator)(p, gens)
     result = {
         "side": side,
         "generator": _generator_json(side, report.generator),
@@ -341,20 +385,8 @@ def run_ideal(payload: Any, budgets: Budgets) -> Outcome:
     return "decided", result, certificate
 
 
-def _cend1_generators(payload: Any) -> list[MPoly]:
-    """The generators of a ``classify-cend1`` payload: a list or ``generators``."""
-    if isinstance(payload, list):
-        raw_gens = payload
-    else:
-        _expect(payload, "generators")
-        raw_gens = payload["generators"]
-    if not isinstance(raw_gens, list) or not raw_gens:
-        raise AppError(E_PARSE, "generators: expected a non-empty array of strings")
-    return polys_from_json(raw_gens, "generators", {"d", "x"})
-
-
-def run_classify_cend1(payload: Any, budgets: Budgets) -> Outcome:
-    state = c1.closure(_cend1_generators(payload))
+def run_classify_cend1(budgets: Budgets, generators: list[MPoly]) -> Outcome:
+    state = c1.closure(generators)
     certificate = {
         "derivation": [list(step) for step in state.derivation],
         "gcd_witness": format_poly(state.gcd_witness),
@@ -374,105 +406,64 @@ def _classify_result(desc: c1.SubalgDescriptor, status: str, rounds: int) -> dic
     }
 
 
-def run_extension_build(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p", "kind")
-    kind = payload["kind"]
-    if kind not in ("factorization", "jordan"):
-        raise AppError(E_PARSE, f"unknown extension kind {kind!r}")
-    if kind == "factorization":
-        _expect(payload, "r", "s")
-    p = polymat_from_json(payload["p"], "p")
-    alpha = fraction_from_json(payload.get("alpha", "0"), "alpha")
-    gamma = fraction_from_json(payload.get("gamma", "0"), "gamma")
-    r_mat = polymat_from_json(payload["r"], "r") if "r" in payload else None
-    s_mat = polymat_from_json(payload["s"], "s") if "s" in payload else None
-    module = build_extension(p, kind, r_mat=r_mat, s_mat=s_mat, alpha=alpha, gamma=gamma)
+def run_extension_build(
+    budgets: Budgets, p: PolyMat, kind: str, alpha: Fraction, gamma: Fraction,
+    r: PolyMat | None, s: PolyMat | None,
+) -> Outcome:
+    module = build_extension(p, kind, r_mat=r, s_mat=s, alpha=alpha, gamma=gamma)
     rng = random.Random(budgets.seed)
     count = budgets.rounds
     if count < 1:  # no samples would make axioms_ok vacuous
         raise AppError(E_PARSE, f"--rounds must be at least 1, got {count}")
-    n = p.n
-    samples = _samples(rng, n, 2, count, module.vector_size)
+    samples = _samples(rng, p.n, 2, count, module.vector_size)
     report = verify_module_axioms(module.action, samples, p_mat=p)
     submodule_ok = True
     if kind == "factorization":
         for _ in range(count):
-            a = random_cend(rng, n, 2)
-            vec = random_modvec_raw(rng, n, 2)
+            a = random_cend(rng, p.n, 2)
+            vec = random_modvec_raw(rng, p.n, 2)
             lhs, rhs = embedded_standard_witness(module, a, vec)
             if lhs != rhs:
                 submodule_ok = False
                 break
-    result = {
-        "kind": kind,
-        "axioms_ok": report.ok,
-        "checked": report.checked,
-        "submodule_ok": submodule_ok,
-        "failures": list(report.failures),
-    }
+    result = {"kind": kind, "axioms_ok": report.ok, "checked": report.checked,
+              "submodule_ok": submodule_ok, "failures": list(report.failures)}
     certificate = {
         "alpha": fraction_to_str(alpha),
         "gamma": fraction_to_str(gamma),
-        "r": polymat_to_json(r_mat) if r_mat is not None else None,
-        "s": polymat_to_json(s_mat) if s_mat is not None else None,
+        "r": polymat_to_json(r) if r is not None else None,
+        "s": polymat_to_json(s) if s is not None else None,
     }
     return "decided", result, certificate
 
 
-def run_oc_gens(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "n", "p", "epsilon", "max_n")
-    n = _int_field(payload, "n")
-    max_n = _int_field(payload, "max_n")
-    if not 1 <= n <= MAX_MATRIX_N:
-        raise AppError(E_PARSE, f"n must be from 1 to {MAX_MATRIX_N}, got {n}")
-    if not 0 <= max_n <= MAX_OC_POWER:
-        raise AppError(E_PARSE, f"max_n must be from 0 to {MAX_OC_POWER}, got {max_n}")
-    p = polymat_from_json(payload["p"], "p")
-    epsilon = _epsilon_field(payload)
+def run_oc_gens(budgets: Budgets, n: int, max_n: int, p: PolyMat, epsilon: int) -> Outcome:
     gens = make_oc_spc_generators(n, p, epsilon, max_n)
     spec = AntiInvSpec(p, PolyMat.identity(n), epsilon, Fraction(0))
     all_anti_fixed = all(check_anti_fixed(g.a_part, spec) for g in gens)
-    result = {
-        "generators": [
-            {
-                "n": g.n,
-                "a_part": cend_to_json(g.a_part),
-                "element": cend_to_json(g.element),
-            }
-            for g in gens
-        ]
-    }
+    result = {"generators": [
+        {"n": g.n, "a_part": cend_to_json(g.a_part), "element": cend_to_json(g.element)}
+        for g in gens
+    ]}
     certificate = {"anti_fixed_verified": all_anti_fixed}
     return "decided", result, certificate
 
 
-def run_invariance_check(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p", "epsilon", "element")
-    p = polymat_from_json(payload["p"], "p")
-    epsilon = _epsilon_field(payload)
-    elem = cend_from_json(payload["element"], "element")
-    return _axiom_outcome(invariance_check(ConfBilinearForm(p, epsilon), elem))
+def run_invariance_check(budgets: Budgets, p: PolyMat, epsilon: int, element: CendElem) -> Outcome:
+    return _axiom_outcome(invariance_check(ConfBilinearForm(p, epsilon), element))
 
 
-def run_irreducibility_probe(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "p", "gens", "start")
-    p = polymat_from_json(payload["p"], "p")
-    gens = cend_list_from_json(payload["gens"], "gens")
-    start = modvec_from_json(payload["start"], "start")
-    alpha = fraction_from_json(payload.get("alpha", "0"), "alpha")
+def run_irreducibility_probe(
+    budgets: Budgets, p: PolyMat, gens: list[CendElem], start: ModVec, alpha: Fraction
+) -> Outcome:
     outcome = irreducibility_probe(gens, p, alpha, start)
-    result = {
-        "outcome": outcome.outcome,
-        "rank": outcome.rank,
-        "rounds_used": outcome.rounds_used,
-    }
+    result = {"outcome": outcome.outcome, "rank": outcome.rank, "rounds_used": outcome.rounds_used}
     certificate = {"basis": [modvec_to_json(r) for r in outcome.basis]}
     return "decided", result, certificate
 
 
-def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "gens")
-    outcome = unital_closure_probe(cend_list_from_json(payload["gens"], "gens"))
+def run_unital_probe(budgets: Budgets, gens: list[CendElem]) -> Outcome:
+    outcome = unital_closure_probe(gens)
     return "decided", {"outcome": outcome.outcome, "basis_rank": outcome.basis_rank}, None
 
 
@@ -481,15 +472,22 @@ def run_unital_probe(payload: Any, budgets: Budgets) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def run_verify(payload: Any, budgets: Budgets) -> Outcome:
-    _expect(payload, "verb", "input", "status")
-    verb = payload["verb"]
+def read_report(payload: Any) -> Args:
+    """A report, its recorded budgets, read first, and its input, read by its verb's reader."""
+    report = _expect(payload, "verb", "input", "status")
+    verb = report["verb"]
     row = VERBS.get(verb) if isinstance(verb, str) else None
     if row is None or row.check is None:
         raise AppError(E_PARSE, f"no verifier for verb {verb!r}")
-    if payload["status"] not in ("decided", "undecided"):
-        raise AppError(E_PARSE, f"no verdict to verify: status {payload['status']!r}")
-    ok, notes = row.check(payload, _budgets(verb, _part(payload, "budgets")))
+    if report["status"] not in ("decided", "undecided"):
+        raise AppError(E_PARSE, f"no verdict to verify: status {report['status']!r}")
+    recorded = _budgets(verb, _part(report, "budgets"))
+    return {"report": report, "recorded": recorded, "args": row.read(report["input"])}
+
+
+def run_verify(budgets: Budgets, report: dict[str, Any], recorded: Budgets, args: Args) -> Outcome:
+    verb = report["verb"]
+    ok, notes = VERBS[verb].check(args, report, recorded)
     if not ok:
         raise AppError(E_MISMATCH, f"certificate for {verb!r} failed: {notes}")
     return "decided", {"verified": True, "verb": verb, "notes": notes}, None
@@ -509,14 +507,9 @@ def _same_json(a: Any, b: Any) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _status_agrees(report: dict[str, Any], decided: bool) -> bool:
-    return report["status"] == ("decided" if decided else "undecided")
-
-
-def _verify_smith(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
-    if not _status_agrees(report, True):
+def _verify_smith(args: Args, report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
+    if report["status"] != "decided":
         return _STATUS_MISMATCH
-    mat = polymat_from_json(_part(report, "input", "matrix")["matrix"], "matrix")
     result = _part(report, "result", "divisors")
     cert = _part(report, "certificate", "left", "right")
     smith = SmithCert(
@@ -524,42 +517,38 @@ def _verify_smith(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
         polymat_from_json(cert["left"], "left", None),
         polymat_from_json(cert["right"], "right", None),
     )
-    if not smith.verify(mat):
+    if not smith.verify(args["matrix"]):
         return False, "transform identity or divisor chain failed"
     return True, "smith certificate verified"
 
 
-def _verify_anti_inv(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
+def _verify_anti_inv(args: Args, report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     result = _part(report, "result", "found")
     found = result["found"]
     if not isinstance(found, bool):
         raise AppError(E_PARSE, f"found: expected true or false, got {found!r}")
     if not found:  # a decided absence and a failed bounded search are both rerun
-        return _verify_recompute(report, budgets)
-    if not _status_agrees(report, True):
+        return _verify_recompute(args, report, budgets)
+    if report["status"] != "decided":
         return _STATUS_MISMATCH
-    p = polymat_from_json(_part(report, "input", "p")["p"], "p")
     y = polymat_from_json(_part(report, "certificate", "y")["y"], "y", None)
-    eps = _int_field(result, "epsilon")
+    eps = _integer(result.get("epsilon"), "epsilon")
     alpha = fraction_from_json(result.get("alpha"), "alpha")
     try:
-        AntiInvSpec(p, y, eps, alpha)
+        AntiInvSpec(args["p"], y, eps, alpha)
     except ValueError as exc:
         return False, str(exc)
     return True, "anti-involution identity verified"
 
 
-def _verify_ideal(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
-    if not _status_agrees(report, True):
+def _verify_ideal(args: Args, report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
+    if report["status"] != "decided":
         return _STATUS_MISMATCH
-    payload = _part(report, "input", "p", "gens")
-    p = polymat_from_json(payload["p"], "p")
-    gens = cend_list_from_json(payload["gens"], "gens")
     result = _part(report, "result", "side")
     cert = _part(report, "certificate", "hermite", "multipliers")
-    side = result["side"]
-    if side not in ("left", "right"):
-        raise AppError(E_PARSE, f"unknown ideal side {side!r}")
+    side = _side(result["side"], "side")
+    if side != args["side"]:
+        return False, "side differs from the input"
     hermite = polymat_from_json(cert["hermite"], "hermite", None)
     if not isinstance(cert["multipliers"], list):
         raise AppError(E_PARSE, "multipliers: expected an array of arrays")
@@ -573,16 +562,15 @@ def _verify_ideal(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
         generator = hermite
     else:  # the grammar has no z: the printed forms are compared
         return False, "generator is not the hermite form"
-    failure = IdealReport(side, generator, hermite, multipliers).verify(p, gens)
+    failure = IdealReport(side, generator, hermite, multipliers).verify(args["p"], args["gens"])
     if failure is not None:
         return False, failure
     return True, "ideal certificate verified"
 
 
-def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
-    if not _status_agrees(report, True):
+def _verify_classify(args: Args, report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
+    if report["status"] != "decided":
         return _STATUS_MISMATCH
-    gens = _cend1_generators(report["input"])
     try:
         c1.SubalgDescriptor(_part(report, "result", "type")["type"])
     except ValueError as exc:
@@ -595,7 +583,7 @@ def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, st
         raise AppError(E_PARSE, "derivation: expected an array of [a, b, k] integer triples")
     witness = poly_from_json(cert["gcd_witness"], "gcd_witness", {"d", "x"}, None)
     try:
-        state = c1.replay(gens, steps)
+        state = c1.replay(args["generators"], steps)
         desc = c1.classify(state)
     except DegenerateError:
         raise
@@ -611,9 +599,9 @@ def _verify_classify(report: dict[str, Any], budgets: Budgets) -> tuple[bool, st
     return False, f"{key} differs from the replayed derivation"
 
 
-def _verify_recompute(report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
+def _verify_recompute(args: Args, report: dict[str, Any], budgets: Budgets) -> tuple[bool, str]:
     result = _part(report, "result")
-    status, recomputed, certificate = _HANDLERS[report["verb"]](report["input"], budgets)
+    status, recomputed, certificate = VERBS[report["verb"]].run(budgets, **args)
     if status != report["status"]:
         return _STATUS_MISMATCH
     if not _same_json(recomputed, result):
@@ -624,37 +612,48 @@ def _verify_recompute(report: dict[str, Any], budgets: Budgets) -> tuple[bool, s
 
 
 class Verb(NamedTuple):
-    run: Callable[[Any, Budgets], Outcome]
+    read: Callable[[Any], Args]
+    run: Callable[..., Outcome]  # run(budgets, **read(payload))
     budgets: dict[str, int] = {}  # required in machine mode -> --pretty default
-    check: Callable[[dict[str, Any], Budgets], tuple[bool, str]] | None = _verify_recompute
+    check: Callable[..., tuple[bool, str]] | None = _verify_recompute
 
 
-# One row per verb.  ``check`` re-verifies an emitted report in one of two
-# ways: a replay checks the certificate with the code that built it, and the
-# default recomputes the report from its input, budgets and seed and compares
-# result and certificate.  A verify report has no check.
+# One row per verb.  ``read`` turns a payload into the arguments of ``run``,
+# or raises E_PARSE; verify reads a report's input with the same reader and
+# hands it to ``check(args, report, recorded budgets)``.  A replay checks the
+# certificate with the code that built it; the default check recomputes the
+# result and certificate from the input, budgets and seed, and compares them.
+# A verify report has no check.
 VERBS: dict[str, Verb] = {
-    "product": Verb(partial(run_series, lambda_product)),
-    "bracket": Verb(partial(run_series, lie_bracket)),
-    "check-axioms": Verb(run_check_axioms, {"rounds": 12}),
-    "smith": Verb(run_smith, check=_verify_smith),
-    "iso": Verb(run_iso),
-    "anti-auto": Verb(run_anti_auto),
-    "anti-inv-search": Verb(run_anti_inv_search, {"degree_cap": 1}, _verify_anti_inv),
-    "ideal": Verb(run_ideal, check=_verify_ideal),
-    "classify-cend1": Verb(run_classify_cend1, check=_verify_classify),
-    "extension-build": Verb(run_extension_build, {"rounds": 8}),
-    "oc-gens": Verb(run_oc_gens),
-    "invariance-check": Verb(run_invariance_check),
-    "irreducibility-probe": Verb(run_irreducibility_probe),
-    "unital-probe": Verb(run_unital_probe),
-    "verify": Verb(run_verify, check=None),
+    "product": Verb(_fields("a", "b"), partial(run_series, lambda_product)),
+    "bracket": Verb(_fields("a", "b"), partial(run_series, lie_bracket)),
+    "check-axioms": Verb(read_check_axioms, run_check_axioms, {"rounds": 12}),
+    "smith": Verb(_fields("matrix"), run_smith, check=_verify_smith),
+    "iso": Verb(_fields("p", "q"), run_iso),
+    "anti-auto": Verb(_fields("p"), run_anti_auto),
+    "anti-inv-search": Verb(
+        _fields("p"), run_anti_inv_search, {"degree_cap": 1}, _verify_anti_inv
+    ),
+    "ideal": Verb(_fields("p", "gens", "side"), run_ideal, check=_verify_ideal),
+    "classify-cend1": Verb(read_classify, run_classify_cend1, check=_verify_classify),
+    "extension-build": Verb(read_extension_build, run_extension_build, {"rounds": 8}),
+    "oc-gens": Verb(_fields("n", "max_n", "p", "epsilon"), run_oc_gens),
+    "invariance-check": Verb(_fields("p", "epsilon", "element"), run_invariance_check),
+    "irreducibility-probe": Verb(
+        _fields("p", "gens", "start", alpha=Fraction(0)), run_irreducibility_probe
+    ),
+    "unital-probe": Verb(_fields("gens"), run_unital_probe),
+    "verify": Verb(read_report, run_verify, check=None),
 }
 
-# main and the recomputing verifier look handlers up here at call time
+
+# main looks handlers up here at call time: each reads its payload, then runs
 _HANDLERS: dict[str, Callable[[Any, Budgets], Outcome]] = {
-    verb: row.run for verb, row in VERBS.items()
+    verb: lambda payload, budgets, row=row: row.run(budgets, **row.read(payload))
+    for verb, row in VERBS.items()
 }
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,9 @@ VERIFY_CASES = [
     ("ideal_right_2x2", ("ideal", "right_2x2"), None),
     ("forged_ideal_right_generator", ("ideal", "right"),
      lambda r: r["result"].__setitem__("generator", [["z + 7"]])),
+    # an honest right ideal report whose input asks for the left side, where
+    # the generator is x
+    ("forged_ideal_side", ("ideal", "right"), lambda r: r["input"].__setitem__("side", "left")),
     # 2*x + 2 spans the same module as x + 1 and the multipliers reach it,
     # but it is not monic, so not the Hermite form
     ("forged_ideal_noncanonical", ("ideal", "left"),

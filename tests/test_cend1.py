@@ -29,7 +29,7 @@ from confalg.cend1 import (
 from confalg.gclie import ProbeOutcome, irreducibility_probe
 from confalg.cli import main
 from confalg.grammar import format_poly, parse_poly
-from confalg.poly import MPoly, UPoly, bipoly_gcd, upoly_gcd
+from confalg.poly import MPoly, UPoly, upoly_gcd
 from confalg.polymat import PolyMat
 from confalg.structure import unital_closure_probe
 from ideal_oracle import hermite_form
@@ -62,7 +62,7 @@ class TestClosure:
         for p in (X, X**2 + 1, X**3 - X):
             state = closure([p])
             assert state.status == "split"
-            assert state.gcd_witness == bipoly_gcd(p, MPoly.zero())
+            assert state.gcd_witness == prs_gcd(p, MPoly.zero())
 
     def test_nonsplit_gcd_is_lowered_by_one_step(self):
         # gcd d*x*(x + 1): the l^2 part of the generator times itself has gcd
@@ -76,7 +76,7 @@ class TestClosure:
     def test_monotone_in_generators(self):
         base = closure([X**2 * (D + X)])
         bigger = closure([X**2 * (D + X), X**2])
-        quotient = bipoly_gcd(base.gcd_witness, bigger.gcd_witness)
+        quotient = prs_gcd(base.gcd_witness, bigger.gcd_witness)
         assert quotient == bigger.gcd_witness  # new witness divides the old
 
     def test_rejects_foreign_variables(self):
@@ -623,10 +623,10 @@ class TestProductPreservesSplitDivisibility:
     @given(_upolys("x"), _upolys("z"), dx_polys, dx_polys)
     def test_l_parts_stay_divisible(self, p, q, f, g):
         w = p.to_mpoly() * _at_shift(q)
-        monic_w = bipoly_gcd(w, MPoly.zero())
+        monic_w = prs_gcd(w, MPoly.zero())
         product = product_apply(((w * f,),), ((w * g,),), L)[0][0]
         for part in product.coefficients_in("l").values():
-            assert bipoly_gcd(part, w) == monic_w
+            assert prs_gcd(part, w) == monic_w
 
 
 def _content(p, var, over):

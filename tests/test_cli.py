@@ -581,7 +581,7 @@ NO_BUDGETS = {"budgets": {"seed": 101}}
          "degree_cap"),
         ({**AXIOMS_REPORT, "status": "error", "budgets": {"rounds": 1, "seed": 101}},
          "status"),
-        ({"verb": "ideal", "input": {"p": [["1"]], "gens": [[["x"]]]},
+        ({"verb": "ideal", "input": {"side": "right", "p": [["1"]], "gens": [[["x"]]]},
           "result": {"side": "up"}, "certificate": {"hermite": [["1"]], "multipliers": []},
           "status": "decided", **NO_BUDGETS}, "side"),
     ],
@@ -686,6 +686,91 @@ def test_verify_checks_classification_against_input(tmp_path, name, edit, code, 
     assert exit_code == 1
     assert envelope["error"]["code"] == code
     assert message in envelope["error"]["message"]
+
+
+def _budget_flags(report):
+    """The command-line flags of a report's recorded budgets."""
+    return [arg for key, value in report["budgets"].items() if value is not None
+            for arg in (f"--{key.replace('_', '-')}", str(value))]
+
+
+@pytest.mark.parametrize(
+    "name,edit",
+    [
+        ("ideal_right", lambda r: r["input"].pop("side")),
+        ("ideal_right", lambda r: r["input"].__setitem__("side", "up")),
+        ("ideal_right", lambda r: r["input"].pop("p")),
+        ("smith", lambda r: r.__setitem__("input", [])),
+        ("smith", lambda r: r["input"].pop("matrix")),
+        ("anti_inv_search", lambda r: r["input"].pop("p")),
+        ("classify_pq", lambda r: r["input"].__setitem__("generators", [])),
+        ("iso", lambda r: r["input"].__setitem__("q", "x")),
+    ],
+    ids=["ideal_no_side", "ideal_side_up", "ideal_no_p", "smith_input_not_object",
+         "smith_no_matrix", "anti_inv_no_p", "classify_no_generators", "iso_q_not_matrix"],
+)
+def test_verify_reads_the_input_as_its_verb_does(name, edit):
+    # verify once vouched for an ideal report whose input named no side or an
+    # unknown one, and named a malformed replayed input "input", not "payload"
+    report = _golden_report(name)
+    edit(report)
+    _, expected = _run_stdin(report["verb"], report["input"], *_budget_flags(report))
+    assert expected["error"]["code"] == "E_PARSE"
+    code, envelope = _run_stdin("verify", report)
+    assert code == 1
+    assert envelope["error"] == expected["error"]
+
+
+@pytest.mark.parametrize(
+    "verb,payload,flags,message",
+    [
+        ("check-axioms", {"kind": "lie", "n": 5, "degree": "up"}, ("--rounds", "1"),
+         "n must be from 1 to 4, got 5"),
+        ("check-axioms", {"kind": "module", "n": 1, "degree": 1, "p": None}, ("--rounds", "0"),
+         "p: expected a non-empty array of arrays"),
+        ("check-axioms", {"kind": "module", "n": 1, "degree": 1, "alphas": [], "p": [["0"]]},
+         ("--rounds", "1"), "alphas: expected a non-empty array of rationals"),
+        ("check-axioms", {"kind": "module", "n": 1, "degree": 1, "alphas": [],
+                          "p": [["x", "0"], ["0", "1"]]},
+         ("--rounds", "1"), "alphas: expected a non-empty array of rationals"),
+        ("oc-gens", {"n": 5, "p": [["1"]], "epsilon": 1, "max_n": "up"}, (),
+         "n must be from 1 to 4, got 5"),
+        ("oc-gens", {"n": 1, "epsilon": 1}, (), "payload field 'max_n' is required"),
+        ("ideal", {"gens": [[["x"]]]}, (), "payload field 'p' is required"),
+    ],
+    ids=["axioms_n_range_and_degree_type", "module_p_and_rounds", "module_alphas_and_det",
+         "module_alphas_and_size", "oc_gens_n_range_and_max_n_type",
+         "oc_gens_no_p_and_no_max_n", "ideal_no_side_and_no_p"],
+)
+def test_first_of_several_faults_is_the_first_field_read(verb, payload, flags, message):
+    # each payload has two faults; a field is read whole, type and range
+    # together, the payload before the budgets and before any computation,
+    # and presence is checked in reading order
+    code, envelope = _run_stdin(verb, payload, *flags)
+    assert code == 1
+    assert envelope["error"] == {"code": "E_PARSE", "message": message}
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("smith", lambda r: r.update(status="undecided", input={}),
+         "payload field 'matrix' is required"),
+        ("anti_inv_search", lambda r: (r["result"].update(found="yes"), r["input"].pop("p")),
+         "payload field 'p' is required"),
+        ("iso", lambda r: r.update(result=[], input={"p": [["x"]]}),
+         "payload field 'q' is required"),
+    ],
+    ids=["smith_status_and_input", "anti_inv_found_and_input", "iso_result_and_input"],
+)
+def test_verify_reads_the_input_before_result_and_certificate(name, edit, message):
+    # after the budgets, a report's input is read first: a second fault in
+    # its status, result or certificate is not reached
+    report = _golden_report(name)
+    edit(report)
+    code, envelope = _run_stdin("verify", report)
+    assert code == 1
+    assert envelope["error"] == {"code": "E_PARSE", "message": message}
 
 
 @pytest.mark.parametrize(
@@ -1034,6 +1119,68 @@ def test_readme_lists_every_verb_and_budget():
             keys = [k.replace("-", "_") for k in re.findall(r"--([a-z-]+)", cells[1])]
             table[cells[0]] = dict(zip(keys, map(int, cells[2].split(","))))
     assert table == {verb: row.budgets for verb, row in VERBS.items() if row.budgets}
+
+
+# a payload per verb holding every top-level field of its README row
+PAYLOAD_EXAMPLES = {
+    "product": ({"a": [["x"]], "b": [["1"]]}, ()),
+    "bracket": ({"a": [["x"]], "b": [["d"]]}, ()),
+    "check-axioms": ({"kind": "module", "n": 1, "degree": 1, "alphas": ["0"], "p": [["x"]]},
+                     ("--rounds", "1")),
+    "smith": ({"matrix": [["x"]]}, ()),
+    "iso": ({"p": [["x"]], "q": [["x + 1"]]}, ()),
+    "anti-auto": ({"p": [["x"]]}, ()),
+    "anti-inv-search": ({"p": [["x"]]}, ("--degree-cap", "0")),
+    "ideal": ({"side": "left", "p": [["1"]], "gens": [[["x"]]]}, ()),
+    "classify-cend1": ({"generators": ["x"]}, ()),
+    # jordan reads no factors, so r and s may be dropped
+    "extension-build": ({"p": [["x"]], "kind": "jordan", "r": [["x"]], "s": [["1"]],
+                         "alpha": "0", "gamma": "1"}, ("--rounds", "1")),
+    "oc-gens": ({"n": 1, "p": [["1"]], "epsilon": 1, "max_n": 1}, ()),
+    "invariance-check": ({"p": [["1"]], "epsilon": 1, "element": [["x"]]}, ()),
+    "irreducibility-probe": ({"p": [["x"]], "gens": [[["1"]]], "start": ["1"], "alpha": "0"},
+                             ()),
+    "unital-probe": ({"gens": [[["1"]]]}, ()),
+}
+
+
+def _readme_payload_fields():
+    """verb -> {field: marked optional} for each object shape of README's
+    "Payload shapes" table; a ``?`` after a field's value marks it optional."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Payload shapes", 1)[1].split("\n\n", 2)[1]
+    shapes = {}
+    for line in table.splitlines()[2:]:
+        verbs, shape = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))][:2]
+        obj = re.search(r"`(\{.*?\})`", shape)
+        if obj is None:
+            continue
+        text = obj.group(1)[1:-1]
+        keys = list(re.finditer(r'"(\w+)": ', text))
+        ends = [k.start() for k in keys[1:]] + [len(text)]
+        fields = {k.group(1): text[k.end():end].rstrip(", ").endswith("?")
+                  for k, end in zip(keys, ends)}
+        shapes.update(dict.fromkeys(verbs.split(", "), fields))
+    return shapes
+
+
+def test_readme_payload_table_covers_every_object_payload():
+    assert set(_readme_payload_fields()) == set(PAYLOAD_EXAMPLES) == set(VERBS) - {"verify"}
+
+
+@pytest.mark.parametrize("verb", sorted(PAYLOAD_EXAMPLES))
+def test_readme_payload_table_marks_the_optional_fields(verb):
+    # dropping a field the table does not mark with ? is that field's
+    # required-field error; dropping a marked one is not
+    fields = _readme_payload_fields()[verb]
+    payload, flags = PAYLOAD_EXAMPLES[verb]
+    assert set(fields) == set(payload)
+    code, envelope = _run_stdin(verb, payload, *flags)
+    assert code == 0, envelope
+    for field, optional in fields.items():
+        _, envelope = _run_stdin(verb, {k: v for k, v in payload.items() if k != field}, *flags)
+        required = {"code": "E_PARSE", "message": f"payload field {field!r} is required"}
+        assert (envelope["error"] == required) is not optional, (field, envelope["error"])
 
 
 def test_overlong_integer_literal_is_parse_error(tmp_path):
